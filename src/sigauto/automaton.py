@@ -11,7 +11,7 @@ never produce it.  A state with no outgoing cell is called *new*; at most one
 such state exists at any time and it is necessarily the current state.
 
 Construction is single-writer: ``next_isa`` mutates its argument in place and
-returns it.  Use :meth:`Isa.copy` when an immutable snapshot is needed.
+returns it.
 """
 
 from __future__ import annotations
@@ -74,12 +74,6 @@ class InstantsMatrix:
     def total_instants(self) -> int:
         return sum(len(c) for _, _, c in self.cells())
 
-    def copy(self) -> "InstantsMatrix":
-        dup = InstantsMatrix()
-        dup._rows = {p: {q: list(c) for q, c in row.items()} for p, row in self._rows.items()}
-        dup._sources = {q: dict(ps) for q, ps in self._sources.items()}
-        return dup
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, InstantsMatrix):
             return NotImplemented
@@ -102,15 +96,6 @@ class Isa:
     theta: InstantsMatrix
     n: int
     new_state_instants: list[int] = field(default_factory=list)
-
-    def copy(self) -> "Isa":
-        return Isa(
-            states=dict(self.states),
-            current=self.current,
-            theta=self.theta.copy(),
-            n=self.n,
-            new_state_instants=list(self.new_state_instants),
-        )
 
 
 @dataclass(frozen=True)

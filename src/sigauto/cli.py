@@ -191,6 +191,10 @@ def run_stream(config: RunConfig) -> int:
     in_handle, in_owned = _open_input(config.input_path)
     out_handle, out_owned = _open_output(config.output_path)
     consumed = 0
+    # A resumed pipeline knows its dimension; a fresh one takes it from its
+    # first observation.  Rows of another width are rejected before they
+    # reach the pipeline.
+    dim = pipe.signal.dim if len(pipe.signal) else None
     try:
         first = True
         for lineno, raw in _iter_rows(in_handle):
@@ -200,12 +204,17 @@ def run_stream(config: RunConfig) -> int:
             first = False
             try:
                 obs = _parse_row(raw)
+                if dim is not None and len(obs) != dim:
+                    raise RejectedInputError(
+                        f"observation has {len(obs)} coordinates, expected {dim}"
+                    )
             except (RejectedInputError, json.JSONDecodeError) as exc:
                 if config.strict:
                     raise RejectedInputError(f"line {lineno}: {exc}") from exc
                 _write_record(out_handle, {"line": lineno, "error": str(exc)})
                 continue
             _write_record(out_handle, pipe.step(obs))
+            dim = len(obs)
             consumed += 1
         if consumed == 0 and pipe.n < 0:
             raise EmptyInputError("input contains no observations")

@@ -113,14 +113,6 @@ class _TransitionCore:
         row.value += after - before
         row.raw_count += 1
 
-    def _copy_transitions_into(self, dup: "_TransitionCore") -> None:
-        dup.state_order = dict(self.state_order)
-        dup._tcells = {
-            p: {q: acc.copy() for q, acc in cells.items()}
-            for p, cells in self._tcells.items()
-        }
-        dup._trow = {p: acc.copy() for p, acc in self._trow.items()}
-
 
 class Hmm(_TransitionCore):
     """Discrete-event model: emission rows over observed clusters."""
@@ -173,19 +165,6 @@ class Hmm(_TransitionCore):
             self._edenom[state] = denom
         self.rho.step(denom, obs, instant)
 
-    def copy(self) -> "Hmm":
-        dup = Hmm.__new__(Hmm)
-        _TransitionCore.__init__(dup, self.sigma, self.n, self.current, self.current_is_new)
-        self._copy_transitions_into(dup)
-        dup.rho = self.rho
-        dup.clusterer = self.clusterer
-        dup._ecells = {
-            q: {c: acc.copy() for c, acc in cells.items()}
-            for q, cells in self._ecells.items()
-        }
-        dup._edenom = {q: acc.copy() for q, acc in self._edenom.items()}
-        return dup
-
 
 class HmmContinuous(_TransitionCore):
     """Continuous-emission model: per-state uniform kernel mixtures.
@@ -233,15 +212,6 @@ class HmmContinuous(_TransitionCore):
 
     def _apply_emission(self, state: str, instant: int) -> None:
         self.mixtures.setdefault(state, []).append(instant)
-
-    def copy(self) -> "HmmContinuous":
-        dup = HmmContinuous.__new__(HmmContinuous)
-        _TransitionCore.__init__(dup, self.sigma, self.n, self.current, self.current_is_new)
-        self._copy_transitions_into(dup)
-        dup.signal = self.signal
-        dup.kernel = self.kernel
-        dup.mixtures = {q: list(c) for q, c in self.mixtures.items()}
-        return dup
 
 
 # ---------------------------------------------------------------------------

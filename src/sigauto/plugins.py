@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -330,9 +330,6 @@ class StatAccumulator:
     value: float = 0.0
     last_now: int = 0
     raw_count: int = 0
-
-    def copy(self) -> "StatAccumulator":
-        return replace(self)
 
 
 class StatFn:

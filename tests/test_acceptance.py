@@ -253,7 +253,8 @@ def test_criterion_06_complexity():
     report(
         6,
         f"update ratio {bench.constancy_ratio:.2f} <= 3, "
-        f"build slope {bench.build_slope:.2f} in [0.8, 1.2]",
+        f"build slope {bench.build_slope:.2f} in [0.8, 1.2], "
+        f"lookahead ratio {bench.lookahead_ratio:.2f} <= 3",
         failures,
         elapsed,
     )

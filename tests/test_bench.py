@@ -32,10 +32,13 @@ def test_failures_detection():
         build=[BenchPoint(1_000, 30, 1.0, 1.0), BenchPoint(100_000, 30, 10.0, 1.0)],
         build_slope=0.5,
         constancy_ratio=4.0,
+        lookahead=[BenchPoint(1_000, 30, 100.0, 1.0), BenchPoint(100_000, 30, 400.0, 1.0)],
+        lookahead_ratio=4.0,
     )
     problems = report.failures()
-    assert len(problems) == 2
+    assert len(problems) == 3
     assert any("constancy" in p for p in problems)
+    assert any("lookahead" in p for p in problems)
     assert any("slope" in p for p in problems)
 
 
@@ -44,6 +47,8 @@ def test_small_scale_run():
                        update_samples=60, build_samples=30, seed=1)
     assert [p.n for p in report.update] == [300, 900]
     assert [p.n for p in report.build] == [100, 300]
-    assert all(p.samples >= 30 for p in report.update + report.build)
+    assert [p.n for p in report.lookahead] == [100, 300]
+    assert all(p.samples >= 30 for p in report.update + report.build + report.lookahead)
     assert report.constancy_ratio > 0
+    assert report.lookahead_ratio > 0
     assert report.to_dict()["build_slope"] == report.build_slope

@@ -99,6 +99,41 @@ class TestRun:
         assert main(["run", "--input", str(src), "--strict",
                      "--output", str(tmp_path / "o.jsonl")]) == 1
 
+    def test_wrong_width_row_non_strict(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text('1.0\n3.0,4.0\n{"r": [1.0, 2.0]}\n2.0\n')
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(src), "--output", str(out)]) == 0
+        records = read_records(out)
+        assert [r.get("line") for r in records] == [None, 2, 3, None]
+        assert all("expected 1" in r["error"] for r in records[1:3])
+        # the rejected rows left the stream as if they were never there
+        clean = tmp_path / "clean.csv"
+        clean.write_text("1.0\n2.0\n")
+        expected = tmp_path / "expected.jsonl"
+        assert main(["run", "--input", str(clean), "--output", str(expected)]) == 0
+        assert [records[0], records[3]] == read_records(expected)
+
+    def test_wrong_width_row_strict(self, tmp_path):
+        src = tmp_path / "wide.csv"
+        src.write_text("1.0\n3.0,4.0\n2.0\n")
+        assert main(["run", "--input", str(src), "--strict",
+                     "--output", str(tmp_path / "o.jsonl")]) == 1
+
+    def test_resumed_run_takes_width_from_snapshot(self, tmp_path):
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_csv(first, [[1.0], [5.0], [1.0]])
+        second.write_text("3.0,4.0\n5.0\n")
+        snap = tmp_path / "snap.json"
+        assert main(["run", "--input", str(first), "--output", str(tmp_path / "a.jsonl"),
+                     "--snapshot", str(snap)]) == 0
+        out = tmp_path / "b.jsonl"
+        assert main(["run", "--input", str(second), "--output", str(out),
+                     "--resume", str(snap)]) == 0
+        records = read_records(out)
+        assert records[0]["line"] == 1 and "error" in records[0]
+        assert records[1]["i"] == 3
+
     def test_config_error_exit_code(self, tmp_path, e1_csv):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"delta": 1.0}))
@@ -191,6 +226,9 @@ class TestBenchCommand:
                    BenchPoint(100_000, 30, 1e9, 2e9)],
             build_slope=1.5,
             constancy_ratio=10.0,
+            lookahead=[BenchPoint(1_000, 30, 100.0, 200.0),
+                       BenchPoint(100_000, 30, 1_000.0, 2_000.0)],
+            lookahead_ratio=10.0,
         )
         monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: bad)
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3

@@ -1,4 +1,8 @@
+from itertools import accumulate
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigauto import (
     Clusterer,
@@ -7,6 +11,8 @@ from sigauto import (
     LookaheadWordClassifier,
     PluginParams,
     Signal,
+    StatAccumulator,
+    classify_lookahead,
     init_isa,
     isa_to_hmm,
     lookahead_advance,
@@ -15,6 +21,7 @@ from sigauto import (
     rho_fn,
     sigma_fn,
 )
+from sigauto.bench import random_walk
 
 
 def period_two(length):
@@ -143,3 +150,93 @@ class TestAdvance:
         frontier = lookahead_build(signal, word_params, seed=0)
         lookahead_advance(frontier, (1.0,))
         assert len(signal) == 6
+
+
+STAT_VARIANTS = (
+    {},
+    {"stat_variant": "discounted_sum", "delta": 0.8},
+    {"stat_variant": "discounted_complement", "delta": 0.5},
+    {"stat_variant": "region_count", "region": ((-1.0, 2.0),)},
+)
+
+
+def forecast_key(frontier):
+    """The frontier forecast, with the iteration order of every step."""
+    fc = frontier.forecast()
+    return fc.is_dummy, [list(dist.items()) for dist in fc.steps]
+
+
+def advance_against_fresh_builds(values, params, seed):
+    """Advance a frontier over ``values`` from its shortest history, checking
+    it against a fresh build after every advance.  Returns how many advances
+    matched the stored word, mismatched it, or found the oldest entry
+    poisoned."""
+    h = params.horizon
+    frontier = lookahead_build(values[: h + 1], params, seed=seed)
+    kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
+    for i in range(h + 1, len(values)):
+        first = frontier.entries[0]
+        lookahead_advance(frontier, values[i])
+        if first is None:
+            kinds["poisoned"] += 1
+        elif first.isa.current == classify_lookahead(params, None, values[i - h + 1 : i + 1]):
+            kinds["matched"] += 1
+        else:
+            kinds["mismatched"] += 1
+        fresh = lookahead_build(values[: i + 1], params, seed=seed)
+        assert frontier.fingerprint() == fresh.fingerprint(), f"fingerprint at n={i}"
+        assert forecast_key(frontier) == forecast_key(fresh), f"forecast at n={i}"
+    return kinds
+
+
+class TestOverlayEqualsFreshBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.sampled_from([1, 2, 3]),
+        seed=st.integers(0, 10_000),
+        stat=st.sampled_from(STAT_VARIANTS),
+        steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       min_size=5, max_size=40),
+    )
+    def test_every_advance(self, h, seed, stat, steps):
+        advance_against_fresh_builds(list(accumulate(steps)),
+                                     PluginParams(grid_width=1.0, horizon=h, **stat), seed)
+
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_walk_covers_every_kind_of_advance(self, h):
+        values = random_walk(150, seed=h, step=0.6)
+        kinds = advance_against_fresh_builds(
+            values, PluginParams(grid_width=1.0, horizon=h, stat_variant="discounted_sum",
+                                 delta=0.9), seed=5)
+        assert all(count > 0 for count in kinds.values()), kinds
+
+
+class TestAdvanceCost:
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_accumulators_created_per_advance_do_not_grow_with_n(self, h, monkeypatch):
+        """After a random walk of n values (whose states grow with n), an
+        alternation far from the walk: a matched advance and a mismatched one
+        (a value breaking the alternation) each create at most 4(h + 1)
+        accumulators, the same number at n = 1k as at n = 10k."""
+        created = []
+        init = StatAccumulator.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        params = PluginParams(grid_width=1.0, horizon=h)
+        counts = {}
+        for n in (1_000, 10_000):
+            values = random_walk(n, seed=0) + [1000.0 + 5.0 * (k % 2) for k in range(61)]
+            frontier = lookahead_build(values[:-1], params, seed=2)
+            monkeypatch.setattr(StatAccumulator, "__init__", counting_init)
+            per_advance = []
+            for value in (values[-1], values[-1]):
+                created.clear()
+                lookahead_advance(frontier, value)
+                per_advance.append(len(created))
+            monkeypatch.setattr(StatAccumulator, "__init__", init)
+            counts[n] = per_advance
+        assert counts[1_000] == counts[10_000]
+        assert all(0 < count <= 4 * (h + 1) for count in counts[1_000]), counts
