@@ -70,18 +70,10 @@ from .plugins import (
     PluginParams,
     StatAccumulator,
     StatFn,
-    classify_full,
     classify_lookahead,
-    classify_step,
-    cluster_of,
     default_bandwidth,
-    kernel_eval,
     rho_fn,
     sigma_fn,
-    stat_eval,
-    stat_read,
-    stat_step,
-    stat_tick,
 )
 from .signal import Signal, as_observation
 from .snapshot import (

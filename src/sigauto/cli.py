@@ -104,11 +104,18 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _iter_rows(handle):
-    """Yield (line_number, raw_line) for non-empty lines."""
+    """Yield (line_number, raw_line) for non-empty lines, skipping the first
+    one if it is a header."""
+    first = True
     for lineno, line in enumerate(handle, start=1):
         stripped = line.strip()
-        if stripped:
-            yield lineno, stripped
+        if not stripped:
+            continue
+        if first:
+            first = False
+            if _looks_like_header(stripped):
+                continue
+        yield lineno, stripped
 
 
 def _parse_row(raw: str):
@@ -156,12 +163,7 @@ def read_signal(path: str | None) -> Signal:
     handle, owned = _open_input(path)
     try:
         signal = Signal()
-        first = True
         for lineno, raw in _iter_rows(handle):
-            if first and _looks_like_header(raw):
-                first = False
-                continue
-            first = False
             try:
                 signal.append(_parse_row(raw))
             except (RejectedInputError, json.JSONDecodeError) as exc:
@@ -196,12 +198,7 @@ def run_stream(config: RunConfig) -> int:
     # reach the pipeline.
     dim = pipe.signal.dim if len(pipe.signal) else None
     try:
-        first = True
         for lineno, raw in _iter_rows(in_handle):
-            if first and _looks_like_header(raw):
-                first = False
-                continue
-            first = False
             try:
                 obs = _parse_row(raw)
                 if dim is not None and len(obs) != dim:

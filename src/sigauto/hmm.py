@@ -41,11 +41,22 @@ class SparseStochasticMatrix:
             raise UnknownStateError(p)
         return dict(self.rows[p])
 
-    def row_sums(self) -> dict[str, float]:
-        return {p: sum(row.values()) for p, row in self.rows.items()}
-
     def sparsity(self) -> set[tuple[str, str]]:
         return {(p, q) for p, row in self.rows.items() for q in row}
+
+
+def _normalized_row(cells, total, stat: StatFn, now: int, sink: str) -> dict[str, float]:
+    """Weights of one row's ``cells`` divided by the row accumulator ``total``.
+
+    An empty row, or one whose weights sum to zero (possible with
+    region-filtered statistics), sends all mass to ``sink``.
+    """
+    if not cells:
+        return {sink: 1.0}
+    denom = stat.read(total, now)
+    if denom <= 0.0:
+        return {sink: 1.0}
+    return {c: stat.read(acc, now) / denom for c, acc in cells.items()}
 
 
 class _TransitionCore:
@@ -71,44 +82,42 @@ class _TransitionCore:
         return {self.current: 1.0}
 
     def transition_row(self, p: str) -> dict[str, float]:
-        """Dense view of one row; always sums to 1.
-
-        States with no outgoing instants, and rows whose weights sum to zero
-        (possible with region-filtered statistics), send all mass to the
-        absorbing dummy state.
-        """
+        """Dense view of one row; always sums to 1.  States with no outgoing
+        instants send all mass to the absorbing dummy state."""
         if p == DUMMY_STATE:
             return {DUMMY_STATE: 1.0}
         if p not in self.state_order:
             raise UnknownStateError(p)
-        cells = self._tcells.get(p)
-        if not cells:
-            return {DUMMY_STATE: 1.0}
-        denom = self.sigma.read(self._trow[p], self.n)
-        if denom <= 0.0:
-            return {DUMMY_STATE: 1.0}
-        return {q: self.sigma.read(acc, self.n) / denom for q, acc in cells.items()}
+        return _normalized_row(self._tcells.get(p), self._trow.get(p), self.sigma,
+                               self.n, DUMMY_STATE)
 
     def transition_matrix(self) -> SparseStochasticMatrix:
         return SparseStochasticMatrix({p: self.transition_row(p) for p in self.states})
 
     # -- write side
 
+    def _acc(self, table, row: str, col: str | None, stat: StatFn,
+             instant: int) -> StatAccumulator:
+        """The accumulator ``table[row][col]`` to write, or ``table[row]``
+        when ``col`` is None; created at ``instant`` if absent.  Every write
+        goes through here, so a model that stores accumulators elsewhere
+        overrides only this and its tables."""
+        if col is not None:
+            table = table.setdefault(row, {})
+            row = col
+        acc = table.get(row)
+        if acc is None:
+            acc = table[row] = stat.new_acc(now=instant)
+        return acc
+
     def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
         if state not in self.state_order:
             self.state_order[state] = None
-        cells = self._tcells.setdefault(prev_state, {})
-        acc = cells.get(state)
-        if acc is None:
-            acc = self.sigma.new_acc(now=instant)
-            cells[state] = acc
+        acc = self._acc(self._tcells, prev_state, state, self.sigma, instant)
         before = self.sigma.read(acc, instant)
         self.sigma.step(acc, obs, instant)
         after = self.sigma.read(acc, instant)
-        row = self._trow.get(prev_state)
-        if row is None:
-            row = self.sigma.new_acc(now=instant)
-            self._trow[prev_state] = row
+        row = self._acc(self._trow, prev_state, None, self.sigma, instant)
         self.sigma.advance(row, instant)
         row.value += after - before
         row.raw_count += 1
@@ -126,6 +135,8 @@ class Hmm(_TransitionCore):
                 f"emission statistic {rho.variant!r} is not additive over the "
                 "cluster partition; emission rows would not be stochastic"
             )
+        if (sigma.delta, sigma.region) != (rho.delta, rho.region):
+            raise ConfigError("sigma and rho were configured from different parameter tuples")
         super().__init__(sigma, n, current, current_is_new)
         self.rho = rho
         self.clusterer = clusterer
@@ -141,29 +152,15 @@ class Hmm(_TransitionCore):
             return {DUMMY_EVENT: 1.0}
         if q not in self.state_order:
             raise UnknownStateError(q)
-        cells = self._ecells.get(q)
-        if not cells:
-            return {DUMMY_EVENT: 1.0}
-        denom = self.rho.read(self._edenom[q], self.n)
-        if denom <= 0.0:
-            return {DUMMY_EVENT: 1.0}
-        return {c: self.rho.read(acc, self.n) / denom for c, acc in cells.items()}
+        return _normalized_row(self._ecells.get(q), self._edenom.get(q), self.rho,
+                               self.n, DUMMY_EVENT)
 
     def emission_matrix(self) -> SparseStochasticMatrix:
         return SparseStochasticMatrix({q: self.emission_row(q) for q in self.states})
 
     def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
-        cells = self._ecells.setdefault(state, {})
-        acc = cells.get(cluster)
-        if acc is None:
-            acc = self.rho.new_acc(now=instant)
-            cells[cluster] = acc
-        self.rho.step(acc, obs, instant)
-        denom = self._edenom.get(state)
-        if denom is None:
-            denom = self.rho.new_acc(now=instant)
-            self._edenom[state] = denom
-        self.rho.step(denom, obs, instant)
+        self.rho.step(self._acc(self._ecells, state, cluster, self.rho, instant), obs, instant)
+        self.rho.step(self._acc(self._edenom, state, None, self.rho, instant), obs, instant)
 
 
 class HmmContinuous(_TransitionCore):
@@ -218,12 +215,6 @@ class HmmContinuous(_TransitionCore):
 # Construction
 
 
-def _check_tau(*fns) -> None:
-    ids = {fn.tau_id for fn in fns if fn is not None and fn.tau_id is not None}
-    if len(ids) > 1:
-        raise ConfigError("plugins were configured from different parameter tuples")
-
-
 def _check_step_preconditions(model: _TransitionCore, isa: Isa, signal: Signal) -> int:
     i = isa.n
     if i != model.n + 1:
@@ -269,7 +260,6 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
     of their observation; the pre-initial bottom state's single cell counts
     toward emissions (instant 0) but never holds a transition row.
     """
-    _check_tau(sigma, rho)
     hmm = Hmm(sigma, rho, clusterer, isa.n, isa.current, is_new_state(isa))
     _build_transitions(hmm, isa, signal, sigma)
     for q in hmm.state_order:
@@ -298,7 +288,6 @@ def next_hmm(hmm: Hmm, isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
         raise ConfigError("sigma statistic differs from the one the model was built with")
     if rho.params_fingerprint() != hmm.rho.params_fingerprint():
         raise ConfigError("rho statistic differs from the one the model was built with")
-    _check_tau(sigma, rho)
     i = _check_step_preconditions(hmm, isa, signal)
     if clusterer is not hmm.clusterer:
         raise ConfigError("clusterer differs from the one the model was built with")

@@ -17,7 +17,9 @@ stored entry never adds a state, so it is exactly one step past its parent:
 one appended instant and at most four replaced accumulators (the transition
 cell, its row sum, the emission cell and the emission denominator).  Entry k
 therefore holds k + 1 instants and at most 4(k + 1) accumulators, and every
-other read falls through to the base.
+other read falls through to the base.  The model overlay is an ``Hmm``
+subclass that overrides only where accumulators are stored, so it reads,
+normalizes and steps with ``Hmm``'s own code.
 
 When a genuine observation arrives, the oldest frontier entry becomes fully
 determined.  If its estimated word matches the genuine one, its one-step
@@ -46,7 +48,6 @@ from .errors import (
     InsufficientHistoryError,
     SigautoError,
     StalenessError,
-    UnknownStateError,
 )
 from .forecasting import (
     Forecast,
@@ -55,7 +56,7 @@ from .forecasting import (
     sample_event,
     state_occupancies,
 )
-from .hmm import DUMMY_STATE, Hmm, isa_to_hmm, next_hmm
+from .hmm import Hmm, isa_to_hmm, next_hmm
 from .plugins import (
     DUMMY_EVENT,
     Clusterer,
@@ -67,6 +68,7 @@ from .plugins import (
     sigma_fn,
 )
 from .signal import Signal
+from .snapshot import model_document
 
 
 class _ThetaOverlay:
@@ -149,116 +151,102 @@ class _IsaOverlay:
         self.theta.moves = tuple(m for m in self.theta.moves if m[2] > n)
 
 
-# Accumulator tables of ``Hmm``: per-row cell maps, then per-row sums.
-_CELL_TABLES = ("_tcells", "_ecells")
-_SUM_TABLES = ("_trow", "_edenom")
+class _Layer:
+    """One accumulator table of a frontier model: the base model's table
+    (``base``) with the entries the frontier steps replaced (``over``) on
+    top.  This class holds a row-sum table, which maps a row to its
+    accumulator."""
+
+    __slots__ = ("base", "over")
+
+    def __init__(self, base: dict, parent):
+        """``parent`` is the base table itself or the parent model's layer."""
+        self.base = base
+        self.over = {} if parent is base else dict(parent.over)
+
+    def get(self, row: str):
+        acc = self.over.get(row)
+        return self.base.get(row) if acc is None else acc
+
+    def commit(self) -> None:
+        self.base.update(self.over)
+
+    def rebase(self, n: int) -> None:
+        self.over = {row: acc for row, acc in self.over.items() if acc.last_now > n}
 
 
-class _ModelOverlay:
+class _CellLayer(_Layer):
+    """A cell table: a row maps each column to its accumulator and reads as
+    ``{**base_row, **replaced}``, the order in which a full copy would
+    iterate."""
+
+    __slots__ = ()
+
+    def get(self, row: str):
+        cells = self.base.get(row)
+        replaced = self.over.get(row)
+        if replaced:
+            return {**cells, **replaced} if cells else replaced
+        return cells
+
+    def commit(self) -> None:
+        for row, cells in self.over.items():
+            self.base.setdefault(row, {}).update(cells)
+
+    def rebase(self, n: int) -> None:
+        kept = {}
+        for row, cells in self.over.items():
+            live = {c: acc for c, acc in cells.items() if acc.last_now > n}
+            if live:
+                kept[row] = live
+        self.over = kept
+
+
+class _ModelOverlay(Hmm):
     """A frontier model over the base ``Hmm``.
 
-    ``over`` maps each accumulator table of ``Hmm`` to its replaced entries;
-    reads merge them over the base's (``{**base_row, **overrides}``, the
-    order in which a full copy would iterate).  A step replaces accumulators
-    by private copies, so neither the base nor an ancestor is ever written,
-    and an overlay is never changed after its step except by ``rebase``.
-    ``sigma``, ``rho`` and ``clusterer`` are plain attributes, as on ``Hmm``.
+    It differs from ``Hmm`` only in where accumulators are stored: each
+    table is a layer over the base's, and ``_acc`` installs a private copy
+    in the layer before a step writes it, so neither the base nor an
+    ancestor is ever written, and an overlay is never changed after its
+    step except by ``rebase``.  Reads and the step itself are ``Hmm``'s.
     """
 
-    def __init__(self, base: Hmm, parent):
+    def __init__(self, base: Hmm, parent: Hmm):
+        super().__init__(parent.sigma, parent.rho, parent.clusterer, parent.n,
+                         parent.current, parent.current_is_new)
         self.base = base
-        self.sigma = parent.sigma
-        self.rho = parent.rho
-        self.clusterer = parent.clusterer
-        self.n = parent.n
-        self.current = parent.current
-        self.current_is_new = parent.current_is_new
         self.state_order = base.state_order
-        if parent is base:
-            self.over = {table: {} for table in _CELL_TABLES + _SUM_TABLES}
-        else:
-            self.over = {table: dict(rows) for table, rows in parent.over.items()}
+        self._tcells = _CellLayer(base._tcells, parent._tcells)
+        self._trow = _Layer(base._trow, parent._trow)
+        self._ecells = _CellLayer(base._ecells, parent._ecells)
+        self._edenom = _Layer(base._edenom, parent._edenom)
 
-    # -- read side: the surface ``forecasting`` uses
-
-    def alpha(self) -> dict[str, float]:
-        return {self.current: 1.0}
-
-    def transition_row(self, p: str) -> dict[str, float]:
-        if p == DUMMY_STATE:
-            return {DUMMY_STATE: 1.0}
-        return self._row(p, self.sigma, "_tcells", "_trow", DUMMY_STATE)
-
-    def emission_row(self, q: str) -> dict[str, float]:
-        if q == DUMMY_STATE:
-            return {DUMMY_EVENT: 1.0}
-        return self._row(q, self.rho, "_ecells", "_edenom", DUMMY_EVENT)
-
-    def _row(self, p: str, stat: StatFn, cell_table: str, sum_table: str,
-             sink: str) -> dict[str, float]:
-        """``Hmm.transition_row``/``emission_row`` over the merged tables."""
-        if p not in self.state_order:
-            raise UnknownStateError(p)
-        cells = getattr(self.base, cell_table).get(p)
-        replaced = self.over[cell_table].get(p)
-        if replaced:
-            cells = {**cells, **replaced} if cells else replaced
-        if not cells:
-            return {sink: 1.0}
-        total = self.over[sum_table].get(p)
-        if total is None:
-            total = getattr(self.base, sum_table)[p]
-        denom = stat.read(total, self.n)
-        if denom <= 0.0:
-            return {sink: 1.0}
-        return {c: stat.read(acc, self.n) / denom for c, acc in cells.items()}
-
-    # -- write side: called by ``next_hmm``
-
-    def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
-        """``_TransitionCore._apply_transition`` on private copies.  ``state``
-        is already known: a new state poisons its entry before the model step."""
-        acc = self._take("_tcells", prev_state, state, self.sigma, instant)
-        before = self.sigma.read(acc, instant)
-        self.sigma.step(acc, obs, instant)
-        after = self.sigma.read(acc, instant)
-        row = self._take("_trow", prev_state, None, self.sigma, instant)
-        self.sigma.advance(row, instant)
-        row.value += after - before
-        row.raw_count += 1
-
-    def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
-        self.rho.step(self._take("_ecells", state, cluster, self.rho, instant), obs, instant)
-        self.rho.step(self._take("_edenom", state, None, self.rho, instant), obs, instant)
-
-    def _take(self, table: str, row: str, col: str | None, stat: StatFn,
-              instant: int) -> StatAccumulator:
-        """Install and return a private copy of one accumulator (a new one if
-        absent).  ``col`` is None for the sum tables."""
-        over = self.over[table]
-        base = getattr(self.base, table)
+    def _acc(self, layer, row: str, col: str | None, stat: StatFn,
+             instant: int) -> StatAccumulator:
+        """A private copy of the accumulator (a new one if absent), installed
+        among the layer's replaced entries."""
         if col is None:
-            acc = over.get(row) or base.get(row)
+            acc = layer.get(row)
         else:
-            acc = over.get(row, {}).get(col) or base.get(row, {}).get(col)
+            acc = layer.over.get(row, {}).get(col) or layer.base.get(row, {}).get(col)
         if acc is None:
             acc = stat.new_acc(now=instant)
         else:
             acc = StatAccumulator(acc.value, acc.last_now, acc.raw_count)
-        over[row] = acc if col is None else {**over.get(row, {}), col: acc}
+        layer.over[row] = acc if col is None else {**layer.over.get(row, {}), col: acc}
         return acc
 
     # -- reconciliation
 
+    def _layers(self):
+        return (self._tcells, self._trow, self._ecells, self._edenom)
+
     def commit(self) -> None:
         """Write this overlay into the base, which it is one step past."""
+        for layer in self._layers():
+            layer.commit()
         base = self.base
-        for table in _CELL_TABLES:
-            rows = getattr(base, table)
-            for row, cells in self.over[table].items():
-                rows.setdefault(row, {}).update(cells)
-        for table in _SUM_TABLES:
-            getattr(base, table).update(self.over[table])
         base.n = self.n
         base.current = self.current
         base.current_is_new = self.current_is_new
@@ -266,18 +254,8 @@ class _ModelOverlay:
     def rebase(self) -> None:
         """Drop the accumulators the base has caught up with.  Every replaced
         accumulator was last moved to the instant of the step that wrote it."""
-        n = self.base.n
-        for table in _SUM_TABLES:
-            self.over[table] = {
-                row: acc for row, acc in self.over[table].items() if acc.last_now > n
-            }
-        for table in _CELL_TABLES:
-            kept = {}
-            for row, cells in self.over[table].items():
-                live = {c: acc for c, acc in cells.items() if acc.last_now > n}
-                if live:
-                    kept[row] = live
-            self.over[table] = kept
+        for layer in self._layers():
+            layer.rebase(self.base.n)
 
 
 @dataclass
@@ -285,7 +263,7 @@ class FrontierEntry:
     """One lookahead automaton/model pair at a frontier instant."""
 
     isa: Isa | _IsaOverlay
-    hmm: Hmm | _ModelOverlay
+    hmm: Hmm
 
 
 class LookaheadFrontier:
@@ -371,48 +349,29 @@ class LookaheadFrontier:
         return model_forecast(entry.hmm, h)
 
     def fingerprint(self) -> dict:
-        """Canonical structure for exact equality comparisons; O(n) per entry."""
+        """Canonical structure for exact equality comparisons; O(n) per entry.
+
+        Each automaton/model pair is its model document plus the automaton
+        and model fields the document leaves out.
+        """
+        def pair_doc(isa, hmm) -> dict:
+            return {
+                **model_document(hmm, self.params, isa),
+                "isa": [sorted(isa.states), isa.current, isa.n,
+                        list(isa.new_state_instants)],
+                "model": [hmm.n, hmm.current_is_new],
+            }
+
         return {
             "n": self.n,
             "h": self.h,
             "estimated": [list(e) if e is not None else None for e in self.estimated],
-            "base": _pair_doc(self.base_isa, self.base_hmm),
+            "base": pair_doc(self.base_isa, self.base_hmm),
             "entries": [
-                _pair_doc(e.isa, e.hmm) if e is not None else None
+                pair_doc(e.isa, e.hmm) if e is not None else None
                 for e in self.entries
             ],
         }
-
-
-def _isa_doc(isa) -> dict:
-    return {
-        "states": sorted(isa.states),
-        "current": isa.current,
-        "n": isa.n,
-        "new_state_instants": list(isa.new_state_instants),
-        "theta": sorted((p, q, list(c)) for p, q, c in isa.theta.cells()),
-    }
-
-
-def _model_doc(hmm) -> dict:
-    states = [*hmm.state_order, DUMMY_STATE]
-    return {
-        "n": hmm.n,
-        "current": hmm.current,
-        "current_is_new": hmm.current_is_new,
-        "states": sorted(hmm.state_order),
-        "events": sorted(hmm.clusterer.observed),
-        "transitions": sorted(
-            (p, q, w) for p in states for q, w in hmm.transition_row(p).items()
-        ),
-        "emissions": sorted(
-            (q, c, w) for q in states for c, w in hmm.emission_row(q).items()
-        ),
-    }
-
-
-def _pair_doc(isa, hmm) -> tuple:
-    return (_isa_doc(isa), _model_doc(hmm))
 
 
 def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:

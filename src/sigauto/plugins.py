@@ -60,6 +60,16 @@ def _as_widths(grid_width) -> float | tuple[float, ...]:
     return widths
 
 
+def _widths_for_dim(widths: float | tuple[float, ...], dim: int) -> tuple[float, ...]:
+    """Per-coordinate cell widths of ``dim``-d observations from a checked
+    ``grid_width``."""
+    if isinstance(widths, tuple):
+        if len(widths) != dim:
+            raise ConfigError(f"grid_width has {len(widths)} entries for {dim}-d observations")
+        return widths
+    return (widths,) * dim
+
+
 def _as_region(region):
     if region is None:
         return None
@@ -121,13 +131,7 @@ class PluginParams:
         object.__setattr__(self, "bandwidth", _as_bandwidth(self.bandwidth))
 
     def widths_for(self, dim: int) -> tuple[float, ...]:
-        if isinstance(self.grid_width, tuple):
-            if len(self.grid_width) != dim:
-                raise ConfigError(
-                    f"grid_width has {len(self.grid_width)} entries for {dim}-d observations"
-                )
-            return self.grid_width
-        return (self.grid_width,) * dim
+        return _widths_for_dim(self.grid_width, dim)
 
     def to_dict(self) -> dict:
         return {
@@ -284,31 +288,6 @@ class LookaheadWordClassifier:
         return LookaheadWordClassifier(self.params)
 
 
-def make_classifier(params: PluginParams, kind: str = "ema_grid"):
-    if kind == "ema_grid":
-        return EmaGridClassifier(params)
-    if kind == "lookahead_word":
-        return LookaheadWordClassifier(params)
-    raise ConfigError(f"unknown classifier kind {kind!r}")
-
-
-def classify_full(params: PluginParams, signal) -> str:
-    """From-scratch classification of a whole signal prefix."""
-    observations = list(signal)
-    if not observations:
-        raise EmptyInputError("cannot classify an empty signal")
-    handle = EmaGridClassifier(params)
-    label = ""
-    for obs in observations:
-        label = handle.step(obs)
-    return label
-
-
-def classify_step(handle, obs) -> str:
-    """One incremental classification step on a live handle."""
-    return handle.step(obs)
-
-
 def classify_lookahead(params: PluginParams, signal, future) -> str:
     """Word of cluster ids of a length-``horizon`` future window."""
     return LookaheadWordClassifier(params).step(None, tuple(future))
@@ -343,13 +322,12 @@ class StatFn:
     0 if none).
     """
 
-    def __init__(self, variant: str, delta: float = 0.0, region=None, tau_id=None):
+    def __init__(self, variant: str, delta: float = 0.0, region=None):
         if variant not in STAT_VARIANTS:
             raise ConfigError(f"unknown stat variant {variant!r}")
         self.variant = variant
         self.delta = float(delta)
         self.region = _as_region(region)
-        self.tau_id = tau_id
 
     @property
     def additive(self) -> bool:
@@ -456,7 +434,7 @@ class StatFn:
 
 def sigma_fn(params: PluginParams) -> StatFn:
     """Transition-weight statistic configured from the parameter tuple."""
-    return StatFn(params.stat_variant, params.delta, params.region, tau_id=id(params))
+    return StatFn(params.stat_variant, params.delta, params.region)
 
 
 def rho_fn(params: PluginParams) -> StatFn:
@@ -469,26 +447,7 @@ def rho_fn(params: PluginParams) -> StatFn:
     if variant not in ADDITIVE_VARIANTS:
         log.warning("stat variant %r is not additive; emissions use 'count'", variant)
         variant = "count"
-    return StatFn(variant, params.delta, params.region, tau_id=id(params))
-
-
-# Functional wrappers over StatFn for one-off evaluations.
-
-
-def stat_eval(params: PluginParams, signal, instants, now: int) -> float:
-    return sigma_fn(params).eval(signal, instants, now)
-
-
-def stat_step(params: PluginParams, acc: StatAccumulator, obs, instant: int) -> StatAccumulator:
-    return sigma_fn(params).step(acc, obs, instant)
-
-
-def stat_tick(params: PluginParams, acc: StatAccumulator) -> StatAccumulator:
-    return sigma_fn(params).tick(acc)
-
-
-def stat_read(params: PluginParams, acc: StatAccumulator, now: int) -> float:
-    return sigma_fn(params).read(acc, now)
+    return StatFn(variant, params.delta, params.region)
 
 
 # ---------------------------------------------------------------------------
@@ -509,26 +468,17 @@ class Clusterer:
         self._widths: tuple[float, ...] | None = None
         self.observed: dict[str, tuple[int, ...]] = {}
 
-    def _widths_for(self, coords) -> tuple[float, ...]:
+    def _cell(self, obs) -> tuple[int, ...]:
+        coords = as_observation(obs)
         if self._widths is None:
-            if isinstance(self._raw_width, tuple):
-                if len(self._raw_width) != len(coords):
-                    raise ConfigError(
-                        f"grid_width has {len(self._raw_width)} entries for "
-                        f"{len(coords)}-d observations"
-                    )
-                self._widths = self._raw_width
-            else:
-                self._widths = (self._raw_width,) * len(coords)
-        return self._widths
+            self._widths = _widths_for_dim(self._raw_width, len(coords))
+        return cell_index(coords, self._widths)
 
     def label_of(self, obs) -> str:
-        coords = as_observation(obs)
-        return cell_label(cell_index(coords, self._widths_for(coords)))
+        return cell_label(self._cell(obs))
 
     def cluster_of(self, obs) -> str:
-        coords = as_observation(obs)
-        idx = cell_index(coords, self._widths_for(coords))
+        idx = self._cell(obs)
         label = cell_label(idx)
         if label not in self.observed:
             self.observed[label] = idx
@@ -538,17 +488,14 @@ class Clusterer:
         """Canonical representative of an observed cluster (its cell center)."""
         if label not in self.observed:
             raise ConfigError(f"cluster {label!r} has not been observed")
-        return cell_center(self.observed[label], self._widths)
+        idx = self.observed[label]
+        return cell_center(idx, _widths_for_dim(self._raw_width, len(idx)))
 
     def copy(self) -> "Clusterer":
         dup = Clusterer(self._raw_width)
         dup._widths = self._widths
         dup.observed = dict(self.observed)
         return dup
-
-
-def cluster_of(clusterer: Clusterer, obs) -> str:
-    return clusterer.cluster_of(obs)
 
 
 # ---------------------------------------------------------------------------
@@ -582,10 +529,6 @@ class Kernel:
         diff = np.asarray(x, dtype=float).reshape(self.d)
         quad = float(diff @ self._inv @ diff)
         return self._norm * math.exp(-0.5 * quad)
-
-
-def kernel_eval(kernel: Kernel, x) -> float:
-    return kernel(x)
 
 
 def default_bandwidth(signal) -> np.ndarray:

@@ -75,9 +75,5 @@ class Signal:
     def last_instant(self) -> int:
         return len(self._obs) - 1
 
-    def require_nonempty(self) -> None:
-        if not self._obs:
-            raise EmptyInputError("signal is empty")
-
     def __repr__(self) -> str:
         return f"Signal(n={len(self._obs) - 1}, dim={self._dim})"

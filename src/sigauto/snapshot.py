@@ -15,6 +15,7 @@ identical double.
 from __future__ import annotations
 
 import json
+import os
 
 from .automaton import BOTTOM_STATE, Isa, InstantsMatrix
 from .errors import SnapshotError
@@ -142,16 +143,13 @@ def restore_pipeline(doc: dict):
             pipe.signal.append(obs)
         pipe.classifier.restore(doc["classifier"]["summary"])
         pipe.clusterer.observed = {label: tuple(idx) for label, idx in doc["clusterer"]}
-        if len(pipe.signal):
-            pipe.clusterer.label_of(pipe.signal[0])  # resolve grid widths
         if doc["isa"] is not None:
             pipe.isa = _isa_from(doc["isa"])
         model_doc = doc["model"]
         if model_doc is not None:
             if model_doc["kind"] == "discrete":
-                hmm = Hmm.__new__(Hmm)
-                Hmm.__init__(
-                    hmm, pipe.sigma, pipe.rho, pipe.clusterer,
+                hmm = Hmm(
+                    pipe.sigma, pipe.rho, pipe.clusterer,
                     int(model_doc["n"]), model_doc["current"],
                     bool(model_doc["current_is_new"]),
                 )
@@ -176,9 +174,22 @@ def restore_pipeline(doc: dict):
 
 
 def save_snapshot(pipe, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(pipeline_state(pipe), handle, separators=(",", ":"))
-        handle.write("\n")
+    """Write the snapshot next to ``path``, then move it into place, so a
+    write that fails midway leaves the previous snapshot intact."""
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as handle:
+            json.dump(pipeline_state(pipe), handle, separators=(",", ":"))
+            handle.write("\n")
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_snapshot(path):

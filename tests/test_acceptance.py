@@ -28,7 +28,6 @@ from sigauto import (
     build_isa,
     forecast,
     isa_to_hmm_continuous,
-    kernel_eval,
     lookahead_advance,
     lookahead_build,
     run_bench,
@@ -286,7 +285,7 @@ def test_criterion_07_continuous_normalization():
         kernel = Kernel([[h]])
         for x in (-2.0, 0.0, 0.3, 1.7):
             expected = norm.pdf(x, scale=math.sqrt(h))
-            if abs(kernel_eval(kernel, (x,)) - expected) > 1e-12:
+            if abs(kernel((x,)) - expected) > 1e-12:
                 failures.append(f"kernel H={h} at {x} off closed form")
     elapsed = time.perf_counter() - t0
     if elapsed >= 30.0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from sigauto import BenchPoint, BenchReport
 from sigauto.cli import main, parse_config
 
-from conftest import E1
+from conftest import E1, random_walk
 
 
 def write_csv(path, rows):
@@ -232,3 +233,73 @@ class TestBenchCommand:
         )
         monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: bad)
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3
+
+
+class TestGoldenOutputs:
+    """Byte-identity of the command outputs and snapshot files.
+
+    The digests were recorded before the model overlay refactor; a change
+    that alters any of these bytes on purpose must bump the snapshot or
+    output version and say so in CHANGES.md.
+    """
+
+    GOLDEN = {
+        "run": "cfd6d5f494886efebdaf1eb866a895fd2e2ff8e399665648e497c8b8e1beb754",
+        "resumed_run": "55a73d729e52a149ad501534248caca537a54659fa4ecf374377104806fdc4cc",
+        "snapshot": "604f9aa6885886440882817923d7239237b1cb3a73d8c29bd562a5d16e94bd67",
+        "resumed_snapshot": "2cb0036d6e2783f996b402bbc0ef62a6a3f25bb08ec30044341dd9c228002e4d",
+        "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
+        "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
+        "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",
+    }
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_run_with_snapshot_and_resume(self, tmp_path):
+        rows = random_walk(500, seed=11)
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_csv(first, rows[:300])
+        write_csv(second, rows[300:])
+        snap, resumed = tmp_path / "snap.json", tmp_path / "resumed.json"
+        out1, out2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert main(["run", "--input", str(first), "--output", str(out1),
+                     "--horizon", "3", "--seed", "7", "--snapshot", str(snap)]) == 0
+        assert main(["run", "--input", str(second), "--output", str(out2),
+                     "--resume", str(snap), "--snapshot", str(resumed)]) == 0
+        digests = {name: self.digest(path) for name, path in
+                   (("run", out1), ("resumed_run", out2),
+                    ("snapshot", snap), ("resumed_snapshot", resumed))}
+        assert digests == {k: self.GOLDEN[k] for k in digests}
+
+    def test_continuous_run(self, tmp_path):
+        src = tmp_path / "walk2.csv"
+        write_csv(src, random_walk(400, dim=2, seed=12))
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--mode", "continuous", "--horizon", "2",
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert self.digest(out) == self.GOLDEN["continuous_run"]
+
+    def test_lookahead(self, tmp_path):
+        src = tmp_path / "walk.csv"
+        write_csv(src, random_walk(300, seed=13))
+        out = tmp_path / "out.jsonl"
+        assert main(["lookahead", "--horizon", "2", "--seed", "4",
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert self.digest(out) == self.GOLDEN["lookahead"]
+
+    def test_fit(self, tmp_path):
+        src = tmp_path / "walk.csv"
+        write_csv(src, random_walk(600, seed=14))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid": [
+            {"stat_variant": "count"},
+            {"stat_variant": "discounted_sum", "delta": 0.5},
+            {"stat_variant": "discounted_sum", "delta": 0.9},
+            {"stat_variant": "discounted_sum", "delta": 0.99},
+        ]}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(src), "--config", str(config),
+                     "--output", str(out)]) == 0
+        assert self.digest(out) == self.GOLDEN["fit"]

@@ -104,6 +104,24 @@ class TestIsaToHmm:
             isa_to_hmm(isa, e1_signal, sigma_fn(count_params), rho_fn(other),
                        Clusterer(1.0))
 
+    def test_equal_parameter_tuples_may_be_distinct_objects(self, e1_signal):
+        sigma_params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        rho_params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        assert sigma_params == rho_params and sigma_params is not rho_params
+        sigma, rho = sigma_fn(sigma_params), rho_fn(rho_params)
+        classifier = EmaGridClassifier(sigma_params)
+        clusterer = Clusterer(1.0)
+        sig = Signal(E1[:1])
+        isa = init_isa(sig[0], classifier)
+        hmm = isa_to_hmm(isa, sig, sigma, rho, clusterer)
+        for value in E1[1:]:
+            sig.append(value)
+            next_isa(isa, sig, classifier)
+            next_hmm(hmm, isa, sig, sigma, rho, clusterer)
+        scratch = isa_to_hmm(build_isa(e1_signal, EmaGridClassifier(sigma_params)),
+                             e1_signal, sigma, rho, Clusterer(1.0))
+        assert hmm.transition_matrix() == scratch.transition_matrix()
+
 
 class TestNextHmm:
     def test_step_3_to_4_renormalizes_one_row(self, count_params):

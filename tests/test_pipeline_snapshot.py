@@ -16,6 +16,7 @@ from sigauto import (
     save_model_document,
     save_snapshot,
 )
+from sigauto import snapshot
 from sigauto.snapshot import pipeline_state, restore_pipeline
 
 from conftest import E1, build_plain, random_walk
@@ -110,6 +111,40 @@ class TestPipelineSnapshot:
         path.write_text(blob[: len(blob) // 2])
         with pytest.raises(SnapshotError):
             load_snapshot(path)
+
+    def test_failed_write_keeps_the_previous_snapshot(self, tmp_path, monkeypatch,
+                                                      count_params):
+        pipe = StreamPipeline(count_params)
+        for value in E1:
+            pipe.advance(value)
+        path = tmp_path / "snap.json"
+        save_snapshot(pipe, path)
+        previous = path.read_bytes()
+        pipe.advance(2.0)
+        real_state = snapshot.pipeline_state
+
+        def unserializable_tail(p):
+            # json.dump writes every key before this one, then fails
+            return {**real_state(p), "tail": object()}
+
+        monkeypatch.setattr(snapshot, "pipeline_state", unserializable_tail)
+        with pytest.raises(TypeError):
+            save_snapshot(pipe, path)
+        assert path.read_bytes() == previous
+        assert load_snapshot(path).n == 4
+        assert [f.name for f in tmp_path.iterdir()] == ["snap.json"]
+
+    def test_loaded_clusterer_centers(self, tmp_path):
+        params = PluginParams(grid_width=(0.5, 2.0))
+        pipe = StreamPipeline(params)
+        for value in random_walk(50, dim=2, seed=3):
+            pipe.advance(value)
+        path = tmp_path / "snap.json"
+        save_snapshot(pipe, path)
+        loaded = load_snapshot(path).clusterer
+        assert list(loaded.observed) == list(pipe.clusterer.observed)
+        for label in pipe.clusterer.observed:
+            assert loaded.center(label) == pipe.clusterer.center(label)
 
     def test_schema_violation(self, count_params):
         with pytest.raises(SnapshotError):

@@ -18,18 +18,19 @@ from sigauto import (
     StatAccumulator,
     StatFn,
     TemporalOrderError,
-    classify_full,
+    build_isa,
     classify_lookahead,
-    classify_step,
     default_bandwidth,
-    kernel_eval,
-    stat_eval,
-    stat_read,
-    stat_step,
-    stat_tick,
+    sigma_fn,
 )
 
 from conftest import E1
+
+
+def scratch_label(params, signal):
+    """From-scratch classification of a whole prefix: the current state of a
+    fresh automaton build."""
+    return build_isa(signal, EmaGridClassifier(params)).current
 
 
 class TestParams:
@@ -61,25 +62,25 @@ class TestParams:
 class TestEmaGridClassifier:
     def test_lam_one_is_quantized_last_value(self):
         params = PluginParams(lam=1.0, grid_width=1.0)
-        assert classify_full(params, Signal([1.0, 1.0, 5.0])) == "5"
+        assert scratch_label(params, Signal([1.0, 1.0, 5.0])) == "5"
 
     def test_ema_recurrence(self):
         # e = 0.5*3 + 0.5*1 = 2
         params = PluginParams(lam=0.5, grid_width=1.0)
-        assert classify_full(params, Signal([1.0, 3.0])) == "2"
+        assert scratch_label(params, Signal([1.0, 3.0])) == "2"
 
     def test_base_case(self):
         params = PluginParams(lam=0.5, grid_width=1.0)
-        assert classify_full(params, Signal([1.3])) == "1"
+        assert scratch_label(params, Signal([1.3])) == "1"
 
     def test_step_sequence_on_e1(self, count_params):
         handle = EmaGridClassifier(count_params)
-        labels = [classify_step(handle, obs) for obs in E1]
+        labels = [handle.step(obs) for obs in E1]
         assert labels == ["1", "1", "5", "1", "5"]
 
     def test_empty_signal(self, count_params):
         with pytest.raises(EmptyInputError):
-            classify_full(count_params, Signal())
+            scratch_label(count_params, Signal())
 
     def test_rejects_future_window(self, count_params):
         handle = EmaGridClassifier(count_params)
@@ -103,7 +104,7 @@ def test_precursor_consistency(values, lam, width):
     handle = EmaGridClassifier(params)
     for k, obs in enumerate(values):
         stepped = handle.step(obs)
-        assert stepped == classify_full(params, Signal(values[: k + 1]))
+        assert stepped == scratch_label(params, Signal(values[: k + 1]))
 
 
 class TestLookaheadWord:
@@ -124,84 +125,83 @@ class TestLookaheadWord:
 class TestStatEval:
     def test_count(self, count_params):
         sig = Signal(E1)
-        assert stat_eval(count_params, sig, {2, 4}, now=4) == 2.0
+        assert sigma_fn(count_params).eval(sig, {2, 4}, now=4) == 2.0
 
     def test_discounted_sum(self):
         params = PluginParams(delta=0.5, stat_variant="discounted_sum")
-        assert stat_eval(params, Signal(E1), {2, 4}, now=4) == pytest.approx(1.25, abs=0)
+        assert sigma_fn(params).eval(Signal(E1), {2, 4}, now=4) == pytest.approx(1.25, abs=0)
 
     def test_discounted_complement(self):
         # k - sum(delta**(now - i)) = 2 - 1.25
         params = PluginParams(delta=0.5, stat_variant="discounted_complement")
-        assert stat_eval(params, Signal(E1), {2, 4}, now=4) == pytest.approx(0.75, abs=0)
+        assert sigma_fn(params).eval(Signal(E1), {2, 4}, now=4) == pytest.approx(0.75, abs=0)
 
     def test_empty_set(self):
         for variant in ("count", "discounted_sum", "region_count"):
             params = PluginParams(delta=0.5, stat_variant=variant)
-            assert stat_eval(params, Signal(E1), set(), now=4) == 0.0
+            assert sigma_fn(params).eval(Signal(E1), set(), now=4) == 0.0
 
     def test_latest_occurrence(self):
         params = PluginParams(stat_variant="latest_occurrence", region=[[4.0, 6.0]])
         sig = Signal(E1)  # observations 5.0 at instants 2 and 4
-        assert stat_eval(params, sig, {0, 1, 2, 3, 4}, now=4) == 4.0
-        assert stat_eval(params, sig, {0, 1, 3}, now=4) == 0.0
+        assert sigma_fn(params).eval(sig, {0, 1, 2, 3, 4}, now=4) == 4.0
+        assert sigma_fn(params).eval(sig, {0, 1, 3}, now=4) == 0.0
 
     def test_region_count(self):
         params = PluginParams(stat_variant="region_count", region=[[0.5, 1.5]])
-        assert stat_eval(params, Signal(E1), {0, 1, 2}, now=4) == 2.0
+        assert sigma_fn(params).eval(Signal(E1), {0, 1, 2}, now=4) == 2.0
 
     def test_future_instant_rejected(self, count_params):
         with pytest.raises(TemporalOrderError):
-            stat_eval(count_params, Signal(E1), {5}, now=4)
+            sigma_fn(count_params).eval(Signal(E1), {5}, now=4)
 
 
 class TestStatAccumulators:
     def test_count_step(self, count_params):
+        fn = sigma_fn(count_params)
         acc = StatAccumulator(value=2.0, last_now=3, raw_count=2)
-        stat_step(count_params, acc, (1.0,), 3)
-        assert stat_read(count_params, acc, 3) == 3.0
+        fn.step(acc, (1.0,), 3)
+        assert fn.read(acc, 3) == 3.0
 
     def test_discounted_step_adds_one(self):
-        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        fn = sigma_fn(PluginParams(delta=0.5, stat_variant="discounted_sum"))
         acc = StatAccumulator(value=1.25, last_now=4, raw_count=2)
-        stat_step(params, acc, (1.0,), 4)
-        assert stat_read(params, acc, 4) == pytest.approx(2.25, abs=0)
+        fn.step(acc, (1.0,), 4)
+        assert fn.read(acc, 4) == pytest.approx(2.25, abs=0)
 
     def test_tick_discounts(self):
         params = PluginParams(delta=0.5, stat_variant="discounted_sum")
         acc = StatAccumulator(value=1.25, last_now=4, raw_count=2)
-        stat_tick(params, acc)
+        sigma_fn(params).tick(acc)
         assert acc.value == pytest.approx(0.625, abs=0)
         assert acc.last_now == 5
 
     def test_tick_keeps_count(self, count_params):
+        fn = sigma_fn(count_params)
         acc = StatAccumulator(value=3.0, last_now=0, raw_count=3)
-        stat_tick(count_params, acc)
-        assert stat_read(count_params, acc, 1) == 3.0
+        fn.tick(acc)
+        assert fn.read(acc, 1) == 3.0
 
     def test_fold_matches_eval(self):
-        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        fn = sigma_fn(PluginParams(delta=0.5, stat_variant="discounted_sum"))
         sig = Signal(E1)
         acc = StatAccumulator()
-        stat_step(params, acc, sig[2], 2)
-        stat_step(params, acc, sig[4], 4)
-        assert stat_read(params, acc, 4) == pytest.approx(
-            stat_eval(params, sig, {2, 4}, now=4), rel=1e-12
-        )
+        fn.step(acc, sig[2], 2)
+        fn.step(acc, sig[4], 4)
+        assert fn.read(acc, 4) == pytest.approx(fn.eval(sig, {2, 4}, now=4), rel=1e-12)
 
     def test_two_ticks_equal_reading_later(self):
-        params = PluginParams(delta=0.3, stat_variant="discounted_sum")
-        sig = Signal(E1)
+        fn = sigma_fn(PluginParams(delta=0.3, stat_variant="discounted_sum"))
         ticked = StatAccumulator(value=1.0, last_now=2, raw_count=1)
-        stat_tick(params, ticked)
-        stat_tick(params, ticked)
+        fn.tick(ticked)
+        fn.tick(ticked)
         lazy = StatAccumulator(value=1.0, last_now=2, raw_count=1)
-        assert ticked.value == pytest.approx(stat_read(params, lazy, 4), rel=1e-9)
+        assert ticked.value == pytest.approx(fn.read(lazy, 4), rel=1e-9)
 
     def test_out_of_order_instant(self, count_params):
         acc = StatAccumulator(value=1.0, last_now=5, raw_count=1)
         with pytest.raises(TemporalOrderError):
-            stat_step(count_params, acc, (1.0,), 4)
+            sigma_fn(count_params).step(acc, (1.0,), 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,18 +275,18 @@ def test_cluster_partition(a, b, width):
 
 class TestKernel:
     def test_standard_normal_at_origin(self):
-        assert kernel_eval(Kernel([[1.0]]), (0.0,)) == pytest.approx(
+        assert Kernel([[1.0]])((0.0,)) == pytest.approx(
             1.0 / math.sqrt(2 * math.pi), rel=1e-12
         )
 
     def test_wide_kernel_value(self):
         # 0.398942 * 0.5 * exp(-0.5)
-        assert kernel_eval(Kernel([[4.0]]), (2.0,)) == pytest.approx(0.120985, abs=1e-6)
+        assert Kernel([[4.0]])((2.0,)) == pytest.approx(0.120985, abs=1e-6)
 
     def test_matches_normal_pdf(self):
         kernel = Kernel([[4.0]])
         for x in (-3.0, -0.5, 0.0, 1.7, 6.0):
-            assert kernel_eval(kernel, (x,)) == pytest.approx(
+            assert kernel((x,)) == pytest.approx(
                 norm.pdf(x, scale=2.0), rel=1e-12
             )
 
@@ -295,22 +295,20 @@ class TestKernel:
         kernel = Kernel(H)
         oracle = multivariate_normal(mean=[0.0, 0.0], cov=H)
         for x in ((0.0, 0.0), (1.0, -1.0), (0.4, 2.0)):
-            assert kernel_eval(kernel, x) == pytest.approx(oracle.pdf(x), rel=1e-12)
+            assert kernel(x) == pytest.approx(oracle.pdf(x), rel=1e-12)
 
     @settings(max_examples=30, deadline=None)
     @given(x=st.floats(min_value=-5, max_value=5, allow_nan=False))
     def test_symmetry(self, x):
         kernel = Kernel([[1.5]])
-        assert kernel_eval(kernel, (x,)) == pytest.approx(
-            kernel_eval(kernel, (-x,)), rel=1e-12
-        )
+        assert kernel((x,)) == pytest.approx(kernel((-x,)), rel=1e-12)
 
     def test_normalization_by_quadrature(self):
         for h in (0.25, 1.0, 4.0):
             kernel = Kernel([[h]])
             span = 8.0 * math.sqrt(h)
             grid = np.linspace(-span, span, 4001)
-            density = np.array([kernel_eval(kernel, (x,)) for x in grid])
+            density = np.array([kernel((x,)) for x in grid])
             assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
 
     def test_not_positive_definite(self):
