@@ -1,12 +1,13 @@
 """Timing harness for the complexity contract.
 
-Three claims are measured on a synthetic random-walk stream: the
+Four claims are measured on a synthetic random-walk stream: the
 per-observation update path (classifier step + automaton update + model
 update) stays flat as the stream grows, the from-scratch build path grows
-linearly, and a lookahead frontier advance (O(h) reconciliation) stays flat
-as the frontier's history grows.  Methodology: one discarded warm-up run,
-monotonic clock, garbage collector paused during timed sections, medians
-over at least 30 samples per point.
+linearly, a lookahead frontier advance (O(h) reconciliation) stays flat
+as the frontier's history grows, and so does appending one observation and
+re-deriving Scott's bandwidth (amortised O(1) moment folding).
+Methodology: one discarded warm-up run, monotonic clock, garbage collector
+paused during timed sections, medians over at least 30 samples per point.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import gc
 import random
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,7 +24,14 @@ from .automaton import build_isa
 from .hmm import isa_to_hmm
 from .lookahead import lookahead_advance, lookahead_build
 from .pipeline import StreamPipeline
-from .plugins import Clusterer, EmaGridClassifier, PluginParams, rho_fn, sigma_fn
+from .plugins import (
+    Clusterer,
+    EmaGridClassifier,
+    PluginParams,
+    default_bandwidth,
+    rho_fn,
+    sigma_fn,
+)
 from .signal import Signal
 
 MIN_SAMPLES = 30
@@ -45,6 +54,8 @@ class BenchReport:
     constancy_ratio: float
     lookahead: list[BenchPoint]
     lookahead_ratio: float
+    bandwidth: list[BenchPoint]
+    bandwidth_ratio: float
     max_ratio: float = 3.0
     slope_range: tuple[float, float] = (0.8, 1.2)
 
@@ -58,6 +69,11 @@ class BenchReport:
         if self.lookahead_ratio > self.max_ratio:
             problems.append(
                 f"lookahead-advance ratio {self.lookahead_ratio:.2f} exceeds "
+                f"{self.max_ratio}"
+            )
+        if self.bandwidth_ratio > self.max_ratio:
+            problems.append(
+                f"append + Scott bandwidth ratio {self.bandwidth_ratio:.2f} exceeds "
                 f"{self.max_ratio}"
             )
         lo, hi = self.slope_range
@@ -75,6 +91,8 @@ class BenchReport:
             "constancy_ratio": self.constancy_ratio,
             "lookahead": [vars(p) for p in self.lookahead],
             "lookahead_ratio": self.lookahead_ratio,
+            "bandwidth": [vars(p) for p in self.bandwidth],
+            "bandwidth_ratio": self.bandwidth_ratio,
             "max_ratio": self.max_ratio,
             "slope_range": list(self.slope_range),
         }
@@ -111,14 +129,24 @@ def random_walk(length: int, seed: int = 0, step: float = 0.3) -> list[float]:
     return out
 
 
+@contextmanager
+def _gc_paused():
+    """Keep the garbage collector out of the timed sections."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _measure_updates(params: PluginParams, walk: list[float],
                      sizes: tuple[int, ...], samples: int) -> list[BenchPoint]:
     pipe = StreamPipeline(params)
     points = []
     cursor = 0
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for target in sorted(sizes):
             while cursor < target:
                 pipe.advance(walk[cursor])
@@ -132,9 +160,6 @@ def _measure_updates(params: PluginParams, walk: list[float],
                 laps.append(t1 - t0)
                 cursor += 1
             points.append(_point(target, laps))
-    finally:
-        if enabled:
-            gc.enable()
     return points
 
 
@@ -143,9 +168,7 @@ def _measure_builds(params: PluginParams, walk: list[float],
     sigma = sigma_fn(params)
     rho = rho_fn(params)
     points = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for n in sorted(sizes):
             signal = Signal(walk[:n])
             laps = []
@@ -158,9 +181,6 @@ def _measure_builds(params: PluginParams, walk: list[float],
                 t1 = time.perf_counter_ns()
                 laps.append(t1 - t0)
             points.append(_point(n, laps))
-    finally:
-        if enabled:
-            gc.enable()
     return points
 
 
@@ -168,9 +188,7 @@ def _measure_lookahead(params: PluginParams, walk: list[float],
                        sizes: tuple[int, ...], samples: int) -> list[BenchPoint]:
     """Advance a frontier built over the first n values by the next ones."""
     points = []
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with _gc_paused():
         for n in sorted(sizes):
             frontier = lookahead_build(walk[:n], params, seed=0)
             laps = []
@@ -180,9 +198,29 @@ def _measure_lookahead(params: PluginParams, walk: list[float],
                 t1 = time.perf_counter_ns()
                 laps.append(t1 - t0)
             points.append(_point(n, laps))
-    finally:
-        if enabled:
-            gc.enable()
+    return points
+
+
+def _measure_bandwidth(walk: list[float], sizes: tuple[int, ...],
+                       samples: int) -> list[BenchPoint]:
+    """Append one value and re-derive Scott's bandwidth, once the stream has
+    reached n (and its moments have been read there)."""
+    signal = Signal()
+    points = []
+    with _gc_paused():
+        for target in sorted(sizes):
+            while len(signal) < target:
+                signal.append(walk[len(signal)])
+            default_bandwidth(signal)
+            laps = []
+            for _ in range(samples):
+                obs = walk[len(signal)]
+                t0 = time.perf_counter_ns()
+                signal.append(obs)
+                default_bandwidth(signal)
+                t1 = time.perf_counter_ns()
+                laps.append(t1 - t0)
+            points.append(_point(target, laps))
     return points
 
 
@@ -192,7 +230,7 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
               build_samples: int = MIN_SAMPLES,
               seed: int = 0,
               params: PluginParams | None = None) -> BenchReport:
-    """Measure the three paths and fit the build-path growth exponent.
+    """Measure the four paths and fit the build-path growth exponent.
 
     Lookahead points advance frontiers built over ``build_sizes`` histories,
     ``update_samples`` advances each, at horizon ``LOOKAHEAD_HORIZON``.
@@ -208,11 +246,16 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
     frontier = lookahead_build(walk[:500], ahead, seed=0)
     for value in walk[500:1_000]:
         lookahead_advance(frontier, value)
+    warm_signal = Signal(walk[:100])
+    for value in walk[100:200]:
+        warm_signal.append(value)
+        default_bandwidth(warm_signal)
 
     update_points = _measure_updates(params, walk, tuple(update_sizes), update_samples)
     build_points = _measure_builds(params, walk, tuple(build_sizes), build_samples)
     lookahead_points = _measure_lookahead(ahead, walk, tuple(build_sizes),
                                           update_samples)
+    bandwidth_points = _measure_bandwidth(walk, tuple(update_sizes), update_samples)
 
     xs = np.log10([p.n for p in build_points])
     ys = np.log10([p.median_ns for p in build_points])
@@ -225,4 +268,6 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
         constancy_ratio=_ratio(update_points),
         lookahead=lookahead_points,
         lookahead_ratio=_ratio(lookahead_points),
+        bandwidth=bandwidth_points,
+        bandwidth_ratio=_ratio(bandwidth_points),
     )

@@ -49,6 +49,8 @@ class RunConfig:
     score_floor: float = 1e-12
     split: int | None = None
     grid: list[dict] = field(default_factory=list)
+    # Keys given in the config file or by a flag, with their raw values.
+    given: dict = field(default_factory=dict)
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -96,6 +98,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         score_floor=float(floor),
         split=merged.get("split"),
         grid=list(grid),
+        given={k: v for k, v in merged.items() if v is not None},
     )
 
 
@@ -180,9 +183,28 @@ def read_signal(path: str | None) -> Signal:
 # Subcommands
 
 
+def _check_resume(pipe: StreamPipeline, given: dict) -> None:
+    """Refuse a given value that differs from the resumed snapshot's, so a
+    resumed run cannot silently drift from its configuration.  Parameters are
+    compared after normalisation through ``PluginParams``; values not given
+    are not compared."""
+    stored = pipe.params.to_dict()
+    tau = {k: given[k] for k in PARAM_KEYS if k in given}
+    merged = {k: v for k, v in {**stored, **tau}.items() if v is not None}
+    wanted = PluginParams.from_dict(merged).to_dict()
+    conflicts = [(k, wanted[k], stored[k]) for k in tau if wanted[k] != stored[k]]
+    run_values = {"mode": pipe.emission, "seed": pipe.seed, "score_floor": pipe.score_floor}
+    conflicts += [(k, given[k], v) for k, v in run_values.items()
+                  if k in given and given[k] != v]
+    if conflicts:
+        raise ConfigError("resumed snapshot conflicts with the configuration: " + "; ".join(
+            f"{k} is {value!r}, snapshot has {snap!r}" for k, value, snap in conflicts))
+
+
 def run_stream(config: RunConfig) -> int:
     if config.resume_path:
         pipe = load_snapshot(config.resume_path)
+        _check_resume(pipe, config.given)
     else:
         pipe = StreamPipeline(
             config.params,

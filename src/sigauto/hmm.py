@@ -201,11 +201,7 @@ class HmmContinuous(_TransitionCore):
         centers, _ = self.mixture(q)
         if not centers:
             return 0.0
-        total = 0.0
-        for j in centers:
-            rj = self.signal[j]
-            total += kern(tuple(a - b for a, b in zip(x, rj)))
-        return total / len(centers)
+        return kern.mean_at(x, [self.signal[j] for j in centers])
 
     def _apply_emission(self, state: str, instant: int) -> None:
         self.mixtures.setdefault(state, []).append(instant)

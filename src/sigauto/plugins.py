@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, EmptyInputError, RejectedInputError, TemporalOrderError
-from .signal import as_observation
+from .signal import Signal, as_observation
 
 log = logging.getLogger(__name__)
 
@@ -469,7 +469,7 @@ class Clusterer:
         self.observed: dict[str, tuple[int, ...]] = {}
 
     def _cell(self, obs) -> tuple[int, ...]:
-        coords = as_observation(obs)
+        coords = as_observation(obs, None if self._widths is None else len(self._widths))
         if self._widths is None:
             self._widths = _widths_for_dim(self._raw_width, len(coords))
         return cell_index(coords, self._widths)
@@ -525,26 +525,35 @@ class Kernel:
         det = float(np.prod(np.diagonal(chol))) ** 2
         self._norm = (2.0 * math.pi) ** (-self.d / 2.0) * det ** -0.5
 
+    def mean_at(self, x, centers) -> float:
+        """Mean of the kernel at ``x`` minus each row of the (k, d) ``centers``:
+        the density of the uniform mixture centred there, in one vector
+        operation."""
+        diff = np.asarray(x, dtype=float).reshape(1, self.d) - np.asarray(
+            centers, dtype=float).reshape(-1, self.d)
+        quad = np.einsum("ij,jk,ik->i", diff, self._inv, diff)
+        return self._norm * float(np.mean(np.exp(-0.5 * quad)))
+
     def __call__(self, x) -> float:
-        diff = np.asarray(x, dtype=float).reshape(self.d)
-        quad = float(diff @ self._inv @ diff)
-        return self._norm * math.exp(-0.5 * quad)
+        return self.mean_at(x, np.zeros((1, self.d)))
 
 
 def default_bandwidth(signal) -> np.ndarray:
     """Diagonal Scott's-rule bandwidth: ((n**(-1/(d+4))) * s_j)**2 per axis.
 
-    ``s_j`` is the sample standard deviation of coordinate j, floored at 1e-6
-    before squaring so degenerate coordinates still give a usable kernel.
+    ``s_j`` is the sample standard deviation of coordinate j; the per-axis
+    width is floored at 1e-6 before squaring so degenerate coordinates still
+    give a usable kernel.  ``s_j`` comes from the signal's incrementally
+    folded moments, so a call costs O(d) plus the observations appended since
+    the previous call; any other iterable is wrapped in a ``Signal`` first.
     """
-    data = np.asarray(list(signal), dtype=float)
-    if data.ndim == 1:
-        data = data.reshape(-1, 1)
-    n, d = data.shape
-    if n < 2:
+    if not isinstance(signal, Signal):
+        signal = Signal(signal)
+    if len(signal) < 2:
         raise EmptyInputError("bandwidth selection needs at least 2 observations")
-    scale = n ** (-1.0 / (d + 4))
-    s = np.std(data, axis=0, ddof=1)
+    n, _mean, m2 = signal.moments()
+    scale = n ** (-1.0 / (len(m2) + 4))
+    s = np.sqrt(m2 / (n - 1))
     h = np.maximum(scale * s, 1e-6)
     return np.diag(h**2)
 

@@ -2,13 +2,16 @@
 
 Instants are implicit: the observation appended k-th lives at instant k.
 Observations are immutable once stored and random access is O(1), which the
-incremental model updates rely on.
+incremental model updates rely on.  Per-coordinate moments are folded lazily:
+a reader pays only for the observations appended since the previous read.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Iterable
+
+import numpy as np
 
 from .errors import EmptyInputError, RejectedInputError
 
@@ -37,11 +40,15 @@ def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
 class Signal:
     """Growing sequence of observations with constant-time random access."""
 
-    __slots__ = ("_obs", "_dim")
+    __slots__ = ("_obs", "_dim", "_folded", "_shift", "_mean", "_m2")
 
     def __init__(self, observations: Iterable | None = None):
         self._obs: list[tuple[float, ...]] = []
         self._dim: int | None = None
+        # Moments of the first ``_folded`` observations, shifted by the first
+        # one so the merge keeps its digits when the data sit far from zero.
+        self._folded = 0
+        self._shift = self._mean = self._m2 = None
         if observations is not None:
             for obs in observations:
                 self.append(obs)
@@ -64,6 +71,31 @@ class Signal:
 
     def __iter__(self):
         return iter(self._obs)
+
+    def moments(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """Count, per-coordinate mean and sum of squared deviations (M2).
+
+        Only the observations appended since the previous call are read: they
+        form one chunk whose mean and M2 are merged into the stored totals
+        with the pairwise update of Chan, Golub & LeVeque.
+        """
+        n = len(self._obs)
+        if n == 0:
+            raise EmptyInputError("signal is empty, no moments")
+        n_a = self._folded
+        if n_a < n:
+            if n_a == 0:
+                self._shift = np.asarray(self._obs[0], dtype=float)
+                self._mean = self._m2 = np.zeros(self._dim)
+            chunk = np.asarray(self._obs[n_a:], dtype=float) - self._shift
+            k = n - n_a
+            mean_b = chunk.mean(axis=0)
+            m2_b = np.square(chunk - mean_b).sum(axis=0)
+            delta = mean_b - self._mean
+            self._mean = self._mean + delta * (k / n)
+            self._m2 = self._m2 + m2_b + np.square(delta) * (n_a * k / n)
+            self._folded = n
+        return n, self._shift + self._mean, self._m2
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -135,6 +136,53 @@ class TestRun:
         assert records[0]["line"] == 1 and "error" in records[0]
         assert records[1]["i"] == 3
 
+    @pytest.fixture
+    def resumable(self, tmp_path):
+        """A snapshot written at h=2 with delta 0.5, a config file holding
+        the same parameters, and a second half to resume with."""
+        rows = [[float(k % 3)] for k in range(30)]
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_csv(first, rows[:15])
+        write_csv(second, rows[15:])
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"delta": 0.5, "stat_variant": "discounted_sum"}))
+        snap = tmp_path / "snap.json"
+        assert main(["run", "--input", str(first), "--output", str(tmp_path / "a.jsonl"),
+                     "--config", str(config), "--horizon", "2", "--seed", "4",
+                     "--snapshot", str(snap)]) == 0
+        return second, config, snap
+
+    @pytest.mark.parametrize("conflict", [
+        ["--horizon", "3"],
+        ["--mode", "continuous"],
+        ["--seed", "5"],
+        {"delta": 0.25},
+        {"grid_width": [2.0]},
+    ])
+    def test_resume_refuses_a_conflicting_value(self, tmp_path, resumable, conflict):
+        second, config, snap = resumable
+        before = snap.read_bytes()
+        argv = ["run", "--input", str(second), "--output", str(tmp_path / "b.jsonl"),
+                "--resume", str(snap), "--snapshot", str(snap)]
+        if isinstance(conflict, dict):
+            config.write_text(json.dumps(conflict))
+            argv += ["--config", str(config)]
+        else:
+            argv += conflict
+        assert main(argv) == 2
+        assert snap.read_bytes() == before
+        assert not (tmp_path / "b.jsonl").exists()
+
+    def test_resume_accepts_matching_values(self, tmp_path, resumable):
+        second, config, snap = resumable
+        config.write_text(json.dumps({"lambda": 1, "grid_width": 1, "delta": 0.5,
+                                      "stat_variant": "discounted_sum",
+                                      "bandwidth": "scott", "mode": "discrete"}))
+        assert main(["run", "--input", str(second), "--output", str(tmp_path / "b.jsonl"),
+                     "--resume", str(snap), "--config", str(config),
+                     "--horizon", "2", "--seed", "4"]) == 0
+        assert read_records(tmp_path / "b.jsonl")[0]["i"] == 15
+
     def test_config_error_exit_code(self, tmp_path, e1_csv):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"delta": 1.0}))
@@ -216,7 +264,8 @@ class TestBenchCommand:
                      "--build-sizes", "200,400", "--samples", "40",
                      "--output", str(out)]) == 0
         report = read_records(out)[0]
-        assert {"update", "build", "build_slope", "constancy_ratio"} <= set(report)
+        assert {"update", "build", "build_slope", "constancy_ratio",
+                "bandwidth", "bandwidth_ratio"} <= set(report)
         assert all(point["samples"] >= 30 for point in report["update"])
 
     def test_check_failure_exit_code(self, monkeypatch, tmp_path):
@@ -230,9 +279,18 @@ class TestBenchCommand:
             lookahead=[BenchPoint(1_000, 30, 100.0, 200.0),
                        BenchPoint(100_000, 30, 1_000.0, 2_000.0)],
             lookahead_ratio=10.0,
+            bandwidth=[BenchPoint(2_000, 30, 20.0, 40.0),
+                       BenchPoint(200_000, 30, 2_000.0, 4_000.0)],
+            bandwidth_ratio=100.0,
         )
         monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: bad)
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3
+        # the bandwidth gate alone fails the check
+        only_bandwidth = replace(bad, build_slope=1.0, constancy_ratio=1.0,
+                                 lookahead_ratio=1.0)
+        assert only_bandwidth.failures() == [only_bandwidth.failures()[0]]
+        monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: only_bandwidth)
+        assert main(["bench", "--check", "--output", str(tmp_path / "c.json")]) == 3
 
 
 class TestGoldenOutputs:

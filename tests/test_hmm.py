@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from sigauto import (
@@ -13,6 +16,7 @@ from sigauto import (
     StatFn,
     UnknownStateError,
     build_isa,
+    forecast_density_at,
     init_isa,
     isa_to_hmm,
     isa_to_hmm_continuous,
@@ -21,6 +25,7 @@ from sigauto import (
     next_isa,
     rho_fn,
     sigma_fn,
+    state_occupancies,
     transition_row,
 )
 
@@ -291,6 +296,57 @@ class TestContinuous:
             assert isa == scratch_isa
             assert hmm.mixtures == scratch.mixtures
             assert_models_equal(hmm, scratch, exact=True)
+
+    @staticmethod
+    def loop_density(signal, centers, H, x):
+        """Per-centre reference: one normal density evaluation per centre."""
+        H = np.asarray(H, dtype=float)
+        inv = np.linalg.inv(H)
+        norm = (2.0 * math.pi) ** (-len(x) / 2.0) / math.sqrt(np.linalg.det(H))
+        total = 0.0
+        for j in centers:
+            diff = np.asarray(x, dtype=float) - np.asarray(signal[j], dtype=float)
+            total += norm * math.exp(-0.5 * float(diff @ inv @ diff))
+        return total / len(centers)
+
+    @pytest.mark.parametrize("H", [
+        [[0.3]],
+        [[0.5, 0.0], [0.0, 0.2]],
+        [[0.6, 0.25], [0.25, 0.4]],
+        [[1.0, 0.3, -0.2], [0.3, 0.8, 0.1], [-0.2, 0.1, 0.5]],
+    ])
+    def test_density_equals_per_center_loop(self, H, count_params):
+        dim = len(H)
+        walk = random_walk(400, dim=dim, seed=31)
+        kernel = Kernel(H)
+        sig, isa, hmm = fold_pipeline(walk, count_params, emission="continuous",
+                                      kernel=kernel)
+        points = [walk[-1], walk[17], tuple(v + 0.4 for v in walk[200])]
+        for q in hmm.state_order:
+            centers, _ = hmm.mixture(q)
+            for x in points:
+                assert hmm.density(q, x) == pytest.approx(
+                    self.loop_density(sig, centers, H, x), rel=1e-12)
+        for j in (1, 2):
+            occupancy = state_occupancies(hmm, j)[-1]
+            for x in points:
+                expected = sum(
+                    w * self.loop_density(sig, hmm.mixture(q)[0], H, x)
+                    for q, w in occupancy.items() if q != DUMMY_STATE and w > 0.0)
+                assert forecast_density_at(hmm, sig, j, x) == pytest.approx(
+                    expected, rel=1e-12)
+
+    def test_scott_density_equals_per_center_loop(self, count_params):
+        walk = random_walk(500, dim=2, seed=32)
+        sig, isa, hmm = fold_pipeline(walk[:300], count_params, emission="continuous")
+        x = walk[300]
+        assert hmm.kernel is None
+        data = np.asarray(walk[:300])
+        H = np.diag(np.maximum(300 ** (-1.0 / 6.0) * data.std(axis=0, ddof=1), 1e-6) ** 2)
+        occupancy = state_occupancies(hmm, 1)[-1]
+        expected = sum(w * self.loop_density(sig, hmm.mixture(q)[0], H, x)
+                       for q, w in occupancy.items() if q != DUMMY_STATE and w > 0.0)
+        assert forecast_density_at(hmm, sig, 1, x) == pytest.approx(expected, rel=1e-12)
 
     def test_updated_state_weights_sum_to_one(self, count_params):
         _, _, hmm = fold_pipeline(E1, count_params, emission="continuous",

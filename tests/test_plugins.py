@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -258,6 +259,17 @@ class TestClusterer:
         with pytest.raises(RejectedInputError):
             Clusterer(1.0).cluster_of((float("inf"),))
 
+    def test_other_dimension_rejected(self):
+        # the widths are fixed by the first observation; a later one of
+        # another dimension must not be truncated to fit them
+        clusterer = Clusterer(1.0)
+        clusterer.cluster_of((1.5,))
+        with pytest.raises(RejectedInputError):
+            clusterer.cluster_of((1.5, 7.2))
+        with pytest.raises(RejectedInputError):
+            clusterer.label_of((3.0, 4.0, 5.0))
+        assert list(clusterer.observed) == ["1"]
+
 
 @settings(max_examples=60, deadline=None)
 @given(
@@ -345,3 +357,67 @@ class TestDefaultBandwidth:
     def test_too_short(self):
         with pytest.raises(EmptyInputError):
             default_bandwidth(Signal([1.0]))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e8])
+    def test_constant_signal_hits_floor_at_any_offset(self, offset):
+        signal = Signal([(offset + 2.0, offset - 3.0)] * 5)
+        default_bandwidth(signal)
+        for _ in range(5):
+            signal.append((offset + 2.0, offset - 3.0))
+        assert np.array_equal(default_bandwidth(signal), np.diag([1e-12, 1e-12]))
+
+    def test_plain_iterable_is_wrapped(self):
+        rows = [(0.0, 1.0), (2.0, -1.0), (5.0, 0.5)]
+        assert np.array_equal(default_bandwidth(rows), default_bandwidth(Signal(rows)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        dim=st.integers(min_value=1, max_value=3),
+        offset=st.sampled_from([0.0, 1e6, 1e8]),
+        walk=st.booleans(),
+        steps=st.lists(
+            st.tuples(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3,
+                               max_size=3),
+                      st.booleans()),
+            min_size=2, max_size=60),
+    )
+    def test_incremental_equals_exact_scott(self, dim, offset, walk, steps):
+        """Any interleaving of appends and bandwidth reads gives Scott's rule on
+        the exactly computed sample variance; data far from zero included."""
+        signal = Signal()
+        rows = []
+        position = [offset] * dim
+        for noise, read in steps:
+            position = [(p if walk else offset) + z for p, z in zip(position, noise)]
+            signal.append(position)
+            rows.append(signal[-1])
+            if read and len(rows) >= 2:
+                H = default_bandwidth(signal)
+                n = len(rows)
+                for j in range(dim):
+                    s = math.sqrt(statistics.variance([r[j] for r in rows]))
+                    h = max(n ** (-1.0 / (dim + 4)) * s, 1e-6)
+                    assert H[j, j] == pytest.approx(h * h, rel=1e-12)
+                assert np.count_nonzero(H - np.diag(np.diagonal(H))) == 0
+
+
+class TestSignalMoments:
+    def test_reads_fold_only_new_observations(self):
+        signal = Signal([(1.0, 2.0), (3.0, 5.0), (4.0, 4.0)])
+        assert signal._folded == 0  # appends never fold
+        n, mean, m2 = signal.moments()
+        assert (n, signal._folded) == (3, 3)
+        shift, folded_mean = signal._shift, signal._mean
+        assert signal.moments()[0] == 3
+        assert signal._folded == 3
+        assert signal._mean is folded_mean and signal._shift is shift
+        signal.append((0.0, 0.0))
+        assert signal._folded == 3
+        n, mean, m2 = signal.moments()
+        assert signal._folded == n == 4
+        assert mean == pytest.approx([2.0, 2.75], rel=1e-15)
+        assert m2 == pytest.approx([10.0, 14.75], rel=1e-15)
+
+    def test_empty_signal_has_no_moments(self):
+        with pytest.raises(EmptyInputError):
+            Signal().moments()
