@@ -70,7 +70,6 @@ from .plugins import (
     PluginParams,
     StatAccumulator,
     StatFn,
-    classify_lookahead,
     default_bandwidth,
     rho_fn,
     sigma_fn,

@@ -71,9 +71,6 @@ class InstantsMatrix:
         merged.sort()
         return merged
 
-    def total_instants(self) -> int:
-        return sum(len(c) for _, _, c in self.cells())
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, InstantsMatrix):
             return NotImplemented

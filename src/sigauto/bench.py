@@ -60,22 +60,11 @@ class BenchReport:
     slope_range: tuple[float, float] = (0.8, 1.2)
 
     def failures(self) -> list[str]:
-        problems = []
-        if self.constancy_ratio > self.max_ratio:
-            problems.append(
-                f"update-path constancy ratio {self.constancy_ratio:.2f} exceeds "
-                f"{self.max_ratio}"
-            )
-        if self.lookahead_ratio > self.max_ratio:
-            problems.append(
-                f"lookahead-advance ratio {self.lookahead_ratio:.2f} exceeds "
-                f"{self.max_ratio}"
-            )
-        if self.bandwidth_ratio > self.max_ratio:
-            problems.append(
-                f"append + Scott bandwidth ratio {self.bandwidth_ratio:.2f} exceeds "
-                f"{self.max_ratio}"
-            )
+        ratios = (("update-path constancy", self.constancy_ratio),
+                  ("lookahead-advance", self.lookahead_ratio),
+                  ("append + Scott bandwidth", self.bandwidth_ratio))
+        problems = [f"{gate} ratio {ratio:.2f} exceeds {self.max_ratio}"
+                    for gate, ratio in ratios if ratio > self.max_ratio]
         lo, hi = self.slope_range
         if not (lo <= self.build_slope <= hi):
             problems.append(

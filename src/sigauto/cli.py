@@ -16,6 +16,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .bench import run_bench
@@ -37,7 +38,6 @@ RUN_KEYS = ("mode", "seed", "score_floor", "strict", "split", "grid")
 @dataclass
 class RunConfig:
     params: PluginParams
-    command: str = "run"
     emission: str = "discrete"
     input_path: str | None = None
     output_path: str | None = None
@@ -86,8 +86,11 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     floor = merged.get("score_floor", 1e-12)
     if not (isinstance(floor, (int, float)) and floor > 0):
         raise ConfigError(f"score_floor must be positive, got {floor!r}")
+    split = merged.get("split")
+    if split is not None and not isinstance(split, int):
+        raise ConfigError(f"split must be an integer, got {split!r}")
     grid = merged.get("grid", [])
-    if grid and not all(isinstance(g, dict) for g in grid):
+    if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):
         raise ConfigError("grid must be a list of parameter-override objects")
 
     return RunConfig(
@@ -96,7 +99,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         seed=seed,
         strict=bool(merged.get("strict", False)),
         score_floor=float(floor),
-        split=merged.get("split"),
+        split=split,
         grid=list(grid),
         given={k: v for k, v in merged.items() if v is not None},
     )
@@ -144,16 +147,15 @@ def _looks_like_header(raw: str) -> bool:
     return True
 
 
-def _open_input(path: str | None):
+@contextmanager
+def _opened(path: str | None, mode: str):
+    """The file at ``path``, or stdin/stdout (by ``mode``) for None or '-';
+    the standard streams are left open."""
     if path in (None, "-"):
-        return sys.stdin, False
-    return open(path, "r", encoding="utf-8"), True
-
-
-def _open_output(path: str | None):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
+        yield sys.stdin if mode == "r" else sys.stdout
+    else:
+        with open(path, mode, encoding="utf-8") as handle:
+            yield handle
 
 
 def _write_record(out, record: dict) -> None:
@@ -163,20 +165,16 @@ def _write_record(out, record: dict) -> None:
 
 def read_signal(path: str | None) -> Signal:
     """Strict batch read of a whole input file."""
-    handle, owned = _open_input(path)
-    try:
-        signal = Signal()
+    signal = Signal()
+    with _opened(path, "r") as handle:
         for lineno, raw in _iter_rows(handle):
             try:
                 signal.append(_parse_row(raw))
             except (RejectedInputError, json.JSONDecodeError) as exc:
                 raise RejectedInputError(f"line {lineno}: {exc}") from exc
-        if len(signal) == 0:
-            raise EmptyInputError("input contains no observations")
-        return signal
-    finally:
-        if owned:
-            handle.close()
+    if len(signal) == 0:
+        raise EmptyInputError("input contains no observations")
+    return signal
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +210,13 @@ def run_stream(config: RunConfig) -> int:
             seed=config.seed,
             score_floor=config.score_floor,
         )
-    in_handle, in_owned = _open_input(config.input_path)
-    out_handle, out_owned = _open_output(config.output_path)
     consumed = 0
     # A resumed pipeline knows its dimension; a fresh one takes it from its
     # first observation.  Rows of another width are rejected before they
     # reach the pipeline.
     dim = pipe.signal.dim if len(pipe.signal) else None
-    try:
+    with _opened(config.input_path, "r") as in_handle, \
+            _opened(config.output_path, "w") as out_handle:
         for lineno, raw in _iter_rows(in_handle):
             try:
                 obs = _parse_row(raw)
@@ -241,11 +238,6 @@ def run_stream(config: RunConfig) -> int:
         if config.snapshot_path:
             save_snapshot(pipe, config.snapshot_path)
             log.info("snapshot written to %s", config.snapshot_path)
-    finally:
-        if in_owned:
-            in_handle.close()
-        if out_owned:
-            out_handle.close()
     return 0
 
 
@@ -264,8 +256,7 @@ def run_fit(config: RunConfig) -> int:
         grid.append(PluginParams.from_dict({k: v for k, v in tau.items() if v is not None}))
     split = config.split if config.split is not None else signal.last_instant // 2
     report = fit(grid, signal, split, floor=config.score_floor)
-    out_handle, owned = _open_output(config.output_path)
-    try:
+    with _opened(config.output_path, "w") as out_handle:
         _write_record(out_handle, {
             "split": report.split,
             "scores": report.scores,
@@ -273,9 +264,6 @@ def run_fit(config: RunConfig) -> int:
             "best": report.best.to_dict(),
             "grid": [p.to_dict() for p in report.grid],
         })
-    finally:
-        if owned:
-            out_handle.close()
     return 0
 
 
@@ -290,12 +278,8 @@ def run_bench_command(config: RunConfig, update_sizes=None, build_sizes=None,
         kwargs["update_samples"] = max(samples, 30)
         kwargs["build_samples"] = max(samples, 30)
     report = run_bench(**kwargs)
-    out_handle, owned = _open_output(config.output_path)
-    try:
+    with _opened(config.output_path, "w") as out_handle:
         _write_record(out_handle, report.to_dict())
-    finally:
-        if owned:
-            out_handle.close()
     if config.check:
         failures = report.failures()
         if failures:
@@ -306,36 +290,17 @@ def run_bench_command(config: RunConfig, update_sizes=None, build_sizes=None,
 
 
 def run_lookahead(config: RunConfig) -> int:
-    if config.params.horizon < 1:
-        raise ConfigError("lookahead mode needs horizon >= 1")
     signal = read_signal(config.input_path)
     h = config.params.horizon
-    if signal.last_instant < h:
-        raise EmptyInputError(
-            f"lookahead with horizon {h} needs at least {h + 1} observations"
-        )
-    out_handle, owned = _open_output(config.output_path)
-    try:
-        frontier = lookahead_build(signal[: h + 1], config.params, seed=config.seed)
-        _emit_frontier_record(out_handle, frontier, config.seed)
-        for i in range(h + 1, len(signal)):
-            lookahead_advance(frontier, signal[i])
-            _emit_frontier_record(out_handle, frontier, config.seed)
-    finally:
-        if owned:
-            out_handle.close()
+    # Built before the output is opened, so a refused horizon or history
+    # leaves no output file behind.
+    frontier = lookahead_build(signal[: h + 1], config.params, seed=config.seed)
+    with _opened(config.output_path, "w") as out_handle:
+        _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
+        for obs in signal[h + 1:]:
+            lookahead_advance(frontier, obs)
+            _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
     return 0
-
-
-def _emit_frontier_record(out_handle, frontier, seed) -> None:
-    fc = frontier.forecast()
-    record = {
-        "i": frontier.n,
-        "dummy": fc.is_dummy,
-        "steps": [{"j": j + 1, "dist": dist} for j, dist in enumerate(fc.steps)],
-        "seed": seed,
-    }
-    _write_record(out_handle, record)
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +367,6 @@ def main(argv=None) -> int:
         if getattr(args, "split", None) is not None:
             overrides["split"] = args.split
         config = parse_config(args.config, overrides)
-        config.command = args.command
         config.input_path = args.input
         config.output_path = args.output
         config.snapshot_path = args.snapshot

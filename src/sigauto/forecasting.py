@@ -31,9 +31,22 @@ class Forecast:
     steps: list[dict[str, float]]
     is_dummy: bool
 
+    @classmethod
+    def dummy(cls, horizon: int) -> "Forecast":
+        """The no-forecast value: the dummy event at every step (no steps,
+        and so not a dummy, at horizon 0)."""
+        if horizon < 0:
+            raise ConfigError(f"horizon must be nonnegative, got {horizon}")
+        return cls(horizon, [{DUMMY_EVENT: 1.0} for _ in range(horizon)], horizon > 0)
+
     def step(self, j: int) -> dict[str, float]:
         """Distribution for step j (1-based)."""
         return self.steps[j - 1]
+
+    def record(self, i: int, seed) -> dict:
+        """JSONL-ready forecast record for instant ``i``."""
+        steps = [{"j": j, "dist": dist} for j, dist in enumerate(self.steps, 1)]
+        return {"i": i, "dummy": self.is_dummy, "steps": steps, "seed": seed}
 
 
 def state_occupancies(model: _TransitionCore, horizon: int) -> list[dict[str, float]]:
@@ -62,12 +75,8 @@ def event_distribution(hmm: Hmm, occupancy: dict[str, float]) -> dict[str, float
 
 
 def forecast(hmm: Hmm, horizon: int) -> Forecast:
-    if horizon < 0:
-        raise ConfigError(f"horizon must be nonnegative, got {horizon}")
-    if horizon == 0:
-        return Forecast(0, [], False)
-    if hmm.current_is_new:
-        return Forecast(horizon, [{DUMMY_EVENT: 1.0} for _ in range(horizon)], True)
+    if horizon < 1 or hmm.current_is_new:
+        return Forecast.dummy(horizon)
     steps = [event_distribution(hmm, occ) for occ in state_occupancies(hmm, horizon)]
     return Forecast(horizon, steps, False)
 

@@ -43,12 +43,7 @@ from .automaton import (
     is_new_state,
     next_isa,
 )
-from .errors import (
-    ConfigError,
-    InsufficientHistoryError,
-    SigautoError,
-    StalenessError,
-)
+from .errors import InsufficientHistoryError, SigautoError, StalenessError
 from .forecasting import (
     Forecast,
     event_distribution,
@@ -343,9 +338,7 @@ class LookaheadFrontier:
         h = self.h if horizon is None else horizon
         entry = self.entries[-1] if self.entries else None
         if entry is None:
-            if h == 0:
-                return Forecast(0, [], False)
-            return Forecast(h, [{DUMMY_EVENT: 1.0} for _ in range(h)], True)
+            return Forecast.dummy(h)
         return model_forecast(entry.hmm, h)
 
     def fingerprint(self) -> dict:
@@ -382,15 +375,13 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     estimated observation from the previous frontier model.
     """
     h = params.horizon
-    if h < 1:
-        raise ConfigError("lookahead needs horizon >= 1")
+    classifier = LookaheadWordClassifier(params)  # refuses h < 1
     src = Signal(list(signal))
     n = src.last_instant
     if n < h:
         raise InsufficientHistoryError(
             f"lookahead with horizon {h} needs more than {h} observations, got {n + 1}"
         )
-    classifier = LookaheadWordClassifier(params)
     clusterer = Clusterer(params.grid_width)
     frontier = LookaheadFrontier(
         params, seed, src, classifier, clusterer, sigma_fn(params), rho_fn(params)

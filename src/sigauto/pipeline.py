@@ -84,20 +84,13 @@ class StreamPipeline:
         """JSONL-ready forecast record for the current instant."""
         h = self.params.horizon
         if self.emission == "discrete":
-            fc = forecast(self.hmm, h)
-            steps = [
-                {"j": j + 1, "dist": dist} for j, dist in enumerate(fc.steps)
-            ]
-            dummy = fc.is_dummy
-        else:
-            # The continuous forecast is a density; records carry the state
-            # occupancies from which densities are evaluated on demand.
-            dummy = self.hmm.current_is_new
-            occupancies = state_occupancies(self.hmm, h) if h else []
-            steps = [
-                {"j": j + 1, "states": occ} for j, occ in enumerate(occupancies)
-            ]
-        return {"i": self.n, "dummy": dummy, "steps": steps, "seed": self.seed}
+            return forecast(self.hmm, h).record(self.n, self.seed)
+        # The continuous forecast is a density; records carry the state
+        # occupancies from which densities are evaluated on demand.
+        occupancies = state_occupancies(self.hmm, h) if h else []
+        steps = [{"j": j, "states": occ} for j, occ in enumerate(occupancies, 1)]
+        return {"i": self.n, "dummy": self.hmm.current_is_new, "steps": steps,
+                "seed": self.seed}
 
     def step(self, obs) -> dict:
         self.advance(obs)

@@ -46,15 +46,18 @@ ADDITIVE_VARIANTS = (
     "region_count",
 )
 
-CLASSIFIER_KINDS = ("ema_grid", "lookahead_word")
-
 
 def _as_widths(grid_width) -> float | tuple[float, ...]:
     if isinstance(grid_width, (int, float)):
         if grid_width <= 0:
             raise ConfigError(f"grid_width must be positive, got {grid_width}")
         return float(grid_width)
-    widths = tuple(float(w) for w in grid_width)
+    try:
+        if isinstance(grid_width, str):  # would read as one width per character
+            raise TypeError("a string")
+        widths = tuple(float(w) for w in grid_width)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid_width must be a number or a list: {grid_width!r}") from exc
     if not widths or any(w <= 0 for w in widths):
         raise ConfigError(f"grid_width entries must be positive, got {grid_width}")
     return widths
@@ -94,6 +97,8 @@ def _as_bandwidth(bandwidth):
         matrix = tuple(tuple(float(x) for x in row) for row in bandwidth)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bandwidth must be 'scott', a scalar or a matrix: {bandwidth!r}") from exc
+    if len({len(row) for row in matrix}) > 1:
+        raise ConfigError(f"bandwidth matrix rows differ in length: {bandwidth!r}")
     return matrix
 
 
@@ -118,6 +123,11 @@ class PluginParams:
     horizon: int = 1
 
     def __post_init__(self):
+        for name, value in (("lambda", self.lam), ("delta", self.delta)):
+            if not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.horizon, int):
+            raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if not (0.0 < self.lam <= 1.0):
             raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
         if not (0.0 <= self.delta < 1.0):
@@ -237,12 +247,6 @@ class EmaGridClassifier:
             self._ema = tuple(float(x) for x in summary)
             self._widths = self.params.widths_for(len(self._ema))
 
-    def clone(self) -> "EmaGridClassifier":
-        dup = EmaGridClassifier(self.params)
-        dup._ema = self._ema
-        dup._widths = self._widths
-        return dup
-
 
 class LookaheadWordClassifier:
     """Classifier consuming the next ``horizon`` observations.
@@ -250,8 +254,6 @@ class LookaheadWordClassifier:
     The label is the word of grid-cluster ids of the future window, letters
     joined by ``"|"``.  It keeps no running summary.
     """
-
-    kind = "lookahead_word"
 
     def __init__(self, params: PluginParams):
         if params.horizon < 1:
@@ -277,20 +279,6 @@ class LookaheadWordClassifier:
             widths = self.params.widths_for(len(coords))
             letters.append(cell_label(cell_index(coords, widths)))
         return "|".join(letters)
-
-    def summary(self):
-        return None
-
-    def restore(self, summary) -> None:
-        pass
-
-    def clone(self) -> "LookaheadWordClassifier":
-        return LookaheadWordClassifier(self.params)
-
-
-def classify_lookahead(params: PluginParams, signal, future) -> str:
-    """Word of cluster ids of a length-``horizon`` future window."""
-    return LookaheadWordClassifier(params).step(None, tuple(future))
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +478,6 @@ class Clusterer:
             raise ConfigError(f"cluster {label!r} has not been observed")
         idx = self.observed[label]
         return cell_center(idx, _widths_for_dim(self._raw_width, len(idx)))
-
-    def copy(self) -> "Clusterer":
-        dup = Clusterer(self._raw_width)
-        dup._widths = self._widths
-        dup.observed = dict(self.observed)
-        return dup
 
 
 # ---------------------------------------------------------------------------

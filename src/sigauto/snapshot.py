@@ -25,12 +25,13 @@ from .hmm import (
     isa_to_hmm,
     isa_to_hmm_continuous,
 )
+from .pipeline import StreamPipeline
 from .plugins import (
     Clusterer,
     Kernel,
     PluginParams,
     StatAccumulator,
-    default_bandwidth,
+    resolve_kernel,
     rho_fn,
     sigma_fn,
 )
@@ -124,8 +125,6 @@ def pipeline_state(pipe) -> dict:
 
 def restore_pipeline(doc: dict):
     """Rebuild a pipeline from :func:`pipeline_state` output."""
-    from .pipeline import StreamPipeline
-
     try:
         version = doc["version"]
         if version != SNAPSHOT_VERSION:
@@ -296,12 +295,7 @@ def hmm_from_document(doc: dict, signal: Signal):
     )
     if doc.get("mixtures") is not None:
         bandwidths = [m[2] for m in doc["mixtures"] if m[2] is not None]
-        if bandwidths:
-            kernel = Kernel(bandwidths[0])
-        elif params.bandwidth != "scott":
-            kernel = Kernel(params.bandwidth)
-        else:
-            kernel = Kernel(default_bandwidth(signal))
+        kernel = Kernel(bandwidths[0]) if bandwidths else resolve_kernel(params, signal)
         return isa_to_hmm_continuous(isa, signal, sigma_fn(params), kernel)
     clusterer = Clusterer(params.grid_width)
     return isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params), clusterer)

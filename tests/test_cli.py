@@ -257,6 +257,41 @@ class TestLookaheadCommand:
         assert records[-2]["steps"][0]["dist"] == {realized: 1.0}
 
 
+    def test_horizon_zero_exits_2_without_output(self, tmp_path, e1_csv):
+        out = tmp_path / "out.jsonl"
+        assert main(["lookahead", "--input", str(e1_csv), "--horizon", "0",
+                     "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_short_history_exits_1_without_output(self, tmp_path):
+        src = tmp_path / "short.csv"
+        write_csv(src, [[1.0], [5.0]])
+        out = tmp_path / "out.jsonl"
+        assert main(["lookahead", "--input", str(src), "--horizon", "2",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+
+
+class TestMalformedConfigValues:
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"horizon": "3"}),
+        ("run", {"horizon": 2.5}),
+        ("run", {"lambda": "abc"}),
+        ("run", {"grid_width": "wide"}),
+        ("run", {"bandwidth": [[1, 2], [3]]}),
+        ("fit", {"split": "5", "grid": [{"delta": 0.5}]}),
+        ("fit", {"grid": 5}),
+    ])
+    def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--input", str(e1_csv), "--config", str(path),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error")
+        assert "Traceback" not in err
+
+
 class TestBenchCommand:
     def test_tiny_bench_runs(self, tmp_path):
         out = tmp_path / "bench.json"

@@ -12,7 +12,6 @@ from sigauto import (
     PluginParams,
     Signal,
     StatAccumulator,
-    classify_lookahead,
     init_isa,
     isa_to_hmm,
     lookahead_advance,
@@ -87,6 +86,16 @@ class TestBuild:
         frontier = lookahead_build(period_two(2), word_params, seed=0)
         assert frontier.entries == [None]
         assert frontier.estimated == [None]
+
+    def test_negative_horizon_forecast_rejected(self, word_params):
+        # a poisoned frontier and a live one refuse a negative horizon alike
+        poisoned = lookahead_build(Signal([1.0, 5.0]), word_params)
+        assert poisoned.entries == [None]
+        live = lookahead_build(period_two(10), word_params, seed=4)
+        assert live.entries[-1] is not None
+        for frontier in (poisoned, live):
+            with pytest.raises(ConfigError):
+                frontier.forecast(-1)
 
     def test_unseen_word_poisons(self, word_params):
         # cluster "7" only ever appears at instant 0, so it never occurred as
@@ -179,7 +188,8 @@ def advance_against_fresh_builds(values, params, seed):
         lookahead_advance(frontier, values[i])
         if first is None:
             kinds["poisoned"] += 1
-        elif first.isa.current == classify_lookahead(params, None, values[i - h + 1 : i + 1]):
+        elif first.isa.current == LookaheadWordClassifier(params).step(
+                None, values[i - h + 1 : i + 1]):
             kinds["matched"] += 1
         else:
             kinds["mismatched"] += 1

@@ -13,6 +13,7 @@ from sigauto import (
     EmaGridClassifier,
     EmptyInputError,
     Kernel,
+    LookaheadWordClassifier,
     PluginParams,
     RejectedInputError,
     Signal,
@@ -20,7 +21,6 @@ from sigauto import (
     StatFn,
     TemporalOrderError,
     build_isa,
-    classify_lookahead,
     default_bandwidth,
     sigma_fn,
 )
@@ -42,6 +42,7 @@ class TestParams:
         {"lam": 1.5},
         {"grid_width": 0.0},
         {"grid_width": -1.0},
+        {"grid_width": "12"},
         {"stat_variant": "nonsense"},
         {"horizon": -1},
         {"region": [[2.0, 1.0]]},
@@ -111,16 +112,16 @@ def test_precursor_consistency(values, lam, width):
 class TestLookaheadWord:
     def test_two_letter_word(self):
         params = PluginParams(grid_width=1.0, horizon=2)
-        assert classify_lookahead(params, Signal([0.0]), ((5.0,), (1.0,))) == "5|1"
+        assert LookaheadWordClassifier(params).step(None, ((5.0,), (1.0,))) == "5|1"
 
     def test_single_letter_word(self):
         params = PluginParams(grid_width=1.0, horizon=1)
-        assert classify_lookahead(params, Signal([0.0]), ((5.0,),)) == "5"
+        assert LookaheadWordClassifier(params).step(None, ((5.0,),)) == "5"
 
     def test_wrong_window_length(self):
         params = PluginParams(grid_width=1.0, horizon=2)
         with pytest.raises(RejectedInputError):
-            classify_lookahead(params, Signal([0.0]), ((5.0,),))
+            LookaheadWordClassifier(params).step(None, ((5.0,),))
 
 
 class TestStatEval:

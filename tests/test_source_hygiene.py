@@ -1,0 +1,59 @@
+"""Source hygiene: no top-level name that nothing refers to, no unused import.
+
+Stdlib only (``ast`` and word-boundary counts), so it runs without a linter.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sigauto"
+MODULES = sorted(PACKAGE.glob("*.py"))
+CORPUS = "\n".join(
+    path.read_text(encoding="utf-8")
+    for folder in ("src", "tests", "perfbench")
+    for path in sorted((ROOT / folder).rglob("*.py"))
+)
+EXEMPT = {"__version__"}
+
+
+def top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_top_level_name_is_referenced(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    unreferenced = [
+        name for name in top_level_names(tree)
+        if name not in EXEMPT
+        and len(re.findall(rf"\b{re.escape(name)}\b", CORPUS)) < 2
+    ]
+    assert unreferenced == [], f"{path.name}: nothing refers to {unreferenced}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted(name for name in imported if name not in used)
+    assert unused == [], f"{path.name}: unused imports {unused}"
