@@ -1,10 +1,11 @@
 """Timing harness for the complexity contract.
 
-Four claims are measured on a synthetic random-walk stream: the
+Five claims are measured on a synthetic random-walk stream: the
 per-observation update path (classifier step + automaton update + model
-update) stays flat as the stream grows, the from-scratch build path grows
-linearly, a lookahead frontier advance (O(h) reconciliation) stays flat
-as the frontier's history grows, and so does appending one observation and
+update) stays flat as the stream grows, and so does the one-step forecast
+that follows each update; the from-scratch build path grows linearly; a
+lookahead frontier advance (O(h) reconciliation) stays flat as the
+frontier's history grows, and so does appending one observation and
 re-deriving Scott's bandwidth (amortised O(1) moment folding).
 Methodology: one discarded warm-up run, monotonic clock, garbage collector
 paused during timed sections, medians over at least 30 samples per point.
@@ -21,6 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .automaton import build_isa
+from .forecasting import forecast
 from .hmm import isa_to_hmm
 from .lookahead import lookahead_advance, lookahead_build
 from .pipeline import StreamPipeline
@@ -52,6 +54,8 @@ class BenchReport:
     build: list[BenchPoint]
     build_slope: float
     constancy_ratio: float
+    forecast: list[BenchPoint]
+    forecast_ratio: float
     lookahead: list[BenchPoint]
     lookahead_ratio: float
     bandwidth: list[BenchPoint]
@@ -61,6 +65,7 @@ class BenchReport:
 
     def failures(self) -> list[str]:
         ratios = (("update-path constancy", self.constancy_ratio),
+                  ("one-step forecast", self.forecast_ratio),
                   ("lookahead-advance", self.lookahead_ratio),
                   ("append + Scott bandwidth", self.bandwidth_ratio))
         problems = [f"{gate} ratio {ratio:.2f} exceeds {self.max_ratio}"
@@ -78,6 +83,8 @@ class BenchReport:
             "build": [vars(p) for p in self.build],
             "build_slope": self.build_slope,
             "constancy_ratio": self.constancy_ratio,
+            "forecast": [vars(p) for p in self.forecast],
+            "forecast_ratio": self.forecast_ratio,
             "lookahead": [vars(p) for p in self.lookahead],
             "lookahead_ratio": self.lookahead_ratio,
             "bandwidth": [vars(p) for p in self.bandwidth],
@@ -130,26 +137,32 @@ def _gc_paused():
             gc.enable()
 
 
-def _measure_updates(params: PluginParams, walk: list[float],
-                     sizes: tuple[int, ...], samples: int) -> list[BenchPoint]:
+def _measure_updates(params: PluginParams, walk: list[float], sizes: tuple[int, ...],
+                     samples: int) -> tuple[list[BenchPoint], list[BenchPoint]]:
+    """Time each sampled update, and apart from it the one-step forecast
+    made right after it (which reads the rows the update has just written)."""
     pipe = StreamPipeline(params)
-    points = []
+    updates, forecasts = [], []
     cursor = 0
     with _gc_paused():
         for target in sorted(sizes):
             while cursor < target:
                 pipe.advance(walk[cursor])
                 cursor += 1
-            laps = []
+            laps, forecast_laps = [], []
             for _ in range(samples):
                 obs = walk[cursor]
                 t0 = time.perf_counter_ns()
                 pipe.advance(obs)
                 t1 = time.perf_counter_ns()
+                forecast(pipe.hmm, 1)
+                t2 = time.perf_counter_ns()
                 laps.append(t1 - t0)
+                forecast_laps.append(t2 - t1)
                 cursor += 1
-            points.append(_point(target, laps))
-    return points
+            updates.append(_point(target, laps))
+            forecasts.append(_point(target, forecast_laps))
+    return updates, forecasts
 
 
 def _measure_builds(params: PluginParams, walk: list[float],
@@ -219,7 +232,7 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
               build_samples: int = MIN_SAMPLES,
               seed: int = 0,
               params: PluginParams | None = None) -> BenchReport:
-    """Measure the four paths and fit the build-path growth exponent.
+    """Measure the five paths and fit the build-path growth exponent.
 
     Lookahead points advance frontiers built over ``build_sizes`` histories,
     ``update_samples`` advances each, at horizon ``LOOKAHEAD_HORIZON``.
@@ -240,7 +253,8 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
         warm_signal.append(value)
         default_bandwidth(warm_signal)
 
-    update_points = _measure_updates(params, walk, tuple(update_sizes), update_samples)
+    update_points, forecast_points = _measure_updates(params, walk, tuple(update_sizes),
+                                                      update_samples)
     build_points = _measure_builds(params, walk, tuple(build_sizes), build_samples)
     lookahead_points = _measure_lookahead(ahead, walk, tuple(build_sizes),
                                           update_samples)
@@ -255,6 +269,8 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
         build=build_points,
         build_slope=slope,
         constancy_ratio=_ratio(update_points),
+        forecast=forecast_points,
+        forecast_ratio=_ratio(forecast_points),
         lookahead=lookahead_points,
         lookahead_ratio=_ratio(lookahead_points),
         bandwidth=bandwidth_points,

@@ -24,7 +24,7 @@ from .errors import ConfigError, EmptyInputError, RejectedInputError, SigautoErr
 from .forecasting import fit
 from .lookahead import lookahead_advance, lookahead_build
 from .pipeline import EMISSION_MODES, StreamPipeline
-from .plugins import PluginParams
+from .plugins import PluginParams, is_number
 from .signal import Signal, as_observation
 from .snapshot import load_snapshot, save_snapshot
 
@@ -81,13 +81,13 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if emission not in EMISSION_MODES:
         raise ConfigError(f"mode must be one of {EMISSION_MODES}, got {emission!r}")
     seed = merged.get("seed", 0)
-    if not isinstance(seed, int):
+    if not is_number(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
     floor = merged.get("score_floor", 1e-12)
-    if not (isinstance(floor, (int, float)) and floor > 0):
+    if not (is_number(floor) and floor > 0):
         raise ConfigError(f"score_floor must be positive, got {floor!r}")
     split = merged.get("split")
-    if split is not None and not isinstance(split, int):
+    if split is not None and not is_number(split, int):
         raise ConfigError(f"split must be an integer, got {split!r}")
     grid = merged.get("grid", [])
     if not isinstance(grid, list) or not all(isinstance(g, dict) for g in grid):

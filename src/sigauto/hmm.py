@@ -11,8 +11,12 @@ sink) and its unique DUMMY_EVENT emission.
 
 Models cache one accumulator per matrix cell plus one per row, so the
 incremental update touches a constant number of accumulators per observation.
-Rows are normalized on read; ``next_hmm`` mutates in place and returns its
-argument, mirroring ``next_isa``.
+A row is normalized when it is first read and the normalized dict is kept
+until one of the row's accumulators is written: ``_TransitionCore._acc``, the
+one write hook, drops it.  Rows of statistics whose reads depend on the
+present instant (the discounted ones) are normalized on every read instead.
+``next_hmm`` mutates in place and returns its argument, mirroring
+``next_isa``.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ class _TransitionCore:
         self.state_order: dict[str, None] = {}
         self._tcells: dict[str, dict[str, StatAccumulator]] = {}
         self._trow: dict[str, StatAccumulator] = {}
+        self._tnorm: dict[str, dict[str, float]] = {DUMMY_STATE: {DUMMY_STATE: 1.0}}
 
     # -- read side
 
@@ -83,25 +88,32 @@ class _TransitionCore:
 
     def transition_row(self, p: str) -> dict[str, float]:
         """Dense view of one row; always sums to 1.  States with no outgoing
-        instants send all mass to the absorbing dummy state."""
-        if p == DUMMY_STATE:
-            return {DUMMY_STATE: 1.0}
-        if p not in self.state_order:
-            raise UnknownStateError(p)
-        return _normalized_row(self._tcells.get(p), self._trow.get(p), self.sigma,
-                               self.n, DUMMY_STATE)
+        instants send all mass to the absorbing dummy state.  The dict is the
+        model's cached row, shared and read-only: copy it to change it."""
+        row = self._tnorm.get(p)
+        if row is None:
+            if p not in self.state_order:
+                raise UnknownStateError(p)
+            row = _normalized_row(self._tcells.get(p), self._trow.get(p), self.sigma,
+                                  self.n, DUMMY_STATE)
+            if self.sigma.read_ignores_now:
+                self._tnorm[p] = row
+        return row
 
     def transition_matrix(self) -> SparseStochasticMatrix:
-        return SparseStochasticMatrix({p: self.transition_row(p) for p in self.states})
+        """A copy of every row, so changing the matrix leaves the model as is."""
+        return SparseStochasticMatrix({p: dict(self.transition_row(p)) for p in self.states})
 
     # -- write side
 
-    def _acc(self, table, row: str, col: str | None, stat: StatFn,
+    def _acc(self, table, norm, row: str, col: str | None, stat: StatFn,
              instant: int) -> StatAccumulator:
         """The accumulator ``table[row][col]`` to write, or ``table[row]``
         when ``col`` is None; created at ``instant`` if absent.  Every write
-        goes through here, so a model that stores accumulators elsewhere
-        overrides only this and its tables."""
+        goes through here, so this is also where the normalized row ``row``
+        is dropped from its cache ``norm``, and a model that stores
+        accumulators elsewhere overrides only this and its tables."""
+        norm.pop(row, None)
         if col is not None:
             table = table.setdefault(row, {})
             row = col
@@ -113,11 +125,11 @@ class _TransitionCore:
     def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
         if state not in self.state_order:
             self.state_order[state] = None
-        acc = self._acc(self._tcells, prev_state, state, self.sigma, instant)
+        acc = self._acc(self._tcells, self._tnorm, prev_state, state, self.sigma, instant)
         before = self.sigma.read(acc, instant)
         self.sigma.step(acc, obs, instant)
         after = self.sigma.read(acc, instant)
-        row = self._acc(self._trow, prev_state, None, self.sigma, instant)
+        row = self._acc(self._trow, self._tnorm, prev_state, None, self.sigma, instant)
         self.sigma.advance(row, instant)
         row.value += after - before
         row.raw_count += 1
@@ -142,25 +154,33 @@ class Hmm(_TransitionCore):
         self.clusterer = clusterer
         self._ecells: dict[str, dict[str, StatAccumulator]] = {}
         self._edenom: dict[str, StatAccumulator] = {}
+        self._enorm: dict[str, dict[str, float]] = {DUMMY_STATE: {DUMMY_EVENT: 1.0}}
 
     @property
     def events(self) -> tuple[str, ...]:
         return tuple(self.clusterer.observed) + (DUMMY_EVENT,)
 
     def emission_row(self, q: str) -> dict[str, float]:
-        if q == DUMMY_STATE:
-            return {DUMMY_EVENT: 1.0}
-        if q not in self.state_order:
-            raise UnknownStateError(q)
-        return _normalized_row(self._ecells.get(q), self._edenom.get(q), self.rho,
-                               self.n, DUMMY_EVENT)
+        """Emission distribution of state ``q``; like ``transition_row``, the
+        model's cached row, shared and read-only."""
+        row = self._enorm.get(q)
+        if row is None:
+            if q not in self.state_order:
+                raise UnknownStateError(q)
+            row = _normalized_row(self._ecells.get(q), self._edenom.get(q), self.rho,
+                                  self.n, DUMMY_EVENT)
+            if self.rho.read_ignores_now:
+                self._enorm[q] = row
+        return row
 
     def emission_matrix(self) -> SparseStochasticMatrix:
-        return SparseStochasticMatrix({q: self.emission_row(q) for q in self.states})
+        """A copy of every row, so changing the matrix leaves the model as is."""
+        return SparseStochasticMatrix({q: dict(self.emission_row(q)) for q in self.states})
 
     def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
-        self.rho.step(self._acc(self._ecells, state, cluster, self.rho, instant), obs, instant)
-        self.rho.step(self._acc(self._edenom, state, None, self.rho, instant), obs, instant)
+        norm, rho = self._enorm, self.rho
+        rho.step(self._acc(self._ecells, norm, state, cluster, rho, instant), obs, instant)
+        rho.step(self._acc(self._edenom, norm, state, None, rho, instant), obs, instant)
 
 
 class HmmContinuous(_TransitionCore):

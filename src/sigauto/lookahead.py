@@ -19,7 +19,10 @@ cell, its row sum, the emission cell and the emission denominator).  Entry k
 therefore holds k + 1 instants and at most 4(k + 1) accumulators, and every
 other read falls through to the base.  The model overlay is an ``Hmm``
 subclass that overrides only where accumulators are stored, so it reads,
-normalizes and steps with ``Hmm``'s own code.
+normalizes and steps with ``Hmm``'s own code.  It caches the normalized rows
+it replaced beside its layers (starting from its parent's); every other row
+is read from, and cached in, the base model's row cache.  Writing an entry
+into the base drops the base's cached rows for the rows the entry replaced.
 
 When a genuine observation arrives, the oldest frontier entry becomes fully
 determined.  If its estimated word matches the genuine one, its one-step
@@ -197,6 +200,40 @@ class _CellLayer(_Layer):
         self.over = kept
 
 
+class _RowCache:
+    """The normalized-row cache of a frontier model: its own rows for the
+    rows it replaced (those in the row-sum layer ``totals``), the base
+    model's cache for every other row."""
+
+    __slots__ = ("base", "totals", "own")
+
+    def __init__(self, base: dict, totals: _Layer, parent):
+        """``parent`` is the base cache itself or the parent model's cache."""
+        self.base = base
+        self.totals = totals
+        self.own = {} if parent is base else dict(parent.own)
+
+    def get(self, row: str):
+        if row in self.totals.over:
+            return self.own.get(row)
+        return self.base.get(row)
+
+    def __setitem__(self, row: str, normalized: dict) -> None:
+        (self.own if row in self.totals.over else self.base)[row] = normalized
+
+    def pop(self, row: str) -> None:
+        self.own.pop(row, None)
+
+    def commit(self) -> None:
+        """Drop the base's rows for the rows the layers have written there."""
+        for row in self.totals.over:
+            self.base.pop(row, None)
+
+    def rebase(self) -> None:
+        """Keep only the rows still replaced once ``totals`` is rebased."""
+        self.own = {row: r for row, r in self.own.items() if row in self.totals.over}
+
+
 class _ModelOverlay(Hmm):
     """A frontier model over the base ``Hmm``.
 
@@ -216,11 +253,14 @@ class _ModelOverlay(Hmm):
         self._trow = _Layer(base._trow, parent._trow)
         self._ecells = _CellLayer(base._ecells, parent._ecells)
         self._edenom = _Layer(base._edenom, parent._edenom)
+        self._tnorm = _RowCache(base._tnorm, self._trow, parent._tnorm)
+        self._enorm = _RowCache(base._enorm, self._edenom, parent._enorm)
 
-    def _acc(self, layer, row: str, col: str | None, stat: StatFn,
+    def _acc(self, layer, norm, row: str, col: str | None, stat: StatFn,
              instant: int) -> StatAccumulator:
         """A private copy of the accumulator (a new one if absent), installed
         among the layer's replaced entries."""
+        norm.pop(row)
         if col is None:
             acc = layer.get(row)
         else:
@@ -239,8 +279,8 @@ class _ModelOverlay(Hmm):
 
     def commit(self) -> None:
         """Write this overlay into the base, which it is one step past."""
-        for layer in self._layers():
-            layer.commit()
+        for part in self._layers() + (self._tnorm, self._enorm):
+            part.commit()
         base = self.base
         base.n = self.n
         base.current = self.current
@@ -251,6 +291,8 @@ class _ModelOverlay(Hmm):
         accumulator was last moved to the instant of the step that wrote it."""
         for layer in self._layers():
             layer.rebase(self.base.n)
+        self._tnorm.rebase()
+        self._enorm.rebase()
 
 
 @dataclass

@@ -47,14 +47,21 @@ ADDITIVE_VARIANTS = (
 )
 
 
+def is_number(value, types=(int, float)) -> bool:
+    """``isinstance(value, types)``, except that a ``bool`` (an ``int`` to
+    Python, ``true``/``false`` in JSON) is never a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def _as_widths(grid_width) -> float | tuple[float, ...]:
-    if isinstance(grid_width, (int, float)):
+    if is_number(grid_width):
         if grid_width <= 0:
             raise ConfigError(f"grid_width must be positive, got {grid_width}")
         return float(grid_width)
     try:
-        if isinstance(grid_width, str):  # would read as one width per character
-            raise TypeError("a string")
+        # a string would read as one width per character, a boolean entry as 1.0
+        if isinstance(grid_width, str) or any(isinstance(w, bool) for w in grid_width):
+            raise TypeError("not a number or a list of numbers")
         widths = tuple(float(w) for w in grid_width)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"grid_width must be a number or a list: {grid_width!r}") from exc
@@ -89,7 +96,7 @@ def _as_region(region):
 def _as_bandwidth(bandwidth):
     if bandwidth == "scott":
         return "scott"
-    if isinstance(bandwidth, (int, float)):
+    if is_number(bandwidth):
         if bandwidth <= 0:
             raise ConfigError("scalar bandwidth must be positive")
         return ((float(bandwidth),),)
@@ -124,9 +131,9 @@ class PluginParams:
 
     def __post_init__(self):
         for name, value in (("lambda", self.lam), ("delta", self.delta)):
-            if not isinstance(value, (int, float)):
+            if not is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not isinstance(self.horizon, int):
+        if not is_number(self.horizon, int):
             raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
         if not (0.0 < self.lam <= 1.0):
             raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
@@ -316,6 +323,9 @@ class StatFn:
         self.variant = variant
         self.delta = float(delta)
         self.region = _as_region(region)
+        # True when ``read`` ignores ``now``: the discounted variants rescale
+        # by delta**(now - last_now), so their reads depend on the instant.
+        self.read_ignores_now = variant not in ("discounted_sum", "discounted_complement")
 
     @property
     def additive(self) -> bool:
@@ -495,8 +505,15 @@ class Kernel:
         H = np.asarray(bandwidth, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ConfigError(f"bandwidth must be a square matrix, got shape {H.shape}")
-        if not np.allclose(H, H.T, rtol=0.0, atol=1e-12):
-            raise ConfigError("bandwidth matrix must be symmetric")
+        # What np.allclose(H, H.T, rtol=0, atol=1e-12) decides (equal
+        # infinities pass, NaN fails) at a fraction of its cost; exact
+        # symmetry, the usual case, is tested first.
+        symmetric = H == H.T
+        if not symmetric.all():
+            with np.errstate(invalid="ignore"):  # inf - inf
+                symmetric |= np.abs(H - H.T) <= 1e-12
+            if not symmetric.all():
+                raise ConfigError("bandwidth matrix must be symmetric")
         try:
             chol = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from sigauto import (
+    DUMMY_EVENT,
+    DUMMY_STATE,
     Clusterer,
     EmaGridClassifier,
     PluginParams,
@@ -12,9 +14,21 @@ from sigauto import (
     rho_fn,
     sigma_fn,
 )
+from sigauto.hmm import _normalized_row
 
 # Worked example used throughout: unit grid, lam=1, count statistics.
 E1 = (1.0, 1.0, 5.0, 1.0, 5.0)
+
+
+# One parameter tuple per statistic variant; the region spans the middle of
+# the small walks the tests use, so region rows both fill and stay empty.
+EVERY_STAT = (
+    {"stat_variant": "count"},
+    {"stat_variant": "discounted_sum", "delta": 0.8},
+    {"stat_variant": "discounted_complement", "delta": 0.5},
+    {"stat_variant": "region_count", "region": ((-1.0, 2.0),)},
+    {"stat_variant": "latest_occurrence", "region": ((-1.0, 2.0),)},
+)
 
 
 @pytest.fixture
@@ -45,3 +59,18 @@ def build_plain(signal, params):
     isa = build_isa(signal, classifier)
     hmm = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params), clusterer)
     return isa, hmm
+
+
+def assert_row_cache_coherent(model):
+    """Every transition and emission row the model serves, whether from its
+    row cache or not, equals a fresh normalization of the row's accumulators,
+    in values and in iteration order.  Reading every row also fills the cache,
+    so the next write has every row to invalidate."""
+    kinds = [(model.transition_row, model._tcells, model._trow, model.sigma, DUMMY_STATE)]
+    if model.emission_kind == "discrete":
+        kinds.append((model.emission_row, model._ecells, model._edenom, model.rho,
+                      DUMMY_EVENT))
+    for read, cells, totals, stat, sink in kinds:
+        for p in model.states:
+            fresh = _normalized_row(cells.get(p), totals.get(p), stat, model.n, sink)
+            assert list(read(p).items()) == list(fresh.items()), (read.__name__, p)

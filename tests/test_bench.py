@@ -32,14 +32,17 @@ def test_failures_detection():
         build=[BenchPoint(1_000, 30, 1.0, 1.0), BenchPoint(100_000, 30, 10.0, 1.0)],
         build_slope=0.5,
         constancy_ratio=4.0,
+        forecast=[BenchPoint(2_000, 30, 10.0, 1.0), BenchPoint(200_000, 30, 40.0, 1.0)],
+        forecast_ratio=4.0,
         lookahead=[BenchPoint(1_000, 30, 100.0, 1.0), BenchPoint(100_000, 30, 400.0, 1.0)],
         lookahead_ratio=4.0,
         bandwidth=[BenchPoint(2_000, 30, 20.0, 1.0), BenchPoint(200_000, 30, 2_000.0, 1.0)],
         bandwidth_ratio=100.0,
     )
     problems = report.failures()
-    assert len(problems) == 4
+    assert len(problems) == 5
     assert any("constancy" in p for p in problems)
+    assert any("forecast" in p for p in problems)
     assert any("lookahead" in p for p in problems)
     assert any("bandwidth" in p for p in problems)
     assert any("slope" in p for p in problems)
@@ -49,12 +52,15 @@ def test_small_scale_run():
     report = run_bench(update_sizes=(300, 900), build_sizes=(100, 300),
                        update_samples=60, build_samples=30, seed=1)
     assert [p.n for p in report.update] == [300, 900]
+    assert [p.n for p in report.forecast] == [300, 900]
     assert [p.n for p in report.build] == [100, 300]
     assert [p.n for p in report.lookahead] == [100, 300]
     assert [p.n for p in report.bandwidth] == [300, 900]
     assert all(p.samples >= 30 for p in
-               report.update + report.build + report.lookahead + report.bandwidth)
+               report.update + report.forecast + report.build + report.lookahead
+               + report.bandwidth)
     assert report.constancy_ratio > 0
+    assert report.forecast_ratio > 0
     assert report.lookahead_ratio > 0
     assert report.bandwidth_ratio > 0
     assert report.to_dict()["build_slope"] == report.build_slope

@@ -281,6 +281,16 @@ class TestMalformedConfigValues:
         ("run", {"bandwidth": [[1, 2], [3]]}),
         ("fit", {"split": "5", "grid": [{"delta": 0.5}]}),
         ("fit", {"grid": 5}),
+        ("run", {"lambda": True}),
+        ("run", {"delta": False}),
+        ("run", {"horizon": True}),
+        ("run", {"grid_width": True}),
+        ("run", {"grid_width": [True]}),
+        ("run", {"bandwidth": True}),
+        ("run", {"seed": False}),
+        ("run", {"score_floor": True}),
+        ("fit", {"split": True, "grid": [{"delta": 0.5}]}),
+        ("fit", {"grid": [{"horizon": True}]}),
     ])
     def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
         path = tmp_path / "c.json"
@@ -299,8 +309,8 @@ class TestBenchCommand:
                      "--build-sizes", "200,400", "--samples", "40",
                      "--output", str(out)]) == 0
         report = read_records(out)[0]
-        assert {"update", "build", "build_slope", "constancy_ratio",
-                "bandwidth", "bandwidth_ratio"} <= set(report)
+        assert {"update", "build", "build_slope", "constancy_ratio", "forecast",
+                "forecast_ratio", "bandwidth", "bandwidth_ratio"} <= set(report)
         assert all(point["samples"] >= 30 for point in report["update"])
 
     def test_check_failure_exit_code(self, monkeypatch, tmp_path):
@@ -311,6 +321,9 @@ class TestBenchCommand:
                    BenchPoint(100_000, 30, 1e9, 2e9)],
             build_slope=1.5,
             constancy_ratio=10.0,
+            forecast=[BenchPoint(2_000, 30, 10.0, 20.0),
+                      BenchPoint(200_000, 30, 100.0, 200.0)],
+            forecast_ratio=10.0,
             lookahead=[BenchPoint(1_000, 30, 100.0, 200.0),
                        BenchPoint(100_000, 30, 1_000.0, 2_000.0)],
             lookahead_ratio=10.0,
@@ -322,7 +335,7 @@ class TestBenchCommand:
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3
         # the bandwidth gate alone fails the check
         only_bandwidth = replace(bad, build_slope=1.0, constancy_ratio=1.0,
-                                 lookahead_ratio=1.0)
+                                 forecast_ratio=1.0, lookahead_ratio=1.0)
         assert only_bandwidth.failures() == [only_bandwidth.failures()[0]]
         monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: only_bandwidth)
         assert main(["bench", "--check", "--output", str(tmp_path / "c.json")]) == 3

@@ -1,7 +1,12 @@
 import math
+import os
+import tempfile
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigauto import (
     Clusterer,
@@ -14,22 +19,26 @@ from sigauto import (
     Signal,
     StalenessError,
     StatFn,
+    StreamPipeline,
     UnknownStateError,
     build_isa,
+    forecast,
     forecast_density_at,
     init_isa,
     isa_to_hmm,
     isa_to_hmm_continuous,
+    load_snapshot,
     next_hmm,
     next_hmm_continuous,
     next_isa,
     rho_fn,
+    save_snapshot,
     sigma_fn,
     state_occupancies,
     transition_row,
 )
 
-from conftest import E1, build_plain, random_walk
+from conftest import EVERY_STAT, E1, assert_row_cache_coherent, build_plain, random_walk
 
 
 def fold_pipeline(values, params, emission="discrete", kernel=None):
@@ -235,6 +244,87 @@ def test_emission_support(count_params):
         for cluster, weight in hmm.emission_row(state).items():
             assert weight > 0
             assert cluster in hmm.clusterer.observed
+
+
+def assert_forecast_equals_scratch(pipe, h):
+    """The forecast of the live model equals that of a from-scratch rebuild:
+    exactly for the statistics read without discounting, within float
+    tolerance for the discounted ones (lazy discounting rounds differently)."""
+    live = forecast(pipe.hmm, h)
+    scratch = forecast(pipe.rebuild_from_scratch()[1], h)
+    assert live.is_dummy == scratch.is_dummy
+    if pipe.sigma.read_ignores_now:
+        assert live.steps == scratch.steps
+    else:
+        for got, want in zip(live.steps, scratch.steps):
+            assert got.keys() == want.keys()
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+class TestRowCache:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        stat=st.sampled_from(EVERY_STAT),
+        lam=st.sampled_from([1.0, 0.5]),
+        h=st.sampled_from([1, 2, 3]),
+        steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       min_size=2, max_size=40),
+    )
+    def test_coherent_after_every_step(self, stat, lam, h, steps):
+        pipe = StreamPipeline(PluginParams(lam=lam, grid_width=1.0, **stat))
+        for value in accumulate(steps):
+            pipe.advance(value)
+            assert_row_cache_coherent(pipe.hmm)
+            assert_forecast_equals_scratch(pipe, h)
+
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+    def test_coherent_after_load_snapshot(self, stat):
+        """A loaded model starts with an empty cache and fills it anew; both
+        the saved pipeline and the loaded one stay coherent as they go on."""
+        walk = [v[0] for v in random_walk(120, seed=8, step=0.6)]
+        pipe = StreamPipeline(PluginParams(grid_width=1.0, **stat))
+        for value in walk[:60]:
+            pipe.advance(value)
+            assert_row_cache_coherent(pipe.hmm)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "snap.json")
+            save_snapshot(pipe, path)
+            resumed = load_snapshot(path)
+        for value in walk[60:]:
+            for live in (pipe, resumed):
+                live.advance(value)
+                assert_row_cache_coherent(live.hmm)
+            assert_forecast_equals_scratch(resumed, 2)
+            assert forecast(resumed.hmm, 2) == forecast(pipe.hmm, 2)
+
+    def test_continuous_transition_rows_coherent(self, count_params):
+        pipe = StreamPipeline(count_params, emission="continuous")
+        for value in random_walk(150, seed=4, step=0.6):
+            pipe.advance(value)
+            assert_row_cache_coherent(pipe.hmm)
+
+    def test_rows_are_shared_until_written(self, count_params):
+        _, _, hmm = fold_pipeline(E1, count_params)
+        assert hmm.transition_row("1") is hmm.transition_row("1")
+        assert hmm.emission_row("5") is hmm.emission_row("5")
+
+    def test_discounted_rows_are_not_cached(self):
+        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        _, _, hmm = fold_pipeline(E1, params)
+        assert hmm.transition_row("1") is not hmm.transition_row("1")
+        assert hmm.emission_row("1") is not hmm.emission_row("1")
+
+    @pytest.mark.parametrize("matrix", ["transition_matrix", "emission_matrix"])
+    def test_mutating_a_matrix_leaves_the_forecast_unchanged(self, count_params, matrix):
+        _, _, hmm = fold_pipeline(E1, count_params)
+        before = forecast(hmm, 3)
+        rows = getattr(hmm, matrix)().rows
+        for row in rows.values():
+            for key in list(row):
+                row[key] = 7.0
+            row["intruder"] = 1.0
+        assert forecast(hmm, 3) == before
+        assert_row_cache_coherent(hmm)
 
 
 class TestTransitionRowView:

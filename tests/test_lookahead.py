@@ -22,6 +22,8 @@ from sigauto import (
 )
 from sigauto.bench import random_walk
 
+from conftest import EVERY_STAT, assert_row_cache_coherent
+
 
 def period_two(length):
     return Signal([1.0 if k % 2 == 0 else 5.0 for k in range(length)])
@@ -161,12 +163,11 @@ class TestAdvance:
         assert len(signal) == 6
 
 
-STAT_VARIANTS = (
-    {},
-    {"stat_variant": "discounted_sum", "delta": 0.8},
-    {"stat_variant": "discounted_complement", "delta": 0.5},
-    {"stat_variant": "region_count", "region": ((-1.0, 2.0),)},
-)
+def assert_frontier_caches_coherent(frontier):
+    """The base model and every live frontier model serve rows equal to fresh
+    normalizations of their accumulators."""
+    for model in [frontier.base_hmm] + [e.hmm for e in frontier.entries if e is not None]:
+        assert_row_cache_coherent(model)
 
 
 def forecast_key(frontier):
@@ -177,7 +178,8 @@ def forecast_key(frontier):
 
 def advance_against_fresh_builds(values, params, seed):
     """Advance a frontier over ``values`` from its shortest history, checking
-    it against a fresh build after every advance.  Returns how many advances
+    it against a fresh build, and every row cache against its accumulators,
+    after every advance.  Returns how many advances
     matched the stored word, mismatched it, or found the oldest entry
     poisoned."""
     h = params.horizon
@@ -185,7 +187,9 @@ def advance_against_fresh_builds(values, params, seed):
     kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
     for i in range(h + 1, len(values)):
         first = frontier.entries[0]
+        assert_frontier_caches_coherent(frontier)  # fills every cache first
         lookahead_advance(frontier, values[i])
+        assert_frontier_caches_coherent(frontier)
         if first is None:
             kinds["poisoned"] += 1
         elif first.isa.current == LookaheadWordClassifier(params).step(
@@ -204,7 +208,7 @@ class TestOverlayEqualsFreshBuild:
     @given(
         h=st.sampled_from([1, 2, 3]),
         seed=st.integers(0, 10_000),
-        stat=st.sampled_from(STAT_VARIANTS),
+        stat=st.sampled_from(EVERY_STAT),
         steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
                        min_size=5, max_size=40),
     )
@@ -219,6 +223,39 @@ class TestOverlayEqualsFreshBuild:
             values, PluginParams(grid_width=1.0, horizon=h, stat_variant="discounted_sum",
                                  delta=0.9), seed=5)
         assert all(count > 0 for count in kinds.values()), kinds
+
+
+class TestRowCacheCoherence:
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+    def test_matched_and_rebuilt_advances(self, stat):
+        """Both reconciliation paths keep every cache coherent: the matched
+        one (commit into the base, then rebase the deeper entries) and the
+        rebuild."""
+        values = random_walk(120, seed=3, step=0.6)
+        kinds = advance_against_fresh_builds(
+            values, PluginParams(grid_width=1.0, horizon=2, **stat), seed=5)
+        assert kinds["matched"] > 0 and kinds["mismatched"] > 0, kinds
+
+    def test_rebase_keeps_cached_rows(self):
+        """Rows the deeper entries cached before a matched advance are the
+        rows they serve after the commit and the rebase."""
+        params = PluginParams(grid_width=1.0, horizon=3)
+        values = period_two(20)
+        frontier = lookahead_build(values[:12], params, seed=0)
+        for value in values[12:]:
+            deeper = [e.hmm for e in frontier.entries[1:]]
+            for model in deeper:
+                assert_row_cache_coherent(model)
+            cached = [(dict(m._tnorm.own), dict(m._enorm.own)) for m in deeper]
+            assert all(t and e for t, e in cached)
+            lookahead_advance(frontier, value)
+            assert [e.hmm for e in frontier.entries[:-1]] == deeper  # matched
+            for model, (trows, erows) in zip(deeper, cached):
+                for row, normalized in trows.items():
+                    assert model.transition_row(row) == normalized
+                for row, normalized in erows.items():
+                    assert model.emission_row(row) == normalized
+                assert_row_cache_coherent(model)
 
 
 class TestAdvanceCost:

@@ -334,6 +334,36 @@ class TestKernel:
         with pytest.raises(ConfigError):
             Kernel([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("H, symmetric", [
+        ([[1.0, math.nan], [math.nan, 1.0]], False),
+        ([[math.nan]], False),
+        ([[1.0, 0.3], [0.3 + 2e-12, 1.0]], False),       # just outside
+        ([[1.0, 0.3], [0.3 + 0.9e-12, 1.0]], True),      # just inside
+        ([[1.0, 0.3], [0.3 - 0.9e-12, 1.0]], True),
+        ([[math.inf, 0.0], [0.0, math.inf]], True),      # equal infinities
+        ([[1.0, math.inf], [-math.inf, 1.0]], False),
+        ([[1.0, math.inf], [0.0, 1.0]], False),
+    ])
+    def test_symmetry_tolerance_matches_allclose(self, H, symmetric):
+        """The entrywise check decides as np.allclose(H, H.T, rtol=0,
+        atol=1e-12) does, NaN and infinities included."""
+        M = np.asarray(H)
+        assert np.allclose(M, M.T, rtol=0.0, atol=1e-12) == symmetric
+        if symmetric:
+            try:
+                Kernel(H)
+            except ConfigError as exc:  # refused later, never as asymmetric
+                assert "symmetric" not in str(exc)
+        else:
+            with pytest.raises(ConfigError, match="symmetric"):
+                Kernel(H)
+
+    def test_just_inside_tolerance_keeps_the_matrix_as_given(self):
+        H = [[1.0, 0.3], [0.3 + 0.9e-12, 1.0]]
+        kernel = Kernel(H)
+        assert kernel.h_matrix.tolist() == H
+        assert kernel((0.2, -0.1)) > 0.0
+
 
 class TestDefaultBandwidth:
     def test_constant_signal_hits_floor(self):
