@@ -3,7 +3,9 @@
 Subcommands: ``run`` (stream observations, emit one forecast record per
 line), ``fit`` (grid search over parameter tuples on a held-out window),
 ``bench`` (timing harness for the complexity contract) and ``lookahead``
-(frontier forecasting with estimated futures).
+(frontier forecasting with estimated futures).  ``FLAGS`` declares each
+flag once with the subcommands that read it; a subcommand refuses every
+other flag.  Flags that name a config key override the config file.
 
 Exit codes: 0 ok, 1 input error, 2 configuration error, 3 check failure.
 Set SIGAUTO_LOG to error|info|debug to control logging.
@@ -17,7 +19,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .bench import run_bench
 from .errors import ConfigError, EmptyInputError, RejectedInputError, SigautoError
@@ -30,27 +32,21 @@ from .snapshot import load_snapshot, save_snapshot
 
 log = logging.getLogger("sigauto")
 
-PARAM_KEYS = ("lambda", "grid_width", "delta", "stat_variant", "region",
-              "bandwidth", "horizon")
-RUN_KEYS = ("mode", "seed", "score_floor", "strict", "split", "grid")
+PARAM_KEYS = tuple(PluginParams.FIELDS)
+CONFIG_KEYS = PARAM_KEYS + ("mode", "seed", "score_floor", "strict", "split", "grid")
 
 
 @dataclass
 class RunConfig:
     params: PluginParams
-    emission: str = "discrete"
-    input_path: str | None = None
-    output_path: str | None = None
-    snapshot_path: str | None = None
-    resume_path: str | None = None
-    seed: int = 0
-    strict: bool = False
-    check: bool = False
-    score_floor: float = 1e-12
-    split: int | None = None
-    grid: list[dict] = field(default_factory=list)
+    emission: str
+    seed: int
+    strict: bool
+    score_floor: float
+    split: int | None
+    grid: list[dict]
     # Keys given in the config file or by a flag, with their raw values.
-    given: dict = field(default_factory=dict)
+    given: dict
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -67,22 +63,21 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
     for key in data:
-        if key not in PARAM_KEYS and key not in RUN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
     merged = dict(data)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
+    merged.update((k, v) for k, v in (overrides or {}).items() if v is not None)
 
-    tau = {k: merged[k] for k in PARAM_KEYS if k in merged and merged[k] is not None}
-    params = PluginParams.from_dict(tau)
-
+    params = PluginParams.from_dict({k: merged[k] for k in PARAM_KEYS if k in merged})
     emission = merged.get("mode", "discrete")
     if emission not in EMISSION_MODES:
         raise ConfigError(f"mode must be one of {EMISSION_MODES}, got {emission!r}")
     seed = merged.get("seed", 0)
     if not is_number(seed, int):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    strict = merged.get("strict", False)
+    if not isinstance(strict, bool):
+        raise ConfigError(f"strict must be true or false, got {strict!r}")
     floor = merged.get("score_floor", 1e-12)
     if not (is_number(floor) and floor > 0):
         raise ConfigError(f"score_floor must be positive, got {floor!r}")
@@ -97,7 +92,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         params=params,
         emission=emission,
         seed=seed,
-        strict=bool(merged.get("strict", False)),
+        strict=strict,
         score_floor=float(floor),
         split=split,
         grid=list(grid),
@@ -107,21 +102,6 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Input handling
-
-
-def _iter_rows(handle):
-    """Yield (line_number, raw_line) for non-empty lines, skipping the first
-    one if it is a header."""
-    first = True
-    for lineno, line in enumerate(handle, start=1):
-        stripped = line.strip()
-        if not stripped:
-            continue
-        if first:
-            first = False
-            if _looks_like_header(stripped):
-                continue
-        yield lineno, stripped
 
 
 def _parse_row(raw: str):
@@ -147,6 +127,39 @@ def _looks_like_header(raw: str) -> bool:
     return True
 
 
+def _observations(handle, dim: int | None = None, rejected=None):
+    """Yield the observation of each row of a CSV or JSONL stream, skipping
+    blank lines and a header on the first non-blank one.
+
+    A row that does not parse, or whose width differs from ``dim`` (or else
+    from the first observation's), raises ``RejectedInputError`` with a
+    ``line N:`` prefix; when ``rejected`` is given it is called with the line
+    number and the message instead, and the row is skipped.
+    """
+    first = True
+    for lineno, line in enumerate(handle, start=1):
+        raw = line.strip()
+        if not raw:
+            continue
+        if first:
+            first = False
+            if _looks_like_header(raw):
+                continue
+        try:
+            obs = _parse_row(raw)
+            if dim is not None and len(obs) != dim:
+                raise RejectedInputError(
+                    f"observation has {len(obs)} coordinates, expected {dim}"
+                )
+        except (RejectedInputError, json.JSONDecodeError) as exc:
+            if rejected is None:
+                raise RejectedInputError(f"line {lineno}: {exc}") from exc
+            rejected(lineno, str(exc))
+            continue
+        dim = len(obs)
+        yield obs
+
+
 @contextmanager
 def _opened(path: str | None, mode: str):
     """The file at ``path``, or stdin/stdout (by ``mode``) for None or '-';
@@ -167,11 +180,8 @@ def read_signal(path: str | None) -> Signal:
     """Strict batch read of a whole input file."""
     signal = Signal()
     with _opened(path, "r") as handle:
-        for lineno, raw in _iter_rows(handle):
-            try:
-                signal.append(_parse_row(raw))
-            except (RejectedInputError, json.JSONDecodeError) as exc:
-                raise RejectedInputError(f"line {lineno}: {exc}") from exc
+        for obs in _observations(handle):
+            signal.append(obs)
     if len(signal) == 0:
         raise EmptyInputError("input contains no observations")
     return signal
@@ -188,8 +198,7 @@ def _check_resume(pipe: StreamPipeline, given: dict) -> None:
     are not compared."""
     stored = pipe.params.to_dict()
     tau = {k: given[k] for k in PARAM_KEYS if k in given}
-    merged = {k: v for k, v in {**stored, **tau}.items() if v is not None}
-    wanted = PluginParams.from_dict(merged).to_dict()
+    wanted = PluginParams.from_dict({**stored, **tau}).to_dict()
     conflicts = [(k, wanted[k], stored[k]) for k in tau if wanted[k] != stored[k]]
     run_values = {"mode": pipe.emission, "seed": pipe.seed, "score_floor": pipe.score_floor}
     conflicts += [(k, given[k], v) for k, v in run_values.items()
@@ -199,9 +208,9 @@ def _check_resume(pipe: StreamPipeline, given: dict) -> None:
             f"{k} is {value!r}, snapshot has {snap!r}" for k, value, snap in conflicts))
 
 
-def run_stream(config: RunConfig) -> int:
-    if config.resume_path:
-        pipe = load_snapshot(config.resume_path)
+def run_stream(config: RunConfig, args) -> int:
+    if args.resume:
+        pipe = load_snapshot(args.resume)
         _check_resume(pipe, config.given)
     else:
         pipe = StreamPipeline(
@@ -211,52 +220,34 @@ def run_stream(config: RunConfig) -> int:
             score_floor=config.score_floor,
         )
     consumed = 0
-    # A resumed pipeline knows its dimension; a fresh one takes it from its
-    # first observation.  Rows of another width are rejected before they
-    # reach the pipeline.
-    dim = pipe.signal.dim if len(pipe.signal) else None
-    with _opened(config.input_path, "r") as in_handle, \
-            _opened(config.output_path, "w") as out_handle:
-        for lineno, raw in _iter_rows(in_handle):
-            try:
-                obs = _parse_row(raw)
-                if dim is not None and len(obs) != dim:
-                    raise RejectedInputError(
-                        f"observation has {len(obs)} coordinates, expected {dim}"
-                    )
-            except (RejectedInputError, json.JSONDecodeError) as exc:
-                if config.strict:
-                    raise RejectedInputError(f"line {lineno}: {exc}") from exc
-                _write_record(out_handle, {"line": lineno, "error": str(exc)})
-                continue
+    with _opened(args.input, "r") as in_handle, _opened(args.output, "w") as out_handle:
+        def rejected(lineno, message):
+            _write_record(out_handle, {"line": lineno, "error": message})
+
+        # A resumed pipeline knows its dimension; a fresh one takes it from
+        # its first observation.
+        dim = pipe.signal.dim if len(pipe.signal) else None
+        for obs in _observations(in_handle, dim, None if config.strict else rejected):
             _write_record(out_handle, pipe.step(obs))
-            dim = len(obs)
             consumed += 1
         if consumed == 0 and pipe.n < 0:
             raise EmptyInputError("input contains no observations")
         log.info("processed %d observations, stream is at instant %d", consumed, pipe.n)
-        if config.snapshot_path:
-            save_snapshot(pipe, config.snapshot_path)
-            log.info("snapshot written to %s", config.snapshot_path)
+        if args.snapshot:
+            save_snapshot(pipe, args.snapshot)
+            log.info("snapshot written to %s", args.snapshot)
     return 0
 
 
-def run_fit(config: RunConfig) -> int:
+def run_fit(config: RunConfig, args) -> int:
     if not config.grid:
         raise ConfigError("fit needs a non-empty 'grid' of parameter overrides")
-    signal = read_signal(config.input_path)
+    signal = read_signal(args.input)
     base_tau = config.params.to_dict()
-    grid = []
-    for overrides in config.grid:
-        for key in overrides:
-            if key not in PARAM_KEYS:
-                raise ConfigError(f"unknown parameter key {key!r} in grid entry")
-        tau = dict(base_tau)
-        tau.update(overrides)
-        grid.append(PluginParams.from_dict({k: v for k, v in tau.items() if v is not None}))
+    grid = [PluginParams.from_dict({**base_tau, **overrides}) for overrides in config.grid]
     split = config.split if config.split is not None else signal.last_instant // 2
     report = fit(grid, signal, split, floor=config.score_floor)
-    with _opened(config.output_path, "w") as out_handle:
+    with _opened(args.output, "w") as out_handle:
         _write_record(out_handle, {
             "split": report.split,
             "scores": report.scores,
@@ -267,20 +258,30 @@ def run_fit(config: RunConfig) -> int:
     return 0
 
 
-def run_bench_command(config: RunConfig, update_sizes=None, build_sizes=None,
-                      samples=None) -> int:
+def _sizes(flag: str, raw: str) -> tuple[int, ...]:
+    """The positive integers of a comma-separated ``raw``."""
+    try:
+        sizes = tuple(int(x) for x in raw.split(","))
+    except ValueError:
+        sizes = ()
+    if not sizes or min(sizes) <= 0:
+        raise ConfigError(f"{flag} must be comma-separated positive integers, got {raw!r}")
+    return sizes
+
+
+def run_bench_command(config: RunConfig, args) -> int:
     kwargs = {"seed": config.seed, "params": config.params}
-    if update_sizes:
-        kwargs["update_sizes"] = tuple(update_sizes)
-    if build_sizes:
-        kwargs["build_sizes"] = tuple(build_sizes)
-    if samples:
-        kwargs["update_samples"] = max(samples, 30)
-        kwargs["build_samples"] = max(samples, 30)
+    if args.update_sizes is not None:
+        kwargs["update_sizes"] = _sizes("--update-sizes", args.update_sizes)
+    if args.build_sizes is not None:
+        kwargs["build_sizes"] = _sizes("--build-sizes", args.build_sizes)
+    if args.samples:
+        kwargs["update_samples"] = max(args.samples, 30)
+        kwargs["build_samples"] = max(args.samples, 30)
     report = run_bench(**kwargs)
-    with _opened(config.output_path, "w") as out_handle:
+    with _opened(args.output, "w") as out_handle:
         _write_record(out_handle, report.to_dict())
-    if config.check:
+    if args.check:
         failures = report.failures()
         if failures:
             for problem in failures:
@@ -289,13 +290,13 @@ def run_bench_command(config: RunConfig, update_sizes=None, build_sizes=None,
     return 0
 
 
-def run_lookahead(config: RunConfig) -> int:
-    signal = read_signal(config.input_path)
+def run_lookahead(config: RunConfig, args) -> int:
+    signal = read_signal(args.input)
     h = config.params.horizon
     # Built before the output is opened, so a refused horizon or history
     # leaves no output file behind.
     frontier = lookahead_build(signal[: h + 1], config.params, seed=config.seed)
-    with _opened(config.output_path, "w") as out_handle:
+    with _opened(args.output, "w") as out_handle:
         _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
         for obs in signal[h + 1:]:
             lookahead_advance(frontier, obs)
@@ -306,6 +307,36 @@ def run_lookahead(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # Argument parsing
 
+COMMANDS = {
+    "run": (run_stream, "stream observations and emit forecast records"),
+    "fit": (run_fit, "grid-search parameters on a train/test split"),
+    "bench": (run_bench_command, "measure update and build time complexity"),
+    "lookahead": (run_lookahead, "frontier forecasting with estimated futures"),
+}
+
+# Every flag once: the subcommands that read it, and its argparse keywords.
+# A subcommand takes only the flags whose value changes its output or exit
+# status.  An absent flag that names a config key is None, so the config
+# file's value stands.
+FLAGS = (
+    ("--config", "run fit bench lookahead", {"help": "flat JSON config file"}),
+    ("--input", "run fit lookahead", {"help": "CSV or JSONL input path, '-' for stdin"}),
+    ("--output", "run fit bench lookahead", {"help": "output path, '-' for stdout"}),
+    ("--horizon", "run fit lookahead", {"type": int, "help": "forecast/lookahead length"}),
+    ("--mode", "run", {"choices": EMISSION_MODES, "help": "emission mode"}),
+    ("--seed", "run bench lookahead", {"type": int, "help": "random seed"}),
+    ("--strict", "run", {"action": "store_true", "default": None,
+                         "help": "abort on the first malformed row"}),
+    ("--snapshot", "run", {"help": "write a pipeline snapshot on exit"}),
+    ("--resume", "run", {"help": "resume from a pipeline snapshot"}),
+    ("--split", "fit", {"type": int, "help": "train/test boundary instant"}),
+    ("--check", "bench", {"action": "store_true",
+                          "help": "exit 3 when a complexity bound is violated"}),
+    ("--update-sizes", "bench", {"help": "comma-separated stream sizes"}),
+    ("--build-sizes", "bench", {"help": "comma-separated build sizes"}),
+    ("--samples", "bench", {"type": int, "help": "timing samples per point"}),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -313,31 +344,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Online hidden Markov model inference from a streaming time series.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run", "stream observations and emit forecast records"),
-        ("fit", "grid-search parameters on a train/test split"),
-        ("bench", "measure update and build time complexity"),
-        ("lookahead", "frontier forecasting with estimated futures"),
-    ):
+    for name, (handler, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", help="flat JSON config file")
-        p.add_argument("--input", help="CSV or JSONL input path, '-' for stdin")
-        p.add_argument("--output", help="output path, '-' for stdout")
-        p.add_argument("--horizon", type=int, help="forecast/lookahead length")
-        p.add_argument("--mode", choices=EMISSION_MODES, help="emission mode")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--strict", action="store_true", default=None,
-                       help="abort on the first malformed row")
-        p.add_argument("--snapshot", help="write a pipeline snapshot on exit")
-        p.add_argument("--resume", help="resume from a pipeline snapshot")
-        p.add_argument("--check", action="store_true",
-                       help="bench: exit 3 when a complexity bound is violated")
-        if name == "fit":
-            p.add_argument("--split", type=int, help="train/test boundary instant")
-        if name == "bench":
-            p.add_argument("--update-sizes", help="comma-separated stream sizes")
-            p.add_argument("--build-sizes", help="comma-separated build sizes")
-            p.add_argument("--samples", type=int, help="timing samples per point")
+        p.set_defaults(handler=handler)
+        for flag, commands, kwargs in FLAGS:
+            if name in commands.split():
+                p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -348,49 +360,20 @@ def _configure_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _sizes(raw: str | None):
-    if not raw:
-        return None
-    return tuple(int(x) for x in raw.split(","))
-
-
 def main(argv=None) -> int:
     _configure_logging()
     args = _build_parser().parse_args(argv)
+    flags = vars(args)
     try:
-        overrides = {
-            "horizon": args.horizon,
-            "mode": args.mode,
-            "seed": args.seed,
-            "strict": args.strict,
-        }
-        if getattr(args, "split", None) is not None:
-            overrides["split"] = args.split
-        config = parse_config(args.config, overrides)
-        config.input_path = args.input
-        config.output_path = args.output
-        config.snapshot_path = args.snapshot
-        config.resume_path = args.resume
-        config.check = bool(args.check)
+        config = parse_config(args.config, {k: v for k, v in flags.items() if k in CONFIG_KEYS})
         real_paths = [
             os.path.abspath(p)
-            for p in (config.input_path, config.output_path, config.snapshot_path)
+            for p in (flags.get(k) for k in ("input", "output", "snapshot"))
             if p and p != "-"
         ]
         if len(real_paths) != len(set(real_paths)):
             raise ConfigError("input, output and snapshot paths must be distinct")
-        if args.command == "run":
-            return run_stream(config)
-        if args.command == "fit":
-            return run_fit(config)
-        if args.command == "bench":
-            return run_bench_command(
-                config,
-                update_sizes=_sizes(getattr(args, "update_sizes", None)),
-                build_sizes=_sizes(getattr(args, "build_sizes", None)),
-                samples=getattr(args, "samples", None),
-            )
-        return run_lookahead(config)
+        return args.handler(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

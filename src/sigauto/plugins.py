@@ -53,17 +53,23 @@ def is_number(value, types=(int, float)) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+def _floats(values) -> tuple[float, ...]:
+    """A list of numbers as floats; ``TypeError`` if ``is_number`` refuses
+    an entry (a string's entries are its characters)."""
+    values = tuple(values)
+    if not all(is_number(v) for v in values):
+        raise TypeError("not a list of numbers")
+    return tuple(map(float, values))
+
+
 def _as_widths(grid_width) -> float | tuple[float, ...]:
     if is_number(grid_width):
         if grid_width <= 0:
             raise ConfigError(f"grid_width must be positive, got {grid_width}")
         return float(grid_width)
     try:
-        # a string would read as one width per character, a boolean entry as 1.0
-        if isinstance(grid_width, str) or any(isinstance(w, bool) for w in grid_width):
-            raise TypeError("not a number or a list of numbers")
-        widths = tuple(float(w) for w in grid_width)
-    except (TypeError, ValueError) as exc:
+        widths = _floats(grid_width)
+    except TypeError as exc:
         raise ConfigError(f"grid_width must be a number or a list: {grid_width!r}") from exc
     if not widths or any(w <= 0 for w in widths):
         raise ConfigError(f"grid_width entries must be positive, got {grid_width}")
@@ -84,7 +90,7 @@ def _as_region(region):
     if region is None:
         return None
     try:
-        box = tuple((float(lo), float(hi)) for lo, hi in region)
+        box = tuple((lo, hi) for lo, hi in map(_floats, region))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"region must be a sequence of (lo, hi) pairs: {region!r}") from exc
     for lo, hi in box:
@@ -101,12 +107,17 @@ def _as_bandwidth(bandwidth):
             raise ConfigError("scalar bandwidth must be positive")
         return ((float(bandwidth),),)
     try:
-        matrix = tuple(tuple(float(x) for x in row) for row in bandwidth)
-    except (TypeError, ValueError) as exc:
+        matrix = tuple(map(_floats, bandwidth))
+    except TypeError as exc:
         raise ConfigError(f"bandwidth must be 'scott', a scalar or a matrix: {bandwidth!r}") from exc
     if len({len(row) for row in matrix}) > 1:
         raise ConfigError(f"bandwidth matrix rows differ in length: {bandwidth!r}")
     return matrix
+
+
+def _listed(value):
+    """``value`` with every tuple turned into a list, as JSON reads it back."""
+    return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,12 @@ class PluginParams:
     region: tuple[tuple[float, float], ...] | None = None
     bandwidth: str | tuple[tuple[float, ...], ...] = "scott"
     horizon: int = 1
+
+    # The config key of each field, in the order ``to_dict`` writes them:
+    # snapshot and report bytes depend on that order.
+    FIELDS = {"lambda": "lam", "grid_width": "grid_width", "delta": "delta",
+              "stat_variant": "stat_variant", "region": "region",
+              "bandwidth": "bandwidth", "horizon": "horizon"}
 
     def __post_init__(self):
         for name, value in (("lambda", self.lam), ("delta", self.delta)):
@@ -151,38 +168,18 @@ class PluginParams:
         return _widths_for_dim(self.grid_width, dim)
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": self.lam,
-            "grid_width": list(self.grid_width)
-            if isinstance(self.grid_width, tuple)
-            else self.grid_width,
-            "delta": self.delta,
-            "stat_variant": self.stat_variant,
-            "region": [list(b) for b in self.region] if self.region else None,
-            "bandwidth": [list(r) for r in self.bandwidth]
-            if isinstance(self.bandwidth, tuple)
-            else self.bandwidth,
-            "horizon": self.horizon,
-        }
+        data = {key: _listed(getattr(self, name)) for key, name in self.FIELDS.items()}
+        data["region"] = data["region"] or None  # an empty box is written as no region
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "PluginParams":
-        known = {
-            "lambda": "lam",
-            "grid_width": "grid_width",
-            "delta": "delta",
-            "stat_variant": "stat_variant",
-            "region": "region",
-            "bandwidth": "bandwidth",
-            "horizon": "horizon",
-        }
-        kwargs = {}
-        for key, value in data.items():
-            if key not in known:
+        """Parameters from their config keys; a ``None`` value leaves the
+        default."""
+        for key in data:
+            if key not in cls.FIELDS:
                 raise ConfigError(f"unknown parameter key {key!r}")
-            if value is not None:
-                kwargs[known[key]] = value
-        return cls(**kwargs)
+        return cls(**{cls.FIELDS[k]: v for k, v in data.items() if v is not None})
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
+import argparse
 import hashlib
 import json
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from sigauto import BenchPoint, BenchReport
-from sigauto.cli import main, parse_config
+from sigauto.cli import _build_parser, main, parse_config
 
 from conftest import E1, random_walk
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write_csv(path, rows):
@@ -23,6 +28,15 @@ def e1_csv(tmp_path):
 
 def read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+@pytest.fixture
+def no_bench(monkeypatch):
+    """``run_bench`` replaced by a function that fails the test if called."""
+    def measured(**kwargs):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr("sigauto.cli.run_bench", measured)
 
 
 class TestParseConfig:
@@ -100,6 +114,15 @@ class TestRun:
         src.write_text("1.0\n1.0,abc\n2.0\n")
         assert main(["run", "--input", str(src), "--strict",
                      "--output", str(tmp_path / "o.jsonl")]) == 1
+
+    def test_strict_from_config(self, tmp_path):
+        src = tmp_path / "bad.csv"
+        src.write_text("1.0\n1.0,abc\n2.0\n")
+        config = tmp_path / "c.json"
+        for strict, code in ((True, 1), (False, 0)):
+            config.write_text(json.dumps({"strict": strict}))
+            assert main(["run", "--input", str(src), "--config", str(config),
+                         "--output", str(tmp_path / "o.jsonl")]) == code
 
     def test_wrong_width_row_non_strict(self, tmp_path):
         src = tmp_path / "wide.csv"
@@ -291,6 +314,12 @@ class TestMalformedConfigValues:
         ("run", {"score_floor": True}),
         ("fit", {"split": True, "grid": [{"delta": 0.5}]}),
         ("fit", {"grid": [{"horizon": True}]}),
+        ("run", {"region": [[True, 2]]}),
+        ("run", {"bandwidth": [[True]]}),
+        ("run", {"bandwidth": [["1"]]}),
+        ("run", {"grid_width": ["1"]}),
+        ("run", {"strict": "no"}),
+        ("run", {"strict": 1}),
     ])
     def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
         path = tmp_path / "c.json"
@@ -339,6 +368,75 @@ class TestBenchCommand:
         assert only_bandwidth.failures() == [only_bandwidth.failures()[0]]
         monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: only_bandwidth)
         assert main(["bench", "--check", "--output", str(tmp_path / "c.json")]) == 3
+
+    @pytest.mark.parametrize("flag, sizes", [
+        ("--update-sizes", "a,b"),
+        ("--update-sizes", "0"),
+        ("--update-sizes", ""),
+        ("--build-sizes", "100,-5"),
+        ("--build-sizes", "1.5"),
+        ("--build-sizes", "100,,200"),
+    ])
+    def test_bad_sizes_exit_2_before_measuring(self, no_bench, tmp_path, capsys, flag, sizes):
+        out = tmp_path / "b.json"
+        assert main(["bench", flag, sizes, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and flag in err
+        assert not out.exists()
+
+
+class TestFlags:
+    """Each subcommand takes only the flags it reads."""
+
+    # (subcommand, flag) pairs the subcommand does not read
+    REFUSED = [
+        ("run", "--check"),
+        ("fit", "--mode"), ("fit", "--seed"), ("fit", "--strict"),
+        ("fit", "--snapshot"), ("fit", "--resume"), ("fit", "--check"),
+        ("bench", "--input"), ("bench", "--horizon"), ("bench", "--mode"),
+        ("bench", "--strict"), ("bench", "--snapshot"), ("bench", "--resume"),
+        ("lookahead", "--mode"), ("lookahead", "--strict"), ("lookahead", "--snapshot"),
+        ("lookahead", "--resume"), ("lookahead", "--check"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", REFUSED)
+    def test_unread_flag_exits_2_without_output(self, no_bench, tmp_path, e1_csv, capsys,
+                                                command, flag):
+        # with a grid, a fit that accepted the flag would write its report
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid": [{"delta": 0.0}]}))
+        out, snap = tmp_path / "out.jsonl", tmp_path / "snap.json"
+        values = {"--input": str(e1_csv), "--horizon": "2", "--mode": "continuous",
+                  "--seed": "9", "--snapshot": str(snap),
+                  "--resume": str(tmp_path / "missing.json")}
+        argv = [command, "--config", str(config), "--output", str(out)]
+        if command != "bench":
+            argv += ["--input", str(e1_csv)]
+        argv += [flag] + ([values[flag]] if flag in values else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert not out.exists() and not snap.exists()
+
+    def test_readme_lists_each_subcommands_flags(self):
+        parser = _build_parser()
+        commands = next(action.choices for action in parser._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        declared = {
+            name: [flag for action in sub._actions for flag in action.option_strings
+                   if flag not in ("-h", "--help")]
+            for name, sub in commands.items()
+        }
+        synopsis = README.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+        listed, command = {}, None
+        for line in synopsis.splitlines():
+            if line.startswith("sigauto "):
+                command = line.split()[1]
+                listed[command] = []
+            if command:
+                listed[command] += re.findall(r"--[a-z-]+", line)
+        assert listed == declared
 
 
 class TestGoldenOutputs:

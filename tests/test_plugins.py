@@ -46,6 +46,10 @@ class TestParams:
         {"stat_variant": "nonsense"},
         {"horizon": -1},
         {"region": [[2.0, 1.0]]},
+        {"region": [[True, 2]]},
+        {"bandwidth": [[True]]},
+        {"bandwidth": [["1"]]},
+        {"grid_width": ["1", "2"]},
     ])
     def test_out_of_range_values(self, kwargs):
         with pytest.raises(ConfigError):
