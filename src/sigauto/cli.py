@@ -346,7 +346,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (handler, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         for flag, commands, kwargs in FLAGS:
             if name in commands.split():
                 p.add_argument(flag, **kwargs)
@@ -362,7 +362,9 @@ def _configure_logging() -> None:
 
 def main(argv=None) -> int:
     _configure_logging()
-    args = _build_parser().parse_args(argv)
+    args, unknown = _build_parser().parse_known_args(argv)
+    if unknown:  # reported with the subcommand's usage, which lists its flags
+        args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     flags = vars(args)
     try:
         config = parse_config(args.config, {k: v for k, v in flags.items() if k in CONFIG_KEYS})

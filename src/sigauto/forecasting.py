@@ -17,9 +17,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .automaton import init_isa, next_isa
 from .errors import ConfigError, EmptyInputError, RejectedInputError
-from .hmm import DUMMY_STATE, Hmm, HmmContinuous, _TransitionCore
-from .plugins import DUMMY_EVENT, Kernel, PluginParams, default_bandwidth
+from .hmm import DUMMY_STATE, Hmm, HmmContinuous, _TransitionCore, isa_to_hmm, next_hmm
+from .plugins import (
+    DUMMY_EVENT,
+    Clusterer,
+    EmaGridClassifier,
+    Kernel,
+    PluginParams,
+    default_bandwidth,
+    rho_fn,
+    sigma_fn,
+)
 from .signal import Signal
 
 
@@ -161,6 +171,58 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
 # Scoring and fitting
 
 
+def _next_event_probability(hmm: Hmm, cluster: str) -> float:
+    """``forecast(hmm, 1).steps[0].get(cluster, 0.0)``, 0 for a dummy
+    forecast, without building the forecast: the same products are added in
+    the same order, so the value is bit-identical."""
+    if hmm.current_is_new:
+        return 0.0
+    p = 0.0
+    for q, w in hmm.transition_row(hmm.current).items():
+        if w != 0.0:
+            e = hmm.emission_row(q).get(cluster)
+            if e is not None:
+                p += w * e
+    return p
+
+
+def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
+            floor: float) -> list[float]:
+    """``score`` of every entry of ``grid``.  The automaton depends only on
+    the classifier, so entries that share ``lam`` and ``grid_width`` share
+    one pass over ``signal[0..stop)``: its signal, classifier, clusterer and
+    automaton drive one model per entry, each with its own sigma and rho."""
+    n = signal.last_instant
+    if not (0 <= start < stop <= n):
+        raise RejectedInputError(
+            f"scoring window [{start}, {stop}) out of range for signal at {n}"
+        )
+    groups: dict[tuple, list[int]] = {}
+    for k, params in enumerate(grid):
+        if params.bandwidth != "scott":
+            Kernel(params.bandwidth)  # refused as `run` refuses it; no score reads it
+        groups.setdefault((params.lam, params.grid_width), []).append(k)
+    totals = [0.0] * len(grid)
+    for members in groups.values():
+        stats = {k: (sigma_fn(grid[k]), rho_fn(grid[k])) for k in members}
+        lead = grid[members[0]]
+        own, classifier, clusterer = Signal(), EmaGridClassifier(lead), Clusterer(lead.grid_width)
+        for i in range(stop):
+            own.append(signal[i])
+            if i == 0:
+                isa = init_isa(own[0], classifier)
+                models = {k: isa_to_hmm(isa, own, *stats[k], clusterer) for k in members}
+            else:
+                next_isa(isa, own, classifier)
+                for k, hmm in models.items():
+                    next_hmm(hmm, isa, own, *stats[k], clusterer)
+            if i >= start:
+                cluster = clusterer.label_of(signal[i + 1])
+                for k, hmm in models.items():
+                    totals[k] += math.log(max(_next_event_probability(hmm, cluster), floor))
+    return [total / (stop - start) for total in totals]
+
+
 def score(params: PluginParams, signal: Signal, start: int, stop: int,
           floor: float = 1e-12) -> float:
     """Mean one-step-ahead log-likelihood over instants [start, stop).
@@ -170,28 +232,7 @@ def score(params: PluginParams, signal: Signal, start: int, stop: int,
     events) contribute log(floor), so refusing to forecast stays costly but
     finite.
     """
-    n = signal.last_instant
-    if not (0 <= start < stop <= n):
-        raise RejectedInputError(
-            f"scoring window [{start}, {stop}) out of range for signal at {n}"
-        )
-    from .pipeline import StreamPipeline
-
-    pipe = StreamPipeline(params, seed=0, score_floor=floor)
-    total = 0.0
-    scored = 0
-    for i in range(stop):
-        pipe.advance(signal[i])
-        if i >= start:
-            fc = forecast(pipe.hmm, 1)
-            if fc.is_dummy:
-                p = 0.0
-            else:
-                next_cluster = pipe.clusterer.label_of(signal[i + 1])
-                p = fc.steps[0].get(next_cluster, 0.0)
-            total += math.log(max(p, floor))
-            scored += 1
-    return total / scored
+    return _scores([params], signal, start, stop, floor)[0]
 
 
 @dataclass
@@ -210,16 +251,18 @@ class FitReport:
 
 def fit(grid: list[PluginParams], signal: Signal, split: int,
         floor: float = 1e-12) -> FitReport:
-    """Evaluate every parameter tuple on the held-out window [split, n).
+    """Score every parameter tuple on the held-out window [split, n).
 
-    Each evaluation streams an independent pipeline warm-started on
-    [0, split).  Ties break toward the earlier grid entry.
+    Each score is ``score`` of its entry: the model, warmed up on [0, split),
+    scores each later observation.  Entries that share ``lam`` and
+    ``grid_width`` share one classifier and automaton pass, which drives one
+    model per entry.  Ties break toward the earlier grid entry.
     """
     if not grid:
         raise EmptyInputError("parameter grid is empty")
     n = signal.last_instant
     if not (0 < split < n):
         raise RejectedInputError(f"split {split} out of range (0, {n})")
-    scores = [score(params, signal, split, n, floor) for params in grid]
+    scores = _scores(grid, signal, split, n, floor)
     best_index = max(range(len(scores)), key=lambda k: (scores[k], -k))
     return FitReport(grid=list(grid), scores=scores, best_index=best_index, split=split)

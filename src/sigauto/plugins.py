@@ -93,6 +93,8 @@ def _as_region(region):
         box = tuple((lo, hi) for lo, hi in map(_floats, region))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"region must be a sequence of (lo, hi) pairs: {region!r}") from exc
+    if not box:
+        raise ConfigError(f"region must have at least one (lo, hi) pair: {region!r}")
     for lo, hi in box:
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo > hi:
             raise ConfigError(f"region bounds must be finite with lo <= hi: {region!r}")
@@ -168,9 +170,7 @@ class PluginParams:
         return _widths_for_dim(self.grid_width, dim)
 
     def to_dict(self) -> dict:
-        data = {key: _listed(getattr(self, name)) for key, name in self.FIELDS.items()}
-        data["region"] = data["region"] or None  # an empty box is written as no region
-        return data
+        return {key: _listed(getattr(self, name)) for key, name in self.FIELDS.items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PluginParams":

@@ -320,6 +320,8 @@ class TestMalformedConfigValues:
         ("run", {"grid_width": ["1"]}),
         ("run", {"strict": "no"}),
         ("run", {"strict": 1}),
+        ("run", {"region": [], "stat_variant": "region_count"}),
+        ("run", {"region": "", "stat_variant": "region_count"}),
     ])
     def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
         path = tmp_path / "c.json"
@@ -329,6 +331,7 @@ class TestMalformedConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("configuration error")
         assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
 
 
 class TestBenchCommand:
@@ -416,7 +419,10 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # the subcommand's usage line, which lists the flags it does take
+        assert err.startswith(f"usage: sigauto {command} [-h]")
+        assert f"unrecognized arguments: {flag}" in err
         assert not out.exists() and not snap.exists()
 
     def test_readme_lists_each_subcommands_flags(self):

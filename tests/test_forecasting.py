@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from sigauto import (
     state_occupancies,
 )
 
-from conftest import E1, build_plain, random_walk
+from conftest import E1, EVERY_STAT, build_plain, random_walk
 
 
 class TestForecast:
@@ -201,6 +202,25 @@ def two_regime_signal():
     return Signal(values)
 
 
+def walk_signal():
+    return Signal(random_walk(240, seed=5))
+
+
+def replayed_score(params, signal, start, stop, floor=1e-12):
+    """The per-entry reference: an independent pipeline per entry and a full
+    one-step forecast at every scored instant."""
+    pipe = StreamPipeline(params, score_floor=floor)
+    total = 0.0
+    for i in range(stop):
+        pipe.advance(signal[i])
+        if i >= start:
+            fc = forecast(pipe.hmm, 1)
+            p = 0.0 if fc.is_dummy else fc.step(1).get(
+                pipe.clusterer.label_of(signal[i + 1]), 0.0)
+            total += math.log(max(p, floor))
+    return total / (stop - start)
+
+
 class TestFit:
     def test_discounting_wins_after_regime_change(self):
         grid = [
@@ -225,6 +245,53 @@ class TestFit:
         forward = fit(grid, signal, split=80)
         backward = fit(list(reversed(grid)), signal, split=80)
         assert forward.scores == list(reversed(backward.scores))
+
+    def test_grouped_fit_equals_each_entry_scored_alone(self):
+        signal = walk_signal()
+        n = signal.last_instant
+        # three (lambda, grid_width) groups, one differing from the first in
+        # lambda alone and one in grid_width alone, interleaved in grid order;
+        # the last entry differs from the first only in horizon
+        groups = ({"lam": 1.0, "grid_width": 1.0}, {"lam": 0.5, "grid_width": 1.0},
+                  {"lam": 1.0, "grid_width": 0.5})
+        grid = [PluginParams(**groups[k % 3], **stat) for k, stat in enumerate(EVERY_STAT)]
+        grid.append(PluginParams(**groups[0], **EVERY_STAT[0], horizon=3))
+        report = fit(grid, signal, split=n // 2)
+        assert report.scores == [score(p, signal, n // 2, n) for p in grid]
+        assert report.scores == [replayed_score(p, signal, n // 2, n) for p in grid]
+        assert len(set(report.scores)) == len(EVERY_STAT)
+        assert report.scores[-1] == report.scores[0]
+
+    def test_ties_break_toward_the_earlier_entry(self):
+        signal = walk_signal()
+        first = PluginParams(stat_variant="discounted_sum", delta=0.5)
+        other = PluginParams(lam=0.5, grid_width=0.5)
+        for grid in ([first, replace(first, horizon=2)], [replace(first, horizon=2), first]):
+            assert fit(grid, signal, split=100).best_index == 0
+        report = fit([first, other, replace(first, horizon=2)], signal, split=100)
+        assert report.scores[0] == report.scores[2]
+        assert report.best_index == (0 if report.scores[0] >= report.scores[1] else 1)
+
+    ONE_GROUP = [PluginParams(stat_variant="count")] + [
+        PluginParams(stat_variant="discounted_sum", delta=d) for d in (0.5, 0.9, 0.99)]
+    TWO_GROUPS = [PluginParams(), PluginParams(lam=0.5),
+                  PluginParams(stat_variant="discounted_sum", delta=0.5),
+                  PluginParams(lam=0.5, stat_variant="region_count", region=[[-1, 2]])]
+
+    @pytest.mark.parametrize("grid, passes", [(ONE_GROUP, 1), (TWO_GROUPS, 2)])
+    def test_one_classifier_pass_per_group(self, monkeypatch, grid, passes):
+        steps = []
+        real = EmaGridClassifier.step
+
+        def counted(classifier, obs, future=()):
+            steps.append(obs)
+            return real(classifier, obs, future)
+
+        monkeypatch.setattr(EmaGridClassifier, "step", counted)
+        signal = walk_signal()
+        fit(grid, signal, split=100)
+        # a pass consumes instants 0..n-1; observation n is only scored
+        assert len(steps) == passes * signal.last_instant
 
     def test_empty_grid(self):
         with pytest.raises(EmptyInputError):
