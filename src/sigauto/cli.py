@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -79,8 +80,8 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     if not isinstance(strict, bool):
         raise ConfigError(f"strict must be true or false, got {strict!r}")
     floor = merged.get("score_floor", 1e-12)
-    if not (is_number(floor) and floor > 0):
-        raise ConfigError(f"score_floor must be positive, got {floor!r}")
+    if not (is_number(floor) and 0 < floor < math.inf):
+        raise ConfigError(f"score_floor must be positive and finite, got {floor!r}")
     split = merged.get("split")
     if split is not None and not is_number(split, int):
         raise ConfigError(f"split must be an integer, got {split!r}")

@@ -300,9 +300,9 @@ def next_hmm(hmm: Hmm, isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
     cell, that row's cached sum, the current state's emission accumulators for
     the arriving observation's cluster, and the initial indicator.
     """
-    if sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
+    if sigma is not hmm.sigma and sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
         raise ConfigError("sigma statistic differs from the one the model was built with")
-    if rho.params_fingerprint() != hmm.rho.params_fingerprint():
+    if rho is not hmm.rho and rho.params_fingerprint() != hmm.rho.params_fingerprint():
         raise ConfigError("rho statistic differs from the one the model was built with")
     i = _check_step_preconditions(hmm, isa, signal)
     if clusterer is not hmm.clusterer:
@@ -334,7 +334,7 @@ def next_hmm_continuous(hmm: HmmContinuous, isa: Isa, signal: Signal,
                         sigma: StatFn, kernel: Kernel | None = None) -> HmmContinuous:
     """Constant-time continuous update: one transition cell plus one appended
     mixture center."""
-    if sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
+    if sigma is not hmm.sigma and sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
         raise ConfigError("sigma statistic differs from the one the model was built with")
     i = _check_step_preconditions(hmm, isa, signal)
     obs = signal[i]

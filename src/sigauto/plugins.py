@@ -62,17 +62,22 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(map(float, values))
 
 
+def _positive(x: float) -> bool:
+    """``0 < x < inf``; false for NaN."""
+    return 0.0 < x < math.inf
+
+
 def _as_widths(grid_width) -> float | tuple[float, ...]:
     if is_number(grid_width):
-        if grid_width <= 0:
-            raise ConfigError(f"grid_width must be positive, got {grid_width}")
+        if not _positive(grid_width):
+            raise ConfigError(f"grid_width must be positive and finite, got {grid_width}")
         return float(grid_width)
     try:
         widths = _floats(grid_width)
     except TypeError as exc:
         raise ConfigError(f"grid_width must be a number or a list: {grid_width!r}") from exc
-    if not widths or any(w <= 0 for w in widths):
-        raise ConfigError(f"grid_width entries must be positive, got {grid_width}")
+    if not widths or not all(map(_positive, widths)):
+        raise ConfigError(f"grid_width entries must be positive and finite, got {grid_width}")
     return widths
 
 
@@ -105,8 +110,8 @@ def _as_bandwidth(bandwidth):
     if bandwidth == "scott":
         return "scott"
     if is_number(bandwidth):
-        if bandwidth <= 0:
-            raise ConfigError("scalar bandwidth must be positive")
+        if not _positive(bandwidth):
+            raise ConfigError(f"scalar bandwidth must be positive and finite, got {bandwidth}")
         return ((float(bandwidth),),)
     try:
         matrix = tuple(map(_floats, bandwidth))
@@ -114,6 +119,8 @@ def _as_bandwidth(bandwidth):
         raise ConfigError(f"bandwidth must be 'scott', a scalar or a matrix: {bandwidth!r}") from exc
     if len({len(row) for row in matrix}) > 1:
         raise ConfigError(f"bandwidth matrix rows differ in length: {bandwidth!r}")
+    if not all(math.isfinite(x) for row in matrix for x in row):
+        raise ConfigError(f"bandwidth matrix entries must be finite: {bandwidth!r}")
     return matrix
 
 
@@ -456,25 +463,37 @@ class Clusterer:
     (the discrete event alphabet) grows monotonically; ``label_of`` is the
     pure lookup.  Cells are half-open per coordinate and the reserved
     DUMMY_EVENT id is never produced.
+
+    The last validated row is remembered with its label and cell: a call on
+    that very tuple (an ``is`` test, so a validated float tuple, which
+    ``as_observation`` passes through unchanged) reuses them.  The models
+    of a ``fit`` group read the same stored row, so one instant costs one
+    lookup however many of them cluster it.
     """
 
     def __init__(self, grid_width):
         self._raw_width = _as_widths(grid_width)
         self._widths: tuple[float, ...] | None = None
         self.observed: dict[str, tuple[int, ...]] = {}
+        self._last_row = object()  # no caller holds it, so the first call misses
+        self._last: tuple[str, tuple[int, ...]] | None = None
 
-    def _cell(self, obs) -> tuple[int, ...]:
+    def _lookup(self, obs) -> tuple[str, tuple[int, ...]]:
+        """Label and cell index of ``obs``."""
+        if obs is self._last_row:
+            return self._last
         coords = as_observation(obs, None if self._widths is None else len(self._widths))
         if self._widths is None:
             self._widths = _widths_for_dim(self._raw_width, len(coords))
-        return cell_index(coords, self._widths)
+        idx = cell_index(coords, self._widths)
+        self._last_row, self._last = coords, (cell_label(idx), idx)
+        return self._last
 
     def label_of(self, obs) -> str:
-        return cell_label(self._cell(obs))
+        return self._lookup(obs)[0]
 
     def cluster_of(self, obs) -> str:
-        idx = self._cell(obs)
-        label = cell_label(idx)
+        label, idx = self._lookup(obs)
         if label not in self.observed:
             self.observed[label] = idx
         return label
@@ -511,6 +530,8 @@ class Kernel:
                 symmetric |= np.abs(H - H.T) <= 1e-12
             if not symmetric.all():
                 raise ConfigError("bandwidth matrix must be symmetric")
+        if not np.isfinite(H).all():
+            raise ConfigError("bandwidth matrix entries must be finite")
         try:
             chol = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:

@@ -17,14 +17,26 @@ from .errors import EmptyInputError, RejectedInputError
 
 
 def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
-    """Coerce a scalar or sequence into a validated observation tuple."""
-    if isinstance(value, (int, float)):
-        coords = (float(value),)
-    else:
-        try:
-            coords = tuple(float(x) for x in value)
-        except (TypeError, ValueError) as exc:
-            raise RejectedInputError(f"observation is not numeric: {value!r}") from exc
+    """Coerce a scalar or sequence into a validated observation tuple.
+
+    A tuple whose coordinates are all of type ``float`` is checked and
+    returned as it is, not copied, so a validated row keeps its identity
+    from reader to reader; anything else (a list, ints, numpy scalars) is
+    converted into a new tuple.
+    """
+    coords = value if type(value) is tuple else None
+    for x in coords or ():
+        if type(x) is not float:
+            coords = None
+            break
+    if coords is None:
+        if isinstance(value, (int, float)):
+            coords = (float(value),)
+        else:
+            try:
+                coords = tuple(float(x) for x in value)
+            except (TypeError, ValueError) as exc:
+                raise RejectedInputError(f"observation is not numeric: {value!r}") from exc
     if not coords:
         raise RejectedInputError("observation has no coordinates")
     if dim is not None and len(coords) != dim:
@@ -54,7 +66,11 @@ class Signal:
                 self.append(obs)
 
     def append(self, obs) -> int:
-        """Append one observation, returning its instant."""
+        """Append one observation, returning its instant.
+
+        A tuple of floats is stored as the caller's object (``as_observation``
+        returns it unchanged); any other input is stored as a converted copy.
+        """
         coords = as_observation(obs, self._dim)
         if self._dim is None:
             self._dim = len(coords)

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
@@ -322,6 +323,13 @@ class TestMalformedConfigValues:
         ("run", {"strict": 1}),
         ("run", {"region": [], "stat_variant": "region_count"}),
         ("run", {"region": "", "stat_variant": "region_count"}),
+        ("run", {"grid_width": math.nan}),
+        ("run", {"grid_width": [math.nan]}),
+        ("run", {"grid_width": math.inf}),
+        ("fit", {"grid": [{"grid_width": math.nan}]}),
+        ("run", {"bandwidth": math.inf}),
+        ("run", {"bandwidth": [[math.inf]]}),
+        ("fit", {"score_floor": math.inf, "grid": [{"delta": 0.5}]}),
     ])
     def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
         path = tmp_path / "c.json"

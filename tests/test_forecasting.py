@@ -27,6 +27,8 @@ from sigauto import (
     state_occupancies,
 )
 
+from sigauto import plugins
+
 from conftest import E1, EVERY_STAT, build_plain, random_walk
 
 
@@ -292,6 +294,25 @@ class TestFit:
         fit(grid, signal, split=100)
         # a pass consumes instants 0..n-1; observation n is only scored
         assert len(steps) == passes * signal.last_instant
+
+    def test_cell_lookups_do_not_grow_with_the_group(self, monkeypatch):
+        """Every model of a group clusters the same stored row, so each
+        instant's row is indexed once however many entries the group has."""
+        calls = []
+        real = plugins.cell_index
+
+        def counted(coords, widths):
+            calls.append(coords)
+            return real(coords, widths)
+
+        monkeypatch.setattr(plugins, "cell_index", counted)
+        signal = walk_signal()
+        counts = []
+        for k in (1, 2, 4):
+            calls.clear()
+            fit(self.ONE_GROUP[:k], signal, split=100)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] == counts[2]
 
     def test_empty_grid(self):
         with pytest.raises(EmptyInputError):

@@ -173,6 +173,49 @@ class TestNextHmm:
         with pytest.raises(ConfigError):
             next_hmm(hmm, isa, sig, sigma_fn(other), rho_fn(other), Clusterer(1.0))
 
+    def one_step_behind(self, params, emission="discrete", kernel=None):
+        """A model one observation behind its automaton, with the statistics
+        it was built with."""
+        sig, isa, hmm = fold_pipeline(E1, params, emission, kernel)
+        sig.append(9.0)
+        classifier = EmaGridClassifier(params)
+        for obs in sig[:-1]:
+            classifier.step(obs)
+        next_isa(isa, sig, classifier)
+        return sig, isa, hmm
+
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_equal_statistics_of_another_object_are_accepted(self, emission):
+        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        kernel = Kernel([[1.0]])
+        sig, isa, hmm = self.one_step_behind(params, emission, kernel)
+        _, _, want = fold_pipeline(E1 + (9.0,), params, emission, kernel)
+        sigma, rho = sigma_fn(params), rho_fn(params)
+        assert sigma is not hmm.sigma
+        if emission == "discrete":
+            assert rho is not hmm.rho
+            next_hmm(hmm, isa, sig, sigma, rho, hmm.clusterer)
+            assert hmm.emission_matrix() == want.emission_matrix()
+        else:
+            next_hmm_continuous(hmm, isa, sig, sigma, kernel)
+            assert hmm.mixtures == want.mixtures
+        assert hmm.transition_matrix() == want.transition_matrix()
+
+    @pytest.mark.parametrize("which", ["sigma", "rho"])
+    def test_different_statistic_is_refused(self, which):
+        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        sig, isa, hmm = self.one_step_behind(params)
+        stats = {"sigma": hmm.sigma, "rho": hmm.rho}
+        stats[which] = StatFn("discounted_sum", 0.9)
+        with pytest.raises(ConfigError, match=f"{which} statistic differs"):
+            next_hmm(hmm, isa, sig, stats["sigma"], stats["rho"], hmm.clusterer)
+
+    def test_different_continuous_sigma_is_refused(self):
+        params = PluginParams(delta=0.5, stat_variant="discounted_sum")
+        sig, isa, hmm = self.one_step_behind(params, "continuous")
+        with pytest.raises(ConfigError, match="sigma statistic differs"):
+            next_hmm_continuous(hmm, isa, sig, StatFn("discounted_sum", 0.9))
+
 
 def assert_models_equal(incremental, scratch, exact):
     tol = 0.0 if exact else 1e-9
@@ -307,6 +350,28 @@ class TestRowCache:
         _, _, hmm = fold_pipeline(E1, count_params)
         assert hmm.transition_row("1") is hmm.transition_row("1")
         assert hmm.emission_row("5") is hmm.emission_row("5")
+
+    def test_complement_rows_depend_on_the_read_instant(self):
+        """A discounted_complement row normalises to
+        (k_c - s_c d^(a+t)) / (K - S d^t), t the instants since the row was
+        last written, so it changes while nothing writes it and must stay
+        out of the row cache."""
+        params = PluginParams(delta=0.5, stat_variant="discounted_complement")
+        values = (1.0, 1.0, 5.0, 1.0, 1.0, 9.0)
+        _, _, hmm = fold_pipeline(values, params)
+        # two more instants in state 9 write row 9, never row 1
+        _, _, later = fold_pipeline(values + (9.0, 9.0), params)
+        assert hmm.sigma.read_ignores_now is False
+        before, after = hmm.transition_row("1"), later.transition_row("1")
+        assert list(before) == list(after) == ["1", "5", "9"]
+        # instants 1 and 4 go 1 -> 1, 2 goes 1 -> 5, 5 goes 1 -> 9
+
+        def weight(instants, now):
+            return len(instants) - sum(0.5 ** (now - i) for i in instants)
+
+        for row, now in ((before, 5), (after, 7)):
+            assert row["1"] == pytest.approx(weight((1, 4), now) / weight((1, 2, 4, 5), now))
+        assert after["1"] != pytest.approx(before["1"])
 
     def test_discounted_rows_are_not_cached(self):
         params = PluginParams(delta=0.5, stat_variant="discounted_sum")

@@ -50,6 +50,12 @@ class TestParams:
         {"bandwidth": [[True]]},
         {"bandwidth": [["1"]]},
         {"grid_width": ["1", "2"]},
+        {"grid_width": math.nan},
+        {"grid_width": math.inf},
+        {"grid_width": [1.0, math.nan]},
+        {"bandwidth": math.inf},
+        {"bandwidth": math.nan},
+        {"bandwidth": [[math.inf]]},
     ])
     def test_out_of_range_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -276,6 +282,35 @@ class TestClusterer:
         assert list(clusterer.observed) == ["1"]
 
 
+@settings(max_examples=80, deadline=None)
+@given(calls=st.lists(
+    st.tuples(st.sampled_from(["label_of", "cluster_of"]),
+              st.sampled_from(["same", "twin", "new", "list"]),
+              st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3)),
+    min_size=1, max_size=30))
+def test_last_row_memo_is_coherent(calls):
+    """Mixed ``label_of``/``cluster_of`` calls on the same tuple again, on
+    an equal but distinct tuple, on a new tuple and on one list changed in
+    place between calls give the labels and the observed alphabet of a
+    fresh clusterer that never sees the same object twice."""
+    memo, fresh = Clusterer(0.5), Clusterer(0.5)
+    shared = [0.0, 0.0]
+    obs = (0.0, 0.0)
+    for method, form, x, y in calls:
+        if form == "twin":
+            obs = tuple(list(obs))
+        elif form == "new":
+            obs = (x, y)
+        elif form == "list":
+            shared[:] = [x, y]
+            obs = shared
+        # "same" passes the previous object again
+        got = getattr(memo, method)(obs)
+        assert got == getattr(fresh, method)(list(obs))
+        assert memo.observed == fresh.observed
+        assert list(memo.observed) == list(fresh.observed)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     a=st.floats(min_value=-100, max_value=100, allow_nan=False),
@@ -333,6 +368,12 @@ class TestKernel:
             Kernel([[-1.0]])
         with pytest.raises(ConfigError):
             Kernel([[1.0, 2.0], [2.0, 1.0]])
+
+    def test_non_finite_refused(self):
+        with pytest.raises(ConfigError, match="finite"):
+            Kernel([[math.inf]])
+        with pytest.raises(ConfigError, match="finite"):
+            Kernel([[math.inf, 0.0], [0.0, 1.0]])
 
     def test_not_symmetric(self):
         with pytest.raises(ConfigError):

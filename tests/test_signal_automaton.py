@@ -1,3 +1,6 @@
+from typing import NamedTuple
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +13,7 @@ from sigauto import (
     RejectedInputError,
     Signal,
     StalenessError,
+    as_observation,
     automaton_stats,
     build_isa,
     init_isa,
@@ -18,6 +22,11 @@ from sigauto import (
 )
 
 from conftest import E1, random_walk
+
+
+class Pair(NamedTuple):
+    x: float
+    y: float
 
 
 class TestSignal:
@@ -48,6 +57,52 @@ class TestSignal:
     def test_empty_dim_raises(self):
         with pytest.raises(EmptyInputError):
             Signal().dim
+
+    def test_float_tuple_is_stored_as_given(self):
+        row = (1.5, -2.0)
+        sig = Signal([(0.0, 0.0)])
+        sig.append(row)
+        assert sig[1] is row
+        assert as_observation(row, 2) is row
+
+    @pytest.mark.parametrize("value", [
+        [1.0, 2.0],
+        (1, 2.0),
+        (np.float64(1.0), 2.0),
+        np.array([1.0, 2.0]),
+        Pair(1.0, 2.0),
+    ], ids=["list", "int", "numpy scalar", "numpy array", "tuple subclass"])
+    def test_other_inputs_are_copied_to_float_tuples(self, value):
+        sig = Signal()
+        sig.append(value)
+        row = sig[0]
+        assert row == (1.0, 2.0)
+        assert row is not value
+        assert type(row) is tuple and all(type(x) is float for x in row)
+
+    def test_a_list_changed_after_append_leaves_the_row(self):
+        value = [1.0, 2.0]
+        sig = Signal([value])
+        value[0] = 7.0
+        assert sig[0] == (1.0, 2.0)
+
+    @pytest.mark.parametrize("value, message", [
+        ((), "observation has no coordinates"),
+        ([], "observation has no coordinates"),
+        ((1.0, "a"), "observation is not numeric: (1.0, 'a')"),
+        (None, "observation is not numeric: None"),
+        ((float("nan"), 1.0), "observation contains a non-finite value: (nan, 1.0)"),
+        ([1.0, float("inf")], "observation contains a non-finite value: (1.0, inf)"),
+        ((1.0, float("-inf")), "observation contains a non-finite value: (1.0, -inf)"),
+        ((1.0,), "observation has 1 coordinates, expected 2"),
+        ((1.0, 2.0, 3.0), "observation has 3 coordinates, expected 2"),
+    ])
+    def test_rejections_keep_their_messages(self, value, message):
+        sig = Signal([(0.0, 0.0)])
+        with pytest.raises(RejectedInputError) as caught:
+            sig.append(value)
+        assert str(caught.value) == message
+        assert len(sig) == 1
 
 
 def e1_isa(upto=len(E1)):
