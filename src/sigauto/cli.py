@@ -164,12 +164,22 @@ def _observations(handle, dim: int | None = None, rejected=None):
 @contextmanager
 def _opened(path: str | None, mode: str):
     """The file at ``path``, or stdin/stdout (by ``mode``) for None or '-';
-    the standard streams are left open."""
+    the standard streams are left open.  A configuration error raised while
+    a regular file is open for writing removes that file, so a configuration
+    that fails only against the input (a ``grid_width`` or ``region`` of
+    another dimension, found at the first rows) leaves no output behind; a
+    device or pipe is left alone."""
     if path in (None, "-"):
         yield sys.stdin if mode == "r" else sys.stdout
-    else:
-        with open(path, mode, encoding="utf-8") as handle:
+        return
+    with open(path, mode, encoding="utf-8") as handle:
+        try:
             yield handle
+        except ConfigError:
+            if mode == "w" and os.path.isfile(path):
+                handle.close()
+                os.remove(path)
+            raise
 
 
 def _write_record(out, record: dict) -> None:

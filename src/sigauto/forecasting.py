@@ -19,7 +19,15 @@ import numpy as np
 
 from .automaton import init_isa, next_isa
 from .errors import ConfigError, EmptyInputError, RejectedInputError
-from .hmm import DUMMY_STATE, Hmm, HmmContinuous, _TransitionCore, isa_to_hmm, next_hmm
+from .hmm import (
+    DUMMY_STATE,
+    Hmm,
+    HmmContinuous,
+    _TransitionCore,
+    isa_to_hmm,
+    next_event_probability,
+    next_hmm,
+)
 from .plugins import (
     DUMMY_EVENT,
     Clusterer,
@@ -171,21 +179,6 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
 # Scoring and fitting
 
 
-def _next_event_probability(hmm: Hmm, cluster: str) -> float:
-    """``forecast(hmm, 1).steps[0].get(cluster, 0.0)``, 0 for a dummy
-    forecast, without building the forecast: the same products are added in
-    the same order, so the value is bit-identical."""
-    if hmm.current_is_new:
-        return 0.0
-    p = 0.0
-    for q, w in hmm.transition_row(hmm.current).items():
-        if w != 0.0:
-            e = hmm.emission_row(q).get(cluster)
-            if e is not None:
-                p += w * e
-    return p
-
-
 def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
             floor: float) -> list[float]:
     """``score`` of every entry of ``grid``.  The automaton depends only on
@@ -219,7 +212,7 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
             if i >= start:
                 cluster = clusterer.label_of(signal[i + 1])
                 for k, hmm in models.items():
-                    totals[k] += math.log(max(_next_event_probability(hmm, cluster), floor))
+                    totals[k] += math.log(max(next_event_probability(hmm, cluster), floor))
     return [total / (stop - start) for total in totals]
 
 

@@ -15,6 +15,8 @@ A row is normalized when it is first read and the normalized dict is kept
 until one of the row's accumulators is written: ``_TransitionCore._acc``, the
 one write hook, drops it.  Rows of statistics whose reads depend on the
 present instant (the discounted ones) are normalized on every read instead.
+``next_event_probability``, the one-step score ``fit`` needs, builds no row:
+it divides the few cells it needs by their row sums.
 ``next_hmm`` mutates in place and returns its argument, mirroring
 ``next_isa``.
 """
@@ -61,6 +63,32 @@ def _normalized_row(cells, total, stat: StatFn, now: int, sink: str) -> dict[str
     if denom <= 0.0:
         return {sink: 1.0}
     return {c: stat.read(acc, now) / denom for c, acc in cells.items()}
+
+
+def next_event_probability(hmm: Hmm, cluster: str) -> float:
+    """``forecast(hmm, 1).steps[0].get(cluster, 0.0)`` for a cluster id
+    (never ``DUMMY_EVENT``), 0 for a dummy forecast, without building a row.
+
+    It sums T(current, q)·E(q, cluster) over the current row's states q
+    with the quotients ``_normalized_row`` would store, in the forecast's
+    order, so the value is bit-identical, and reads an emission row only
+    when ``cluster`` is one of its cells."""
+    if hmm.current_is_new:
+        return 0.0
+    n, sigma, rho = hmm.n, hmm.sigma, hmm.rho
+    cells = hmm._tcells.get(hmm.current)
+    denom = sigma.read(hmm._trow.get(hmm.current), n) if cells else 0.0
+    if denom <= 0.0:  # the sink row: all mass on DUMMY_STATE, which emits DUMMY_EVENT
+        return 0.0
+    p = 0.0
+    for q, acc in cells.items():
+        w = sigma.read(acc, n) / denom
+        emitted = hmm._ecells.get(q)
+        if w != 0.0 and emitted and cluster in emitted:
+            e_denom = rho.read(hmm._edenom.get(q), n)
+            if e_denom > 0.0:  # else q's row is the sink row {DUMMY_EVENT: 1}
+                p += w * (rho.read(emitted[cluster], n) / e_denom)
+    return p
 
 
 class _TransitionCore:
@@ -125,13 +153,12 @@ class _TransitionCore:
     def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
         if state not in self.state_order:
             self.state_order[state] = None
-        acc = self._acc(self._tcells, self._tnorm, prev_state, state, self.sigma, instant)
-        before = self.sigma.read(acc, instant)
-        self.sigma.step(acc, obs, instant)
-        after = self.sigma.read(acc, instant)
-        row = self._acc(self._trow, self._tnorm, prev_state, None, self.sigma, instant)
-        self.sigma.advance(row, instant)
-        row.value += after - before
+        sigma = self.sigma
+        gain = sigma.step_gain(self._acc(self._tcells, self._tnorm, prev_state, state,
+                                         sigma, instant), obs, instant)
+        row = self._acc(self._trow, self._tnorm, prev_state, None, sigma, instant)
+        sigma.advance(row, instant)
+        row.value += gain
         row.raw_count += 1
 
 
@@ -179,8 +206,8 @@ class Hmm(_TransitionCore):
 
     def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
         norm, rho = self._enorm, self.rho
-        rho.step(self._acc(self._ecells, norm, state, cluster, rho, instant), obs, instant)
-        rho.step(self._acc(self._edenom, norm, state, None, rho, instant), obs, instant)
+        rho.step_gain(self._acc(self._ecells, norm, state, cluster, rho, instant), obs, instant)
+        rho.step_gain(self._acc(self._edenom, norm, state, None, rho, instant), obs, instant)
 
 
 class HmmContinuous(_TransitionCore):
@@ -298,7 +325,8 @@ def next_hmm(hmm: Hmm, isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
 
     Touches only the accumulator of the (previous current, current) transition
     cell, that row's cached sum, the current state's emission accumulators for
-    the arriving observation's cluster, and the initial indicator.
+    the arriving observation's cluster, and the initial indicator; each
+    accumulator is written with one statistic call.
     """
     if sigma is not hmm.sigma and sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
         raise ConfigError("sigma statistic differs from the one the model was built with")

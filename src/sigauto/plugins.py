@@ -339,7 +339,7 @@ class StatFn:
         if self.region is None:
             return True
         if len(coords) != len(self.region):
-            raise RejectedInputError(
+            raise ConfigError(
                 f"region has {len(self.region)} axes for {len(coords)}-d observations"
             )
         return all(lo <= x <= hi for x, (lo, hi) in zip(coords, self.region))
@@ -378,6 +378,8 @@ class StatFn:
         return StatAccumulator(value=0.0, last_now=now, raw_count=0)
 
     def read(self, acc: StatAccumulator, now: int) -> float:
+        """The accumulator's value at ``now``.  Each variant's formula is
+        written here only; ``advance`` and ``step`` read through it."""
         if now < acc.last_now:
             raise TemporalOrderError(
                 f"read at {now} precedes accumulator time {acc.last_now}"
@@ -404,26 +406,32 @@ class StatFn:
         The added instant is the current time, so discounted variants
         contribute delta**0 = 1 for it.
         """
+        self.step_gain(acc, obs, instant)
+        return acc
+
+    def step_gain(self, acc: StatAccumulator, obs, instant: int) -> float:
+        """``step``, returning how much it raised the accumulator's read at
+        ``instant``: what a transition cell's step adds to its row sum."""
         if instant < acc.last_now:
             raise TemporalOrderError(
                 f"instant {instant} precedes accumulator time {acc.last_now}"
             )
-        self.advance(acc, instant)
+        before = self.read(acc, instant)
         v = self.variant
+        if v == "discounted_complement":
+            acc.value = before  # value = k - sum; both gain 1
+        elif v in ("count", "discounted_sum"):
+            acc.value = before + 1.0
+        elif not self._in_region(as_observation(obs)):
+            acc.value = before
+        else:
+            acc.value = before + 1.0 if v == "region_count" else float(instant)
+        acc.last_now = instant
         acc.raw_count += 1
-        if v == "count":
-            acc.value = float(acc.raw_count)
-        elif v == "discounted_sum":
-            acc.value += 1.0
-        elif v == "discounted_complement":
-            pass  # value = k - sum; both gained 1
-        elif v == "region_count":
-            if self._in_region(as_observation(obs)):
-                acc.value += 1.0
-        else:  # latest_occurrence
-            if self._in_region(as_observation(obs)):
-                acc.value = float(instant)
-        return acc
+        # At its own instant an accumulator reads as its stored value, bit
+        # for bit, except the complement's: k - (k - value) may round.
+        after = self.read(acc, instant) if v == "discounted_complement" else acc.value
+        return after - before
 
     def tick(self, acc: StatAccumulator) -> StatAccumulator:
         """Advance the accumulator's clock by one instant."""

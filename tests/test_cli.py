@@ -341,6 +341,39 @@ class TestMalformedConfigValues:
         assert "Traceback" not in err
         assert not (tmp_path / "out.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["run", "fit", "lookahead"])
+    @pytest.mark.parametrize("config, message", [
+        ({"grid_width": [1, 2]}, "grid_width has 2 entries for 1-d observations"),
+        ({"region": [[0, 1], [0, 1]], "stat_variant": "region_count"},
+         "region has 2 axes for 1-d observations"),
+        # read first by the transition step at instant 1, after `run` wrote
+        # the record of instant 0
+        ({"region": [[0, 1], [0, 1]], "stat_variant": "latest_occurrence"},
+         "region has 2 axes for 1-d observations"),
+    ])
+    def test_config_of_another_dimension_exits_2_without_output(
+            self, tmp_path, capsys, command, config, message):
+        """Found wrong only at the first rows, after `run` has opened its
+        output and written the record of its malformed first row."""
+        src = tmp_path / "in.csv"
+        malformed = "n/a\n" if command == "run" else ""  # `fit` and `lookahead` read strictly
+        src.write_text("x\n" + malformed + "\n".join(str(v) for v in E1) + "\n")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({**config, "grid": [{"delta": 0.0}]}))
+        out = tmp_path / "out.jsonl"
+        assert main([command, "--input", str(src), "--config", str(path),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
+    def test_region_of_another_dimension_is_unread_by_count(self, tmp_path, e1_csv):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"region": [[0, 1], [0, 1]], "stat_variant": "count"}))
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(e1_csv), "--config", str(path),
+                     "--output", str(out)]) == 0
+        assert len(read_records(out)) == len(E1)
+
 
 class TestBenchCommand:
     def test_tiny_bench_runs(self, tmp_path):

@@ -37,6 +37,7 @@ from sigauto import (
     state_occupancies,
     transition_row,
 )
+from sigauto.hmm import next_event_probability
 
 from conftest import EVERY_STAT, E1, assert_row_cache_coherent, build_plain, random_walk
 
@@ -390,6 +391,66 @@ class TestRowCache:
             row["intruder"] = 1.0
         assert forecast(hmm, 3) == before
         assert_row_cache_coherent(hmm)
+
+
+def assert_probabilities_equal_the_forecast(hmm):
+    """``next_event_probability`` of each observed cluster, and of a label
+    never observed, is bit for bit the probability the one-step forecast
+    gives it (0 when the forecast is the dummy one).  Returns that
+    forecast."""
+    fc = forecast(hmm, 1)
+    for cluster in [*hmm.clusterer.observed, "never-observed"]:
+        want = 0.0 if fc.is_dummy else fc.steps[0].get(cluster, 0.0)
+        assert next_event_probability(hmm, cluster).hex() == want.hex(), cluster
+    return fc
+
+
+class TestNextEventProbability:
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+    @settings(max_examples=25, deadline=None)
+    @given(
+        lam=st.sampled_from([1.0, 0.5]),
+        width=st.sampled_from([1.0, 0.5]),
+        steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+                       min_size=2, max_size=60),
+    )
+    def test_equals_the_forecast_after_every_step(self, stat, lam, width, steps):
+        pipe = StreamPipeline(PluginParams(lam=lam, grid_width=width, **stat))
+        for value in accumulate(steps):
+            pipe.advance(value)
+            assert_probabilities_equal_the_forecast(pipe.hmm)
+
+    def test_new_current_state(self, count_params):
+        _, _, hmm = fold_pipeline((1.0, 1.0, 5.0), count_params)
+        assert hmm.current_is_new
+        assert assert_probabilities_equal_the_forecast(hmm).is_dummy
+
+    def test_discounted_row_that_underflows(self):
+        """Away from state 1 for 8 000 instants, delta**gap reads its row as
+        zero, and the forecast sends all mass to the dummy event."""
+        pipe = StreamPipeline(PluginParams(delta=0.9, stat_variant="discounted_sum"))
+        for value in [1.0] * 3 + [5.0] * 8_000 + [1.0]:
+            pipe.advance(value)
+        fc = assert_probabilities_equal_the_forecast(pipe.hmm)
+        assert not fc.is_dummy and fc.steps[0] == {DUMMY_EVENT: 1.0}
+
+    def test_region_count_row_whose_weights_sum_to_zero(self):
+        params = PluginParams(stat_variant="region_count", region=[[100.0, 200.0]])
+        _, _, hmm = fold_pipeline(E1, params)
+        assert hmm._tcells[hmm.current] and not hmm.current_is_new
+        fc = assert_probabilities_equal_the_forecast(hmm)
+        assert not fc.is_dummy and fc.steps[0] == {DUMMY_EVENT: 1.0}
+
+    def test_region_count_emission_row_whose_weights_sum_to_zero(self, e1_signal):
+        """Counted transitions into a state whose region-counted emission
+        cells all read 0: the row's clusters get no mass."""
+        region = [[100.0, 200.0]]
+        isa = build_isa(e1_signal, EmaGridClassifier(PluginParams()))
+        hmm = isa_to_hmm(isa, e1_signal, StatFn("count", region=region),
+                         StatFn("region_count", region=region), Clusterer(1.0))
+        assert hmm.transition_row(hmm.current) == {"1": 1.0}
+        fc = assert_probabilities_equal_the_forecast(hmm)
+        assert fc.steps[0] == {DUMMY_EVENT: 1.0}
 
 
 class TestTransitionRowView:

@@ -244,6 +244,64 @@ def test_accumulator_fold_equals_eval(instants, delta, variant, extra_ticks):
     assert fn.read(acc, now) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
+def step_as_before(fn, acc, obs, instant):
+    """The step that ``step_gain`` replaced, kept as the reference: read,
+    catch the value up with ``advance``, add the instant, read again."""
+    before = fn.read(acc, instant)
+    if instant < acc.last_now:
+        raise TemporalOrderError(f"instant {instant} precedes accumulator time {acc.last_now}")
+    fn.advance(acc, instant)
+    acc.raw_count += 1
+    if fn.variant == "count":
+        acc.value = float(acc.raw_count)
+    elif fn.variant == "discounted_sum":
+        acc.value += 1.0
+    elif fn.variant == "region_count" and fn._in_region(obs):
+        acc.value += 1.0
+    elif fn.variant == "latest_occurrence" and fn._in_region(obs):
+        acc.value = float(instant)
+    return fn.read(acc, instant) - before
+
+
+def bits(acc):
+    return (acc.value.hex(), acc.last_now, acc.raw_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    variant=st.sampled_from([
+        "count", "discounted_sum", "discounted_complement", "region_count",
+        "latest_occurrence",
+    ]),
+    delta=st.sampled_from([0.0, 0.5, 0.9]) | st.floats(min_value=0.0, max_value=0.999),
+    start=st.integers(min_value=0, max_value=5),
+    steps=st.lists(st.tuples(st.sampled_from([0, 0, 1, 2, 7, 400, 8_000]),
+                             st.floats(min_value=-3.0, max_value=3.0)),
+                   min_size=1, max_size=25),
+)
+def test_one_call_step_matches_the_old_sequence(variant, delta, start, steps):
+    """``step_gain`` leaves the accumulator and returns the gain, bit for
+    bit, that read / advance-and-add / read did, over gaps of 0 (a cell
+    stepped twice at one instant), underflowing gaps and delta 0; ``step``
+    leaves the same accumulator; a step back in time raises the same
+    ``TemporalOrderError`` and changes nothing."""
+    fn = StatFn(variant, delta=delta, region=[[-1.0, 2.0]])
+    acc, ref, stepped = fn.new_acc(now=start), fn.new_acc(now=start), fn.new_acc(now=start)
+    instant = start
+    for gap, x in steps:
+        instant += gap
+        obs = (x,)
+        assert fn.step_gain(acc, obs, instant).hex() == step_as_before(fn, ref, obs, instant).hex()
+        assert fn.step(stepped, obs, instant) is stepped
+        assert bits(acc) == bits(ref) == bits(stepped)
+    if instant > 0:
+        for step in (fn.step_gain, fn.step):
+            with pytest.raises(TemporalOrderError) as caught:
+                step(acc, (0.0,), instant - 1)
+            assert str(caught.value) == f"instant {instant - 1} precedes accumulator time {instant}"
+            assert bits(acc) == bits(ref)
+
+
 class TestClusterer:
     def test_unit_grid(self):
         clusterer = Clusterer(1.0)
