@@ -19,8 +19,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .automaton import build_isa
 from .forecasting import forecast
 from .hmm import isa_to_hmm
@@ -259,6 +257,8 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
     lookahead_points = _measure_lookahead(ahead, walk, tuple(build_sizes),
                                           update_samples)
     bandwidth_points = _measure_bandwidth(walk, tuple(update_sizes), update_samples)
+
+    import numpy as np
 
     xs = np.log10([p.n for p in build_points])
     ys = np.log10([p.median_ns for p in build_points])

@@ -15,8 +15,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .automaton import init_isa, next_isa
 from .errors import ConfigError, EmptyInputError, RejectedInputError
 from .hmm import (
@@ -151,6 +149,8 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
     uniformly, then adds kernel noise.  Returns None when the dummy state is
     drawn (no observation can represent the dummy event).
     """
+    import numpy as np
+
     kern = kernel or hmm_c.kernel
     if kern is None:
         raise ConfigError("no kernel configured; pass one explicitly")

@@ -13,8 +13,11 @@ Models cache one accumulator per matrix cell plus one per row, so the
 incremental update touches a constant number of accumulators per observation.
 A row is normalized when it is first read and the normalized dict is kept
 until one of the row's accumulators is written: ``_TransitionCore._acc``, the
-one write hook, drops it.  Rows of statistics whose reads depend on the
-present instant (the discounted ones) are normalized on every read instead.
+one write hook, drops it.  A row is read at the instant its row accumulator
+was last written, not at the present: a discounted sum's cells and total
+then share the factor delta**(n - that instant), which cancels instead of
+underflowing.  Only ``discounted_complement`` rows depend on the present
+instant; they are read at ``n`` and normalized on every read.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
 ``next_hmm`` mutates in place and returns its argument, mirroring
@@ -59,6 +62,8 @@ def _normalized_row(cells, total, stat: StatFn, now: int, sink: str) -> dict[str
     """
     if not cells:
         return {sink: 1.0}
+    if stat.row_ignores_now:
+        now = total.last_now
     denom = stat.read(total, now)
     if denom <= 0.0:
         return {sink: 1.0}
@@ -77,17 +82,23 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
         return 0.0
     n, sigma, rho = hmm.n, hmm.sigma, hmm.rho
     cells = hmm._tcells.get(hmm.current)
-    denom = sigma.read(hmm._trow.get(hmm.current), n) if cells else 0.0
-    if denom <= 0.0:  # the sink row: all mass on DUMMY_STATE, which emits DUMMY_EVENT
+    if not cells:  # the sink row: all mass on DUMMY_STATE, which emits DUMMY_EVENT
+        return 0.0
+    total = hmm._trow.get(hmm.current)
+    at = total.last_now if sigma.row_ignores_now else n
+    denom = sigma.read(total, at)
+    if denom <= 0.0:
         return 0.0
     p = 0.0
     for q, acc in cells.items():
-        w = sigma.read(acc, n) / denom
+        w = sigma.read(acc, at) / denom
         emitted = hmm._ecells.get(q)
         if w != 0.0 and emitted and cluster in emitted:
-            e_denom = rho.read(hmm._edenom.get(q), n)
+            e_total = hmm._edenom.get(q)
+            e_at = e_total.last_now if rho.row_ignores_now else n
+            e_denom = rho.read(e_total, e_at)
             if e_denom > 0.0:  # else q's row is the sink row {DUMMY_EVENT: 1}
-                p += w * (rho.read(emitted[cluster], n) / e_denom)
+                p += w * (rho.read(emitted[cluster], e_at) / e_denom)
     return p
 
 
@@ -124,7 +135,7 @@ class _TransitionCore:
                 raise UnknownStateError(p)
             row = _normalized_row(self._tcells.get(p), self._trow.get(p), self.sigma,
                                   self.n, DUMMY_STATE)
-            if self.sigma.read_ignores_now:
+            if self.sigma.row_ignores_now:
                 self._tnorm[p] = row
         return row
 
@@ -196,7 +207,7 @@ class Hmm(_TransitionCore):
                 raise UnknownStateError(q)
             row = _normalized_row(self._ecells.get(q), self._edenom.get(q), self.rho,
                                   self.n, DUMMY_EVENT)
-            if self.rho.read_ignores_now:
+            if self.rho.row_ignores_now:
                 self._enorm[q] = row
         return row
 
@@ -271,7 +282,10 @@ def _check_step_preconditions(model: _TransitionCore, isa: Isa, signal: Signal) 
 
 def _build_transitions(model: _TransitionCore, isa: Isa, signal: Signal,
                        sigma: StatFn) -> None:
-    """Fill the state set and transition accumulators from the instants matrix."""
+    """Fill the state set and transition accumulators from the instants matrix.
+
+    Each accumulator is evaluated at its instant set's latest instant, where
+    the incremental update leaves it, and each row sum at its row's."""
     for state in isa.states:
         if state != BOTTOM_STATE:
             model.state_order[state] = None
@@ -279,17 +293,16 @@ def _build_transitions(model: _TransitionCore, isa: Isa, signal: Signal,
         row = isa.theta.row(p)
         if not row:
             continue
-        cells: dict[str, StatAccumulator] = {}
+        cells = {q: sigma.eval_acc(signal, instants, instants[-1])
+                 for q, instants in row.items()}
+        latest = max(acc.last_now for acc in cells.values())
         total_value = 0.0
-        total_count = 0
-        for q, instants in row.items():
-            acc = sigma.eval_acc(signal, instants, isa.n)
-            cells[q] = acc
-            total_value += sigma.read(acc, isa.n)
-            total_count += acc.raw_count
+        for acc in cells.values():
+            total_value += sigma.read(acc, latest)
         model._tcells[p] = cells
         model._trow[p] = StatAccumulator(
-            value=total_value, last_now=isa.n, raw_count=total_count
+            value=total_value, last_now=latest,
+            raw_count=sum(acc.raw_count for acc in cells.values()),
         )
 
 
@@ -313,9 +326,9 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
         for j in incoming:
             groups.setdefault(clusterer.cluster_of(signal[j]), []).append(j)
         hmm._ecells[q] = {
-            c: rho.eval_acc(signal, js, isa.n) for c, js in groups.items()
+            c: rho.eval_acc(signal, js, js[-1]) for c, js in groups.items()
         }
-        hmm._edenom[q] = rho.eval_acc(signal, incoming, isa.n)
+        hmm._edenom[q] = rho.eval_acc(signal, incoming, incoming[-1])
     return hmm
 
 

@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .errors import ConfigError, EmptyInputError, RejectedInputError, TemporalOrderError
 from .signal import Signal, as_observation
 
@@ -327,9 +325,12 @@ class StatFn:
         self.variant = variant
         self.delta = float(delta)
         self.region = _as_region(region)
-        # True when ``read`` ignores ``now``: the discounted variants rescale
-        # by delta**(now - last_now), so their reads depend on the instant.
-        self.read_ignores_now = variant not in ("discounted_sum", "discounted_complement")
+        # True when a row's normalised weights do not depend on the instant
+        # it is read at: a row is then read at its sum's ``last_now``, where
+        # the discounted sum's common factor delta**(now - last_now) has
+        # cancelled, so a row left long ago does not underflow to zero.  The
+        # complement's weights change with ``now``; it is read at ``now``.
+        self.row_ignores_now = variant != "discounted_complement"
 
     @property
     def additive(self) -> bool:
@@ -526,6 +527,8 @@ class Kernel:
     """
 
     def __init__(self, bandwidth):
+        import numpy as np
+
         H = np.asarray(bandwidth, dtype=float)
         if H.ndim != 2 or H.shape[0] != H.shape[1]:
             raise ConfigError(f"bandwidth must be a square matrix, got shape {H.shape}")
@@ -554,13 +557,15 @@ class Kernel:
         """Mean of the kernel at ``x`` minus each row of the (k, d) ``centers``:
         the density of the uniform mixture centred there, in one vector
         operation."""
+        import numpy as np
+
         diff = np.asarray(x, dtype=float).reshape(1, self.d) - np.asarray(
             centers, dtype=float).reshape(-1, self.d)
         quad = np.einsum("ij,jk,ik->i", diff, self._inv, diff)
         return self._norm * float(np.mean(np.exp(-0.5 * quad)))
 
     def __call__(self, x) -> float:
-        return self.mean_at(x, np.zeros((1, self.d)))
+        return self.mean_at(x, [(0.0,) * self.d])
 
 
 def default_bandwidth(signal) -> np.ndarray:
@@ -572,6 +577,8 @@ def default_bandwidth(signal) -> np.ndarray:
     folded moments, so a call costs O(d) plus the observations appended since
     the previous call; any other iterable is wrapped in a ``Signal`` first.
     """
+    import numpy as np
+
     if not isinstance(signal, Signal):
         signal = Signal(signal)
     if len(signal) < 2:

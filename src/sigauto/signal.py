@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-import numpy as np
-
 from .errors import EmptyInputError, RejectedInputError
 
 
@@ -95,6 +93,8 @@ class Signal:
         form one chunk whose mean and M2 are merged into the stored totals
         with the pairwise update of Chan, Golub & LeVeque.
         """
+        import numpy as np
+
         n = len(self._obs)
         if n == 0:
             raise EmptyInputError("signal is empty, no moments")

@@ -37,7 +37,7 @@ from .plugins import (
 )
 from .signal import Signal
 
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 def _acc_doc(acc: StatAccumulator) -> dict:
@@ -180,7 +180,9 @@ def save_snapshot(pipe, path) -> None:
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump(pipeline_state(pipe), handle, separators=(",", ":"))
+            # One string from the C encoder: ``json.dump`` would stream the
+            # same bytes through the pure-Python one.
+            handle.write(json.dumps(pipeline_state(pipe), separators=(",", ":")))
             handle.write("\n")
             handle.flush()
             os.fsync(handle.fileno())
@@ -244,7 +246,7 @@ def model_document(hmm, params: PluginParams, isa: Isa) -> dict:
 
 def save_model_document(doc: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, sort_keys=True, separators=(",", ":"))
+        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
         handle.write("\n")
 
 

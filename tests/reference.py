@@ -1,0 +1,142 @@
+"""A reference model of one discrete stream, built from the definitions alone.
+
+It shares nothing with the program's model: no accumulators, no row caches,
+no statistic objects and no import of ``sigauto``.
+
+* The automaton is the list of classifier labels: instant i moves from the
+  label of i - 1 to the label of i (instant 0 from the pre-initial state).
+* A cell is the list of the instants of its moves.
+* Every weight is a ``decimal.Decimal`` at 50 significant digits, with
+  delta converted exactly from its float.  A decimal exponent reaches down
+  to 1e-999999, so delta**10_000 is a small number and not 0.
+
+A row's weights are its cells' statistics at the present instant n,
+divided by their sum.  For delta > 0 the discounted sum's common factor
+delta**(n - a), a the row's latest instant, cancels from that ratio.  At
+delta = 0 the ratio at n is 0/0 for a row left before n; its limit as delta
+goes to 0 is the ratio at a, and that is the row taken here.  A row with no
+cells, or whose weights sum to 0, sends all mass to the sink.
+"""
+
+from __future__ import annotations
+
+import math
+from decimal import Context, Decimal, localcontext
+
+DUMMY_STATE = "__no_state__"
+DUMMY_EVENT = "__no_event__"
+CONTEXT = Context(prec=50)
+
+
+def cell_label(coords, width: float) -> str:
+    """The grid cell [k*w, (k+1)*w) of each coordinate, as a label."""
+    index = [math.floor(x / width) for x in coords]
+    return str(index[0]) if len(index) == 1 else "(" + ",".join(map(str, index)) + ")"
+
+
+def labels(rows, lam: float, width: float) -> list[str]:
+    """The state of each instant: the cell of e_i = lam*r_i + (1-lam)*e_(i-1),
+    e_0 = r_0.  The average is taken in floats, as the classifier defines it,
+    so that a state sits in the same cell as the program's."""
+    out, ema = [], None
+    for row in rows:
+        ema = row if ema is None else tuple(lam * x + (1.0 - lam) * e for x, e in zip(row, ema))
+        out.append(cell_label(ema, width))
+    return out
+
+
+class Reference:
+    """Rows and forecast of one stream ``rows`` (tuples of floats) at its
+    last instant, for one parameter tuple."""
+
+    def __init__(self, rows, *, lam=1.0, width=1.0, variant="count", delta=0.0,
+                 region=None):
+        self.rows = list(rows)
+        self.n = len(self.rows) - 1
+        self.variant = variant
+        self.delta = Decimal(delta)
+        self.region = region
+        states = labels(self.rows, lam, width)
+        self.current = states[-1]
+        # transition cells by source state, emission cells by entered state
+        self.moves: dict[str, dict[str, list[int]]] = {}
+        self.entries: dict[str, dict[str, list[int]]] = {}
+        for i, state in enumerate(states):
+            if i:
+                self.moves.setdefault(states[i - 1], {}).setdefault(state, []).append(i)
+            cluster = cell_label(self.rows[i], width)
+            self.entries.setdefault(state, {}).setdefault(cluster, []).append(i)
+        # delta**k for every age k a weight can have, 0**0 being 1
+        with localcontext(CONTEXT):
+            self.powers = [Decimal(1)]
+            for _ in range(self.n):
+                self.powers.append(self.powers[-1] * self.delta)
+
+    def _in_region(self, i: int) -> bool:
+        return self.region is None or all(
+            lo <= x <= hi for x, (lo, hi) in zip(self.rows[i], self.region))
+
+    def _statistic(self, variant: str, instants, now: int) -> Decimal:
+        """The statistic of an instant set at instant ``now``."""
+        if variant == "count":
+            return Decimal(len(instants))
+        if variant in ("discounted_sum", "discounted_complement"):
+            discounted = sum((self.powers[now - i] for i in instants), Decimal(0))
+            return discounted if variant == "discounted_sum" else len(instants) - discounted
+        hits = [i for i in instants if self._in_region(i)]
+        if variant == "region_count":
+            return Decimal(len(hits))
+        return Decimal(max(hits)) if hits else Decimal(0)  # latest_occurrence
+
+    def _normalize(self, cells: dict | None, variant: str, sink: str) -> dict:
+        """Each cell's statistic over the sum of the row's (the module
+        docstring says at which instant)."""
+        if not cells:
+            return {sink: Decimal(1)}
+        now = self.n
+        if variant == "discounted_sum" and self.delta == 0:
+            now = max(instants[-1] for instants in cells.values())
+        with localcontext(CONTEXT):
+            weights = {c: self._statistic(variant, js, now) for c, js in cells.items()}
+            total = sum(weights.values(), Decimal(0))
+            if total == 0:
+                return {sink: Decimal(1)}
+            return {c: w / total for c, w in weights.items()}
+
+    @property
+    def state_set(self) -> set[str]:
+        return set(self.entries) | {DUMMY_STATE}
+
+    def transition_row(self, p: str) -> dict:
+        if p == DUMMY_STATE:
+            return {DUMMY_STATE: Decimal(1)}
+        return self._normalize(self.moves.get(p), self.variant, DUMMY_STATE)
+
+    def emission_row(self, q: str) -> dict:
+        """Weights of the clusters of the instants that enter ``q``; the
+        emission statistic counts where the transition one is not additive."""
+        if q == DUMMY_STATE:
+            return {DUMMY_EVENT: Decimal(1)}
+        variant = "count" if self.variant == "latest_occurrence" else self.variant
+        return self._normalize(self.entries[q], variant, DUMMY_EVENT)
+
+    def forecast(self, horizon: int) -> tuple[bool, list[dict]]:
+        """``(dummy, steps)``: the event distribution after j = 1..horizon
+        transition steps from the present state, by plain propagation; the
+        dummy forecast when the present state has never been left."""
+        if self.current not in self.moves:
+            return True, [{DUMMY_EVENT: Decimal(1)} for _ in range(horizon)]
+        occupancy, steps = {self.current: Decimal(1)}, []
+        with localcontext(CONTEXT):
+            for _ in range(horizon):
+                following: dict[str, Decimal] = {}
+                for s, w in occupancy.items():
+                    for q, t in self.transition_row(s).items():
+                        following[q] = following.get(q, Decimal(0)) + w * t
+                occupancy = following
+                events: dict[str, Decimal] = {}
+                for s, w in occupancy.items():
+                    for c, e in self.emission_row(s).items():
+                        events[c] = events.get(c, Decimal(0)) + w * e
+                steps.append(events)
+        return False, steps

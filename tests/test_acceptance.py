@@ -104,24 +104,26 @@ class OracleRun:
     stochastic_ok: bool
     dummy_absorbing_ok: bool
     dummy_forecasts: int
+    no_forecasts: int
     distinct_states: int
 
 
-def run_oracle_case(seed, dim, variant, delta, lam):
+def run_oracle_case(seed, dim, variant, delta, lam, length=2000):
     params = PluginParams(lam=lam, delta=delta, stat_variant=variant)
-    walk = random_walk(2000, dim=dim, seed=seed)
+    walk = random_walk(length, dim=dim, seed=seed)
     pipe = StreamPipeline(params, seed=seed)
-    checkpoints = set(random.Random(seed).sample(range(1, 2000), 20))
+    checkpoints = set(random.Random(seed).sample(range(1, length), 20))
 
     partition_ok = True
     stochastic_ok = True
     dummy_absorbing_ok = True
-    dummies = 0
+    dummies = no_forecasts = 0
     for k, obs in enumerate(walk):
         previous = pipe.hmm.current if pipe.hmm is not None else None
         pipe.advance(obs)
-        if forecast(pipe.hmm, 1).is_dummy:
-            dummies += 1
+        fc = forecast(pipe.hmm, 1)
+        dummies += fc.is_dummy
+        no_forecasts += DUMMY_EVENT in fc.steps[0]
         touched = {pipe.hmm.current}
         if previous is not None:
             touched.add(previous)
@@ -158,7 +160,7 @@ def run_oracle_case(seed, dim, variant, delta, lam):
     count_exact = max_diff == 0.0 if variant == "count" else True
 
     return OracleRun(
-        label=f"seed={seed} d={dim} {variant} lam={lam}",
+        label=f"seed={seed} d={dim} {variant} lam={lam} n={length}",
         variant=variant,
         sparsity_equal=sparsity_equal,
         isa_equal=pipe.isa == scratch_isa,
@@ -168,6 +170,7 @@ def run_oracle_case(seed, dim, variant, delta, lam):
         stochastic_ok=stochastic_ok,
         dummy_absorbing_ok=dummy_absorbing_ok,
         dummy_forecasts=dummies,
+        no_forecasts=no_forecasts,
         distinct_states=len(pipe.isa.new_state_instants),
     )
 
@@ -181,6 +184,9 @@ def oracle_corpus():
             for variant, delta in (("count", 0.0), ("discounted_sum", 0.9)):
                 for lam in (1.0, 0.5):
                     runs.append(run_oracle_case(seed, dim, variant, delta, lam))
+    # A long discounted stream: some rows are left for more instants than
+    # 0.9**k stays above the smallest double.
+    runs.append(run_oracle_case(3, 1, "discounted_sum", 0.9, 1.0, length=20_000))
     return runs, time.perf_counter() - t0
 
 
@@ -227,13 +233,17 @@ def test_criterion_04_stochasticity(oracle_corpus):
 
 
 def test_criterion_05_dummy_forecast_identity(oracle_corpus):
+    """Dummy forecasts equal distinct states, and so do the forecasts that
+    put mass on the dummy event at step 1: a state that has been left
+    always forecasts real events."""
     runs, _ = oracle_corpus
     t0 = time.perf_counter()
     failures = [
-        f"{run.label}: {run.dummy_forecasts} dummy forecasts vs "
-        f"{run.distinct_states} states"
+        f"{run.label}: {count} {what} vs {run.distinct_states} states"
         for run in runs
-        if run.dummy_forecasts != run.distinct_states
+        for what, count in (("dummy forecasts", run.dummy_forecasts),
+                            ("no-forecast records", run.no_forecasts))
+        if count != run.distinct_states
     ]
     report(5, "dummy forecasts = distinct states", failures, time.perf_counter() - t0)
 

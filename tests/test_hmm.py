@@ -297,7 +297,7 @@ def assert_forecast_equals_scratch(pipe, h):
     live = forecast(pipe.hmm, h)
     scratch = forecast(pipe.rebuild_from_scratch()[1], h)
     assert live.is_dummy == scratch.is_dummy
-    if pipe.sigma.read_ignores_now:
+    if not pipe.sigma.variant.startswith("discounted"):
         assert live.steps == scratch.steps
     else:
         for got, want in zip(live.steps, scratch.steps):
@@ -362,7 +362,7 @@ class TestRowCache:
         _, _, hmm = fold_pipeline(values, params)
         # two more instants in state 9 write row 9, never row 1
         _, _, later = fold_pipeline(values + (9.0, 9.0), params)
-        assert hmm.sigma.read_ignores_now is False
+        assert hmm.sigma.row_ignores_now is False
         before, after = hmm.transition_row("1"), later.transition_row("1")
         assert list(before) == list(after) == ["1", "5", "9"]
         # instants 1 and 4 go 1 -> 1, 2 goes 1 -> 5, 5 goes 1 -> 9
@@ -374,11 +374,18 @@ class TestRowCache:
             assert row["1"] == pytest.approx(weight((1, 4), now) / weight((1, 2, 4, 5), now))
         assert after["1"] != pytest.approx(before["1"])
 
-    def test_discounted_rows_are_not_cached(self):
+    def test_discounted_sum_rows_are_cached(self):
+        """A discounted_sum row is read at its last write, where the common
+        factor delta**(now - that instant) has cancelled, so it stays the
+        same until a write and is shared like a counted row."""
         params = PluginParams(delta=0.5, stat_variant="discounted_sum")
         _, _, hmm = fold_pipeline(E1, params)
-        assert hmm.transition_row("1") is not hmm.transition_row("1")
-        assert hmm.emission_row("1") is not hmm.emission_row("1")
+        assert hmm.sigma.row_ignores_now and hmm.rho.row_ignores_now
+        assert hmm.transition_row("1") is hmm.transition_row("1")
+        assert hmm.emission_row("1") is hmm.emission_row("1")
+        # instants in state 9 write rows 5 and 9, never row 1
+        _, _, later = fold_pipeline(E1 + (9.0, 9.0, 9.0), params)
+        assert later.transition_row("1") == hmm.transition_row("1")
 
     @pytest.mark.parametrize("matrix", ["transition_matrix", "emission_matrix"])
     def test_mutating_a_matrix_leaves_the_forecast_unchanged(self, count_params, matrix):
@@ -426,13 +433,22 @@ class TestNextEventProbability:
         assert assert_probabilities_equal_the_forecast(hmm).is_dummy
 
     def test_discounted_row_that_underflows(self):
-        """Away from state 1 for 8 000 instants, delta**gap reads its row as
-        zero, and the forecast sends all mass to the dummy event."""
-        pipe = StreamPipeline(PluginParams(delta=0.9, stat_variant="discounted_sum"))
-        for value in [1.0] * 3 + [5.0] * 8_000 + [1.0]:
-            pipe.advance(value)
-        fc = assert_probabilities_equal_the_forecast(pipe.hmm)
-        assert not fc.is_dummy and fc.steps[0] == {DUMMY_EVENT: 1.0}
+        """Away from state 1 for 8 000 instants, delta**gap is 0 in floating
+        point; read at its last write, state 1's row keeps its weights, and
+        the forecast is the one after a gap of 100."""
+        params = PluginParams(delta=0.9, stat_variant="discounted_sum")
+        forecasts = []
+        for gap in (100, 8_000):
+            pipe = StreamPipeline(params)
+            for value in [1.0] * 3 + [5.0] * gap + [1.0]:
+                pipe.advance(value)
+            forecasts.append(assert_probabilities_equal_the_forecast(pipe.hmm))
+            assert forecast(pipe.rebuild_from_scratch()[1], 1) == forecasts[-1]
+        # instants 1 and 2 go 1 -> 1, instant 3 goes 1 -> 5
+        share = 1.0 / (1.0 + 0.9 + 0.81)
+        assert forecasts[1] == forecasts[0]
+        assert not forecasts[1].is_dummy
+        assert forecasts[1].steps[0] == pytest.approx({"1": 1.9 * 0.9 * share, "5": share})
 
     def test_region_count_row_whose_weights_sum_to_zero(self):
         params = PluginParams(stat_variant="region_count", region=[[100.0, 200.0]])

@@ -1,0 +1,97 @@
+"""The program's rows and forecasts against the reference model.
+
+``reference.Reference`` computes every row from instant lists in 50-digit
+decimals, so it neither shares a defect with the program's accumulators nor
+underflows.  The streams wander, leave for a far-away state for up to 10⁴
+instants and come back, which is where a discounted row read at the present
+instant underflowed to a false "no forecast".
+"""
+
+from itertools import accumulate
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from sigauto import PluginParams, StreamPipeline, forecast
+
+from reference import Reference
+
+VARIANTS = ("count", "discounted_sum", "discounted_complement", "region_count",
+            "latest_occurrence")
+REGION = ((-1.0, 2.0),)
+FAR = 100.0
+
+
+def bound(n: int, h: int, variant: str, delta: float) -> float:
+    """The relative error allowed in a weight or a forecast probability of
+    an ``n``-instant stream at horizon ``h``.
+
+    A weight is a quotient of two accumulators, each built by at most n
+    floating-point steps of relative error 2⁻⁵², none of them cancelling;
+    a probability at step j is a sum of positive products of j + 1 weights.
+    Hence (h + 1)·n·2⁻⁵², with a factor 4 for the steps an accumulator write
+    takes.  The complement k - S cancels digits, and its errors, damped by
+    delta at each instant, add up to 1/(1 - delta) times as much."""
+    rel = 4 * (h + 1) * n * 2.0**-52
+    return rel / (1.0 - delta) if variant == "discounted_complement" else rel
+
+
+# A weight whose exact value lies below this may read 0 or lose digits in
+# the subnormal range; it adds at most this much to a probability.
+TINY = 2.0**-1000
+
+
+def assert_close(got: dict, want: dict, rel: float, what: str) -> None:
+    for key in got.keys() | want.keys():
+        g, w = got.get(key, 0.0), float(want.get(key, 0))
+        assert abs(g - w) <= rel * w + TINY, (what, key, g, w)
+
+
+def stream(steps, gap):
+    """A walk, ``gap`` instants at a far-away value, then the walk again."""
+    walk = [(x,) for x in accumulate(steps)]
+    return walk + [(FAR,)] * gap + walk
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    delta=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    lam=st.sampled_from([1.0, 0.5]),
+    h=st.sampled_from([1, 2, 3]),
+    steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1, max_size=25),
+    gap=st.integers(0, 10_000),
+)
+@example(variant="discounted_sum", delta=0.9, lam=1.0, h=1,
+         steps=[1.0, 0.0, 4.0, -4.0, -1.0, 1.0, 4.0, -4.0], gap=8_000)
+@example(variant="discounted_sum", delta=0.5, lam=0.5, h=3,
+         steps=[0.5, 0.5, -1.0, 0.0, 1.0], gap=10_000)
+@example(variant="discounted_sum", delta=0.0, lam=1.0, h=2,
+         steps=[0.0, 1.0, -1.0, 1.0], gap=3)
+@example(variant="discounted_complement", delta=0.99, lam=1.0, h=3,
+         steps=[0.5, -0.5, 0.5, 1.0, -1.0], gap=10_000)
+def test_rows_and_forecast_equal_the_reference(variant, delta, lam, h, steps, gap):
+    rows = stream(steps, gap)
+    params = PluginParams(lam=lam, grid_width=1.0, delta=delta, stat_variant=variant,
+                          region=REGION if variant in ("region_count", "latest_occurrence")
+                          else None)
+    pipe = StreamPipeline(params)
+    for row in rows:
+        pipe.advance(row)
+    hmm = pipe.hmm
+    ref = Reference(rows, lam=lam, width=1.0, variant=variant, delta=delta,
+                    region=params.region)
+    rel = bound(len(rows), h, variant, delta)
+
+    assert set(hmm.states) == ref.state_set
+    for state in hmm.states:
+        assert_close(hmm.transition_row(state), ref.transition_row(state), rel,
+                     ("transition", state))
+        assert_close(hmm.emission_row(state), ref.emission_row(state), rel,
+                     ("emission", state))
+    fc = forecast(hmm, h)
+    dummy, steps_ref = ref.forecast(h)
+    assert fc.is_dummy == dummy
+    for j, (got, want) in enumerate(zip(fc.steps, steps_ref), 1):
+        assert_close(got, want, rel, ("forecast step", j))
+
