@@ -44,6 +44,23 @@ class InstantsMatrix:
         cell.append(instant)
         self._sources.setdefault(q, {})[p] = None
 
+    def pop(self, p: str, q: str) -> int:
+        """Remove and return the last instant of cell (p, q): the inverse of
+        ``append``, iteration order included.  A cell, row or source set
+        that the instant created is removed with it."""
+        row = self._rows[p]
+        cell = row[q]
+        instant = cell.pop()
+        if not cell:
+            del row[q]
+            if not row:
+                del self._rows[p]
+            sources = self._sources[q]
+            del sources[p]
+            if not sources:
+                del self._sources[q]
+        return instant
+
     def cell(self, p: str, q: str) -> tuple[int, ...]:
         return tuple(self._rows.get(p, {}).get(q, ()))
 

@@ -13,10 +13,11 @@ Models cache one accumulator per matrix cell plus one per row, so the
 incremental update touches a constant number of accumulators per observation.
 A row is normalized when it is first read and the normalized dict is kept
 until one of the row's accumulators is written: ``_TransitionCore._acc``, the
-one write hook, drops it.  A row is read at the instant its row accumulator
-was last written, not at the present: a discounted sum's cells and total
-then share the factor delta**(n - that instant), which cancels instead of
-underflowing.  Only ``discounted_complement`` rows depend on the present
+one write hook of a step, drops it, and so does a lookahead frontier when it
+swaps the accumulators of ``Hmm.step_slots`` back.  A row is read at the
+instant its row accumulator was last written, not at the present: a
+discounted sum's cells and total then share the factor
+delta**(n - that instant), which cancels instead of underflowing.  Only ``discounted_complement`` rows depend on the present
 instant; they are read at ``n`` and normalized on every read.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
@@ -150,8 +151,8 @@ class _TransitionCore:
         """The accumulator ``table[row][col]`` to write, or ``table[row]``
         when ``col`` is None; created at ``instant`` if absent.  Every write
         goes through here, so this is also where the normalized row ``row``
-        is dropped from its cache ``norm``, and a model that stores
-        accumulators elsewhere overrides only this and its tables."""
+        is dropped from its cache ``norm``.  (A lookahead frontier's undo
+        writes accumulators back itself and drops the same rows.)"""
         norm.pop(row, None)
         if col is not None:
             table = table.setdefault(row, {})
@@ -219,6 +220,17 @@ class Hmm(_TransitionCore):
         norm, rho = self._enorm, self.rho
         rho.step_gain(self._acc(self._ecells, norm, state, cluster, rho, instant), obs, instant)
         rho.step_gain(self._acc(self._edenom, norm, state, None, rho, instant), obs, instant)
+
+    def step_slots(self, prev_state: str, state: str, cluster: str) -> tuple:
+        """The accumulators a ``next_hmm`` step from ``prev_state`` to
+        ``state`` that emits ``cluster`` writes, in write order: one
+        ``(table, row cache, row, column)`` each, column None for a row sum,
+        as ``_apply_transition`` and ``_apply_emission`` pass them to
+        ``_acc``."""
+        return ((self._tcells, self._tnorm, prev_state, state),
+                (self._trow, self._tnorm, prev_state, None),
+                (self._ecells, self._enorm, state, cluster),
+                (self._edenom, self._enorm, state, None))
 
 
 class HmmContinuous(_TransitionCore):

@@ -256,6 +256,8 @@ def load_model_document(path) -> dict:
             doc = json.load(handle)
     except (OSError, json.JSONDecodeError) as exc:
         raise SnapshotError(f"cannot read model document {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SnapshotError("model document root must be an object")
     version = doc.get("version")
     if version != SNAPSHOT_VERSION:
         raise SnapshotError(
@@ -280,6 +282,9 @@ def hmm_from_document(doc: dict, signal: Signal):
     theta = InstantsMatrix()
     first_seen: dict[str, int] = {}
     total = 0
+    for p, q, instants in doc["instants_matrix"]:
+        if not instants:
+            raise SnapshotError(f"model document cell ({p!r}, {q!r}) has no instants")
     for p, q, instants in sorted(doc["instants_matrix"], key=lambda c: min(c[2])):
         for i in instants:
             theta.append(p, q, int(i))

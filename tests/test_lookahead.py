@@ -1,3 +1,4 @@
+import random
 from itertools import accumulate
 
 import pytest
@@ -11,11 +12,11 @@ from sigauto import (
     LookaheadWordClassifier,
     PluginParams,
     Signal,
-    StatAccumulator,
     init_isa,
     isa_to_hmm,
     lookahead_advance,
     lookahead_build,
+    next_hmm,
     next_isa,
     rho_fn,
     sigma_fn,
@@ -56,8 +57,9 @@ class TestBuild:
             lookahead_advance(frontier, values[i])
 
     def test_base_agreement_with_plain_fold(self, word_params):
-        """Automaton entries at or before n - h match the plain pipeline run
-        with the same lookahead classifier and genuine windows."""
+        """With every live entry undone, the frontier's automaton and model
+        match the plain pipeline run to n - h with the same lookahead
+        classifier and genuine windows."""
         signal = period_two(9)
         h = word_params.horizon
         n = signal.last_instant
@@ -66,6 +68,10 @@ class TestBuild:
         isa = init_isa(signal[0], classifier, future=signal[1 : 1 + h])
         for i in range(1, n - h + 1):
             next_isa(isa, signal, classifier, future=signal[i + 1 : i + h + 1])
+        live = frontier.live()
+        assert live
+        for entry in reversed(live):
+            entry.undo()
         assert frontier.base_isa == isa
         hmm = isa_to_hmm(isa, signal, sigma_fn(word_params), rho_fn(word_params),
                          Clusterer(word_params.grid_width))
@@ -73,6 +79,8 @@ class TestBuild:
                 == hmm.transition_matrix().rows)
         assert (frontier.base_hmm.emission_matrix().rows
                 == hmm.emission_matrix().rows)
+        for entry in live:
+            entry.redo()
 
     def test_insufficient_history(self, word_params):
         with pytest.raises(InsufficientHistoryError):
@@ -163,42 +171,75 @@ class TestAdvance:
         assert len(signal) == 6
 
 
-def assert_frontier_caches_coherent(frontier):
-    """The base model and every live frontier model serve rows equal to fresh
-    normalizations of their accumulators."""
-    for model in [frontier.base_hmm] + [e.hmm for e in frontier.entries if e is not None]:
-        assert_row_cache_coherent(model)
-
-
 def forecast_key(frontier):
     """The frontier forecast, with the iteration order of every step."""
     fc = frontier.forecast()
     return fc.is_dummy, [list(dist.items()) for dist in fc.steps]
 
 
+def plain_fold(values, params, upto):
+    """The genuine automaton and model at instant ``upto``, stepped one
+    instant at a time with genuine windows."""
+    h = params.horizon
+    signal = Signal(values)
+    classifier = LookaheadWordClassifier(params)
+    isa = init_isa(signal[0], classifier, future=signal[1 : 1 + h])
+    hmm = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params),
+                     Clusterer(params.grid_width))
+    for i in range(1, upto + 1):
+        next_isa(isa, signal, classifier, future=signal[i + 1 : i + h + 1])
+        next_hmm(hmm, isa, signal, hmm.sigma, hmm.rho, hmm.clusterer)
+    return isa, hmm
+
+
+def accumulator_tables(hmm):
+    """The model's four accumulator tables, keys in iteration order, with
+    each accumulator's fields."""
+    def fields(acc):
+        return acc.value, acc.last_now, acc.raw_count
+
+    return ([(p, [(q, fields(a)) for q, a in cells.items()]) for p, cells in hmm._tcells.items()],
+            [(p, fields(a)) for p, a in hmm._trow.items()],
+            [(q, [(c, fields(a)) for c, a in cells.items()]) for q, cells in hmm._ecells.items()],
+            [(q, fields(a)) for q, a in hmm._edenom.items()])
+
+
 def advance_against_fresh_builds(values, params, seed):
     """Advance a frontier over ``values`` from its shortest history, checking
-    it against a fresh build, and every row cache against its accumulators,
-    after every advance.  Returns how many advances
-    matched the stored word, mismatched it, or found the oldest entry
-    poisoned."""
+    it against a fresh build, and its row caches against their accumulators,
+    after every advance.  After each advance, undoing every live entry must
+    leave the automaton and model equal to a plain genuine fold to n - h, in
+    key order and in every accumulator field, and redoing them must restore
+    the fingerprint.  Returns how many advances matched the stored word,
+    mismatched it, or found the oldest entry poisoned."""
     h = params.horizon
     frontier = lookahead_build(values[: h + 1], params, seed=seed)
     kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
     for i in range(h + 1, len(values)):
         first = frontier.entries[0]
-        assert_frontier_caches_coherent(frontier)  # fills every cache first
+        assert_row_cache_coherent(frontier.base_hmm)  # fills every cache first
         lookahead_advance(frontier, values[i])
-        assert_frontier_caches_coherent(frontier)
+        assert_row_cache_coherent(frontier.base_hmm)
         if first is None:
             kinds["poisoned"] += 1
-        elif first.isa.current == LookaheadWordClassifier(params).step(
+        elif first.word == LookaheadWordClassifier(params).step(
                 None, values[i - h + 1 : i + 1]):
             kinds["matched"] += 1
         else:
             kinds["mismatched"] += 1
         fresh = lookahead_build(values[: i + 1], params, seed=seed)
-        assert frontier.fingerprint() == fresh.fingerprint(), f"fingerprint at n={i}"
+        fingerprint = frontier.fingerprint()
+        assert fingerprint == fresh.fingerprint(), f"fingerprint at n={i}"
+        live = frontier.live()
+        for entry in reversed(live):
+            entry.undo()
+        isa, hmm = plain_fold(values[: i + 1], params, i - h)
+        assert accumulator_tables(frontier.base_hmm) == accumulator_tables(hmm), f"undo at n={i}"
+        assert list(frontier.base_isa.theta.cells()) == list(isa.theta.cells()), f"undo at n={i}"
+        assert_row_cache_coherent(frontier.base_hmm)
+        for entry in live:
+            entry.redo()
+        assert frontier.fingerprint() == fingerprint, f"redo at n={i}"
         assert forecast_key(frontier) == forecast_key(fresh), f"forecast at n={i}"
     return kinds
 
@@ -229,61 +270,64 @@ class TestRowCacheCoherence:
     @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
     def test_matched_and_rebuilt_advances(self, stat):
         """Both reconciliation paths keep every cache coherent: the matched
-        one (commit into the base, then rebase the deeper entries) and the
-        rebuild."""
+        one (the oldest entry dropped) and the rebuild (every live entry
+        undone first)."""
         values = random_walk(120, seed=3, step=0.6)
         kinds = advance_against_fresh_builds(
             values, PluginParams(grid_width=1.0, horizon=2, **stat), seed=5)
         assert kinds["matched"] > 0 and kinds["mismatched"] > 0, kinds
 
-    def test_rebase_keeps_cached_rows(self):
-        """Rows the deeper entries cached before a matched advance are the
-        rows they serve after the commit and the rebase."""
+    def test_matched_advance_keeps_unwritten_cached_rows(self):
+        """After a matched advance the model still serves, as the same dict
+        objects, every cached row that the new step did not write."""
         params = PluginParams(grid_width=1.0, horizon=3)
         values = period_two(20)
         frontier = lookahead_build(values[:12], params, seed=0)
+        model = frontier.base_hmm
         for value in values[12:]:
-            deeper = [e.hmm for e in frontier.entries[1:]]
-            for model in deeper:
-                assert_row_cache_coherent(model)
-            cached = [(dict(m._tnorm.own), dict(m._enorm.own)) for m in deeper]
-            assert all(t and e for t, e in cached)
+            assert_row_cache_coherent(model)  # fills every cache
+            cached = {"t": dict(model._tnorm), "e": dict(model._enorm)}
+            before = list(frontier.entries)
             lookahead_advance(frontier, value)
-            assert [e.hmm for e in frontier.entries[:-1]] == deeper  # matched
-            for model, (trows, erows) in zip(deeper, cached):
-                for row, normalized in trows.items():
-                    assert model.transition_row(row) == normalized
-                for row, normalized in erows.items():
-                    assert model.emission_row(row) == normalized
-                assert_row_cache_coherent(model)
+            assert frontier.entries[:-1] == before[1:]  # matched
+            assert frontier.base_hmm is model
+            newest = frontier.entries[-1]
+            written = {("t" if norm is model._tnorm else "e", row)
+                       for _, norm, row, *_ in newest.slots}
+            kept = [(kind, row) for kind, rows in cached.items() for row in rows
+                    if (kind, row) not in written]
+            assert kept
+            for kind, row in kept:
+                read = model.transition_row if kind == "t" else model.emission_row
+                assert read(row) is cached[kind][row]
+            assert_row_cache_coherent(model)
 
 
 class TestAdvanceCost:
     @pytest.mark.parametrize("h", [1, 2, 3])
-    def test_accumulators_created_per_advance_do_not_grow_with_n(self, h, monkeypatch):
-        """After a random walk of n values (whose states grow with n), an
-        alternation far from the walk: a matched advance and a mismatched one
-        (a value breaking the alternation) each create at most 4(h + 1)
-        accumulators, the same number at n = 1k as at n = 10k."""
-        created = []
-        init = StatAccumulator.__init__
-
-        def counting_init(self, *args, **kwargs):
-            created.append(self)
-            init(self, *args, **kwargs)
-
+    def test_accumulators_journaled_per_advance_do_not_grow_with_n(self, h):
+        """After a random walk of n values (whose states grow with n), a
+        random two-valued tail far from the walk, in which every word occurs:
+        a matched advance and a mismatched one each journal at most 4(h + 1)
+        accumulator slots in the entries they build, the same number at
+        n = 1k as at n = 10k."""
         params = PluginParams(grid_width=1.0, horizon=h)
+        rng = random.Random(1)
+        tail = [rng.choice((1000.0, 1005.0)) for _ in range(200)]
+        other = {1000.5: 1005.0, 1005.5: 1000.0}  # estimate -> the other cluster
         counts = {}
         for n in (1_000, 10_000):
-            values = random_walk(n, seed=0) + [1000.0 + 5.0 * (k % 2) for k in range(61)]
-            frontier = lookahead_build(values[:-1], params, seed=2)
-            monkeypatch.setattr(StatAccumulator, "__init__", counting_init)
+            frontier = lookahead_build(random_walk(n, seed=0) + tail, params, seed=2)
             per_advance = []
-            for value in (values[-1], values[-1]):
-                created.clear()
-                lookahead_advance(frontier, value)
-                per_advance.append(len(created))
-            monkeypatch.setattr(StatAccumulator, "__init__", init)
+            for matched in (True, False):
+                before = list(frontier.entries)
+                assert before[0] is not None
+                estimate = frontier.estimated[0][0]
+                lookahead_advance(frontier, estimate if matched else other[estimate])
+                genuine_word = frontier.classifier.step(None, frontier.signal[-h:])
+                assert (before[0].word == genuine_word) == matched
+                per_advance.append(sum(len(e.slots) for e in frontier.live()
+                                       if all(e is not b for b in before)))
             counts[n] = per_advance
         assert counts[1_000] == counts[10_000]
         assert all(0 < count <= 4 * (h + 1) for count in counts[1_000]), counts

@@ -198,3 +198,16 @@ class TestModelDocument:
         path.write_text(json.dumps(doc))
         with pytest.raises(SnapshotError):
             load_model_document(path)
+
+    def test_non_object_root_is_refused(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(SnapshotError, match="root must be an object"):
+            load_model_document(path)
+
+    def test_cell_without_instants_is_refused(self, e1_signal, count_params):
+        isa, hmm = build_plain(e1_signal, count_params)
+        doc = model_document(hmm, count_params, isa)
+        doc["instants_matrix"].append(["1", "9", []])
+        with pytest.raises(SnapshotError, match="no instants"):
+            hmm_from_document(doc, e1_signal)

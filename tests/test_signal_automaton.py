@@ -9,6 +9,7 @@ from sigauto import (
     BOTTOM_STATE,
     EmaGridClassifier,
     EmptyInputError,
+    InstantsMatrix,
     PluginParams,
     RejectedInputError,
     Signal,
@@ -109,6 +110,34 @@ def e1_isa(upto=len(E1)):
     params = PluginParams(lam=1.0, grid_width=1.0)
     sig = Signal(E1[:upto])
     return build_isa(sig, EmaGridClassifier(params)), sig
+
+
+class TestInstantsMatrixPop:
+    @staticmethod
+    def view(theta, p, q):
+        return ([(a, b, list(c)) for a, b, c in theta.cells()], theta.sources(q),
+                theta.has_outgoing(p))
+
+    @pytest.mark.parametrize("p, q", [
+        ("a", "c"),  # a new cell, to a new target
+        ("c", "a"),  # a new cell (and row) whose target "b" also reaches
+        ("a", "a"),  # a self-loop
+        ("a", "b"),  # an instant appended to an existing cell
+    ])
+    def test_append_then_pop_restores_the_matrix(self, p, q):
+        theta = InstantsMatrix()
+        for a, b, i in (("a", "b", 0), ("b", "a", 1), ("a", "b", 2), ("b", "b", 3)):
+            theta.append(a, b, i)
+        before = InstantsMatrix()
+        for a, b, c in theta.cells():
+            for i in c:
+                before.append(a, b, i)
+        seen = self.view(theta, p, q)
+        theta.append(p, q, 9)
+        assert theta.has_outgoing(p) and p in theta.sources(q)
+        assert theta.pop(p, q) == 9
+        assert self.view(theta, p, q) == seen
+        assert theta == before
 
 
 class TestInitIsa:
