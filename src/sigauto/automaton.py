@@ -27,12 +27,10 @@ BOTTOM_STATE = "__bottom__"
 class InstantsMatrix:
     """Sparse map from state pairs to strictly increasing instant lists."""
 
-    __slots__ = ("_rows", "_sources")
+    __slots__ = ("_rows",)
 
     def __init__(self):
-        # _rows[p][q] -> list of instants; _sources[q] -> ordered set of p
-        self._rows: dict[str, dict[str, list[int]]] = {}
-        self._sources: dict[str, dict[str, None]] = {}
+        self._rows: dict[str, dict[str, list[int]]] = {}  # _rows[p][q] -> instants
 
     def append(self, p: str, q: str, instant: int) -> None:
         row = self._rows.setdefault(p, {})
@@ -42,12 +40,11 @@ class InstantsMatrix:
                 f"instant {instant} not after {cell[-1]} in cell ({p!r}, {q!r})"
             )
         cell.append(instant)
-        self._sources.setdefault(q, {})[p] = None
 
     def pop(self, p: str, q: str) -> int:
         """Remove and return the last instant of cell (p, q): the inverse of
-        ``append``, iteration order included.  A cell, row or source set
-        that the instant created is removed with it."""
+        ``append``, iteration order included.  A cell or row that the
+        instant created is removed with it."""
         row = self._rows[p]
         cell = row[q]
         instant = cell.pop()
@@ -55,10 +52,6 @@ class InstantsMatrix:
             del row[q]
             if not row:
                 del self._rows[p]
-            sources = self._sources[q]
-            del sources[p]
-            if not sources:
-                del self._sources[q]
         return instant
 
     def cell(self, p: str, q: str) -> tuple[int, ...]:
@@ -67,9 +60,6 @@ class InstantsMatrix:
     def row(self, p: str) -> dict[str, list[int]]:
         """Outgoing cells of ``p``; treat as read-only."""
         return self._rows.get(p, {})
-
-    def sources(self, q: str) -> tuple[str, ...]:
-        return tuple(self._sources.get(q, ()))
 
     def has_outgoing(self, p: str) -> bool:
         return bool(self._rows.get(p))
@@ -80,12 +70,15 @@ class InstantsMatrix:
             for q, instants in row.items():
                 yield p, q, instants
 
-    def incoming_instants(self, q: str) -> list[int]:
-        """Sorted union of all cells ending in ``q``."""
-        merged: list[int] = []
-        for p in self._sources.get(q, ()):
-            merged.extend(self._rows[p][q])
-        merged.sort()
+    def incoming_instants(self) -> dict[str, list[int]]:
+        """Every state that a cell ends in, mapped to the sorted union of
+        those cells' instants; one pass over the cells."""
+        merged: dict[str, list[int]] = {}
+        for row in self._rows.values():
+            for q, instants in row.items():
+                merged.setdefault(q, []).extend(instants)
+        for incoming in merged.values():
+            incoming.sort()
         return merged
 
     def __eq__(self, other) -> bool:

@@ -9,16 +9,18 @@ Two distinguished elements are added: an absorbing DUMMY_STATE that receives
 all mass from states with no outgoing instants (the "no forecast possible"
 sink) and its unique DUMMY_EVENT emission.
 
-Models cache one accumulator per matrix cell plus one per row, so the
-incremental update touches a constant number of accumulators per observation.
-A row is normalized when it is first read and the normalized dict is kept
-until one of the row's accumulators is written: ``_TransitionCore._acc``, the
-one write hook of a step, drops it, and so does a lookahead frontier when it
-swaps the accumulators of ``Hmm.step_slots`` back.  A row is read at the
-instant its row accumulator was last written, not at the present: a
-discounted sum's cells and total then share the factor
-delta**(n - that instant), which cancels instead of underflowing.  Only ``discounted_complement`` rows depend on the present
-instant; they are read at ``n`` and normalized on every read.
+A model keeps one table of ``Row`` records per kind, keyed by state: one
+accumulator per cell, the row accumulator and the cached normalized row.  An
+update writes one cell and the total of two rows through ``_write``, the one
+write path: it creates rows and cells, drops the row's cached normalization
+and, while the model's ``journal`` is a list, records the row's prior cell,
+total and cached row there for ``swap_journal`` to put back (a lookahead
+frontier's undo and redo).  A row is read at the instant its row accumulator
+was last written, not at the present: a discounted sum's cells and total then
+share the factor delta**(n - that instant), which cancels instead of
+underflowing.  Only ``discounted_complement`` rows depend on the present
+instant; they are read at ``n`` and normalized on every read.  Rows with no
+mass are the shared ``SINK_TRANSITION``/``SINK_EMISSION``.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
 ``next_hmm`` mutates in place and returns its argument, mirroring
@@ -55,20 +57,36 @@ class SparseStochasticMatrix:
         return {(p, q) for p, row in self.rows.items() for q in row}
 
 
-def _normalized_row(cells, total, stat: StatFn, now: int, sink: str) -> dict[str, float]:
-    """Weights of one row's ``cells`` divided by the row accumulator ``total``.
+SINK_TRANSITION = {DUMMY_STATE: 1.0}
+SINK_EMISSION = {DUMMY_EVENT: 1.0}
 
-    An empty row, or one whose weights sum to zero (possible with
-    region-filtered statistics), sends all mass to ``sink``.
+
+@dataclass(slots=True, eq=False)
+class Row:
+    """One row of a model table: ``cells`` maps each column to its
+    accumulator, ``total`` is the row accumulator and ``norm`` the cached
+    normalized row, or None until the row is read after its last write."""
+
+    cells: dict[str, StatAccumulator]
+    total: StatAccumulator
+    norm: dict[str, float] | None = None
+
+
+def _normalized_row(row: Row | None, stat: StatFn, now: int, sink: dict) -> dict[str, float]:
+    """Weights of ``row``'s cells divided by its row accumulator.
+
+    A missing or empty row, or one whose weights sum to zero (possible with
+    region-filtered statistics), is the shared ``sink`` row.
     """
-    if not cells:
-        return {sink: 1.0}
+    if row is None or not row.cells:
+        return sink
+    total = row.total
     if stat.row_ignores_now:
         now = total.last_now
     denom = stat.read(total, now)
     if denom <= 0.0:
-        return {sink: 1.0}
-    return {c: stat.read(acc, now) / denom for c, acc in cells.items()}
+        return sink
+    return {c: stat.read(acc, now) / denom for c, acc in row.cells.items()}
 
 
 def next_event_probability(hmm: Hmm, cluster: str) -> float:
@@ -81,26 +99,43 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
     when ``cluster`` is one of its cells."""
     if hmm.current_is_new:
         return 0.0
-    n, sigma, rho = hmm.n, hmm.sigma, hmm.rho
-    cells = hmm._tcells.get(hmm.current)
-    if not cells:  # the sink row: all mass on DUMMY_STATE, which emits DUMMY_EVENT
+    n, sigma, rho, emit = hmm.n, hmm.sigma, hmm.rho, hmm._erows
+    row = hmm._trows.get(hmm.current)
+    if row is None or not row.cells:  # the sink row: DUMMY_STATE emits DUMMY_EVENT
         return 0.0
-    total = hmm._trow.get(hmm.current)
-    at = total.last_now if sigma.row_ignores_now else n
-    denom = sigma.read(total, at)
+    at = row.total.last_now if sigma.row_ignores_now else n
+    denom = sigma.read(row.total, at)
     if denom <= 0.0:
         return 0.0
     p = 0.0
-    for q, acc in cells.items():
+    for q, acc in row.cells.items():
         w = sigma.read(acc, at) / denom
-        emitted = hmm._ecells.get(q)
-        if w != 0.0 and emitted and cluster in emitted:
-            e_total = hmm._edenom.get(q)
+        emitted = emit.get(q)
+        if w != 0.0 and emitted is not None and cluster in emitted.cells:
+            e_total = emitted.total
             e_at = e_total.last_now if rho.row_ignores_now else n
             e_denom = rho.read(e_total, e_at)
             if e_denom > 0.0:  # else q's row is the sink row {DUMMY_EVENT: 1}
-                p += w * (rho.read(emitted[cluster], e_at) / e_denom)
+                p += w * (rho.read(emitted.cells[cluster], e_at) / e_denom)
     return p
+
+
+def swap_journal(records) -> None:
+    """Exchange each journaled row write, in the order given, with its other
+    version: the cell, total and cached row the row had before the write,
+    or, for a cell the write created, its absence.  The same call undoes
+    (newest record first) and redoes (oldest first); an existing cell keeps
+    its key position, a re-created one goes back to the end, where the write
+    put it."""
+    for record in records:
+        row, col, cell, total, norm = record
+        cells = row.cells
+        record[2:] = cells.get(col), row.total, row.norm
+        if cell is None:
+            del cells[col]
+        else:
+            cells[col] = cell
+        row.total, row.norm = total, norm
 
 
 class _TransitionCore:
@@ -113,9 +148,8 @@ class _TransitionCore:
         self.current = current
         self.current_is_new = current_is_new
         self.state_order: dict[str, None] = {}
-        self._tcells: dict[str, dict[str, StatAccumulator]] = {}
-        self._trow: dict[str, StatAccumulator] = {}
-        self._tnorm: dict[str, dict[str, float]] = {DUMMY_STATE: {DUMMY_STATE: 1.0}}
+        self._trows: dict[str, Row] = {}
+        self.journal: list | None = None
 
     # -- read side
 
@@ -130,15 +164,22 @@ class _TransitionCore:
         """Dense view of one row; always sums to 1.  States with no outgoing
         instants send all mass to the absorbing dummy state.  The dict is the
         model's cached row, shared and read-only: copy it to change it."""
-        row = self._tnorm.get(p)
+        row = self._trows.get(p)
+        if row is not None and (norm := row.norm) is not None:
+            return norm
+        return self._read_row(row, p, self.sigma, SINK_TRANSITION)
+
+    def _read_row(self, row: Row | None, p: str, stat: StatFn, sink: dict) -> dict[str, float]:
+        """The normalized ``row`` of state ``p`` when it has none cached,
+        kept in the row when the statistic ignores the present."""
         if row is None:
-            if p not in self.state_order:
+            if p not in self.state_order and p != DUMMY_STATE:
                 raise UnknownStateError(p)
-            row = _normalized_row(self._tcells.get(p), self._trow.get(p), self.sigma,
-                                  self.n, DUMMY_STATE)
-            if self.sigma.row_ignores_now:
-                self._tnorm[p] = row
-        return row
+            return sink
+        norm = _normalized_row(row, stat, self.n, sink)
+        if stat.row_ignores_now:
+            row.norm = norm
+        return norm
 
     def transition_matrix(self) -> SparseStochasticMatrix:
         """A copy of every row, so changing the matrix leaves the model as is."""
@@ -146,32 +187,37 @@ class _TransitionCore:
 
     # -- write side
 
-    def _acc(self, table, norm, row: str, col: str | None, stat: StatFn,
-             instant: int) -> StatAccumulator:
-        """The accumulator ``table[row][col]`` to write, or ``table[row]``
-        when ``col`` is None; created at ``instant`` if absent.  Every write
-        goes through here, so this is also where the normalized row ``row``
-        is dropped from its cache ``norm``.  (A lookahead frontier's undo
-        writes accumulators back itself and drops the same rows.)"""
-        norm.pop(row, None)
-        if col is not None:
-            table = table.setdefault(row, {})
-            row = col
-        acc = table.get(row)
-        if acc is None:
-            acc = table[row] = stat.new_acc(now=instant)
-        return acc
+    def _write(self, table: dict[str, Row], key: str, col: str, stat: StatFn,
+               instant: int) -> tuple[StatAccumulator, StatAccumulator]:
+        """The accumulators of cell ``col`` and of row ``key`` of ``table``,
+        for one step to write; each created at ``instant`` if absent.  Every
+        update writes through here, so this is also where the row's cached
+        normalization is dropped and, while ``journal`` is a list, where the
+        row's prior cell, total and cached row are recorded: the written
+        accumulators are then copies, and the journal keeps the originals."""
+        row = table.get(key)
+        if row is None:
+            row = table[key] = Row({}, stat.new_acc(now=instant))
+        cell = row.cells.get(col)
+        if self.journal is not None:
+            total = row.total
+            self.journal.append([row, col, cell, total, row.norm])
+            row.total = StatAccumulator(total.value, total.last_now, total.raw_count)
+            if cell is not None:
+                cell = StatAccumulator(cell.value, cell.last_now, cell.raw_count)
+        row.cells[col] = cell = cell or stat.new_acc(now=instant)
+        row.norm = None
+        return cell, row.total
 
     def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
         if state not in self.state_order:
             self.state_order[state] = None
         sigma = self.sigma
-        gain = sigma.step_gain(self._acc(self._tcells, self._tnorm, prev_state, state,
-                                         sigma, instant), obs, instant)
-        row = self._acc(self._trow, self._tnorm, prev_state, None, sigma, instant)
-        sigma.advance(row, instant)
-        row.value += gain
-        row.raw_count += 1
+        cell, total = self._write(self._trows, prev_state, state, sigma, instant)
+        gain = sigma.step_gain(cell, obs, instant)
+        sigma.advance(total, instant)
+        total.value += gain
+        total.raw_count += 1
 
 
 class Hmm(_TransitionCore):
@@ -191,9 +237,7 @@ class Hmm(_TransitionCore):
         super().__init__(sigma, n, current, current_is_new)
         self.rho = rho
         self.clusterer = clusterer
-        self._ecells: dict[str, dict[str, StatAccumulator]] = {}
-        self._edenom: dict[str, StatAccumulator] = {}
-        self._enorm: dict[str, dict[str, float]] = {DUMMY_STATE: {DUMMY_EVENT: 1.0}}
+        self._erows: dict[str, Row] = {}
 
     @property
     def events(self) -> tuple[str, ...]:
@@ -202,35 +246,20 @@ class Hmm(_TransitionCore):
     def emission_row(self, q: str) -> dict[str, float]:
         """Emission distribution of state ``q``; like ``transition_row``, the
         model's cached row, shared and read-only."""
-        row = self._enorm.get(q)
-        if row is None:
-            if q not in self.state_order:
-                raise UnknownStateError(q)
-            row = _normalized_row(self._ecells.get(q), self._edenom.get(q), self.rho,
-                                  self.n, DUMMY_EVENT)
-            if self.rho.row_ignores_now:
-                self._enorm[q] = row
-        return row
+        row = self._erows.get(q)
+        if row is not None and (norm := row.norm) is not None:
+            return norm
+        return self._read_row(row, q, self.rho, SINK_EMISSION)
 
     def emission_matrix(self) -> SparseStochasticMatrix:
         """A copy of every row, so changing the matrix leaves the model as is."""
         return SparseStochasticMatrix({q: dict(self.emission_row(q)) for q in self.states})
 
     def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
-        norm, rho = self._enorm, self.rho
-        rho.step_gain(self._acc(self._ecells, norm, state, cluster, rho, instant), obs, instant)
-        rho.step_gain(self._acc(self._edenom, norm, state, None, rho, instant), obs, instant)
-
-    def step_slots(self, prev_state: str, state: str, cluster: str) -> tuple:
-        """The accumulators a ``next_hmm`` step from ``prev_state`` to
-        ``state`` that emits ``cluster`` writes, in write order: one
-        ``(table, row cache, row, column)`` each, column None for a row sum,
-        as ``_apply_transition`` and ``_apply_emission`` pass them to
-        ``_acc``."""
-        return ((self._tcells, self._tnorm, prev_state, state),
-                (self._trow, self._tnorm, prev_state, None),
-                (self._ecells, self._enorm, state, cluster),
-                (self._edenom, self._enorm, state, None))
+        rho = self.rho
+        cell, total = self._write(self._erows, state, cluster, rho, instant)
+        rho.step_gain(cell, obs, instant)
+        rho.step_gain(total, obs, instant)
 
 
 class HmmContinuous(_TransitionCore):
@@ -311,11 +340,10 @@ def _build_transitions(model: _TransitionCore, isa: Isa, signal: Signal,
         total_value = 0.0
         for acc in cells.values():
             total_value += sigma.read(acc, latest)
-        model._tcells[p] = cells
-        model._trow[p] = StatAccumulator(
+        model._trows[p] = Row(cells, StatAccumulator(
             value=total_value, last_now=latest,
             raw_count=sum(acc.raw_count for acc in cells.values()),
-        )
+        ))
 
 
 def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
@@ -330,17 +358,16 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
     """
     hmm = Hmm(sigma, rho, clusterer, isa.n, isa.current, is_new_state(isa))
     _build_transitions(hmm, isa, signal, sigma)
+    incoming_by_state = isa.theta.incoming_instants()
     for q in hmm.state_order:
-        incoming = isa.theta.incoming_instants(q)
+        incoming = incoming_by_state.get(q)
         if not incoming:
             continue
         groups: dict[str, list[int]] = {}
         for j in incoming:
             groups.setdefault(clusterer.cluster_of(signal[j]), []).append(j)
-        hmm._ecells[q] = {
-            c: rho.eval_acc(signal, js, js[-1]) for c, js in groups.items()
-        }
-        hmm._edenom[q] = rho.eval_acc(signal, incoming, incoming[-1])
+        hmm._erows[q] = Row({c: rho.eval_acc(signal, js, js[-1]) for c, js in groups.items()},
+                            rho.eval_acc(signal, incoming, incoming[-1]))
     return hmm
 
 
@@ -376,10 +403,8 @@ def isa_to_hmm_continuous(isa: Isa, signal: Signal, sigma: StatFn,
     as uniform kernel mixtures over each state's incoming instants."""
     hmm = HmmContinuous(sigma, signal, kernel, isa.n, isa.current, is_new_state(isa))
     _build_transitions(hmm, isa, signal, sigma)
-    for q in hmm.state_order:
-        incoming = isa.theta.incoming_instants(q)
-        if incoming:
-            hmm.mixtures[q] = incoming
+    incoming = isa.theta.incoming_instants()
+    hmm.mixtures = {q: incoming[q] for q in hmm.state_order if q in incoming}
     return hmm
 
 

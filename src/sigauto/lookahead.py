@@ -14,17 +14,16 @@ no lookahead objects exist beyond that point until genuine data arrives.
 The frontier steps one automaton and one model in place.  Because an
 unseen word poisons its entry, a live entry never adds a state, so its step
 is one instant appended to the instants matrix, a new ``current`` and ``n``,
-and ``next_hmm``'s writes to at most four accumulators (``Hmm.step_slots``:
-the transition cell, its row sum, the emission cell and the emission
-denominator).  Each entry keeps a journal of what its step changed: the
-word, the automaton's prior ``current`` and ``n``, the model's prior
-``current_is_new``, and the prior fields of each accumulator it wrote, or
-the fact that it created one.  Undoing an entry swaps those fields back into
-the same accumulator objects and deletes the keys the step created, so every
-table reads, in key order and in value, as it did before the step; redoing
-swaps them forward again and re-inserts the keys at the end, where the step
-put them.  Normalized rows of the written rows are dropped either way; every
-other cached row stays.
+and ``next_hmm``'s writes to two existing rows: the transition row it leaves
+and the emission row it enters.  Each entry keeps a journal of what its
+step changed: the word, the automaton's prior ``current`` and ``n``, the
+model's prior ``current_is_new``, and the model's own journal of the rows
+it wrote (``Hmm.journal``, filled by the model's write path while the step
+runs).  Undoing an entry hands that journal to ``swap_journal``, newest
+record first, which puts back each row's prior cell, total and cached
+normalization and deletes the cells the step created, so every table reads,
+in key order and in value, as it did before the step; redoing swaps them
+forward again.  No cached row is dropped either way.
 
 When a genuine observation arrives, the oldest frontier entry becomes fully
 determined.  If its estimated word matches the genuine one, its step is the
@@ -52,7 +51,7 @@ from .forecasting import (
     sample_event,
     state_occupancies,
 )
-from .hmm import Hmm, isa_to_hmm, next_hmm
+from .hmm import Hmm, isa_to_hmm, next_hmm, swap_journal
 from .plugins import (
     DUMMY_EVENT,
     Clusterer,
@@ -65,25 +64,6 @@ from .signal import Signal
 from .snapshot import model_document
 
 
-def _swap(slot: list) -> None:
-    """Exchange one journaled accumulator with its other version: the fields
-    it had before the step, or, for an accumulator the step created, its
-    absence.  The same call undoes and redoes; the row's cached
-    normalization is dropped either way."""
-    table, norm, row, col, other = slot
-    norm.pop(row, None)
-    holder, key = (table, row) if col is None else (table[row], col)
-    if isinstance(other, tuple):
-        acc = holder[key]
-        slot[4] = (acc.value, acc.last_now, acc.raw_count)
-        acc.value, acc.last_now, acc.raw_count = other
-    elif other is None:  # created by the step: remove it
-        slot[4] = holder.pop(key)
-    else:  # re-insert it where the step put it: at the end
-        holder[key] = other
-        slot[4] = None
-
-
 @dataclass(eq=False)
 class FrontierEntry:
     """One frontier step and the journal that undoes it.
@@ -91,15 +71,15 @@ class FrontierEntry:
     ``isa``/``hmm`` are the frontier's one automaton and model, which stand
     at the newest live entry; ``word`` is the state this step moved to.  The
     journal holds the automaton's prior ``current``, ``n`` and the model's
-    ``current_is_new`` (``prior``) and, per accumulator the step wrote, a
-    ``[table, row cache, row, column, other]`` slot (``slots``).
+    ``current_is_new`` (``prior``) and the model's records of the rows the
+    step wrote (``journal``, for ``swap_journal``).
     """
 
     isa: Isa
     hmm: Hmm
     word: str
     prior: tuple
-    slots: list
+    journal: list
 
     def _set(self, current: str, n: int, is_new: bool) -> None:
         self.isa.current = self.hmm.current = current
@@ -108,15 +88,13 @@ class FrontierEntry:
 
     def undo(self) -> None:
         """Step the automaton and model back to before this entry."""
-        for slot in reversed(self.slots):
-            _swap(slot)
+        swap_journal(reversed(self.journal))
         self.isa.theta.pop(self.prior[0], self.word)
         self._set(*self.prior)
 
     def redo(self) -> None:
         """Take this entry's step again, after ``undo``."""
-        for slot in self.slots:
-            _swap(slot)
+        swap_journal(self.journal)
         i = self.prior[1] + 1
         self.isa.theta.append(self.prior[0], self.word, i)
         self._set(self.word, i, False)  # a live entry's word is never new
@@ -197,17 +175,15 @@ class LookaheadFrontier:
             self.entries.append(None)
             return
         # A live step leaves a state that has outgoing instants for one that
-        # has incoming ones, so every row it writes exists; only cells may not.
-        slots = []
-        for table, norm, row, col in hmm.step_slots(prev, word,
-                                                    self.clusterer.cluster_of(self.signal[i])):
-            holder = table if col is None else table[row]
-            acc = holder.get(row if col is None else col)
-            slots.append([table, norm, row, col,
-                          None if acc is None else (acc.value, acc.last_now, acc.raw_count)])
-        entry = FrontierEntry(isa, hmm, word, (prev, isa.n, hmm.current_is_new), slots)
+        # has incoming ones, so both rows it writes exist (the journal puts
+        # back cells, not rows); only cells may not.
+        entry = FrontierEntry(isa, hmm, word, (prev, isa.n, hmm.current_is_new), [])
         isa.current, isa.n = word, i
-        next_hmm(hmm, isa, self.signal, self.sigma, self.rho, self.clusterer)
+        hmm.journal = entry.journal
+        try:
+            next_hmm(hmm, isa, self.signal, self.sigma, self.rho, self.clusterer)
+        finally:
+            hmm.journal = None
         self.entries.append(entry)
 
     def forecast(self, horizon: int | None = None) -> Forecast:

@@ -22,6 +22,7 @@ from .errors import SnapshotError
 from .hmm import (
     Hmm,
     HmmContinuous,
+    Row,
     isa_to_hmm,
     isa_to_hmm_continuous,
 )
@@ -31,6 +32,7 @@ from .plugins import (
     Kernel,
     PluginParams,
     StatAccumulator,
+    is_number,
     resolve_kernel,
     rho_fn,
     sigma_fn,
@@ -48,6 +50,19 @@ def _acc_from(doc: dict) -> StatAccumulator:
     return StatAccumulator(
         value=float(doc["value"]), last_now=int(doc["last_now"]), raw_count=int(doc["count"])
     )
+
+
+def _rows_doc(table: dict[str, Row]) -> list:
+    """A model's row table as ``[state, [[column, cell], ...], total]`` rows."""
+    return [
+        [p, [[c, _acc_doc(acc)] for c, acc in row.cells.items()], _acc_doc(row.total)]
+        for p, row in table.items()
+    ]
+
+
+def _rows_from(doc: list) -> dict[str, Row]:
+    return {p: Row({c: _acc_from(acc) for c, acc in cells}, _acc_from(total))
+            for p, cells, total in doc}
 
 
 def _isa_state(isa: Isa) -> dict:
@@ -81,28 +96,13 @@ def _model_state(hmm) -> dict:
         "current": hmm.current,
         "current_is_new": hmm.current_is_new,
         "states": list(hmm.state_order),
-        "trans": [
-            [p, [[q, _acc_doc(acc)] for q, acc in cells.items()], _acc_doc(hmm._trow[p])]
-            for p, cells in hmm._tcells.items()
-        ],
+        "trans": _rows_doc(hmm._trows),
     }
     if hmm.emission_kind == "discrete":
-        doc["emit"] = [
-            [q, [[c, _acc_doc(acc)] for c, acc in cells.items()], _acc_doc(hmm._edenom[q])]
-            for q, cells in hmm._ecells.items()
-        ]
+        doc["emit"] = _rows_doc(hmm._erows)
     else:
         doc["mixtures"] = [[q, list(c)] for q, c in hmm.mixtures.items()]
     return doc
-
-
-def _restore_transitions(hmm, doc: dict) -> None:
-    hmm.state_order = {s: None for s in doc["states"]}
-    hmm._tcells = {
-        p: {q: _acc_from(acc) for q, acc in cells}
-        for p, cells, _row in doc["trans"]
-    }
-    hmm._trow = {p: _acc_from(row) for p, _cells, row in doc["trans"]}
 
 
 def pipeline_state(pipe) -> dict:
@@ -132,6 +132,8 @@ def restore_pipeline(doc: dict):
                 f"snapshot version {version} not supported (expected {SNAPSHOT_VERSION})"
             )
         params = PluginParams.from_dict(doc["tau"])
+        if not is_number(doc["seed"], int):
+            raise SnapshotError(f"snapshot seed must be an integer, got {doc['seed']!r}")
         pipe = StreamPipeline(
             params,
             emission=doc["emission"],
@@ -142,30 +144,31 @@ def restore_pipeline(doc: dict):
             pipe.signal.append(obs)
         pipe.classifier.restore(doc["classifier"]["summary"])
         pipe.clusterer.observed = {label: tuple(idx) for label, idx in doc["clusterer"]}
-        if doc["isa"] is not None:
-            pipe.isa = _isa_from(doc["isa"])
         model_doc = doc["model"]
+        empty = len(pipe.signal) == 0
+        if any((part is None) is not empty
+               for part in (doc["classifier"]["summary"], doc["isa"], model_doc)):
+            raise SnapshotError("snapshot must hold a classifier summary, an automaton and "
+                                "a model exactly when its signal is not empty")
         if model_doc is not None:
-            if model_doc["kind"] == "discrete":
-                hmm = Hmm(
-                    pipe.sigma, pipe.rho, pipe.clusterer,
-                    int(model_doc["n"]), model_doc["current"],
-                    bool(model_doc["current_is_new"]),
-                )
-                _restore_transitions(hmm, model_doc)
-                hmm._ecells = {
-                    q: {c: _acc_from(acc) for c, acc in cells}
-                    for q, cells, _d in model_doc["emit"]
-                }
-                hmm._edenom = {q: _acc_from(d) for q, _c, d in model_doc["emit"]}
+            if model_doc["kind"] != pipe.emission:
+                raise SnapshotError(f"snapshot model kind {model_doc['kind']!r} does not "
+                                    f"match its emission mode {pipe.emission!r}")
+            pipe.isa = _isa_from(doc["isa"])
+            state = (int(model_doc["n"]), model_doc["current"], bool(model_doc["current_is_new"]))
+            if pipe.emission == "discrete":
+                hmm = Hmm(pipe.sigma, pipe.rho, pipe.clusterer, *state)
+                hmm._erows = _rows_from(model_doc["emit"])
             else:
-                hmm = HmmContinuous(
-                    pipe.sigma, pipe.signal, pipe.kernel,
-                    int(model_doc["n"]), model_doc["current"],
-                    bool(model_doc["current_is_new"]),
-                )
-                _restore_transitions(hmm, model_doc)
+                hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, *state)
                 hmm.mixtures = {q: [int(i) for i in c] for q, c in model_doc["mixtures"]}
+            hmm.state_order = {s: None for s in model_doc["states"]}
+            hmm._trows = _rows_from(model_doc["trans"])
+            agree = (pipe.isa.n == hmm.n == pipe.n and pipe.isa.current == hmm.current
+                     and hmm.current in hmm.state_order)
+            if not agree:
+                raise SnapshotError("snapshot signal, automaton and model disagree on the "
+                                    "present instant or state")
             pipe.hmm = hmm
         return pipe
     except (KeyError, TypeError, ValueError) as exc:

@@ -3,8 +3,6 @@ import random
 import pytest
 
 from sigauto import (
-    DUMMY_EVENT,
-    DUMMY_STATE,
     Clusterer,
     EmaGridClassifier,
     PluginParams,
@@ -14,7 +12,7 @@ from sigauto import (
     rho_fn,
     sigma_fn,
 )
-from sigauto.hmm import _normalized_row
+from sigauto.hmm import SINK_EMISSION, SINK_TRANSITION, _normalized_row
 
 # Worked example used throughout: unit grid, lam=1, count statistics.
 E1 = (1.0, 1.0, 5.0, 1.0, 5.0)
@@ -66,11 +64,10 @@ def assert_row_cache_coherent(model):
     row cache or not, equals a fresh normalization of the row's accumulators,
     in values and in iteration order.  Reading every row also fills the cache,
     so the next write has every row to invalidate."""
-    kinds = [(model.transition_row, model._tcells, model._trow, model.sigma, DUMMY_STATE)]
+    kinds = [(model.transition_row, model._trows, model.sigma, SINK_TRANSITION)]
     if model.emission_kind == "discrete":
-        kinds.append((model.emission_row, model._ecells, model._edenom, model.rho,
-                      DUMMY_EVENT))
-    for read, cells, totals, stat, sink in kinds:
+        kinds.append((model.emission_row, model._erows, model.rho, SINK_EMISSION))
+    for read, table, stat, sink in kinds:
         for p in model.states:
-            fresh = _normalized_row(cells.get(p), totals.get(p), stat, model.n, sink)
+            fresh = _normalized_row(table.get(p), stat, model.n, sink)
             assert list(read(p).items()) == list(fresh.items()), (read.__name__, p)

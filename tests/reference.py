@@ -16,6 +16,9 @@ delta**(n - a), a the row's latest instant, cancels from that ratio.  At
 delta = 0 the ratio at n is 0/0 for a row left before n; its limit as delta
 goes to 0 is the ratio at a, and that is the row taken here.  A row with no
 cells, or whose weights sum to 0, sends all mass to the sink.
+
+The model at an earlier instant i is the same construction over the
+instants up to i, with i as the present; ``score`` reads it that way.
 """
 
 from __future__ import annotations
@@ -56,7 +59,8 @@ class Reference:
         self.variant = variant
         self.delta = Decimal(delta)
         self.region = region
-        states = labels(self.rows, lam, width)
+        self.width = width
+        self.states = states = labels(self.rows, lam, width)
         self.current = states[-1]
         # transition cells by source state, emission cells by entered state
         self.moves: dict[str, dict[str, list[int]]] = {}
@@ -88,12 +92,11 @@ class Reference:
             return Decimal(len(hits))
         return Decimal(max(hits)) if hits else Decimal(0)  # latest_occurrence
 
-    def _normalize(self, cells: dict | None, variant: str, sink: str) -> dict:
-        """Each cell's statistic over the sum of the row's (the module
-        docstring says at which instant)."""
+    def _normalize(self, cells: dict | None, variant: str, sink: str, now: int) -> dict:
+        """Each cell's statistic over the sum of the row's, with ``now`` the
+        present (the module docstring says at which instant it is read)."""
         if not cells:
             return {sink: Decimal(1)}
-        now = self.n
         if variant == "discounted_sum" and self.delta == 0:
             now = max(instants[-1] for instants in cells.values())
         with localcontext(CONTEXT):
@@ -107,18 +110,22 @@ class Reference:
     def state_set(self) -> set[str]:
         return set(self.entries) | {DUMMY_STATE}
 
+    @property
+    def emission_variant(self) -> str:
+        """The emission statistic: it counts where the transition one is not
+        additive."""
+        return "count" if self.variant == "latest_occurrence" else self.variant
+
     def transition_row(self, p: str) -> dict:
         if p == DUMMY_STATE:
             return {DUMMY_STATE: Decimal(1)}
-        return self._normalize(self.moves.get(p), self.variant, DUMMY_STATE)
+        return self._normalize(self.moves.get(p), self.variant, DUMMY_STATE, self.n)
 
     def emission_row(self, q: str) -> dict:
-        """Weights of the clusters of the instants that enter ``q``; the
-        emission statistic counts where the transition one is not additive."""
+        """Weights of the clusters of the instants that enter ``q``."""
         if q == DUMMY_STATE:
             return {DUMMY_EVENT: Decimal(1)}
-        variant = "count" if self.variant == "latest_occurrence" else self.variant
-        return self._normalize(self.entries[q], variant, DUMMY_EVENT)
+        return self._normalize(self.entries[q], self.emission_variant, DUMMY_EVENT, self.n)
 
     def forecast(self, horizon: int) -> tuple[bool, list[dict]]:
         """``(dummy, steps)``: the event distribution after j = 1..horizon
@@ -140,3 +147,24 @@ class Reference:
                         events[c] = events.get(c, Decimal(0)) + w * e
                 steps.append(events)
         return False, steps
+
+    def _row_at(self, cells: dict | None, i: int, variant: str, sink: str) -> dict:
+        """The row of ``cells`` in the model at instant ``i``."""
+        upto = {c: [j for j in js if j <= i] for c, js in (cells or {}).items()}
+        return self._normalize({c: js for c, js in upto.items() if js}, variant, sink, i)
+
+    def score(self, start: int, stop: int, floor: float) -> Decimal:
+        """The mean over instants i in [start, stop) of ln max(p_i, floor),
+        p_i being the probability that the model at instant i gives the
+        cluster of row i + 1 one step ahead: 0 when the state of instant i
+        has not been left by then (a dummy forecast)."""
+        total = Decimal(0)
+        with localcontext(CONTEXT):
+            for i in range(start, stop):
+                cluster = cell_label(self.rows[i + 1], self.width)
+                row = self._row_at(self.moves.get(self.states[i]), i, self.variant, DUMMY_STATE)
+                p = sum((t * self._row_at(self.entries[q], i, self.emission_variant,
+                                          DUMMY_EVENT).get(cluster, 0)
+                         for q, t in row.items() if q != DUMMY_STATE), Decimal(0))
+                total += max(p, Decimal(floor)).ln()
+            return total / (stop - start)

@@ -102,7 +102,7 @@ class TestIsaToHmm:
         # incoming set even though that state has no transition row from it
         sig = Signal([1.0, 5.0, 1.0])
         _, hmm = build_plain(sig, count_params)
-        assert hmm._edenom["1"].raw_count == 2  # instants {0, 2}
+        assert hmm._erows["1"].total.raw_count == 2  # instants {0, 2}
         assert hmm.emission_row("1") == {"1": 1.0}
 
     def test_rho_must_be_additive(self, e1_signal, count_params):
@@ -453,7 +453,7 @@ class TestNextEventProbability:
     def test_region_count_row_whose_weights_sum_to_zero(self):
         params = PluginParams(stat_variant="region_count", region=[[100.0, 200.0]])
         _, _, hmm = fold_pipeline(E1, params)
-        assert hmm._tcells[hmm.current] and not hmm.current_is_new
+        assert hmm._trows[hmm.current].cells and not hmm.current_is_new
         fc = assert_probabilities_equal_the_forecast(hmm)
         assert not fc.is_dummy and fc.steps[0] == {DUMMY_EVENT: 1.0}
 

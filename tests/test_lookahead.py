@@ -193,15 +193,13 @@ def plain_fold(values, params, upto):
 
 
 def accumulator_tables(hmm):
-    """The model's four accumulator tables, keys in iteration order, with
-    each accumulator's fields."""
+    """The model's two row tables, keys in iteration order, with each cell
+    and row accumulator's fields."""
     def fields(acc):
         return acc.value, acc.last_now, acc.raw_count
 
-    return ([(p, [(q, fields(a)) for q, a in cells.items()]) for p, cells in hmm._tcells.items()],
-            [(p, fields(a)) for p, a in hmm._trow.items()],
-            [(q, [(c, fields(a)) for c, a in cells.items()]) for q, cells in hmm._ecells.items()],
-            [(q, fields(a)) for q, a in hmm._edenom.items()])
+    return [[(p, [(c, fields(a)) for c, a in row.cells.items()], fields(row.total))
+             for p, row in table.items()] for table in (hmm._trows, hmm._erows)]
 
 
 def advance_against_fresh_builds(values, params, seed):
@@ -286,21 +284,59 @@ class TestRowCacheCoherence:
         model = frontier.base_hmm
         for value in values[12:]:
             assert_row_cache_coherent(model)  # fills every cache
-            cached = {"t": dict(model._tnorm), "e": dict(model._enorm)}
+            tables = {"t": model._trows, "e": model._erows}
+            cached = {kind: {p: row.norm for p, row in table.items() if row.norm is not None}
+                      for kind, table in tables.items()}
             before = list(frontier.entries)
             lookahead_advance(frontier, value)
             assert frontier.entries[:-1] == before[1:]  # matched
             assert frontier.base_hmm is model
-            newest = frontier.entries[-1]
-            written = {("t" if norm is model._tnorm else "e", row)
-                       for _, norm, row, *_ in newest.slots}
+            written = [record[0] for record in frontier.entries[-1].journal]
             kept = [(kind, row) for kind, rows in cached.items() for row in rows
-                    if (kind, row) not in written]
+                    if all(tables[kind][row] is not w for w in written)]
             assert kept
             for kind, row in kept:
                 read = model.transition_row if kind == "t" else model.emission_row
                 assert read(row) is cached[kind][row]
             assert_row_cache_coherent(model)
+
+    @pytest.mark.parametrize("stat", [s for s in EVERY_STAT
+                                      if s["stat_variant"] != "discounted_complement"],
+                             ids=lambda s: s["stat_variant"])
+    def test_undo_and_redo_give_back_cached_rows(self, stat):
+        """Undoing every live entry and redoing them serves, at each end,
+        every row the model had cached there as the same dict object: the
+        journal gives each row back its normalization, so none is
+        normalized again.  (Complement rows are never cached.)"""
+        params = PluginParams(grid_width=1.0, horizon=3, **stat)
+        rng = random.Random(0)  # inside the region, so that no entry is poisoned
+        values = [rng.choice((0.2, 0.7, 1.2)) for _ in range(200)]
+        frontier = lookahead_build(values, params, seed=5)
+        model, live = frontier.base_hmm, frontier.live()
+        assert len(live) == 3
+        reads = ((model.transition_row, model._trows), (model.emission_row, model._erows))
+
+        def cached_rows():
+            assert_row_cache_coherent(model)  # fills every cache
+            return [(read, p, row.norm) for read, table in reads for p, row in table.items()]
+
+        def served_as_cached(rows):
+            return all(read(p) is norm for read, p, norm in rows)
+
+        at_newest = cached_rows()
+        for entry in reversed(live):
+            entry.undo()
+        at_base = cached_rows()
+        for _ in range(2):
+            for entry in live:
+                entry.redo()
+            assert served_as_cached(at_newest)
+            for entry in reversed(live):
+                entry.undo()
+            assert served_as_cached(at_base)
+        for entry in live:
+            entry.redo()
+        assert_row_cache_coherent(model)
 
 
 class TestAdvanceCost:
@@ -309,8 +345,8 @@ class TestAdvanceCost:
         """After a random walk of n values (whose states grow with n), a
         random two-valued tail far from the walk, in which every word occurs:
         a matched advance and a mismatched one each journal at most 4(h + 1)
-        accumulator slots in the entries they build, the same number at
-        n = 1k as at n = 10k."""
+        accumulators (a cell and a row sum per row record) in the entries
+        they build, the same number at n = 1k as at n = 10k."""
         params = PluginParams(grid_width=1.0, horizon=h)
         rng = random.Random(1)
         tail = [rng.choice((1000.0, 1005.0)) for _ in range(200)]
@@ -326,7 +362,7 @@ class TestAdvanceCost:
                 lookahead_advance(frontier, estimate if matched else other[estimate])
                 genuine_word = frontier.classifier.step(None, frontier.signal[-h:])
                 assert (before[0].word == genuine_word) == matched
-                per_advance.append(sum(len(e.slots) for e in frontier.live()
+                per_advance.append(sum(2 * len(e.journal) for e in frontier.live()
                                        if all(e is not b for b in before)))
             counts[n] = per_advance
         assert counts[1_000] == counts[10_000]

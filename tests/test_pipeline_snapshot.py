@@ -17,6 +17,7 @@ from sigauto import (
     save_snapshot,
 )
 from sigauto import snapshot
+from sigauto.cli import main
 from sigauto.snapshot import pipeline_state, restore_pipeline
 
 from conftest import E1, build_plain, random_walk
@@ -145,6 +146,39 @@ class TestPipelineSnapshot:
         assert list(loaded.observed) == list(pipe.clusterer.observed)
         for label in pipe.clusterer.observed:
             assert loaded.center(label) == pipe.clusterer.center(label)
+
+    @pytest.mark.parametrize("path, value", [
+        (("isa",), None),
+        (("model",), None),
+        (("classifier", "summary"), None),
+        (("emission",), "continuous"),
+        (("seed",), "x"),
+        (("model", "current"), "9"),
+        (("isa", "n"), 9),
+        (("model", "n"), 2),
+    ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
+            "seed_not_an_integer", "current_not_a_state", "automaton_ahead", "model_behind"])
+    def test_malformed_snapshot_is_refused(self, tmp_path, capsys, count_params, path, value):
+        """``SnapshotError`` from the loader, and exit 1 with a one-line
+        message from ``run --resume``, not a traceback or a run that goes on
+        from a state the snapshot does not hold."""
+        pipe = StreamPipeline(count_params)
+        for v in E1:
+            pipe.advance(v)
+        doc = pipeline_state(pipe)
+        part = doc
+        for key in path[:-1]:
+            part = part[key]
+        part[path[-1]] = value
+        with pytest.raises(SnapshotError):
+            restore_pipeline(doc)
+        snap, rows = tmp_path / "snap.json", tmp_path / "more.csv"
+        snap.write_text(json.dumps(doc))
+        rows.write_text("1.0\n")
+        assert main(["run", "--input", str(rows), "--output", str(tmp_path / "out.jsonl"),
+                     "--resume", str(snap)]) == 1
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert not (tmp_path / "out.jsonl").exists()
 
     def test_schema_violation(self, count_params):
         with pytest.raises(SnapshotError):

@@ -1,4 +1,4 @@
-"""The program's rows and forecasts against the reference model.
+"""The program's rows, forecasts and ``fit`` score against the reference model.
 
 ``reference.Reference`` computes every row from instant lists in 50-digit
 decimals, so it neither shares a defect with the program's accumulators nor
@@ -7,12 +7,13 @@ instants and come back, which is where a discounted row read at the present
 instant underflowed to a false "no forecast".
 """
 
+import math
 from itertools import accumulate
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigauto import PluginParams, StreamPipeline, forecast
+from sigauto import PluginParams, Signal, StreamPipeline, forecast, score
 
 from reference import Reference
 
@@ -20,6 +21,7 @@ VARIANTS = ("count", "discounted_sum", "discounted_complement", "region_count",
             "latest_occurrence")
 REGION = ((-1.0, 2.0),)
 FAR = 100.0
+FLOOR = 1e-12
 
 
 def bound(n: int, h: int, variant: str, delta: float) -> float:
@@ -47,6 +49,12 @@ def assert_close(got: dict, want: dict, rel: float, what: str) -> None:
         assert abs(g - w) <= rel * w + TINY, (what, key, g, w)
 
 
+def params_for(variant: str, delta: float, lam: float, h: int = 1) -> PluginParams:
+    return PluginParams(lam=lam, grid_width=1.0, delta=delta, stat_variant=variant, horizon=h,
+                        region=REGION if variant in ("region_count", "latest_occurrence")
+                        else None)
+
+
 def stream(steps, gap):
     """A walk, ``gap`` instants at a far-away value, then the walk again."""
     walk = [(x,) for x in accumulate(steps)]
@@ -72,9 +80,7 @@ def stream(steps, gap):
          steps=[0.5, -0.5, 0.5, 1.0, -1.0], gap=10_000)
 def test_rows_and_forecast_equal_the_reference(variant, delta, lam, h, steps, gap):
     rows = stream(steps, gap)
-    params = PluginParams(lam=lam, grid_width=1.0, delta=delta, stat_variant=variant,
-                          region=REGION if variant in ("region_count", "latest_occurrence")
-                          else None)
+    params = params_for(variant, delta, lam)
     pipe = StreamPipeline(params)
     for row in rows:
         pipe.advance(row)
@@ -95,3 +101,39 @@ def test_rows_and_forecast_equal_the_reference(variant, delta, lam, h, steps, ga
     for j, (got, want) in enumerate(zip(fc.steps, steps_ref), 1):
         assert_close(got, want, rel, ("forecast step", j))
 
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    variant=st.sampled_from(VARIANTS),
+    delta=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+    lam=st.sampled_from([1.0, 0.5]),
+    steps=st.lists(st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]), min_size=1, max_size=25),
+    gap=st.integers(0, 10_000),
+)
+@example(variant="count", delta=0.0, lam=1.0,
+         steps=[1.0, 0.0, -1.0, 0.5, 0.5, -1.0], gap=10_000)
+@example(variant="discounted_sum", delta=0.9, lam=1.0,
+         steps=[1.0, 0.0, 4.0, -4.0, -1.0, 1.0, 4.0, -4.0], gap=8_000)
+@example(variant="discounted_complement", delta=0.99, lam=0.5,
+         steps=[0.5, -0.5, 0.5, 1.0, -1.0], gap=10_000)
+@example(variant="region_count", delta=0.5, lam=1.0,
+         steps=[0.5, 0.5, -0.5, 1.0, -1.0, 0.0], gap=10_000)
+@example(variant="latest_occurrence", delta=0.0, lam=0.5,
+         steps=[1.0, -0.5, 0.0, 0.5, -1.0], gap=10_000)
+def test_score_equals_the_reference(variant, delta, lam, steps, gap):
+    """``score`` over the walk's return after the gap (from the last
+    far-away instant) against the reference's mean log-likelihood.
+
+    Each term's log is off by at most its probability's relative error
+    (``bound`` at h = 1; a probability near 2⁻¹⁰⁰⁰ lies far below the floor,
+    which clamps both sides alike), and ``math.log`` and the window's float
+    sum add at most (window + 2)·|ln floor|·2⁻⁵² to the mean."""
+    rows = stream(steps, gap)
+    start, stop = len(rows) - len(steps) - 1, len(rows) - 1
+    got = score(params_for(variant, delta, lam), Signal(rows), start, stop, floor=FLOOR)
+    want = Reference(rows, lam=lam, width=1.0, variant=variant, delta=delta,
+                     region=params_for(variant, delta, lam).region).score(start, stop, FLOOR)
+    allowed = (bound(len(rows), 1, variant, delta)
+               + (stop - start + 2) * -math.log(FLOOR) * 2.0**-52)
+    assert abs(got - float(want)) <= allowed, (got, want, allowed)

@@ -115,7 +115,7 @@ def e1_isa(upto=len(E1)):
 class TestInstantsMatrixPop:
     @staticmethod
     def view(theta, p, q):
-        return ([(a, b, list(c)) for a, b, c in theta.cells()], theta.sources(q),
+        return ([(a, b, list(c)) for a, b, c in theta.cells()], theta.incoming_instants(),
                 theta.has_outgoing(p))
 
     @pytest.mark.parametrize("p, q", [
@@ -134,7 +134,7 @@ class TestInstantsMatrixPop:
                 before.append(a, b, i)
         seen = self.view(theta, p, q)
         theta.append(p, q, 9)
-        assert theta.has_outgoing(p) and p in theta.sources(q)
+        assert theta.has_outgoing(p) and 9 in theta.incoming_instants()[q]
         assert theta.pop(p, q) == 9
         assert self.view(theta, p, q) == seen
         assert theta == before
@@ -289,7 +289,7 @@ def test_step_invariants_along_the_fold(values, lam, width):
         if dangling:
             assert dangling == [isa.current]
         assert isa.theta.row(BOTTOM_STATE) == {next(iter(isa.theta.row(BOTTOM_STATE))): [0]}
-        assert not isa.theta.sources(BOTTOM_STATE)
+        assert BOTTOM_STATE not in isa.theta.incoming_instants()
 
 
 @settings(max_examples=40, deadline=None)

@@ -57,3 +57,30 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert unused == [], f"{path.name}: unused imports {unused}"
+
+
+ROW_TABLES = re.compile(r"\b(_trows|_erows)\b")
+
+
+def assigned_attributes(tree):
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign))
+                   else [])
+        for target in targets:
+            for part in ast.walk(target):
+                if isinstance(part, ast.Attribute):
+                    yield part.attr
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "hmm.py"],
+                         ids=lambda p: p.name)
+def test_only_the_model_knows_its_row_layout(path):
+    """``hmm.py`` owns the row layout and what a step writes: no other
+    module names ``step_slots`` or sets a row's cached normalization, and
+    only ``snapshot.py``, which reads and writes rows, names the row tables."""
+    text = path.read_text(encoding="utf-8")
+    assert not re.search(r"\bstep_slots\b", text)
+    assert "norm" not in set(assigned_attributes(ast.parse(text)))
+    if path.name != "snapshot.py":
+        assert not ROW_TABLES.search(text)
