@@ -17,7 +17,7 @@ import gc
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .automaton import build_isa
 from .forecasting import forecast
@@ -76,20 +76,7 @@ class BenchReport:
         return problems
 
     def to_dict(self) -> dict:
-        return {
-            "update": [vars(p) for p in self.update],
-            "build": [vars(p) for p in self.build],
-            "build_slope": self.build_slope,
-            "constancy_ratio": self.constancy_ratio,
-            "forecast": [vars(p) for p in self.forecast],
-            "forecast_ratio": self.forecast_ratio,
-            "lookahead": [vars(p) for p in self.lookahead],
-            "lookahead_ratio": self.lookahead_ratio,
-            "bandwidth": [vars(p) for p in self.bandwidth],
-            "bandwidth_ratio": self.bandwidth_ratio,
-            "max_ratio": self.max_ratio,
-            "slope_range": list(self.slope_range),
-        }
+        return asdict(self)
 
 
 def _point(n: int, samples_ns: list[int]) -> BenchPoint:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -26,7 +25,7 @@ from .bench import run_bench
 from .errors import ConfigError, EmptyInputError, RejectedInputError, SigautoError
 from .forecasting import fit
 from .lookahead import lookahead_advance, lookahead_build
-from .pipeline import EMISSION_MODES, StreamPipeline
+from .pipeline import EMISSION_MODES, StreamPipeline, checked_score_floor
 from .plugins import PluginParams, is_number
 from .signal import Signal, as_observation
 from .snapshot import load_snapshot, save_snapshot
@@ -79,9 +78,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     strict = merged.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"strict must be true or false, got {strict!r}")
-    floor = merged.get("score_floor", 1e-12)
-    if not (is_number(floor) and 0 < floor < math.inf):
-        raise ConfigError(f"score_floor must be positive and finite, got {floor!r}")
+    floor = checked_score_floor(merged.get("score_floor", 1e-12))
     split = merged.get("split")
     if split is not None and not is_number(split, int):
         raise ConfigError(f"split must be an integer, got {split!r}")
@@ -94,7 +91,7 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         emission=emission,
         seed=seed,
         strict=strict,
-        score_floor=float(floor),
+        score_floor=floor,
         split=split,
         grid=list(grid),
         given={k: v for k, v in merged.items() if v is not None},

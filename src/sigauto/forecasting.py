@@ -24,7 +24,6 @@ from .hmm import (
     _TransitionCore,
     isa_to_hmm,
     next_event_probability,
-    next_hmm,
 )
 from .plugins import (
     DUMMY_EVENT,
@@ -118,14 +117,10 @@ def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
     return total
 
 
-def sample_event(dist: dict[str, float], seed) -> str:
-    """Inverse-CDF draw over the sparse support in sorted key order.
-
-    Deterministic for a given seed; accepts int or string seeds.
-    """
-    if not dist:
-        raise EmptyInputError("cannot sample from an empty distribution")
-    u = random.Random(seed).random()
+def _inverse_cdf(dist: dict[str, float], u: float) -> str | None:
+    """The first label, in sorted key order, at which the cumulative
+    positive mass exceeds ``u``; the last label with positive mass when none
+    does (rounding), and None when no label has any."""
     cumulative = 0.0
     last = None
     for label in sorted(dist):
@@ -135,10 +130,21 @@ def sample_event(dist: dict[str, float], seed) -> str:
         cumulative += p
         last = label
         if u < cumulative:
-            return label
-    if last is None:
-        raise EmptyInputError("distribution has no positive mass")
+            break
     return last
+
+
+def sample_event(dist: dict[str, float], seed) -> str:
+    """Inverse-CDF draw over the sparse support in sorted key order.
+
+    Deterministic for a given seed; accepts int or string seeds.
+    """
+    if not dist:
+        raise EmptyInputError("cannot sample from an empty distribution")
+    label = _inverse_cdf(dist, random.Random(seed).random())
+    if label is None:
+        raise EmptyInputError("distribution has no positive mass")
+    return label
 
 
 def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
@@ -156,17 +162,7 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
         raise ConfigError("no kernel configured; pass one explicitly")
     occupancy = state_occupancies(hmm_c, j)[-1]
     rng = np.random.default_rng(seed)
-    u = float(rng.random())
-    cumulative = 0.0
-    state = None
-    for q in sorted(occupancy):
-        p = occupancy[q]
-        if p <= 0.0:
-            continue
-        cumulative += p
-        state = q
-        if u < cumulative:
-            break
+    state = _inverse_cdf(occupancy, float(rng.random()))
     if state is None or state == DUMMY_STATE:
         return None
     centers, _ = hmm_c.mixture(state)
@@ -197,18 +193,19 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
         groups.setdefault((params.lam, params.grid_width), []).append(k)
     totals = [0.0] * len(grid)
     for members in groups.values():
-        stats = {k: (sigma_fn(grid[k]), rho_fn(grid[k])) for k in members}
         lead = grid[members[0]]
         own, classifier, clusterer = Signal(), EmaGridClassifier(lead), Clusterer(lead.grid_width)
         for i in range(stop):
             own.append(signal[i])
             if i == 0:
                 isa = init_isa(own[0], classifier)
-                models = {k: isa_to_hmm(isa, own, *stats[k], clusterer) for k in members}
+                models = {k: isa_to_hmm(isa, own, sigma_fn(grid[k]), rho_fn(grid[k]), clusterer)
+                          for k in members}
             else:
                 next_isa(isa, own, classifier)
-                for k, hmm in models.items():
-                    next_hmm(hmm, isa, own, *stats[k], clusterer)
+                obs = own[i]
+                for hmm in models.values():
+                    hmm.update(isa, obs)
             if i >= start:
                 cluster = clusterer.label_of(signal[i + 1])
                 for k, hmm in models.items():

@@ -23,8 +23,11 @@ instant; they are read at ``n`` and normalized on every read.  Rows with no
 mass are the shared ``SINK_TRANSITION``/``SINK_EMISSION``.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
-``next_hmm`` mutates in place and returns its argument, mirroring
-``next_isa``.
+``update(isa, obs)`` is the one constant-time step for both emission kinds:
+it reads the arriving observation, not the signal, mutates the model in place
+and returns it, mirroring ``next_isa``.  ``next_hmm``/``next_hmm_continuous``
+are that step for library callers, after checking their arguments against
+the model.
 """
 
 from __future__ import annotations
@@ -140,7 +143,8 @@ def swap_journal(records) -> None:
 
 class _TransitionCore:
     """State set, initial indicator and transition accumulators shared by the
-    discrete and continuous models."""
+    discrete and continuous models; each supplies ``_apply_emission(state,
+    obs, instant)``, the emission write of ``update``."""
 
     def __init__(self, sigma: StatFn, n: int, current: str, current_is_new: bool):
         self.sigma = sigma
@@ -187,6 +191,15 @@ class _TransitionCore:
 
     # -- write side
 
+    def _next_instant(self, isa: Isa) -> int:
+        """The automaton's instant, refused unless it is the model's next."""
+        i = isa.n
+        if i != self.n + 1:
+            raise StalenessError(
+                f"model is at instant {self.n}, automaton at {i}; expected n+1"
+            )
+        return i
+
     def _write(self, table: dict[str, Row], key: str, col: str, stat: StatFn,
                instant: int) -> tuple[StatAccumulator, StatAccumulator]:
         """The accumulators of cell ``col`` and of row ``key`` of ``table``,
@@ -209,15 +222,29 @@ class _TransitionCore:
         row.norm = None
         return cell, row.total
 
-    def _apply_transition(self, prev_state: str, state: str, obs, instant: int) -> None:
+    def update(self, isa: Isa, obs) -> _TransitionCore:
+        """Constant-time step to the automaton's instant, one after the
+        model's, whose observation is ``obs``; mutates and returns the model.
+
+        Writes the (previous current, current) transition cell and that row's
+        sum, then the current state's emission: the arriving observation's
+        cluster cell and row sum (discrete) or one more mixture center
+        (continuous).  Each accumulator is written with one statistic call."""
+        i = self._next_instant(isa)
+        state = isa.current
         if state not in self.state_order:
             self.state_order[state] = None
         sigma = self.sigma
-        cell, total = self._write(self._trows, prev_state, state, sigma, instant)
-        gain = sigma.step_gain(cell, obs, instant)
-        sigma.advance(total, instant)
+        cell, total = self._write(self._trows, self.current, state, sigma, i)
+        gain = sigma.step_gain(cell, obs, i)
+        sigma.advance(total, i)
         total.value += gain
         total.raw_count += 1
+        self._apply_emission(state, obs, i)
+        self.current = state
+        self.current_is_new = is_new_state(isa)
+        self.n = i
+        return self
 
 
 class Hmm(_TransitionCore):
@@ -255,8 +282,9 @@ class Hmm(_TransitionCore):
         """A copy of every row, so changing the matrix leaves the model as is."""
         return SparseStochasticMatrix({q: dict(self.emission_row(q)) for q in self.states})
 
-    def _apply_emission(self, state: str, cluster: str, obs, instant: int) -> None:
+    def _apply_emission(self, state: str, obs, instant: int) -> None:
         rho = self.rho
+        cluster = self.clusterer.cluster_of(obs)
         cell, total = self._write(self._erows, state, cluster, rho, instant)
         rho.step_gain(cell, obs, instant)
         rho.step_gain(total, obs, instant)
@@ -302,7 +330,7 @@ class HmmContinuous(_TransitionCore):
             return 0.0
         return kern.mean_at(x, [self.signal[j] for j in centers])
 
-    def _apply_emission(self, state: str, instant: int) -> None:
+    def _apply_emission(self, state: str, obs, instant: int) -> None:
         self.mixtures.setdefault(state, []).append(instant)
 
 
@@ -310,15 +338,18 @@ class HmmContinuous(_TransitionCore):
 # Construction
 
 
-def _check_step_preconditions(model: _TransitionCore, isa: Isa, signal: Signal) -> int:
-    i = isa.n
-    if i != model.n + 1:
-        raise StalenessError(
-            f"model is at instant {model.n}, automaton at {i}; expected n+1"
-        )
+def _check_stat(given: StatFn, built: StatFn, name: str) -> None:
+    if given is not built and given.params_fingerprint() != built.params_fingerprint():
+        raise ConfigError(f"{name} statistic differs from the one the model was built with")
+
+
+def _observation(model: _TransitionCore, isa: Isa, signal: Signal):
+    """``signal[isa.n]``, refused as stale unless the automaton is one
+    instant ahead of the model and the signal reaches that instant."""
+    i = model._next_instant(isa)
     if len(signal) < i + 1:
         raise StalenessError(f"signal has {len(signal)} observations, need {i + 1}")
-    return i
+    return signal[i]
 
 
 def _build_transitions(model: _TransitionCore, isa: Isa, signal: Signal,
@@ -373,28 +404,15 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
 
 def next_hmm(hmm: Hmm, isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
              clusterer: Clusterer) -> Hmm:
-    """Constant-time update after one ``next_isa`` step; mutates ``hmm``.
-
-    Touches only the accumulator of the (previous current, current) transition
-    cell, that row's cached sum, the current state's emission accumulators for
-    the arriving observation's cluster, and the initial indicator; each
-    accumulator is written with one statistic call.
-    """
-    if sigma is not hmm.sigma and sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
-        raise ConfigError("sigma statistic differs from the one the model was built with")
-    if rho is not hmm.rho and rho.params_fingerprint() != hmm.rho.params_fingerprint():
-        raise ConfigError("rho statistic differs from the one the model was built with")
-    i = _check_step_preconditions(hmm, isa, signal)
+    """``hmm.update(isa, signal[isa.n])`` for a library caller: refused
+    unless ``sigma`` and ``rho`` are configured as the model's, the update
+    is not stale and ``clusterer`` is the model's own."""
+    _check_stat(sigma, hmm.sigma, "sigma")
+    _check_stat(rho, hmm.rho, "rho")
+    obs = _observation(hmm, isa, signal)
     if clusterer is not hmm.clusterer:
         raise ConfigError("clusterer differs from the one the model was built with")
-    obs = signal[i]
-    prev_state = hmm.current
-    hmm._apply_transition(prev_state, isa.current, obs, i)
-    hmm._apply_emission(isa.current, clusterer.cluster_of(obs), obs, i)
-    hmm.current = isa.current
-    hmm.current_is_new = is_new_state(isa)
-    hmm.n = i
-    return hmm
+    return hmm.update(isa, obs)
 
 
 def isa_to_hmm_continuous(isa: Isa, signal: Signal, sigma: StatFn,
@@ -410,19 +428,9 @@ def isa_to_hmm_continuous(isa: Isa, signal: Signal, sigma: StatFn,
 
 def next_hmm_continuous(hmm: HmmContinuous, isa: Isa, signal: Signal,
                         sigma: StatFn, kernel: Kernel | None = None) -> HmmContinuous:
-    """Constant-time continuous update: one transition cell plus one appended
-    mixture center."""
-    if sigma is not hmm.sigma and sigma.params_fingerprint() != hmm.sigma.params_fingerprint():
-        raise ConfigError("sigma statistic differs from the one the model was built with")
-    i = _check_step_preconditions(hmm, isa, signal)
-    obs = signal[i]
-    prev_state = hmm.current
-    hmm._apply_transition(prev_state, isa.current, obs, i)
-    hmm._apply_emission(isa.current, i)
-    hmm.current = isa.current
-    hmm.current_is_new = is_new_state(isa)
-    hmm.n = i
-    return hmm
+    """Continuous counterpart of ``next_hmm``; ``kernel`` is not read."""
+    _check_stat(sigma, hmm.sigma, "sigma")
+    return hmm.update(isa, _observation(hmm, isa, signal))
 
 
 def transition_row(hmm: _TransitionCore, state: str) -> dict[str, float]:

@@ -14,11 +14,11 @@ no lookahead objects exist beyond that point until genuine data arrives.
 The frontier steps one automaton and one model in place.  Because an
 unseen word poisons its entry, a live entry never adds a state, so its step
 is one instant appended to the instants matrix, a new ``current`` and ``n``,
-and ``next_hmm``'s writes to two existing rows: the transition row it leaves
-and the emission row it enters.  Each entry keeps a journal of what its
-step changed: the word, the automaton's prior ``current`` and ``n``, the
-model's prior ``current_is_new``, and the model's own journal of the rows
-it wrote (``Hmm.journal``, filled by the model's write path while the step
+and the model's ``update``, which writes to two existing rows: the
+transition row it leaves and the emission row it enters.  Each entry keeps
+a journal of what its step changed: the word, the automaton's prior
+``current`` and ``n``, the model's prior ``current_is_new``, and the model's
+own journal of the rows it wrote (``Hmm.journal``, filled by the model's write path while the step
 runs).  Undoing an entry hands that journal to ``swap_journal``, newest
 record first, which puts back each row's prior cell, total and cached
 normalization and deletes the cells the step created, so every table reads,
@@ -51,7 +51,7 @@ from .forecasting import (
     sample_event,
     state_occupancies,
 )
-from .hmm import Hmm, isa_to_hmm, next_hmm, swap_journal
+from .hmm import Hmm, isa_to_hmm, swap_journal
 from .plugins import (
     DUMMY_EVENT,
     Clusterer,
@@ -181,7 +181,7 @@ class LookaheadFrontier:
         isa.current, isa.n = word, i
         hmm.journal = entry.journal
         try:
-            next_hmm(hmm, isa, self.signal, self.sigma, self.rho, self.clusterer)
+            hmm.update(isa, self.signal[i])
         finally:
             hmm.journal = None
         self.entries.append(entry)
@@ -250,7 +250,7 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     hmm = isa_to_hmm(isa, src, frontier.sigma, frontier.rho, clusterer)
     for i in range(1, n - h + 1):
         next_isa(isa, src, classifier, future=src[i + 1 : i + h + 1])
-        next_hmm(hmm, isa, src, frontier.sigma, frontier.rho, clusterer)
+        hmm.update(isa, src[i])
     frontier.base_isa = isa
     frontier.base_hmm = hmm
     for i in range(n - h + 1, n + 1):
@@ -284,8 +284,7 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
             entry.undo()
         next_isa(frontier.base_isa, frontier.signal, frontier.classifier,
                  future=genuine_window)
-        next_hmm(frontier.base_hmm, frontier.base_isa, frontier.signal,
-                 frontier.sigma, frontier.rho, frontier.clusterer)
+        frontier.base_hmm.update(frontier.base_isa, frontier.signal[i0])
         frontier.entries = []
         frontier.estimated = []
         for i in range(i0 + 1, n_new):

@@ -1,34 +1,40 @@
 """Streaming loop: classifier -> automaton -> model -> forecast record.
 
 One pipeline owns one signal, one classifier, one clusterer and one model.
-``advance`` performs the constant-time update path only; ``step`` also
-produces the JSONL-ready forecast record for the new instant.
+``advance`` performs the constant-time update path only: the automaton's
+``next_isa`` step and the model's ``update`` with the new observation, for
+either emission kind; ``step`` also produces the JSONL-ready forecast record
+for the new instant.  The first observation, like ``rebuild_from_scratch``,
+builds the model from scratch with ``_scratch_model``.
 """
 
 from __future__ import annotations
 
+import math
+
 from .automaton import Isa, build_isa, init_isa, next_isa
 from .errors import ConfigError
 from .forecasting import forecast, state_occupancies
-from .hmm import (
-    Hmm,
-    HmmContinuous,
-    isa_to_hmm,
-    isa_to_hmm_continuous,
-    next_hmm,
-    next_hmm_continuous,
-)
+from .hmm import Hmm, HmmContinuous, isa_to_hmm, isa_to_hmm_continuous
 from .plugins import (
     Clusterer,
     EmaGridClassifier,
     Kernel,
     PluginParams,
+    is_number,
     rho_fn,
     sigma_fn,
 )
 from .signal import Signal
 
 EMISSION_MODES = ("discrete", "continuous")
+
+
+def checked_score_floor(value) -> float:
+    """``value`` as the floor of ``fit`` scores: a positive finite number."""
+    if not (is_number(value) and 0 < value < math.inf):
+        raise ConfigError(f"score_floor must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class StreamPipeline:
@@ -41,7 +47,7 @@ class StreamPipeline:
         self.params = params
         self.emission = emission
         self.seed = seed
-        self.score_floor = score_floor
+        self.score_floor = checked_score_floor(score_floor)
         self.signal = Signal()
         self.classifier = EmaGridClassifier(params)
         self.clusterer = Clusterer(params.grid_width)
@@ -62,22 +68,10 @@ class StreamPipeline:
         instant = self.signal.append(obs)
         if instant == 0:
             self.isa = init_isa(self.signal[0], self.classifier)
-            if self.emission == "discrete":
-                self.hmm = isa_to_hmm(
-                    self.isa, self.signal, self.sigma, self.rho, self.clusterer
-                )
-            else:
-                self.hmm = isa_to_hmm_continuous(
-                    self.isa, self.signal, self.sigma, self.kernel
-                )
+            self.hmm = self._scratch_model(self.isa, self.clusterer)
         else:
             next_isa(self.isa, self.signal, self.classifier)
-            if self.emission == "discrete":
-                next_hmm(self.hmm, self.isa, self.signal, self.sigma, self.rho,
-                         self.clusterer)
-            else:
-                next_hmm_continuous(self.hmm, self.isa, self.signal, self.sigma,
-                                    self.kernel)
+            self.hmm.update(self.isa, self.signal[instant])
         return instant
 
     def forecast_record(self) -> dict:
@@ -96,13 +90,13 @@ class StreamPipeline:
         self.advance(obs)
         return self.forecast_record()
 
+    def _scratch_model(self, isa: Isa, clusterer: Clusterer) -> Hmm | HmmContinuous:
+        """The model of ``isa`` over the whole signal, built from scratch."""
+        if self.emission == "discrete":
+            return isa_to_hmm(isa, self.signal, self.sigma, self.rho, clusterer)
+        return isa_to_hmm_continuous(isa, self.signal, self.sigma, self.kernel)
+
     def rebuild_from_scratch(self) -> tuple:
         """Reference build of the current state, ignoring all caches."""
-        classifier = EmaGridClassifier(self.params)
-        clusterer = Clusterer(self.params.grid_width)
-        isa = build_isa(self.signal, classifier)
-        if self.emission == "discrete":
-            model = isa_to_hmm(isa, self.signal, self.sigma, self.rho, clusterer)
-        else:
-            model = isa_to_hmm_continuous(isa, self.signal, self.sigma, self.kernel)
-        return isa, model
+        isa = build_isa(self.signal, EmaGridClassifier(self.params))
+        return isa, self._scratch_model(isa, Clusterer(self.params.grid_width))

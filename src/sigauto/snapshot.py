@@ -60,9 +60,16 @@ def _rows_doc(table: dict[str, Row]) -> list:
     ]
 
 
-def _rows_from(doc: list) -> dict[str, Row]:
-    return {p: Row({c: _acc_from(acc) for c, acc in cells}, _acc_from(total))
-            for p, cells, total in doc}
+def _rows_from(doc: list, states: dict, columns: dict) -> dict[str, Row]:
+    """The table of ``_rows_doc``, refused unless each row is one of
+    ``states`` and each of its cells one of ``columns``."""
+    table = {p: Row({c: _acc_from(acc) for c, acc in cells}, _acc_from(total))
+             for p, cells, total in doc}
+    for p, row in table.items():
+        if p not in states or not row.cells.keys() <= columns.keys():
+            raise SnapshotError(f"snapshot row {p!r} names a state or column the model "
+                                "does not have")
+    return table
 
 
 def _isa_state(isa: Isa) -> dict:
@@ -156,14 +163,15 @@ def restore_pipeline(doc: dict):
                                     f"match its emission mode {pipe.emission!r}")
             pipe.isa = _isa_from(doc["isa"])
             state = (int(model_doc["n"]), model_doc["current"], bool(model_doc["current_is_new"]))
+            states = dict.fromkeys(model_doc["states"])
             if pipe.emission == "discrete":
                 hmm = Hmm(pipe.sigma, pipe.rho, pipe.clusterer, *state)
-                hmm._erows = _rows_from(model_doc["emit"])
+                hmm._erows = _rows_from(model_doc["emit"], states, pipe.clusterer.observed)
             else:
                 hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, *state)
                 hmm.mixtures = {q: [int(i) for i in c] for q, c in model_doc["mixtures"]}
-            hmm.state_order = {s: None for s in model_doc["states"]}
-            hmm._trows = _rows_from(model_doc["trans"])
+            hmm.state_order = states
+            hmm._trows = _rows_from(model_doc["trans"], states, states)
             agree = (pipe.isa.n == hmm.n == pipe.n and pipe.isa.current == hmm.current
                      and hmm.current in hmm.state_order)
             if not agree:

@@ -5,6 +5,9 @@ no statistic objects and no import of ``sigauto``.
 
 * The automaton is the list of classifier labels: instant i moves from the
   label of i - 1 to the label of i (instant 0 from the pre-initial state).
+  With a lookahead of h rows, the label of instant i is the word of the
+  cells of rows i + 1 .. i + h, and the last h rows only complete the
+  words: the present is instant len(rows) - 1 - h.
 * A cell is the list of the instants of its moves.
 * Every weight is a ``decimal.Decimal`` at 50 significant digits, with
   delta converted exactly from its float.  A decimal exponent reaches down
@@ -48,19 +51,27 @@ def labels(rows, lam: float, width: float) -> list[str]:
     return out
 
 
+def words(rows, h: int, width: float) -> list[str]:
+    """The state of each instant with h rows after it: the cells of those
+    rows joined by ``"|"``."""
+    cells = [cell_label(row, width) for row in rows]
+    return ["|".join(cells[i + 1 : i + h + 1]) for i in range(len(rows) - h)]
+
+
 class Reference:
     """Rows and forecast of one stream ``rows`` (tuples of floats) at its
-    last instant, for one parameter tuple."""
+    last instant, or ``lookahead`` rows before it, for one parameter tuple."""
 
     def __init__(self, rows, *, lam=1.0, width=1.0, variant="count", delta=0.0,
-                 region=None):
+                 region=None, lookahead=0):
         self.rows = list(rows)
-        self.n = len(self.rows) - 1
         self.variant = variant
         self.delta = Decimal(delta)
         self.region = region
         self.width = width
-        self.states = states = labels(self.rows, lam, width)
+        self.states = states = (words(self.rows, lookahead, width) if lookahead
+                                else labels(self.rows, lam, width))
+        self.n = len(states) - 1
         self.current = states[-1]
         # transition cells by source state, emission cells by entered state
         self.moves: dict[str, dict[str, list[int]]] = {}

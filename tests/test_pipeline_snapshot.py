@@ -153,11 +153,22 @@ class TestPipelineSnapshot:
         (("classifier", "summary"), None),
         (("emission",), "continuous"),
         (("seed",), "x"),
+        (("score_floor",), "x"),
+        (("score_floor",), 0),
         (("model", "current"), "9"),
         (("isa", "n"), 9),
         (("model", "n"), 2),
+        # E1's model has states and clusters "1" and "5"; the second row of
+        # each table is state "5"'s, and its first cell is column "1".
+        (("model", "trans", 1, 0), "qq"),
+        (("model", "emit", 1, 0), "qq"),
+        (("model", "trans", 1, 1, 0, 0), "qq"),
+        (("model", "emit", 1, 1, 0, 0), "9"),
     ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
-            "seed_not_an_integer", "current_not_a_state", "automaton_ahead", "model_behind"])
+            "seed_not_an_integer", "score_floor_not_a_number", "score_floor_zero",
+            "current_not_a_state", "automaton_ahead", "model_behind",
+            "transition_row_of_no_state", "emission_row_of_no_state",
+            "transition_to_no_state", "emission_of_no_cluster"])
     def test_malformed_snapshot_is_refused(self, tmp_path, capsys, count_params, path, value):
         """``SnapshotError`` from the loader, and exit 1 with a one-line
         message from ``run --resume``, not a traceback or a run that goes on

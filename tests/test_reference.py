@@ -1,4 +1,5 @@
-"""The program's rows, forecasts and ``fit`` score against the reference model.
+"""The program's rows, forecasts, lookahead frontier entries and ``fit``
+score against the reference model.
 
 ``reference.Reference`` computes every row from instant lists in 50-digit
 decimals, so it neither shares a defect with the program's accumulators nor
@@ -13,7 +14,17 @@ from itertools import accumulate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sigauto import PluginParams, Signal, StreamPipeline, forecast, score
+import pytest
+
+from sigauto import (
+    PluginParams,
+    Signal,
+    StreamPipeline,
+    forecast,
+    lookahead_advance,
+    lookahead_build,
+    score,
+)
 
 from reference import Reference
 
@@ -47,6 +58,21 @@ def assert_close(got: dict, want: dict, rel: float, what: str) -> None:
     for key in got.keys() | want.keys():
         g, w = got.get(key, 0.0), float(want.get(key, 0))
         assert abs(g - w) <= rel * w + TINY, (what, key, g, w)
+
+
+def assert_model_equals(hmm, ref: Reference, h: int, rel: float) -> None:
+    """Same states, rows within ``rel`` and the same h-step forecast."""
+    assert set(hmm.states) == ref.state_set
+    for state in hmm.states:
+        assert_close(hmm.transition_row(state), ref.transition_row(state), rel,
+                     ("transition", state))
+        assert_close(hmm.emission_row(state), ref.emission_row(state), rel,
+                     ("emission", state))
+    fc = forecast(hmm, h)
+    dummy, steps_ref = ref.forecast(h)
+    assert fc.is_dummy == dummy
+    for j, (got, want) in enumerate(zip(fc.steps, steps_ref), 1):
+        assert_close(got, want, rel, ("forecast step", j))
 
 
 def params_for(variant: str, delta: float, lam: float, h: int = 1) -> PluginParams:
@@ -84,23 +110,9 @@ def test_rows_and_forecast_equal_the_reference(variant, delta, lam, h, steps, ga
     pipe = StreamPipeline(params)
     for row in rows:
         pipe.advance(row)
-    hmm = pipe.hmm
     ref = Reference(rows, lam=lam, width=1.0, variant=variant, delta=delta,
                     region=params.region)
-    rel = bound(len(rows), h, variant, delta)
-
-    assert set(hmm.states) == ref.state_set
-    for state in hmm.states:
-        assert_close(hmm.transition_row(state), ref.transition_row(state), rel,
-                     ("transition", state))
-        assert_close(hmm.emission_row(state), ref.emission_row(state), rel,
-                     ("emission", state))
-    fc = forecast(hmm, h)
-    dummy, steps_ref = ref.forecast(h)
-    assert fc.is_dummy == dummy
-    for j, (got, want) in enumerate(zip(fc.steps, steps_ref), 1):
-        assert_close(got, want, rel, ("forecast step", j))
-
+    assert_model_equals(pipe.hmm, ref, h, bound(len(rows), h, variant, delta))
 
 
 @settings(max_examples=20, deadline=None)
@@ -137,3 +149,48 @@ def test_score_equals_the_reference(variant, delta, lam, steps, gap):
     allowed = (bound(len(rows), 1, variant, delta)
                + (stop - start + 2) * -math.log(FLOOR) * 2.0**-52)
     assert abs(got - float(want)) <= allowed, (got, want, allowed)
+
+
+def frontier_models(frontier):
+    """Each model of the frontier with the rows it was built from: the base
+    model, with every live entry undone, over the genuine rows, then each
+    live entry, redone in turn, over the genuine rows followed by the
+    estimates its window reached."""
+    live = frontier.live()
+    for entry in reversed(live):
+        entry.undo()
+    genuine = list(frontier.signal)
+    yield frontier.base_hmm, genuine
+    for k, entry in enumerate(live):
+        entry.redo()
+        yield entry.hmm, genuine + frontier.estimated[: k + 1]
+
+
+# A walk that keeps to a few cells, so that frontier steps repeat known
+# words and stay live, around a visit to a far-away value.
+LOOKAHEAD_STEPS = [0.5, 0.5, -1.0, 0.5, -0.5, 1.0, -0.5, -0.5, 0.5, 0.5, -1.0, 0.5,
+                   0.0, 0.5, -0.5, -0.5, 1.0, -0.5, 0.5, -0.5]
+
+
+@pytest.mark.parametrize("h", [1, 2])
+@pytest.mark.parametrize("variant, delta", [
+    ("count", 0.0), ("discounted_sum", 0.9), ("discounted_complement", 0.5),
+    ("region_count", 0.0), ("latest_occurrence", 0.0),
+])
+def test_frontier_entries_equal_the_reference(variant, delta, h):
+    """After each genuine row, the base model and every live entry of the
+    frontier against the reference over the rows each was built from, with
+    the lookahead word of the next h rows as the state of an instant."""
+    rows = stream(LOOKAHEAD_STEPS * 2, gap=100) + stream(LOOKAHEAD_STEPS, gap=0)
+    split = len(rows) - len(LOOKAHEAD_STEPS)
+    params = params_for(variant, delta, 1.0, h)
+    frontier = lookahead_build(rows[:split], params, seed=5)
+    entries = 0
+    for row in rows[split:]:
+        lookahead_advance(frontier, row)
+        for k, (hmm, built_from) in enumerate(frontier_models(frontier)):
+            ref = Reference(built_from, width=1.0, variant=variant, delta=delta,
+                            region=params.region, lookahead=h)
+            assert_model_equals(hmm, ref, h, bound(len(built_from), h, variant, delta))
+            entries += k > 0
+    assert 2 * entries > len(rows) - split  # most advances leave live entries

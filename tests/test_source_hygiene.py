@@ -73,14 +73,26 @@ def assigned_attributes(tree):
                     yield part.attr
 
 
+def called_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            yield func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "hmm.py"],
                          ids=lambda p: p.name)
 def test_only_the_model_knows_its_row_layout(path):
     """``hmm.py`` owns the row layout and what a step writes: no other
-    module names ``step_slots`` or sets a row's cached normalization, and
-    only ``snapshot.py``, which reads and writes rows, names the row tables."""
+    module names ``step_slots``, the emission or transition write, or sets a
+    row's cached normalization; only ``snapshot.py``, which reads and writes
+    rows, names the row tables.  Inside the package a model steps with its
+    own ``update``: ``next_hmm``/``next_hmm_continuous``, which check a
+    library caller's arguments, are called nowhere else."""
     text = path.read_text(encoding="utf-8")
-    assert not re.search(r"\bstep_slots\b", text)
-    assert "norm" not in set(assigned_attributes(ast.parse(text)))
+    tree = ast.parse(text)
+    assert not re.search(r"\b(step_slots|_apply_emission|_apply_transition)\b", text)
+    assert "norm" not in set(assigned_attributes(tree))
+    assert not {"next_hmm", "next_hmm_continuous"} & set(called_names(tree))
     if path.name != "snapshot.py":
         assert not ROW_TABLES.search(text)
