@@ -31,7 +31,6 @@ from .plugins import (
     EmaGridClassifier,
     Kernel,
     PluginParams,
-    default_bandwidth,
     rho_fn,
     sigma_fn,
 )
@@ -98,14 +97,16 @@ def forecast(hmm: Hmm, horizon: int) -> Forecast:
 
 def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
                         kernel: Kernel | None = None) -> float:
-    """Forecast density at point ``x`` for step ``j`` of the continuous model.
+    """Forecast density at point ``x`` for step ``j`` of the continuous model,
+    with ``hmm_c.kernel_for(kernel)``; ``signal`` is not read (the model's
+    own signal is).
 
     The dummy state's point mass lives off the observation space, so it
     contributes zero at any finite x.
     """
     if j < 1:
         raise ConfigError(f"forecast step must be >= 1, got {j}")
-    kern = kernel or hmm_c.kernel or Kernel(default_bandwidth(signal))
+    kern = hmm_c.kernel_for(kernel)
     if len(x) != kern.d:
         raise ConfigError(f"point has dimension {len(x)}, kernel has {kern.d}")
     occupancy = state_occupancies(hmm_c, j)[-1]
@@ -153,13 +154,12 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
 
     Draws a state from the propagated occupancy, then a mixture center
     uniformly, then adds kernel noise.  Returns None when the dummy state is
-    drawn (no observation can represent the dummy event).
+    drawn (no observation can represent the dummy event).  The noise is
+    drawn with ``hmm_c.kernel_for(kernel)``.
     """
     import numpy as np
 
-    kern = kernel or hmm_c.kernel
-    if kern is None:
-        raise ConfigError("no kernel configured; pass one explicitly")
+    kern = hmm_c.kernel_for(kernel)
     occupancy = state_occupancies(hmm_c, j)[-1]
     rng = np.random.default_rng(seed)
     state = _inverse_cdf(occupancy, float(rng.random()))
@@ -179,8 +179,9 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
             floor: float) -> list[float]:
     """``score`` of every entry of ``grid``.  The automaton depends only on
     the classifier, so entries that share ``lam`` and ``grid_width`` share
-    one pass over ``signal[0..stop)``: its signal, classifier, clusterer and
-    automaton drive one model per entry, each with its own sigma and rho."""
+    one pass over ``signal[0..stop)``: its classifier, clusterer and
+    automaton drive one model per entry, each with its own sigma and rho.
+    Every step reads ``signal`` only up to its own instant."""
     n = signal.last_instant
     if not (0 <= start < stop <= n):
         raise RejectedInputError(
@@ -194,16 +195,15 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
     totals = [0.0] * len(grid)
     for members in groups.values():
         lead = grid[members[0]]
-        own, classifier, clusterer = Signal(), EmaGridClassifier(lead), Clusterer(lead.grid_width)
+        classifier, clusterer = EmaGridClassifier(lead), Clusterer(lead.grid_width)
         for i in range(stop):
-            own.append(signal[i])
             if i == 0:
-                isa = init_isa(own[0], classifier)
-                models = {k: isa_to_hmm(isa, own, sigma_fn(grid[k]), rho_fn(grid[k]), clusterer)
+                isa = init_isa(signal[0], classifier)
+                models = {k: isa_to_hmm(isa, signal, sigma_fn(grid[k]), rho_fn(grid[k]), clusterer)
                           for k in members}
             else:
-                next_isa(isa, own, classifier)
-                obs = own[i]
+                next_isa(isa, signal, classifier)
+                obs = signal[i]
                 for hmm in models.values():
                     hmm.update(isa, obs)
             if i >= start:

@@ -23,11 +23,14 @@ instant; they are read at ``n`` and normalized on every read.  Rows with no
 mass are the shared ``SINK_TRANSITION``/``SINK_EMISSION``.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
-``update(isa, obs)`` is the one constant-time step for both emission kinds:
-it reads the arriving observation, not the signal, mutates the model in place
-and returns it, mirroring ``next_isa``.  ``next_hmm``/``next_hmm_continuous``
-are that step for library callers, after checking their arguments against
-the model.
+A model is built on the automaton it models and takes from it what the
+automaton already holds: its instant, current state and newness, its state
+order and, for a continuous model, its mixture centres (the incoming
+instants).  ``update(isa, obs)`` is the one constant-time step for both
+emission kinds: it reads the arriving observation, not the signal, mutates
+the model in place and returns it, mirroring ``next_isa``.
+``next_hmm``/``next_hmm_continuous`` are that step for library callers,
+after checking their arguments against the model.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 from .automaton import BOTTOM_STATE, Isa, is_new_state
 from .errors import ConfigError, StalenessError, UnknownStateError
-from .plugins import DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn
+from .plugins import DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn, default_bandwidth
 from .signal import Signal
 
 DUMMY_STATE = "__no_state__"
@@ -144,14 +147,16 @@ def swap_journal(records) -> None:
 class _TransitionCore:
     """State set, initial indicator and transition accumulators shared by the
     discrete and continuous models; each supplies ``_apply_emission(state,
-    obs, instant)``, the emission write of ``update``."""
+    obs, instant)``, the emission write of ``update``.  The instant, current
+    state, its newness and the state order are ``isa``'s; the tables start
+    empty."""
 
-    def __init__(self, sigma: StatFn, n: int, current: str, current_is_new: bool):
+    def __init__(self, sigma: StatFn, isa: Isa):
         self.sigma = sigma
-        self.n = n
-        self.current = current
-        self.current_is_new = current_is_new
-        self.state_order: dict[str, None] = {}
+        self.n = isa.n
+        self.current = isa.current
+        self.current_is_new = is_new_state(isa)
+        self.state_order = {s: None for s in isa.states if s != BOTTOM_STATE}
         self._trows: dict[str, Row] = {}
         self.journal: list | None = None
 
@@ -252,8 +257,7 @@ class Hmm(_TransitionCore):
 
     emission_kind = "discrete"
 
-    def __init__(self, sigma: StatFn, rho: StatFn, clusterer: Clusterer,
-                 n: int, current: str, current_is_new: bool):
+    def __init__(self, sigma: StatFn, rho: StatFn, clusterer: Clusterer, isa: Isa):
         if not rho.additive:
             raise ConfigError(
                 f"emission statistic {rho.variant!r} is not additive over the "
@@ -261,7 +265,7 @@ class Hmm(_TransitionCore):
             )
         if (sigma.delta, sigma.region) != (rho.delta, rho.region):
             raise ConfigError("sigma and rho were configured from different parameter tuples")
-        super().__init__(sigma, n, current, current_is_new)
+        super().__init__(sigma, isa)
         self.rho = rho
         self.clusterer = clusterer
         self._erows: dict[str, Row] = {}
@@ -296,21 +300,23 @@ class HmmContinuous(_TransitionCore):
     Each real state emits a density obtained by centering the kernel at the
     observations of its incoming instants with uniform weights; the dummy
     state emits a point mass off the observation space and contributes zero
-    density at any finite point.
+    density at any finite point.  The centres start as ``isa``'s incoming
+    instants.  With no explicit ``kernel`` the model uses Scott's rule over
+    its signal as it stands when a density is read (``kernel_for``).
     """
 
     emission_kind = "continuous"
 
-    def __init__(self, sigma: StatFn, signal: Signal, kernel: Kernel | None,
-                 n: int, current: str, current_is_new: bool):
-        super().__init__(sigma, n, current, current_is_new)
+    def __init__(self, sigma: StatFn, signal: Signal, kernel: Kernel | None, isa: Isa):
+        super().__init__(sigma, isa)
         if kernel is not None and len(signal) and kernel.d != signal.dim:
             raise ConfigError(
                 f"kernel dimension {kernel.d} does not match signal dimension {signal.dim}"
             )
         self.signal = signal
         self.kernel = kernel
-        self.mixtures: dict[str, list[int]] = {}
+        incoming = isa.theta.incoming_instants()
+        self.mixtures = {q: incoming[q] for q in self.state_order if q in incoming}
 
     def mixture(self, q: str) -> tuple[tuple[int, ...], float]:
         """Center instants of state ``q`` and the shared uniform weight."""
@@ -319,16 +325,18 @@ class HmmContinuous(_TransitionCore):
         centers = self.mixtures.get(q, [])
         return tuple(centers), (1.0 / len(centers) if centers else 0.0)
 
+    def kernel_for(self, kernel: Kernel | None = None) -> Kernel:
+        """``kernel``, else the model's own, else Scott's rule over the
+        model's signal as it stands."""
+        return kernel or self.kernel or Kernel(default_bandwidth(self.signal))
+
     def density(self, q: str, x, kernel: Kernel | None = None) -> float:
         if q == DUMMY_STATE:
             return 0.0
-        kern = kernel or self.kernel
-        if kern is None:
-            raise ConfigError("no kernel configured; pass one explicitly")
         centers, _ = self.mixture(q)
         if not centers:
             return 0.0
-        return kern.mean_at(x, [self.signal[j] for j in centers])
+        return self.kernel_for(kernel).mean_at(x, [self.signal[j] for j in centers])
 
     def _apply_emission(self, state: str, obs, instant: int) -> None:
         self.mixtures.setdefault(state, []).append(instant)
@@ -354,13 +362,10 @@ def _observation(model: _TransitionCore, isa: Isa, signal: Signal):
 
 def _build_transitions(model: _TransitionCore, isa: Isa, signal: Signal,
                        sigma: StatFn) -> None:
-    """Fill the state set and transition accumulators from the instants matrix.
+    """Fill the transition accumulators from the instants matrix.
 
     Each accumulator is evaluated at its instant set's latest instant, where
     the incremental update leaves it, and each row sum at its row's."""
-    for state in isa.states:
-        if state != BOTTOM_STATE:
-            model.state_order[state] = None
     for p in model.state_order:
         row = isa.theta.row(p)
         if not row:
@@ -387,7 +392,7 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
     of their observation; the pre-initial bottom state's single cell counts
     toward emissions (instant 0) but never holds a transition row.
     """
-    hmm = Hmm(sigma, rho, clusterer, isa.n, isa.current, is_new_state(isa))
+    hmm = Hmm(sigma, rho, clusterer, isa)
     _build_transitions(hmm, isa, signal, sigma)
     incoming_by_state = isa.theta.incoming_instants()
     for q in hmm.state_order:
@@ -419,10 +424,8 @@ def isa_to_hmm_continuous(isa: Isa, signal: Signal, sigma: StatFn,
                           kernel: Kernel | None) -> HmmContinuous:
     """Continuous counterpart: transitions as in the discrete case, emissions
     as uniform kernel mixtures over each state's incoming instants."""
-    hmm = HmmContinuous(sigma, signal, kernel, isa.n, isa.current, is_new_state(isa))
+    hmm = HmmContinuous(sigma, signal, kernel, isa)
     _build_transitions(hmm, isa, signal, sigma)
-    incoming = isa.theta.incoming_instants()
-    hmm.mixtures = {q: incoming[q] for q in hmm.state_order if q in incoming}
     return hmm
 
 

@@ -589,9 +589,3 @@ def default_bandwidth(signal) -> np.ndarray:
     h = np.maximum(scale * s, 1e-6)
     return np.diag(h**2)
 
-
-def resolve_kernel(params: PluginParams, signal) -> Kernel:
-    """Kernel from an explicit matrix, or Scott's rule over the signal."""
-    if params.bandwidth == "scott":
-        return Kernel(default_bandwidth(signal))
-    return Kernel(params.bandwidth)

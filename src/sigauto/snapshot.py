@@ -3,7 +3,10 @@
 Pipeline snapshots capture everything the streaming loop needs to continue
 bit-identically after a restart: the signal, the classifier summary, the
 automaton, and every model accumulator, all in live iteration order so that
-restored dictionaries replay float arithmetic in the same order.
+restored dictionaries replay float arithmetic in the same order.  A model is
+rebuilt on the restored automaton, which gives it its instant, current state,
+state order and, for a continuous model, its mixture centres, so the model
+part holds only its row tables: ``trans``, and ``emit`` for a discrete model.
 
 Model documents are a canonical (sorted) export of one model: states, events,
 initial state, materialized transition and emission weights, and the instants
@@ -33,13 +36,13 @@ from .plugins import (
     PluginParams,
     StatAccumulator,
     is_number,
-    resolve_kernel,
     rho_fn,
     sigma_fn,
 )
 from .signal import Signal
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
+MODEL_DOCUMENT_VERSION = 2
 
 
 def _acc_doc(acc: StatAccumulator) -> dict:
@@ -82,33 +85,30 @@ def _isa_state(isa: Isa) -> dict:
     }
 
 
-def _isa_from(doc: dict) -> Isa:
+def _isa_from(doc: dict, n: int) -> Isa:
+    """The automaton of ``_isa_state``, refused unless it stands at the
+    signal's instant ``n`` and its cells hold each instant 0..n once: a
+    model built on it reads them."""
     theta = InstantsMatrix()
     for p, q, instants in doc["theta"]:
         for i in instants:
             theta.append(p, q, int(i))
+    if int(doc["n"]) != n or sorted(i for _, _, c in theta.cells() for i in c) != [*range(n + 1)]:
+        raise SnapshotError(f"snapshot automaton is not at its signal's instant {n} with each "
+                            f"of 0..{n} in one cell")
     return Isa(
         states={s: None for s in doc["states"]},
         current=doc["current"],
         theta=theta,
-        n=int(doc["n"]),
+        n=n,
         new_state_instants=[int(i) for i in doc["new_state_instants"]],
     )
 
 
 def _model_state(hmm) -> dict:
-    doc = {
-        "kind": hmm.emission_kind,
-        "n": hmm.n,
-        "current": hmm.current,
-        "current_is_new": hmm.current_is_new,
-        "states": list(hmm.state_order),
-        "trans": _rows_doc(hmm._trows),
-    }
+    doc = {"trans": _rows_doc(hmm._trows)}
     if hmm.emission_kind == "discrete":
         doc["emit"] = _rows_doc(hmm._erows)
-    else:
-        doc["mixtures"] = [[q, list(c)] for q, c in hmm.mixtures.items()]
     return doc
 
 
@@ -158,25 +158,21 @@ def restore_pipeline(doc: dict):
             raise SnapshotError("snapshot must hold a classifier summary, an automaton and "
                                 "a model exactly when its signal is not empty")
         if model_doc is not None:
-            if model_doc["kind"] != pipe.emission:
-                raise SnapshotError(f"snapshot model kind {model_doc['kind']!r} does not "
-                                    f"match its emission mode {pipe.emission!r}")
-            pipe.isa = _isa_from(doc["isa"])
-            state = (int(model_doc["n"]), model_doc["current"], bool(model_doc["current_is_new"]))
-            states = dict.fromkeys(model_doc["states"])
+            tables = {"trans", "emit"} if pipe.emission == "discrete" else {"trans"}
+            if set(model_doc) != tables:
+                raise SnapshotError(f"snapshot model holds {sorted(model_doc)}, not the "
+                                    f"{sorted(tables)} of a {pipe.emission} model")
+            pipe.isa = _isa_from(doc["isa"], pipe.n)
             if pipe.emission == "discrete":
-                hmm = Hmm(pipe.sigma, pipe.rho, pipe.clusterer, *state)
-                hmm._erows = _rows_from(model_doc["emit"], states, pipe.clusterer.observed)
+                hmm = Hmm(pipe.sigma, pipe.rho, pipe.clusterer, pipe.isa)
+                hmm._erows = _rows_from(model_doc["emit"], hmm.state_order,
+                                        pipe.clusterer.observed)
             else:
-                hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, *state)
-                hmm.mixtures = {q: [int(i) for i in c] for q, c in model_doc["mixtures"]}
-            hmm.state_order = states
-            hmm._trows = _rows_from(model_doc["trans"], states, states)
-            agree = (pipe.isa.n == hmm.n == pipe.n and pipe.isa.current == hmm.current
-                     and hmm.current in hmm.state_order)
-            if not agree:
-                raise SnapshotError("snapshot signal, automaton and model disagree on the "
-                                    "present instant or state")
+                hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, pipe.isa)
+            if hmm.current not in hmm.state_order:
+                raise SnapshotError(f"snapshot automaton's current state {hmm.current!r} is "
+                                    "not one of its states")
+            hmm._trows = _rows_from(model_doc["trans"], hmm.state_order, hmm.state_order)
             pipe.hmm = hmm
         return pipe
     except (KeyError, TypeError, ValueError) as exc:
@@ -229,7 +225,7 @@ def model_document(hmm, params: PluginParams, isa: Isa) -> dict:
     """
     transitions = hmm.transition_matrix()
     doc = {
-        "version": SNAPSHOT_VERSION,
+        "version": MODEL_DOCUMENT_VERSION,
         "tau": params.to_dict(),
         "states": sorted(hmm.states),
         "alpha": hmm.current,
@@ -270,10 +266,9 @@ def load_model_document(path) -> dict:
     if not isinstance(doc, dict):
         raise SnapshotError("model document root must be an object")
     version = doc.get("version")
-    if version != SNAPSHOT_VERSION:
-        raise SnapshotError(
-            f"model document version {version} not supported (expected {SNAPSHOT_VERSION})"
-        )
+    if version != MODEL_DOCUMENT_VERSION:
+        raise SnapshotError(f"model document version {version} not supported "
+                            f"(expected {MODEL_DOCUMENT_VERSION})")
     for key in ("tau", "states", "alpha", "transitions", "instants_matrix"):
         if key not in doc:
             raise SnapshotError(f"model document misses key {key!r}")
@@ -313,7 +308,7 @@ def hmm_from_document(doc: dict, signal: Signal):
     )
     if doc.get("mixtures") is not None:
         bandwidths = [m[2] for m in doc["mixtures"] if m[2] is not None]
-        kernel = Kernel(bandwidths[0]) if bandwidths else resolve_kernel(params, signal)
+        kernel = Kernel(bandwidths[0]) if bandwidths else None
         return isa_to_hmm_continuous(isa, signal, sigma_fn(params), kernel)
     clusterer = Clusterer(params.grid_width)
     return isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params), clusterer)

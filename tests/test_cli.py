@@ -497,8 +497,8 @@ class TestGoldenOutputs:
     GOLDEN = {
         "run": "cfd6d5f494886efebdaf1eb866a895fd2e2ff8e399665648e497c8b8e1beb754",
         "resumed_run": "55a73d729e52a149ad501534248caca537a54659fa4ecf374377104806fdc4cc",
-        "snapshot": "5557cd807d944de644c313dda57e56165f28cc52713e229155c4b2223c543ad3",
-        "resumed_snapshot": "15afd0a2ccda178fed7233794a5af8a2a39144b4303cb2cc449e35b49af2c23f",
+        "snapshot": "d9b9cea78955a118a934824251419f627518517568884abaeb396124294304ec",
+        "resumed_snapshot": "e27a58b4e4d85faeb80768290edf1560e73a85f7b4a37e0645ff3d76b50c920e",
         "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
         "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
         "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",

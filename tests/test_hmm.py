@@ -23,15 +23,19 @@ from sigauto import (
     UnknownStateError,
     build_isa,
     forecast,
+    default_bandwidth,
     forecast_density_at,
+    hmm_from_document,
     init_isa,
     isa_to_hmm,
     isa_to_hmm_continuous,
     load_snapshot,
+    model_document,
     next_hmm,
     next_hmm_continuous,
     next_isa,
     rho_fn,
+    sample_observation,
     save_snapshot,
     sigma_fn,
     state_occupancies,
@@ -585,3 +589,44 @@ class TestContinuous:
                                   kernel=Kernel([[1.0]]))
         centers, weight = hmm.mixture("5")
         assert len(centers) * weight == pytest.approx(1.0, abs=0)
+
+
+class TestScottKernel:
+    """A model with no explicit kernel reads every density and draw with
+    Scott's rule over its signal as it stands, as ``forecast_density_at``
+    does."""
+
+    @staticmethod
+    def scott_pipeline():
+        pipe = StreamPipeline(PluginParams(), emission="continuous")
+        for value in random_walk(300, dim=2, seed=32):
+            pipe.advance(value)
+        return pipe
+
+    def test_density_reads_the_scott_kernel(self):
+        pipe = self.scott_pipeline()
+        hmm, x = pipe.hmm, pipe.signal[-1]
+        scott = Kernel(default_bandwidth(pipe.signal))
+        total = 0.0
+        for q, w in state_occupancies(hmm, 1)[-1].items():
+            if q != DUMMY_STATE and w != 0.0:
+                assert hmm.density(q, x) == hmm.density(q, x, scott)
+                total += w * hmm.density(q, x)
+        assert total == forecast_density_at(hmm, pipe.signal, 1, x) > 0.0
+
+    def test_sampling_reads_the_scott_kernel(self):
+        pipe = self.scott_pipeline()
+        scott = Kernel(default_bandwidth(pipe.signal))
+        drawn = [sample_observation(pipe.hmm, 1, seed) for seed in range(5)]
+        assert drawn == [sample_observation(pipe.hmm, 1, seed, scott) for seed in range(5)]
+        assert any(len(x) == 2 for x in drawn if x is not None)
+
+    def test_scott_model_document_round_trips(self):
+        pipe = self.scott_pipeline()
+        doc = model_document(pipe.hmm, pipe.params, pipe.isa)
+        rebuilt = hmm_from_document(doc, pipe.signal)
+        assert rebuilt.kernel is None
+        assert model_document(rebuilt, pipe.params, pipe.isa) == doc
+        x = pipe.signal[-1]
+        assert (forecast_density_at(rebuilt, pipe.signal, 1, x)
+                == forecast_density_at(pipe.hmm, pipe.signal, 1, x))

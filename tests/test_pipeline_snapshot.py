@@ -147,40 +147,11 @@ class TestPipelineSnapshot:
         for label in pipe.clusterer.observed:
             assert loaded.center(label) == pipe.clusterer.center(label)
 
-    @pytest.mark.parametrize("path, value", [
-        (("isa",), None),
-        (("model",), None),
-        (("classifier", "summary"), None),
-        (("emission",), "continuous"),
-        (("seed",), "x"),
-        (("score_floor",), "x"),
-        (("score_floor",), 0),
-        (("model", "current"), "9"),
-        (("isa", "n"), 9),
-        (("model", "n"), 2),
-        # E1's model has states and clusters "1" and "5"; the second row of
-        # each table is state "5"'s, and its first cell is column "1".
-        (("model", "trans", 1, 0), "qq"),
-        (("model", "emit", 1, 0), "qq"),
-        (("model", "trans", 1, 1, 0, 0), "qq"),
-        (("model", "emit", 1, 1, 0, 0), "9"),
-    ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
-            "seed_not_an_integer", "score_floor_not_a_number", "score_floor_zero",
-            "current_not_a_state", "automaton_ahead", "model_behind",
-            "transition_row_of_no_state", "emission_row_of_no_state",
-            "transition_to_no_state", "emission_of_no_cluster"])
-    def test_malformed_snapshot_is_refused(self, tmp_path, capsys, count_params, path, value):
+    @staticmethod
+    def assert_refused(doc, tmp_path, capsys):
         """``SnapshotError`` from the loader, and exit 1 with a one-line
         message from ``run --resume``, not a traceback or a run that goes on
         from a state the snapshot does not hold."""
-        pipe = StreamPipeline(count_params)
-        for v in E1:
-            pipe.advance(v)
-        doc = pipeline_state(pipe)
-        part = doc
-        for key in path[:-1]:
-            part = part[key]
-        part[path[-1]] = value
         with pytest.raises(SnapshotError):
             restore_pipeline(doc)
         snap, rows = tmp_path / "snap.json", tmp_path / "more.csv"
@@ -190,6 +161,75 @@ class TestPipelineSnapshot:
                      "--resume", str(snap)]) == 1
         assert capsys.readouterr().err.startswith("input error: ")
         assert not (tmp_path / "out.jsonl").exists()
+
+    @staticmethod
+    def e1_state(params, emission="discrete"):
+        pipe = StreamPipeline(params, emission=emission)
+        for v in E1:
+            pipe.advance(v)
+        return pipeline_state(pipe)
+
+    @pytest.mark.parametrize("path, value", [
+        (("isa",), None),
+        (("model",), None),
+        (("classifier", "summary"), None),
+        (("emission",), "continuous"),
+        (("seed",), "x"),
+        (("score_floor",), "x"),
+        (("score_floor",), 0),
+        (("isa", "current"), "9"),
+        (("isa", "current"), "__bottom__"),
+        (("isa", "n"), 9),
+        (("isa", "theta", 2, 2), [2, 4, 99]),
+        (("isa", "theta", 2, 2), [2, 3]),
+        # E1's model has states and clusters "1" and "5"; the second row of
+        # each table is state "5"'s, and its first cell is column "1".
+        (("model", "trans", 1, 0), "qq"),
+        (("model", "emit", 1, 0), "qq"),
+        (("model", "trans", 1, 1, 0, 0), "qq"),
+        (("model", "emit", 1, 1, 0, 0), "9"),
+    ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
+            "seed_not_an_integer", "score_floor_not_a_number", "score_floor_zero",
+            "current_not_a_state", "current_is_bottom", "automaton_ahead",
+            "instant_past_the_signal", "instant_twice",
+            "transition_row_of_no_state", "emission_row_of_no_state",
+            "transition_to_no_state", "emission_of_no_cluster"])
+    def test_malformed_snapshot_is_refused(self, tmp_path, capsys, count_params, path, value):
+        doc = self.e1_state(count_params)
+        part = doc
+        for key in path[:-1]:
+            part = part[key]
+        part[path[-1]] = value
+        self.assert_refused(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("mixtures", [["qq", [99]]]),
+        ("emit", [["1", [["1", {"value": 1.0, "last_now": 0, "count": 1}]],
+                  {"value": 1.0, "last_now": 0, "count": 1}]]),
+    ], ids=["mixtures", "emission_rows"])
+    def test_continuous_model_with_another_part_is_refused(self, tmp_path, capsys,
+                                                           count_params, key, value):
+        """A continuous model part is its transition rows alone: its centres
+        are the automaton's incoming instants, and it has no emission rows.
+        A snapshot that stores either, here centres of a state the model
+        does not have at an instant past the signal, describes no pipeline."""
+        doc = self.e1_state(count_params, "continuous")
+        doc["model"][key] = value
+        self.assert_refused(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_version_2_snapshot_is_refused(self, tmp_path, capsys, count_params, emission):
+        """A snapshot as version 2 wrote it: the model part repeats the
+        automaton's instant, current state, newness and states, and a
+        continuous model its mixture centres."""
+        doc = self.e1_state(count_params, emission)
+        isa = doc["isa"]
+        doc["version"] = 2
+        doc["model"].update(kind=emission, n=isa["n"], current=isa["current"],
+                            current_is_new=False, states=isa["states"][1:])
+        if emission == "continuous":
+            doc["model"]["mixtures"] = [["1", [0, 1, 3]], ["5", [2, 4]]]
+        self.assert_refused(doc, tmp_path, capsys)
 
     def test_schema_violation(self, count_params):
         with pytest.raises(SnapshotError):

@@ -85,14 +85,15 @@ def called_names(tree):
 def test_only_the_model_knows_its_row_layout(path):
     """``hmm.py`` owns the row layout and what a step writes: no other
     module names ``step_slots``, the emission or transition write, or sets a
-    row's cached normalization; only ``snapshot.py``, which reads and writes
-    rows, names the row tables.  Inside the package a model steps with its
+    row's cached normalization, the state order or the mixture centres,
+    which a model takes from its automaton; only ``snapshot.py``, which
+    reads and writes rows, names the row tables.  Inside the package a model steps with its
     own ``update``: ``next_hmm``/``next_hmm_continuous``, which check a
     library caller's arguments, are called nowhere else."""
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)
     assert not re.search(r"\b(step_slots|_apply_emission|_apply_transition)\b", text)
-    assert "norm" not in set(assigned_attributes(tree))
+    assert not {"norm", "state_order", "mixtures"} & set(assigned_attributes(tree))
     assert not {"next_hmm", "next_hmm_continuous"} & set(called_names(tree))
     if path.name != "snapshot.py":
         assert not ROW_TABLES.search(text)
