@@ -7,11 +7,15 @@ materialized: each step is one sparse row-vector product.
 
 When the model's current state is new (no outgoing instants), no forecast is
 possible and every step is the point mass on the dummy event.
+
+``fit`` scores its grid entries in up to one forked process per available
+CPU; each score is computed by the same serial code, so it has the same bits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass, field
 
@@ -175,6 +179,15 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
 # Scoring and fitting
 
 
+def _groups(grid: list[PluginParams]) -> list[list[int]]:
+    """Indices of ``grid`` by ``(lam, grid_width)``, groups in first-appearance
+    order and entries in grid order inside each."""
+    groups: dict[tuple, list[int]] = {}
+    for k, params in enumerate(grid):
+        groups.setdefault((params.lam, params.grid_width), []).append(k)
+    return list(groups.values())
+
+
 def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
             floor: float) -> list[float]:
     """``score`` of every entry of ``grid``.  The automaton depends only on
@@ -187,13 +200,11 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
         raise RejectedInputError(
             f"scoring window [{start}, {stop}) out of range for signal at {n}"
         )
-    groups: dict[tuple, list[int]] = {}
-    for k, params in enumerate(grid):
+    for params in grid:
         if params.bandwidth != "scott":
             Kernel(params.bandwidth)  # refused as `run` refuses it; no score reads it
-        groups.setdefault((params.lam, params.grid_width), []).append(k)
     totals = [0.0] * len(grid)
-    for members in groups.values():
+    for members in _groups(grid):
         lead = grid[members[0]]
         classifier, clusterer = EmaGridClassifier(lead), Clusterer(lead.grid_width)
         for i in range(stop):
@@ -225,6 +236,81 @@ def score(params: PluginParams, signal: Signal, start: int, stop: int,
     return _scores([params], signal, start, stop, floor)[0]
 
 
+def _forked_scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
+                   floor: float) -> list[float] | None:
+    """``_scores(grid, ...)`` from one process per CPU this process may run
+    on, at most one per entry; None when that is one process, or when a
+    chunk fails, so that the caller scores serially and gets the serial
+    result or error.
+
+    The entries, grouped as ``_scores`` groups them, are cut into contiguous
+    chunks whose sizes differ by at most one.  The caller scores the first
+    chunk; a forked child scores each other one with ``_scores`` and writes
+    the doubles to a pipe, so every score has the bits of the serial one.
+    Forking is left alone where the platform lacks it or the caller runs
+    other threads, whose locks a child would inherit held.  Every child is
+    reaped before this returns or raises, and killed first unless it ended.
+    """
+    import threading
+
+    if (not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return None
+    workers = min(len(grid), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        return None
+    from array import array
+    from signal import SIGKILL
+
+    order = [k for members in _groups(grid) for k in members]
+    size, extra = divmod(len(order), workers)
+    cuts = [c * size + min(c, extra) for c in range(workers + 1)]
+    mine, *others = [order[a:b] for a, b in zip(cuts, cuts[1:])]
+    scores = [0.0] * len(grid)
+    children: dict[int, tuple] = {}  # pid -> (read end, chunk), until reaped
+    try:
+        for chunk in others:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                return None
+            if pid == 0:  # the child: every path ends in os._exit
+                code = 1
+                try:
+                    result = _scores([grid[k] for k in chunk], signal, start, stop, floor)
+                    with open(write, "wb") as pipe:
+                        pipe.write(array("d", result).tobytes())
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children[pid] = (open(read, "rb"), chunk)
+        try:
+            own = _scores([grid[k] for k in mine], signal, start, stop, floor)
+        except Exception:  # a chunk's error; the serial pass raises it in grid order
+            return None
+        for k, s in zip(mine, own):
+            scores[k] = s
+        for pid, (pipe, chunk) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            del children[pid]
+            if len(data) != 8 * len(chunk):  # the child failed before it wrote
+                return None
+            for k, s in zip(chunk, array("d", data)):
+                scores[k] = s
+        return scores
+    finally:
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 @dataclass
 class FitReport:
     """Grid-search outcome: held-out score per parameter tuple."""
@@ -247,12 +333,19 @@ def fit(grid: list[PluginParams], signal: Signal, split: int,
     scores each later observation.  Entries that share ``lam`` and
     ``grid_width`` share one classifier and automaton pass, which drives one
     model per entry.  Ties break toward the earlier grid entry.
+
+    On a platform with ``os.fork`` and ``os.sched_getaffinity`` (Linux),
+    a caller with no other thread has its entries scored in up to one
+    process per CPU it may run on (``_forked_scores``).  Each score, and
+    each error, is the serial one.
     """
     if not grid:
         raise EmptyInputError("parameter grid is empty")
     n = signal.last_instant
     if not (0 < split < n):
         raise RejectedInputError(f"split {split} out of range (0, {n})")
-    scores = _scores(grid, signal, split, n, floor)
+    scores = _forked_scores(grid, signal, split, n, floor)
+    if scores is None:
+        scores = _scores(grid, signal, split, n, floor)
     best_index = max(range(len(scores)), key=lambda k: (scores[k], -k))
     return FitReport(grid=list(grid), scores=scores, best_index=best_index, split=split)

@@ -86,23 +86,43 @@ def _isa_state(isa: Isa) -> dict:
 
 
 def _isa_from(doc: dict, n: int) -> Isa:
-    """The automaton of ``_isa_state``, refused unless it stands at the
-    signal's instant ``n`` and its cells hold each instant 0..n once: a
-    model built on it reads them."""
-    theta = InstantsMatrix()
+    """The automaton of ``_isa_state``, refused unless it is the one its
+    cells replay to at the signal's instant ``n``: each instant 0..n is in
+    one cell, instant 0 leaves ``__bottom__`` and each later one the state
+    the one before entered, no cell enters ``__bottom__``, and ``states``,
+    ``new_state_instants`` and ``current`` are the replay's first-visit
+    order, first-visit instants and last state.  A model built on it reads
+    all of these."""
+    if int(doc["n"]) != n:
+        raise SnapshotError(f"snapshot automaton is not at its signal's instant {n}")
+    moves: list = [None] * (n + 1)  # moves[i]: the (p, q) cell holding instant i
     for p, q, instants in doc["theta"]:
+        move = (p, q)
         for i in instants:
-            theta.append(p, q, int(i))
-    if int(doc["n"]) != n or sorted(i for _, _, c in theta.cells() for i in c) != [*range(n + 1)]:
-        raise SnapshotError(f"snapshot automaton is not at its signal's instant {n} with each "
-                            f"of 0..{n} in one cell")
-    return Isa(
-        states={s: None for s in doc["states"]},
-        current=doc["current"],
-        theta=theta,
-        n=n,
-        new_state_instants=[int(i) for i in doc["new_state_instants"]],
-    )
+            i = int(i)
+            if not 0 <= i <= n or moves[i] is not None:
+                raise SnapshotError(f"snapshot automaton holds instant {i} outside 0..{n} "
+                                    "or in two cells")
+            moves[i] = move
+    # Appending in instant order rebuilds the cells in the order the live
+    # automaton first wrote them, which is the order the snapshot stores.
+    theta = InstantsMatrix()
+    states, new_state_instants, current = {BOTTOM_STATE: None}, [], BOTTOM_STATE
+    for i, move in enumerate(moves):
+        if move is None or move[0] != current or move[1] == BOTTOM_STATE:
+            raise SnapshotError(f"snapshot automaton's instant {i} is in no cell, or its "
+                                "cells do not chain from __bottom__")
+        theta.append(current, move[1], i)
+        current = move[1]
+        if current not in states:
+            states[current] = None
+            new_state_instants.append(i)
+    if (doc["states"] != [*states] or doc["new_state_instants"] != new_state_instants
+            or doc["current"] != current):
+        raise SnapshotError("snapshot automaton's states, new-state instants or current "
+                            "state are not those its cells replay to")
+    return Isa(states=states, current=current, theta=theta, n=n,
+               new_state_instants=new_state_instants)
 
 
 def _model_state(hmm) -> dict:
@@ -169,9 +189,6 @@ def restore_pipeline(doc: dict):
                                         pipe.clusterer.observed)
             else:
                 hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, pipe.isa)
-            if hmm.current not in hmm.state_order:
-                raise SnapshotError(f"snapshot automaton's current state {hmm.current!r} is "
-                                    "not one of its states")
             hmm._trows = _rows_from(model_doc["trans"], hmm.state_order, hmm.state_order)
             pipe.hmm = hmm
         return pipe

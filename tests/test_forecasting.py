@@ -1,4 +1,9 @@
+import json
 import math
+import os
+import signal as signal_module
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -8,6 +13,7 @@ import pytest
 from sigauto import (
     DUMMY_EVENT,
     DUMMY_STATE,
+    ConfigError,
     EmaGridClassifier,
     EmptyInputError,
     Kernel,
@@ -27,7 +33,8 @@ from sigauto import (
     state_occupancies,
 )
 
-from sigauto import plugins
+from sigauto import cli, forecasting, plugins
+from sigauto.forecasting import _scores
 
 from conftest import E1, EVERY_STAT, build_plain, random_walk
 
@@ -223,6 +230,15 @@ def replayed_score(params, signal, start, stop, floor=1e-12):
     return total / (stop - start)
 
 
+# three (lambda, grid_width) groups, one differing from the first in lambda
+# alone and one in grid_width alone, interleaved in grid order; the last entry
+# differs from the first only in horizon
+GROUPS = ({"lam": 1.0, "grid_width": 1.0}, {"lam": 0.5, "grid_width": 1.0},
+          {"lam": 1.0, "grid_width": 0.5})
+THREE_GROUPS = [PluginParams(**GROUPS[k % 3], **stat) for k, stat in enumerate(EVERY_STAT)]
+THREE_GROUPS.append(PluginParams(**GROUPS[0], **EVERY_STAT[0], horizon=3))
+
+
 class TestFit:
     def test_discounting_wins_after_regime_change(self):
         grid = [
@@ -251,13 +267,7 @@ class TestFit:
     def test_grouped_fit_equals_each_entry_scored_alone(self):
         signal = walk_signal()
         n = signal.last_instant
-        # three (lambda, grid_width) groups, one differing from the first in
-        # lambda alone and one in grid_width alone, interleaved in grid order;
-        # the last entry differs from the first only in horizon
-        groups = ({"lam": 1.0, "grid_width": 1.0}, {"lam": 0.5, "grid_width": 1.0},
-                  {"lam": 1.0, "grid_width": 0.5})
-        grid = [PluginParams(**groups[k % 3], **stat) for k, stat in enumerate(EVERY_STAT)]
-        grid.append(PluginParams(**groups[0], **EVERY_STAT[0], horizon=3))
+        grid = THREE_GROUPS
         report = fit(grid, signal, split=n // 2)
         assert report.scores == [score(p, signal, n // 2, n) for p in grid]
         assert report.scores == [replayed_score(p, signal, n // 2, n) for p in grid]
@@ -291,7 +301,7 @@ class TestFit:
 
         monkeypatch.setattr(EmaGridClassifier, "step", counted)
         signal = walk_signal()
-        fit(grid, signal, split=100)
+        _scores(grid, signal, 100, signal.last_instant, 1e-12)
         # a pass consumes instants 0..n-1; observation n is only scored
         assert len(steps) == passes * signal.last_instant
 
@@ -310,7 +320,7 @@ class TestFit:
         counts = []
         for k in (1, 2, 4):
             calls.clear()
-            fit(self.ONE_GROUP[:k], signal, split=100)
+            _scores(self.ONE_GROUP[:k], signal, 100, signal.last_instant, 1e-12)
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
 
@@ -321,3 +331,167 @@ class TestFit:
     def test_split_validation(self, count_params):
         with pytest.raises(RejectedInputError):
             fit([count_params], Signal(E1), split=0)
+
+
+def no_child_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+class TestForkedFit:
+    """``fit`` scores its chunks in forked children, one process per CPU the
+    process may use (here set through ``os.sched_getaffinity``), and each
+    score, error and exit is the serial one."""
+
+    WIDE_REGION = PluginParams(stat_variant="region_count", region=[[-1, 2], [-1, 2]])
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Set the CPU count with ``cpus(k)``; ``calls`` lists each fork."""
+        calls = []
+        real = os.fork
+
+        def counted():
+            calls.append(os.getpid())
+            return real()
+
+        monkeypatch.setattr(os, "fork", counted)
+
+        def cpus(k):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
+        return calls, cpus
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    @pytest.mark.parametrize("grid", [THREE_GROUPS, TestFit.TWO_GROUPS],
+                             ids=["three_groups", "two_groups"])
+    def test_scores_are_the_serial_bits(self, forks, cpus, grid):
+        calls, set_cpus = forks
+        set_cpus(cpus)
+        signal = walk_signal()
+        n = signal.last_instant
+        report = fit(grid, signal, split=n // 2)
+        serial = _scores(grid, signal, n // 2, n, 1e-12)
+        assert [s.hex() for s in report.scores] == [s.hex() for s in serial]
+        assert calls == [os.getpid()] * (min(cpus, len(grid)) - 1)
+        assert no_child_left()
+
+    def test_a_caller_with_threads_forks_nothing(self, forks):
+        calls, set_cpus = forks
+        set_cpus(4)
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(30,))
+        other.start()
+        try:
+            signal = walk_signal()
+            report = fit(TestFit.TWO_GROUPS, signal, split=100)
+        finally:
+            release.set()
+            other.join(timeout=30)
+        assert not other.is_alive()
+        assert calls == []
+        assert report.scores == _scores(TestFit.TWO_GROUPS, signal, 100,
+                                        signal.last_instant, 1e-12)
+
+    def test_a_platform_without_affinity_forks_nothing(self, forks, monkeypatch):
+        calls, _ = forks
+        monkeypatch.delattr(os, "sched_getaffinity")
+        fit(TestFit.TWO_GROUPS, walk_signal(), split=100)
+        assert calls == []
+
+    # With 2 CPUs the caller scores entries 0..2 of five, with 4 entries 0..1.
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("bad", [{1: WIDE_REGION}, {4: WIDE_REGION},
+                                     {1: WIDE_REGION, 4: PluginParams(bandwidth=[[-1.0]])}],
+                             ids=["in_the_callers_chunk", "in_a_childs_chunk",
+                                  "serial_order_of_two"])
+    def test_an_entry_error_is_the_serial_one(self, forks, cpus, bad):
+        _, set_cpus = forks
+        set_cpus(cpus)
+        grid = list(TestFit.ONE_GROUP)
+        for at, params in bad.items():
+            grid.insert(at, params)
+        signal = walk_signal()
+        with pytest.raises(ConfigError) as serial:
+            _scores(grid, signal, 100, signal.last_instant, 1e-12)
+        with pytest.raises(ConfigError) as forked:
+            fit(grid, signal, split=100)
+        assert str(forked.value) == str(serial.value)
+        assert no_child_left()
+
+    def test_an_entry_error_exits_2_without_a_report(self, forks, tmp_path, capsys):
+        _, set_cpus = forks
+        set_cpus(2)
+        rows, config, out = tmp_path / "in.csv", tmp_path / "grid.json", tmp_path / "fit.json"
+        rows.write_text("".join(f"{x!r}\n" for (x,) in random_walk(240, seed=5)))
+        config.write_text(json.dumps({"grid": [
+            {"stat_variant": "count"}, {"stat_variant": "discounted_sum", "delta": 0.5},
+            {"stat_variant": "region_count", "region": [[-1, 2], [-1, 2]]}]}))
+        assert cli.main(["fit", "--input", str(rows), "--config", str(config),
+                         "--output", str(out)]) == 2
+        assert "2 axes" in capsys.readouterr().err
+        assert not out.exists()
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failing_call", [1, 2])
+    def test_a_failed_fork_scores_serially(self, monkeypatch, forks, failing_call):
+        _, set_cpus = forks
+        set_cpus(4)
+        forking = os.fork
+        calls = []
+
+        def fork():
+            calls.append(1)
+            if len(calls) == failing_call:
+                raise OSError(11, "Resource temporarily unavailable")
+            return forking()
+
+        monkeypatch.setattr(os, "fork", fork)
+        signal = walk_signal()
+        report = fit(THREE_GROUPS, signal, split=100)
+        assert report.scores == _scores(THREE_GROUPS, signal, 100, signal.last_instant, 1e-12)
+        assert len(calls) == failing_call
+        assert no_child_left()
+
+    @pytest.mark.parametrize("failure", ["raises", "exits_without_a_result", "is_killed"])
+    def test_a_failed_child_scores_serially(self, monkeypatch, forks, failure):
+        _, set_cpus = forks
+        set_cpus(2)
+        parent, real = os.getpid(), forecasting._scores
+
+        def scores(*args):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise MemoryError
+                if failure == "exits_without_a_result":
+                    os._exit(0)
+                os.kill(os.getpid(), signal_module.SIGKILL)
+            return real(*args)
+
+        monkeypatch.setattr(forecasting, "_scores", scores)
+        signal = walk_signal()
+        report = fit(TestFit.TWO_GROUPS, signal, split=100)
+        assert report.scores == real(TestFit.TWO_GROUPS, signal, 100, signal.last_instant, 1e-12)
+        assert no_child_left()
+
+    def test_an_interrupt_in_the_caller_kills_every_child(self, monkeypatch, forks):
+        """The children would sleep for a minute; ``fit`` kills them instead
+        of waiting."""
+        _, set_cpus = forks
+        set_cpus(4)
+        parent = os.getpid()
+
+        def scores(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        monkeypatch.setattr(forecasting, "_scores", scores)
+        started = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            fit(THREE_GROUPS, walk_signal(), split=100)
+        assert time.monotonic() - started < 30
+        assert no_child_left()

@@ -1,5 +1,7 @@
 """numpy is loaded by the first kernel, bandwidth or sampler call, not by
-``import sigauto`` or a discrete subcommand.
+``import sigauto`` or a discrete subcommand; ``pickle`` and
+``multiprocessing`` are loaded by neither ``import sigauto.cli`` nor a
+discrete ``run``.
 
 Checked in a fresh interpreter, because this test process has imported numpy
 long before.  The checks are on which modules are loaded, never on timings.
@@ -40,10 +42,14 @@ commands = {
                        "--output", path("c.jsonl"), "--horizon", "2"],
 }
 loaded = ["import sigauto.cli"] if "numpy" in sys.modules else []
+serializers = lambda: [m for m in ("pickle", "multiprocessing") if m in sys.modules]
+unwanted = {"import sigauto.cli": serializers()}
 for name, argv in commands.items():
     assert cli.main(argv) == 0, name
     if "numpy" in sys.modules and not loaded:
         loaded.append(name)
+    if name.startswith("run --"):
+        unwanted[name] = serializers()
 
 import sigauto
 rows = [tuple(row) for row in json.load(open(path("c.json")))]
@@ -57,7 +63,7 @@ else:
         loaded.append("continuous pipeline")
     result = sigauto.forecast_density_at(pipe.hmm, pipe.signal, 2, rows[-1])
 print(json.dumps({"loaded_before": loaded, "loaded_after": "numpy" in sys.modules,
-                  "result": result}))
+                  "unwanted": unwanted, "result": result}))
 """
 
 
@@ -93,6 +99,15 @@ def test_bandwidth_call_loads_numpy_after_numpy_free_subcommands(inputs):
     assert out["loaded_before"] == []
     assert out["loaded_after"]
     assert out["result"] == default_bandwidth(plane).tolist()
+
+
+def test_cli_and_a_discrete_run_load_no_pickle_or_multiprocessing(inputs):
+    """``fit``'s forked workers send raw doubles, so nothing on the discrete
+    path imports a serializer or a process pool."""
+    work, _ = inputs
+    out = run_fresh(work, "bandwidth")
+    assert out["unwanted"] == {"import sigauto.cli": [], "run --snapshot": [],
+                               "run --resume": []}
 
 
 def test_density_call_loads_numpy_after_a_scott_pipeline(inputs):

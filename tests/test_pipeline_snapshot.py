@@ -202,6 +202,41 @@ class TestPipelineSnapshot:
         part[path[-1]] = value
         self.assert_refused(doc, tmp_path, capsys)
 
+    # E1's automaton: instants 0..4 go __bottom__->1, 1->1, 1->5, 5->1, 1->5,
+    # so "1" is first entered at 0, "5" at 2, and the current state is "5".
+    @pytest.mark.parametrize("edits", [
+        {"states": ["__bottom__", "1", "5", "zz"], "new_state_instants": [0, 77]},
+        {"states": ["__bottom__", "1", "5", "zz"]},
+        {"states": ["__bottom__", "5", "1"]},
+        {"new_state_instants": [0, 3]},
+        {"current": "1"},
+        {"theta": [["__bottom__", "1", [0]], ["1", "1", [3]], ["1", "5", [2, 4]],
+                   ["5", "1", [1]]]},
+        {"theta": [["__bottom__", "1", [0, 2]], ["1", "__bottom__", [1]], ["1", "5", [3]],
+                   ["5", "1", [4]]],
+         "current": "1", "new_state_instants": [0, 3]},
+    ], ids=["state_and_instant_added", "state_never_entered", "states_reordered",
+            "new_state_instant_moved", "current_another_state", "cells_do_not_chain",
+            "bottom_entered"])
+    def test_automaton_its_cells_do_not_replay_to_is_refused(self, tmp_path, capsys,
+                                                             count_params, edits):
+        """The automaton's states, new-state instants and current state are
+        those its cells replay to from ``__bottom__``, and the cells chain:
+        each instant leaves the state the one before entered.  A snapshot
+        edited in any of these describes an automaton no stream built."""
+        doc = self.e1_state(count_params)
+        doc["isa"].update(edits)
+        self.assert_refused(doc, tmp_path, capsys)
+
+    def test_cells_are_rebuilt_in_instant_order(self, count_params):
+        """The cells replay to one automaton whatever order a cell lists its
+        instants in, or the cells are listed in; it is stored in live order."""
+        doc = self.e1_state(count_params)
+        edited = json.loads(json.dumps(doc))
+        edited["isa"]["theta"][2][2] = [4, 2]
+        edited["isa"]["theta"].reverse()
+        assert pipeline_state(restore_pipeline(edited)) == doc
+
     @pytest.mark.parametrize("key, value", [
         ("mixtures", [["qq", [99]]]),
         ("emit", [["1", [["1", {"value": 1.0, "last_now": 0, "count": 1}]],

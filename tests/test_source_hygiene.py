@@ -97,3 +97,24 @@ def test_only_the_model_knows_its_row_layout(path):
     assert not {"next_hmm", "next_hmm_continuous"} & set(called_names(tree))
     if path.name != "snapshot.py":
         assert not ROW_TABLES.search(text)
+
+
+def test_one_function_forks_and_no_process_pool_is_imported():
+    """``fit``'s workers are bare forks from one function: ``src/`` calls
+    ``os.fork`` nowhere else and imports neither ``multiprocessing`` nor
+    ``concurrent``, whose pools start slower and pickle what they send."""
+    forking, pools = [], []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                forking += [f"{path.name}:{function.name}" for node in ast.walk(function)
+                            if isinstance(node, ast.Call)
+                            and ast.unparse(node.func) in {"os.fork", "fork"}]
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+            pools += [name for name in names
+                      if name.split(".")[0] in {"multiprocessing", "concurrent"}]
+    assert forking == ["forecasting.py:_forked_scores"]
+    assert pools == []
