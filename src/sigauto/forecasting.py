@@ -139,17 +139,31 @@ def _inverse_cdf(dist: dict[str, float], u: float) -> str | None:
     return last
 
 
-def sample_event(dist: dict[str, float], seed) -> str:
-    """Inverse-CDF draw over the sparse support in sorted key order.
+def uniform_draw(seed) -> float:
+    """The uniform draw in [0, 1) that ``sample_event`` makes for ``seed``;
+    accepts int or string seeds."""
+    return random.Random(seed).random()
 
-    Deterministic for a given seed; accepts int or string seeds.
-    """
+
+def pick_event(dist: dict[str, float], u: float) -> str:
+    """Inverse-CDF pick of the uniform draw ``u`` over the sparse support
+    in sorted key order."""
     if not dist:
         raise EmptyInputError("cannot sample from an empty distribution")
-    label = _inverse_cdf(dist, random.Random(seed).random())
+    label = _inverse_cdf(dist, u)
     if label is None:
         raise EmptyInputError("distribution has no positive mass")
     return label
+
+
+def sample_event(dist: dict[str, float], seed) -> str:
+    """Inverse-CDF draw over the sparse support in sorted key order:
+    ``pick_event`` of ``uniform_draw(seed)``, so a caller that keeps a
+    seed's draw picks the same label from it without seeding again.
+
+    Deterministic for a given seed.
+    """
+    return pick_event(dist, uniform_draw(seed))
 
 
 def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,

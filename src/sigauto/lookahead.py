@@ -31,11 +31,14 @@ genuine step: the entry and its journal are dropped and every deeper entry
 is kept.  Otherwise the live entries are undone, newest first, the automaton
 and model take the genuine step, and the at most h entries are rebuilt.
 Either way an advance costs O(h) accumulator updates plus the frontier's
-(h+1)-step sampling forecasts.  Each frontier step draws from a generator
-seeded by (run seed, absolute instant), so a rebuilt suffix is identical to
-a fresh build over the extended signal.  ``fingerprint`` undoes every live
-entry and redoes them one by one, reading each automaton/model pair at its
-own instant.
+(h+1)-step sampling forecasts.  Each frontier step samples with the uniform
+draw of a generator seeded by (run seed, absolute instant), so a rebuilt
+suffix is identical to a fresh build over the extended signal.  The
+frontier keeps each instant's draw while the instant is in the frontier, so
+a rebuild picks from it without seeding again, and the word classifier and
+the model's clusterer remember recent rows, so an advance labels only its
+new row.  ``fingerprint`` undoes every live entry and redoes them one by
+one, reading each automaton/model pair at its own instant.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ from .forecasting import (
     Forecast,
     event_distribution,
     forecast as model_forecast,
-    sample_event,
+    pick_event,
     state_occupancies,
+    uniform_draw,
 )
 from .hmm import Hmm, isa_to_hmm, swap_journal
 from .plugins import (
@@ -107,7 +111,11 @@ class LookaheadFrontier:
     poisoned; ``estimated[k]`` is the sampled observation for position
     n + 1 + k.  ``base_isa``/``base_hmm`` are the frontier's one automaton
     and model: they stand at the newest live entry, and at instant n - h
-    once every live entry is undone, newest first.
+    once every live entry is undone, newest first.  ``draws[i]`` is the
+    uniform draw that sampled instant i's estimate, kept while i is a
+    frontier instant.  ``matched`` and ``rebuilt`` count the advances that
+    kept the deeper entries and those that rebuilt them; ``entries_built``
+    counts the entries appended, poisoned ones included.
     """
 
     def __init__(self, params: PluginParams, seed, signal: Signal,
@@ -125,6 +133,8 @@ class LookaheadFrontier:
         self.base_hmm: Hmm | None = None
         self.entries: list[FrontierEntry | None] = []
         self.estimated: list[tuple | None] = []
+        self.draws: dict[int, float] = {}
+        self.matched = self.rebuilt = self.entries_built = 0
 
     @property
     def n(self) -> int:
@@ -155,13 +165,17 @@ class LookaheadFrontier:
         Frontier instants never pass the present, so the step reads genuine
         observations and only its window holds estimates.
         """
+        self.entries_built += 1
         isa, hmm = self.base_isa, self.base_hmm
         if self.entries and self.entries[-1] is None:
             self.entries.append(None)
             self.estimated.append(None)
             return
         occupancy = state_occupancies(hmm, self.h + 1)[-1]
-        label = sample_event(event_distribution(hmm, occupancy), seed=f"{self.seed}:{i}")
+        u = self.draws.get(i)
+        if u is None:
+            u = self.draws[i] = uniform_draw(f"{self.seed}:{i}")
+        label = pick_event(event_distribution(hmm, occupancy), u)
         if label == DUMMY_EVENT:
             self.entries.append(None)
             self.estimated.append(None)
@@ -266,19 +280,21 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     and its journal are dropped and all deeper entries are kept.  Otherwise
     the live entries are undone, newest first, the automaton and model take
     the genuine step, and the suffix is rebuilt by the same induction (and
-    identical per-instant seeds) as a fresh build.  Always computes the
-    newest entry.
+    the same per-instant draws, kept from when each instant was first
+    sampled) as a fresh build.  Always computes the newest entry.
     """
     h = frontier.h
     frontier.signal.append(r_new)
     n_new = frontier.signal.last_instant
     i0 = n_new - h
+    frontier.draws.pop(i0, None)  # instant i0 is now fully genuine
     genuine_window = frontier.signal[i0 + 1 : i0 + h + 1]
     genuine_word = frontier.classifier.step(frontier.signal[i0], genuine_window)
     old_first = frontier.entries[0] if frontier.entries else None
     if old_first is not None and old_first.word == genuine_word:
         del frontier.entries[0]
         del frontier.estimated[0]
+        frontier.matched += 1
     else:
         for entry in reversed(frontier.live()):
             entry.undo()
@@ -287,6 +303,7 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
         frontier.base_hmm.update(frontier.base_isa, frontier.signal[i0])
         frontier.entries = []
         frontier.estimated = []
+        frontier.rebuilt += 1
         for i in range(i0 + 1, n_new):
             frontier._extend(i)
     frontier._extend(n_new)

@@ -261,20 +261,24 @@ class LookaheadWordClassifier:
     """Classifier consuming the next ``horizon`` observations.
 
     The label is the word of grid-cluster ids of the future window, letters
-    joined by ``"|"``.  It keeps no running summary.
+    joined by ``"|"``.  It keeps no running summary.  Its letters are the
+    labels of a ``Clusterer`` of its own grid, so a row that sits in the
+    windows of h consecutive words is labelled once, and the first letter
+    after ``reset`` fixes the dimension of every later one.
     """
 
     def __init__(self, params: PluginParams):
         if params.horizon < 1:
             raise ConfigError("lookahead classifier needs horizon >= 1")
         self.params = params
+        self.reset()
 
     @property
     def lookahead(self) -> int:
         return self.params.horizon
 
     def reset(self) -> None:
-        pass
+        self._letters = Clusterer(self.params.grid_width)
 
     def step(self, obs, future=()) -> str:
         h = self.params.horizon
@@ -282,12 +286,7 @@ class LookaheadWordClassifier:
             raise RejectedInputError(
                 f"lookahead window has {len(future)} observations, expected {h}"
             )
-        letters = []
-        for value in future:
-            coords = as_observation(value)
-            widths = self.params.widths_for(len(coords))
-            letters.append(cell_label(cell_index(coords, widths)))
-        return "|".join(letters)
+        return "|".join([self._letters.label_of(value) for value in future])
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +464,15 @@ def rho_fn(params: PluginParams) -> StatFn:
 # Clusterer
 
 
+# The rows a ``Clusterer`` remembers, a fixed bound.  One lookahead advance
+# labels ~2h + 1 distinct rows (h + 1 genuine ones and up to h estimates),
+# so 32 holds several advances' rows at the horizons in use.  A full memo is
+# cleared, not evicted row by row, which is cheaper per row; a small bound
+# keeps each clear short (~2 us), so that it does not stand out in a
+# per-row latency tail when rows never repeat.
+MEMO_ROWS = 32
+
+
 class Clusterer:
     """Axis-aligned grid partition of the observation space.
 
@@ -473,36 +481,48 @@ class Clusterer:
     pure lookup.  Cells are half-open per coordinate and the reserved
     DUMMY_EVENT id is never produced.
 
-    The last validated row is remembered with its label and cell: a call on
-    that very tuple (an ``is`` test, so a validated float tuple, which
-    ``as_observation`` passes through unchanged) reuses them.  The models
-    of a ``fit`` group read the same stored row, so one instant costs one
-    lookup however many of them cluster it.
+    Up to ``MEMO_ROWS`` recent rows are remembered with their label and
+    cell, keyed by the row's value: a label is a function of the
+    coordinates and the grid alone, so a hit returns what a miss computes.
+    Only rows that ``as_observation`` accepted are stored, as float tuples,
+    and a hit on a row with a coordinate that is not a ``float`` (a complex
+    number equal to one, say) is taken as a miss, so a row is refused as
+    ``as_observation`` refuses it.  The memo is cleared when it is full.
+    The models of a ``fit`` group read the same stored row, and a lookahead
+    row is read by h words and by the model, so each is labelled once.
+    ``center`` keeps each label's centre.
     """
 
     def __init__(self, grid_width):
         self._raw_width = _as_widths(grid_width)
         self._widths: tuple[float, ...] | None = None
         self.observed: dict[str, tuple[int, ...]] = {}
-        self._last_row = object()  # no caller holds it, so the first call misses
-        self._last: tuple[str, tuple[int, ...]] | None = None
+        # row -> (label, cell index, the stored row itself)
+        self._memo: dict[tuple, tuple[str, tuple[int, ...], tuple]] = {}
+        self._centers: dict[str, tuple[float, ...]] = {}
 
-    def _lookup(self, obs) -> tuple[str, tuple[int, ...]]:
-        """Label and cell index of ``obs``."""
-        if obs is self._last_row:
-            return self._last
+    def _lookup(self, obs) -> tuple[str, tuple[int, ...], tuple]:
+        """Label, cell index and validated coordinates of ``obs``."""
+        try:
+            hit = self._memo.get(obs)
+        except TypeError:  # an unhashable row, such as a list
+            hit = None
+        if hit is not None and (hit[2] is obs or all(type(x) is float for x in obs)):
+            return hit
         coords = as_observation(obs, None if self._widths is None else len(self._widths))
         if self._widths is None:
             self._widths = _widths_for_dim(self._raw_width, len(coords))
         idx = cell_index(coords, self._widths)
-        self._last_row, self._last = coords, (cell_label(idx), idx)
-        return self._last
+        if len(self._memo) >= MEMO_ROWS:
+            self._memo.clear()
+        hit = self._memo[coords] = (cell_label(idx), idx, coords)
+        return hit
 
     def label_of(self, obs) -> str:
         return self._lookup(obs)[0]
 
     def cluster_of(self, obs) -> str:
-        label, idx = self._lookup(obs)
+        label, idx, _ = self._lookup(obs)
         if label not in self.observed:
             self.observed[label] = idx
         return label
@@ -511,8 +531,12 @@ class Clusterer:
         """Canonical representative of an observed cluster (its cell center)."""
         if label not in self.observed:
             raise ConfigError(f"cluster {label!r} has not been observed")
-        idx = self.observed[label]
-        return cell_center(idx, _widths_for_dim(self._raw_width, len(idx)))
+        center = self._centers.get(label)
+        if center is None:
+            idx = self.observed[label]
+            center = self._centers[label] = cell_center(
+                idx, _widths_for_dim(self._raw_width, len(idx)))
+        return center
 
 
 # ---------------------------------------------------------------------------

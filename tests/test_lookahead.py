@@ -21,6 +21,7 @@ from sigauto import (
     rho_fn,
     sigma_fn,
 )
+from sigauto import plugins
 from sigauto.bench import random_walk
 
 from conftest import EVERY_STAT, assert_row_cache_coherent
@@ -208,8 +209,9 @@ def advance_against_fresh_builds(values, params, seed):
     after every advance.  After each advance, undoing every live entry must
     leave the automaton and model equal to a plain genuine fold to n - h, in
     key order and in every accumulator field, and redoing them must restore
-    the fingerprint.  Returns how many advances matched the stored word,
-    mismatched it, or found the oldest entry poisoned."""
+    the fingerprint.  The frontier's own counters must agree with the kinds
+    of advance seen here.  Returns how many advances matched the stored
+    word, mismatched it, or found the oldest entry poisoned."""
     h = params.horizon
     frontier = lookahead_build(values[: h + 1], params, seed=seed)
     kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
@@ -239,6 +241,10 @@ def advance_against_fresh_builds(values, params, seed):
             entry.redo()
         assert frontier.fingerprint() == fingerprint, f"redo at n={i}"
         assert forecast_key(frontier) == forecast_key(fresh), f"forecast at n={i}"
+    assert frontier.matched == kinds["matched"]
+    assert frontier.rebuilt == kinds["mismatched"] + kinds["poisoned"]
+    # h entries at the build, one per matched advance and h per rebuild
+    assert frontier.entries_built == h + frontier.matched + h * frontier.rebuilt
     return kinds
 
 
@@ -339,7 +345,58 @@ class TestRowCacheCoherence:
         assert_row_cache_coherent(model)
 
 
+def counted_walk(h, monkeypatch):
+    """A 300-advance walk at horizon h from the shortest history, with
+    ``random.Random`` and ``plugins.cell_index`` counted during the
+    advances, which must be of all three kinds.  Returns the seed of each
+    generator built and the grid cells computed per advance."""
+    values = random_walk(301 + h, seed=h, step=0.6)
+    params = PluginParams(grid_width=1.0, horizon=h)
+    frontier = lookahead_build(values[: h + 1], params, seed=5)
+    seeds, cells = [], []
+    real_random, real_cell_index = random.Random, plugins.cell_index
+
+    class Counted(real_random):
+        def __init__(self, seed=None):
+            seeds.append(seed)
+            super().__init__(seed)
+
+    def counted_cell_index(coords, widths):
+        cells.append(coords)
+        return real_cell_index(coords, widths)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    monkeypatch.setattr(plugins, "cell_index", counted_cell_index)
+    kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
+    for value in values[h + 1:]:
+        poisoned, matched = frontier.entries[0] is None, frontier.matched
+        lookahead_advance(frontier, value)
+        kinds["poisoned" if poisoned else "matched" if frontier.matched > matched
+              else "mismatched"] += 1
+        assert len(frontier.draws) <= h
+    monkeypatch.undo()
+    assert all(count > 0 for count in kinds.values()), kinds
+    return seeds, len(cells) / (len(values) - h - 1)
+
+
 class TestAdvanceCost:
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_one_generator_per_sampled_instant(self, h, monkeypatch):
+        """A rebuild reuses the draws its instants were first sampled with:
+        over matched, mismatched and poisoned advances, each instant's
+        generator is seeded once."""
+        seeds, _ = counted_walk(h, monkeypatch)
+        assert seeds and all(seed.startswith("5:") for seed in seeds)
+        assert len(seeds) == len(set(seeds)), "an instant was seeded twice"
+
+    def test_grid_cells_per_advance_do_not_grow_with_h(self, monkeypatch):
+        """An advance labels its new row once for the word classifier and
+        once for the model; the rows and estimates of the h words around it
+        are labelled already."""
+        per_advance = [counted_walk(h, monkeypatch)[1] for h in (1, 2, 3)]
+        assert max(per_advance) <= 3, per_advance
+        assert per_advance[2] <= per_advance[0] + 0.5, per_advance
+
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_accumulators_journaled_per_advance_do_not_grow_with_n(self, h):
         """After a random walk of n values (whose states grow with n), a

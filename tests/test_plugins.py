@@ -1,3 +1,4 @@
+import gc
 import math
 import statistics
 
@@ -132,6 +133,14 @@ class TestLookaheadWord:
         params = PluginParams(grid_width=1.0, horizon=2)
         with pytest.raises(RejectedInputError):
             LookaheadWordClassifier(params).step(None, ((5.0,),))
+
+    def test_the_first_letter_fixes_the_dimension_until_reset(self):
+        classifier = LookaheadWordClassifier(PluginParams(grid_width=1.0, horizon=1))
+        assert classifier.step(None, ((5.0,),)) == "5"
+        with pytest.raises(RejectedInputError):
+            classifier.step(None, ((5.0, 1.0),))
+        classifier.reset()
+        assert classifier.step(None, ((5.0, 1.0),)) == "(5,1)"
 
 
 class TestStatEval:
@@ -367,6 +376,134 @@ def test_last_row_memo_is_coherent(calls):
         assert got == getattr(fresh, method)(list(obs))
         assert memo.observed == fresh.observed
         assert list(memo.observed) == list(fresh.observed)
+
+
+# A coordinate in each form a row may carry it in; each equals its float
+# (-0.0 included), except a bare numpy scalar row, which is refused.
+COORDS = st.one_of(
+    st.floats(min_value=-6, max_value=6),
+    st.integers(-6, 6),
+    st.booleans(),
+    st.floats(min_value=-6, max_value=6).map(np.float64),
+    st.integers(-6, 6).map(np.int64),
+    st.floats(min_value=-6, max_value=6, width=32).map(np.float32),
+)
+
+
+def rows(dim):
+    """Rows of ``dim`` coordinates: tuples, lists and, in 1-d, bare numbers."""
+    coords = st.lists(COORDS, min_size=dim, max_size=dim)
+    return st.one_of(coords.map(tuple), coords, *([COORDS] if dim == 1 else []))
+
+
+def outcome(call, *args):
+    """What ``call`` returns, or the type and message of the error it raises."""
+    try:
+        return call(*args)
+    except (RejectedInputError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+def flood(labelled, dim):
+    """Label more distinct rows than a clusterer's memo holds (its bound is
+    32), so that the rows labelled before must be labelled again."""
+    for j in range(100):
+        labelled((1000.0 + 0.5 * j,) * dim)
+
+
+def reachable(obj):
+    """Every object reachable from ``obj`` through references, except
+    classes and modules."""
+    seen, stack = {}, [obj]
+    while stack:
+        o = stack.pop()
+        if id(o) in seen or isinstance(o, type) or type(o).__name__ == "module":
+            continue
+        seen[id(o)] = o
+        stack.extend(gc.get_referents(o))
+    return list(seen.values())
+
+
+class TestRowMemo:
+    """A clusterer or word classifier that has labelled rows before gives
+    the labels, words, observed alphabet and centres of a fresh one, and the
+    errors of a fresh one for the rows it refuses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), width=st.sampled_from([0.5, 1.0, 2.5]))
+    def test_warm_clusterer_equals_a_fresh_one(self, data, dim, width):
+        pool = data.draw(st.lists(rows(dim), min_size=1, max_size=6))
+        calls = data.draw(st.lists(
+            st.tuples(st.integers(0, len(pool) - 1),
+                      st.sampled_from(["label_of", "cluster_of", "center", "flood"])),
+            min_size=1, max_size=25))
+        warm, observed = Clusterer(width), {}
+        for k, method in calls:
+            row = pool[k]
+            if method == "flood":
+                flood(warm.label_of, dim)
+                continue
+            label = outcome(Clusterer(width).label_of, row)
+            if method != "center":
+                assert outcome(getattr(warm, method), row) == label
+            elif isinstance(label, str):
+                ref = Clusterer(width)
+                if label in observed:
+                    ref.cluster_of(row)
+                assert outcome(warm.center, label) == outcome(ref.center, label)
+            if method == "cluster_of" and isinstance(label, str):
+                ref = Clusterer(width)
+                ref.cluster_of(row)
+                observed.setdefault(label, ref.observed[label])
+            assert warm.observed == observed
+            assert list(warm.observed) == list(observed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2]), width=st.sampled_from([0.5, 1.0]),
+           h=st.sampled_from([1, 2, 3]))
+    def test_warm_word_classifier_equals_a_fresh_one(self, data, dim, width, h):
+        params = PluginParams(grid_width=width, horizon=h)
+        pool = data.draw(st.lists(rows(dim), min_size=1, max_size=6))
+        windows = data.draw(st.lists(
+            st.one_of(st.just("flood"), st.lists(st.integers(0, len(pool) - 1),
+                                                 min_size=h, max_size=h)),
+            min_size=1, max_size=20))
+        warm = LookaheadWordClassifier(params)
+        for window in windows:
+            if window == "flood":
+                flood(lambda row: warm.step(None, (row,) * h), dim)
+                continue
+            future = tuple(pool[k] for k in window)
+            fresh = LookaheadWordClassifier(params)
+            assert outcome(warm.step, None, future) == outcome(fresh.step, None, future)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pool=st.lists(rows(1), min_size=1, max_size=5),
+           bad=st.sampled_from([
+               (math.nan,), [math.nan], (math.inf,), (-math.inf, ), (1.0, 2.0), [0.5, 0.5],
+               ("a",), (None,), "1.5", None, (1.5 + 0j,), (0.5 + 0j,), (),
+               np.float64(math.nan), np.float32(1.5)]))
+    def test_a_refused_row_is_refused_again_and_never_stored(self, pool, bad):
+        warm, ref = Clusterer(1.0), Clusterer(1.0)
+        for row in [(0.5,), (1.5,)] + pool:  # (1.5,) equals the complex row
+            outcome(warm.cluster_of, row)
+        ref.label_of((0.25,))  # fixes the dimension, as the warm one's is
+        for method in ("label_of", "cluster_of", "label_of"):
+            observed = dict(warm.observed)
+            got = outcome(getattr(warm, method), bad)
+            assert got == outcome(ref.label_of, bad)
+            assert isinstance(got, tuple) and got[0] is RejectedInputError
+            assert warm.observed == observed
+        assert all(o is not bad for o in reachable(warm))
+
+    def test_ten_thousand_distinct_rows_leave_at_most_the_bound(self):
+        clusterer = Clusterer(1.0)
+        fed = {(0.37 * k,) for k in range(10_000)}
+        for row in fed:
+            clusterer.cluster_of(row)
+        held = [o for o in reachable(clusterer)  # not the cells, int tuples
+                if type(o) is tuple and type(o[0]) is float and o in fed]
+        assert len(held) <= 32  # the memo's bound
 
 
 @settings(max_examples=60, deadline=None)

@@ -118,3 +118,33 @@ def test_one_function_forks_and_no_process_pool_is_imported():
                       if name.split(".")[0] in {"multiprocessing", "concurrent"}]
     assert forking == ["forecasting.py:_forked_scores"]
     assert pools == []
+
+
+def calls_by_function(tree):
+    """``(qualified name of the enclosing function, unparsed callee)`` for
+    every call made inside a function or method."""
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from walk(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Call) and scope:
+                    yield ".".join(scope), ast.unparse(child.func)
+                yield from walk(child, scope)
+    return walk(tree, [])
+
+
+def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
+    """Grid labels come from ``Clusterer._lookup``, whose memo labels each
+    row once, and from the EMA classifier, whose summary is no stored row;
+    a generator is seeded in ``uniform_draw`` alone, whose draws the
+    lookahead frontier keeps (``bench.py``'s input generator aside)."""
+    labelling, seeding = set(), set()
+    for path in MODULES:
+        for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if callee.split(".")[-1] in {"cell_index", "cell_label"}:
+                labelling.add(f"{path.name}:{function}")
+            if callee in {"random.Random", "Random"}:
+                seeding.add(f"{path.name}:{function}")
+    assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step"}
+    assert seeding == {"forecasting.py:uniform_draw", "bench.py:random_walk"}
