@@ -11,14 +11,13 @@ construction.
 
 from .automaton import (
     BOTTOM_STATE,
-    AutomatonStats,
     InstantsMatrix,
     Isa,
-    automaton_stats,
     build_isa,
     init_isa,
     is_new_state,
     next_isa,
+    step_stream,
 )
 from .bench import BenchPoint, BenchReport, run_bench
 from .errors import (

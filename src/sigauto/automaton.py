@@ -7,11 +7,15 @@ Exactly one instant is stored per observation, so the cells partition
 {0..n} and the whole structure stays linear in the stream length.
 
 A distinguished BOTTOM_STATE precedes the first observation; classifiers can
-never produce it.  A state with no outgoing cell is called *new*; at most one
-such state exists at any time and it is necessarily the current state.
+never produce it.  An automaton starts empty, at instant -1 on BOTTOM_STATE,
+and every observation, the first included, is one step.  A state with no
+outgoing cell is called *new*; at most one such state exists at any time and
+it is necessarily the current state.
 
-Construction is single-writer: ``next_isa`` mutates its argument in place and
-returns it.
+Construction is single-writer.  ``step_stream`` is the one step: it moves
+the automaton one instant in place and then calls each model's ``update``
+with the new observation; ``next_isa`` is that step with no model, and
+returns the automaton.
 """
 
 from __future__ import annotations
@@ -96,22 +100,14 @@ class Isa:
 
     ``states`` is an insertion-ordered set (dict keyed by state label), so the
     first-visit order of states is preserved for deterministic serialization.
+    ``Isa()`` is the empty automaton, before the first observation.
     """
 
-    states: dict[str, None]
-    current: str
-    theta: InstantsMatrix
-    n: int
+    states: dict[str, None] = field(default_factory=lambda: {BOTTOM_STATE: None})
+    current: str = BOTTOM_STATE
+    theta: InstantsMatrix = field(default_factory=InstantsMatrix)
+    n: int = -1
     new_state_instants: list[int] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class AutomatonStats:
-    """Observed growth of the classifier's state set."""
-
-    n: int
-    distinct_states: int
-    new_state_instants: tuple[int, ...]
 
 
 def _checked_label(label: str) -> str:
@@ -121,39 +117,45 @@ def _checked_label(label: str) -> str:
 
 
 def init_isa(r0, classifier, future=()) -> Isa:
-    """Build the automaton for a one-observation signal."""
+    """Build the automaton for a one-observation signal: the first step of
+    the empty automaton, with ``classifier`` reset."""
     classifier.reset()
-    label = _checked_label(classifier.step(r0, future))
-    theta = InstantsMatrix()
-    theta.append(BOTTOM_STATE, label, 0)
-    return Isa(
-        states={BOTTOM_STATE: None, label: None},
-        current=label,
-        theta=theta,
-        n=0,
-        new_state_instants=[0],
-    )
+    return next_isa(Isa(), (r0,), classifier, future)
 
 
-def next_isa(isa: Isa, signal: Signal, classifier, future=()) -> Isa:
-    """Consume observation ``signal[isa.n + 1]``, mutating ``isa`` in place.
+def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None:
+    """The one step of the automaton and its models, from the first
+    observation on: consume observation ``signal[isa.n + 1]``, mutating
+    ``isa`` in place, then ``update`` each of ``models``, one instant behind
+    ``isa``, with that observation.  The classifier and models are read at
+    each call, never kept.
 
     Whether the emitted state is new or already known, exactly one instant is
     appended: to cell (previous current, new current).  A new state is also
-    added to the state set.  Amortized O(1) plus the classifier step.
+    added to the state set.  Amortized O(1) plus the classifier step and the
+    models' updates.
     """
     i = isa.n + 1
     if len(signal) < i + 1:
         raise StalenessError(
             f"automaton is at instant {isa.n} but signal has only {len(signal)} observations"
         )
-    label = _checked_label(classifier.step(signal[i], future))
+    obs = signal[i]
+    label = _checked_label(classifier.step(obs, future))
     if label not in isa.states:
         isa.states[label] = None
         isa.new_state_instants.append(i)
     isa.theta.append(isa.current, label, i)
     isa.current = label
     isa.n = i
+    for model in models:
+        model.update(isa, obs)
+
+
+def next_isa(isa: Isa, signal: Signal, classifier, future=()) -> Isa:
+    """Consume observation ``signal[isa.n + 1]``, mutating ``isa`` in place:
+    ``step_stream`` with no model."""
+    step_stream(isa, signal, classifier, (), future)
     return isa
 
 
@@ -165,20 +167,13 @@ def build_isa(signal: Signal, classifier) -> Isa:
         raise SigautoError(
             "build_isa takes a plain classifier; lookahead construction is separate"
         )
-    isa = init_isa(signal[0], classifier)
-    for _ in range(1, len(signal)):
-        next_isa(isa, signal, classifier)
+    classifier.reset()
+    isa = Isa()
+    for _ in range(len(signal)):
+        step_stream(isa, signal, classifier, ())
     return isa
 
 
 def is_new_state(isa: Isa) -> bool:
     """True iff the current state has no outgoing cell."""
     return not isa.theta.has_outgoing(isa.current)
-
-
-def automaton_stats(isa: Isa) -> AutomatonStats:
-    return AutomatonStats(
-        n=isa.n,
-        distinct_states=len(isa.new_state_instants),
-        new_state_instants=tuple(isa.new_state_instants),
-    )

@@ -19,14 +19,13 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from .automaton import init_isa, next_isa
+from .automaton import Isa, step_stream
 from .errors import ConfigError, EmptyInputError, RejectedInputError
 from .hmm import (
     DUMMY_STATE,
     Hmm,
     HmmContinuous,
     _TransitionCore,
-    isa_to_hmm,
     next_event_probability,
 )
 from .plugins import (
@@ -208,7 +207,9 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
     the classifier, so entries that share ``lam`` and ``grid_width`` share
     one pass over ``signal[0..stop)``: its classifier, clusterer and
     automaton drive one model per entry, each with its own sigma and rho.
-    Every step reads ``signal`` only up to its own instant."""
+    The automaton and models start empty, and each instant, the first
+    included, is one ``step_stream`` of all of them.  Every step reads
+    ``signal`` only up to its own instant."""
     n = signal.last_instant
     if not (0 <= start < stop <= n):
         raise RejectedInputError(
@@ -220,17 +221,10 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
     totals = [0.0] * len(grid)
     for members in _groups(grid):
         lead = grid[members[0]]
-        classifier, clusterer = EmaGridClassifier(lead), Clusterer(lead.grid_width)
+        classifier, clusterer, isa = EmaGridClassifier(lead), Clusterer(lead.grid_width), Isa()
+        models = {k: Hmm(sigma_fn(grid[k]), rho_fn(grid[k]), clusterer, isa) for k in members}
         for i in range(stop):
-            if i == 0:
-                isa = init_isa(signal[0], classifier)
-                models = {k: isa_to_hmm(isa, signal, sigma_fn(grid[k]), rho_fn(grid[k]), clusterer)
-                          for k in members}
-            else:
-                next_isa(isa, signal, classifier)
-                obs = signal[i]
-                for hmm in models.values():
-                    hmm.update(isa, obs)
+            step_stream(isa, signal, classifier, models.values())
             if i >= start:
                 cluster = clusterer.label_of(signal[i + 1])
                 for k, hmm in models.items():

@@ -26,11 +26,16 @@ it divides the few cells it needs by their row sums.
 A model is built on the automaton it models and takes from it what the
 automaton already holds: its instant, current state and newness, its state
 order and, for a continuous model, its mixture centres (the incoming
-instants).  ``update(isa, obs)`` is the one constant-time step for both
-emission kinds: it reads the arriving observation, not the signal, mutates
-the model in place and returns it, mirroring ``next_isa``.
-``next_hmm``/``next_hmm_continuous`` are that step for library callers,
-after checking their arguments against the model.
+instants).  A streaming model is built on the empty automaton, with empty
+tables.  ``update(isa, obs)`` is the one constant-time step for both
+emission kinds, from instant 0 on: it reads the arriving observation, not
+the signal, mutates the model in place and returns it, mirroring
+``next_isa``; at instant 0 it writes only the emission, since the move out
+of ``__bottom__`` holds no transition row.  ``automaton.step_stream`` calls
+it after each move of the automaton.  ``isa_to_hmm`` and
+``isa_to_hmm_continuous`` fill the tables of a whole automaton at once: the
+scratch path.  ``next_hmm``/``next_hmm_continuous`` are the step for
+library callers, after checking their arguments against the model.
 """
 
 from __future__ import annotations
@@ -47,20 +52,15 @@ DUMMY_STATE = "__no_state__"
 
 @dataclass
 class SparseStochasticMatrix:
-    """Materialized sparse matrix; absent entries read as zero."""
+    """Materialized sparse matrix: ``rows[p][q]`` is the weight of (p, q);
+    absent entries are zero."""
 
     rows: dict[str, dict[str, float]]
-
-    def weight(self, p: str, q: str) -> float:
-        return self.rows.get(p, {}).get(q, 0.0)
 
     def row(self, p: str) -> dict[str, float]:
         if p not in self.rows:
             raise UnknownStateError(p)
         return dict(self.rows[p])
-
-    def sparsity(self) -> set[tuple[str, str]]:
-        return {(p, q) for p, row in self.rows.items() for q in row}
 
 
 SINK_TRANSITION = {DUMMY_STATE: 1.0}
@@ -232,19 +232,21 @@ class _TransitionCore:
         model's, whose observation is ``obs``; mutates and returns the model.
 
         Writes the (previous current, current) transition cell and that row's
-        sum, then the current state's emission: the arriving observation's
-        cluster cell and row sum (discrete) or one more mixture center
-        (continuous).  Each accumulator is written with one statistic call."""
+        sum, unless the step leaves ``__bottom__`` (instant 0), then the
+        current state's emission: the arriving observation's cluster cell and
+        row sum (discrete) or one more mixture center (continuous).  Each
+        accumulator is written with one statistic call."""
         i = self._next_instant(isa)
         state = isa.current
         if state not in self.state_order:
             self.state_order[state] = None
-        sigma = self.sigma
-        cell, total = self._write(self._trows, self.current, state, sigma, i)
-        gain = sigma.step_gain(cell, obs, i)
-        sigma.advance(total, i)
-        total.value += gain
-        total.raw_count += 1
+        if i:
+            sigma = self.sigma
+            cell, total = self._write(self._trows, self.current, state, sigma, i)
+            gain = sigma.step_gain(cell, obs, i)
+            sigma.advance(total, i)
+            total.value += gain
+            total.raw_count += 1
         self._apply_emission(state, obs, i)
         self.current = state
         self.current_is_new = is_new_state(isa)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Isa, _checked_label, init_isa, next_isa
+from .automaton import Isa, _checked_label, step_stream
 from .errors import InsufficientHistoryError
 from .forecasting import (
     Forecast,
@@ -55,7 +55,7 @@ from .forecasting import (
     state_occupancies,
     uniform_draw,
 )
-from .hmm import Hmm, isa_to_hmm, swap_journal
+from .hmm import Hmm, swap_journal
 from .plugins import (
     DUMMY_EVENT,
     Clusterer,
@@ -244,9 +244,10 @@ class LookaheadFrontier:
 def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     """Build the frontier over a signal with at least h + 1 observations.
 
-    Instants 0 .. n - h run the plain pipeline with genuine future windows;
-    the remaining instants are extended one by one, each sampling the next
-    estimated observation from the previous frontier model.
+    The automaton and model start empty; instants 0 .. n - h are each one
+    ``step_stream`` with their genuine future windows, as in the plain
+    pipeline.  The remaining instants are extended one by one, each sampling
+    the next estimated observation from the previous frontier model.
     """
     h = params.horizon
     classifier = LookaheadWordClassifier(params)  # refuses h < 1
@@ -260,13 +261,10 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     frontier = LookaheadFrontier(
         params, seed, src, classifier, clusterer, sigma_fn(params), rho_fn(params)
     )
-    isa = init_isa(src[0], classifier, future=src[1 : 1 + h])
-    hmm = isa_to_hmm(isa, src, frontier.sigma, frontier.rho, clusterer)
-    for i in range(1, n - h + 1):
-        next_isa(isa, src, classifier, future=src[i + 1 : i + h + 1])
-        hmm.update(isa, src[i])
-    frontier.base_isa = isa
-    frontier.base_hmm = hmm
+    isa = frontier.base_isa = Isa()
+    hmm = frontier.base_hmm = Hmm(frontier.sigma, frontier.rho, clusterer, isa)
+    for i in range(n - h + 1):
+        step_stream(isa, src, classifier, (hmm,), future=src[i + 1 : i + h + 1])
     for i in range(n - h + 1, n + 1):
         frontier._extend(i)
     return frontier
@@ -298,9 +296,8 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     else:
         for entry in reversed(frontier.live()):
             entry.undo()
-        next_isa(frontier.base_isa, frontier.signal, frontier.classifier,
-                 future=genuine_window)
-        frontier.base_hmm.update(frontier.base_isa, frontier.signal[i0])
+        step_stream(frontier.base_isa, frontier.signal, frontier.classifier,
+                    (frontier.base_hmm,), future=genuine_window)
         frontier.entries = []
         frontier.estimated = []
         frontier.rebuilt += 1

@@ -1,18 +1,20 @@
 """Streaming loop: classifier -> automaton -> model -> forecast record.
 
 One pipeline owns one signal, one classifier, one clusterer and one model.
-``advance`` performs the constant-time update path only: the automaton's
-``next_isa`` step and the model's ``update`` with the new observation, for
-either emission kind; ``step`` also produces the JSONL-ready forecast record
-for the new instant.  The first observation, like ``rebuild_from_scratch``,
-builds the model from scratch with ``_scratch_model``.
+``advance`` performs the constant-time update path only: one
+``step_stream``, which moves the automaton one instant and steps the model
+with ``update``, for either emission kind; ``step`` also produces the
+JSONL-ready forecast record for the new instant.  The first observation is
+the same step, taken by an automaton and a model that start empty (``Isa()``
+and ``_model_on``); before it, ``isa`` and ``hmm`` are None.  Only
+``rebuild_from_scratch`` builds from scratch.
 """
 
 from __future__ import annotations
 
 import math
 
-from .automaton import Isa, build_isa, init_isa, next_isa
+from .automaton import Isa, build_isa, step_stream
 from .errors import ConfigError
 from .forecasting import forecast, state_occupancies
 from .hmm import Hmm, HmmContinuous, isa_to_hmm, isa_to_hmm_continuous
@@ -66,12 +68,10 @@ class StreamPipeline:
     def advance(self, obs) -> int:
         """Consume one observation; returns its instant."""
         instant = self.signal.append(obs)
-        if instant == 0:
-            self.isa = init_isa(self.signal[0], self.classifier)
-            self.hmm = self._scratch_model(self.isa, self.clusterer)
-        else:
-            next_isa(self.isa, self.signal, self.classifier)
-            self.hmm.update(self.isa, self.signal[instant])
+        if self.isa is None:
+            isa = Isa()
+            self.hmm, self.isa = self._model_on(isa), isa
+        step_stream(self.isa, self.signal, self.classifier, (self.hmm,))
         return instant
 
     def forecast_record(self) -> dict:
@@ -90,13 +90,17 @@ class StreamPipeline:
         self.advance(obs)
         return self.forecast_record()
 
-    def _scratch_model(self, isa: Isa, clusterer: Clusterer) -> Hmm | HmmContinuous:
-        """The model of ``isa`` over the whole signal, built from scratch."""
+    def _model_on(self, isa: Isa) -> Hmm | HmmContinuous:
+        """A model of ``isa`` with the pipeline's plugins and empty tables,
+        at the automaton's instant, for ``update`` to step."""
         if self.emission == "discrete":
-            return isa_to_hmm(isa, self.signal, self.sigma, self.rho, clusterer)
-        return isa_to_hmm_continuous(isa, self.signal, self.sigma, self.kernel)
+            return Hmm(self.sigma, self.rho, self.clusterer, isa)
+        return HmmContinuous(self.sigma, self.signal, self.kernel, isa)
 
     def rebuild_from_scratch(self) -> tuple:
         """Reference build of the current state, ignoring all caches."""
         isa = build_isa(self.signal, EmaGridClassifier(self.params))
-        return isa, self._scratch_model(isa, Clusterer(self.params.grid_width))
+        if self.emission == "discrete":
+            clusterer = Clusterer(self.params.grid_width)
+            return isa, isa_to_hmm(isa, self.signal, self.sigma, self.rho, clusterer)
+        return isa, isa_to_hmm_continuous(isa, self.signal, self.sigma, self.kernel)

@@ -433,11 +433,6 @@ class StatFn:
         after = self.read(acc, instant) if v == "discounted_complement" else acc.value
         return after - before
 
-    def tick(self, acc: StatAccumulator) -> StatAccumulator:
-        """Advance the accumulator's clock by one instant."""
-        self.advance(acc, acc.last_now + 1)
-        return acc
-
     def params_fingerprint(self) -> tuple:
         return (self.variant, self.delta, self.region)
 

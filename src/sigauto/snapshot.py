@@ -22,13 +22,7 @@ import os
 
 from .automaton import BOTTOM_STATE, Isa, InstantsMatrix
 from .errors import SnapshotError
-from .hmm import (
-    Hmm,
-    HmmContinuous,
-    Row,
-    isa_to_hmm,
-    isa_to_hmm_continuous,
-)
+from .hmm import Row, isa_to_hmm, isa_to_hmm_continuous
 from .pipeline import StreamPipeline
 from .plugins import (
     Clusterer,
@@ -183,12 +177,10 @@ def restore_pipeline(doc: dict):
                 raise SnapshotError(f"snapshot model holds {sorted(model_doc)}, not the "
                                     f"{sorted(tables)} of a {pipe.emission} model")
             pipe.isa = _isa_from(doc["isa"], pipe.n)
+            hmm = pipe._model_on(pipe.isa)
             if pipe.emission == "discrete":
-                hmm = Hmm(pipe.sigma, pipe.rho, pipe.clusterer, pipe.isa)
                 hmm._erows = _rows_from(model_doc["emit"], hmm.state_order,
                                         pipe.clusterer.observed)
-            else:
-                hmm = HmmContinuous(pipe.sigma, pipe.signal, pipe.kernel, pipe.isa)
             hmm._trows = _rows_from(model_doc["trans"], hmm.state_order, hmm.state_order)
             pipe.hmm = hmm
         return pipe

@@ -59,6 +59,12 @@ def build_plain(signal, params):
     return isa, hmm
 
 
+def matrix_cells(matrix):
+    """A ``SparseStochasticMatrix`` as ``{(p, q): weight}`` over its stored
+    entries."""
+    return {(p, q): w for p, row in matrix.rows.items() for q, w in row.items()}
+
+
 def assert_row_cache_coherent(model):
     """Every transition and emission row the model serves, whether from its
     row cache or not, equals a fresh normalization of the row's accumulators,

@@ -37,7 +37,7 @@ from sigauto import (
     sigma_fn,
 )
 
-from conftest import E1, build_plain, random_walk
+from conftest import E1, build_plain, matrix_cells, random_walk
 
 
 def report(number, name, failures, elapsed):
@@ -151,12 +151,13 @@ def run_oracle_case(seed, dim, variant, delta, lam, length=2000):
     scratch_isa, scratch_hmm = pipe.rebuild_from_scratch()
     ti, ts = pipe.hmm.transition_matrix(), scratch_hmm.transition_matrix()
     ei, es = pipe.hmm.emission_matrix(), scratch_hmm.emission_matrix()
-    sparsity_equal = ti.sparsity() == ts.sparsity() and ei.sparsity() == es.sparsity()
+    ti, ts, ei, es = (matrix_cells(m) for m in (ti, ts, ei, es))
+    sparsity_equal = ti.keys() == ts.keys() and ei.keys() == es.keys()
     max_diff = 0.0
     if sparsity_equal:
-        for matrix_a, matrix_b in ((ti, ts), (ei, es)):
-            for p, q in matrix_a.sparsity():
-                max_diff = max(max_diff, abs(matrix_a.weight(p, q) - matrix_b.weight(p, q)))
+        for cells_a, cells_b in ((ti, ts), (ei, es)):
+            for cell, weight in cells_a.items():
+                max_diff = max(max_diff, abs(weight - cells_b[cell]))
     count_exact = max_diff == 0.0 if variant == "count" else True
 
     return OracleRun(

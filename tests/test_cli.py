@@ -366,6 +366,21 @@ class TestMalformedConfigValues:
         assert capsys.readouterr().err == f"configuration error: {message}\n"
         assert not out.exists()
 
+    def test_bandwidth_of_another_dimension_exits_2_without_output(self, tmp_path, capsys):
+        """A continuous `run` refuses a kernel of another dimension when it
+        builds its model, at the first row; `fit` and `lookahead` build no
+        continuous model."""
+        src = tmp_path / "in.csv"
+        src.write_text("x\nn/a\n" + "\n".join(str(v) for v in E1) + "\n")
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"mode": "continuous", "bandwidth": [[1, 0], [0, 1]]}))
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(src), "--config", str(path),
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "configuration error: kernel dimension 2 does not match signal dimension 1\n")
+        assert not out.exists()
+
     def test_region_of_another_dimension_is_unread_by_count(self, tmp_path, e1_csv):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"region": [[0, 1], [0, 1]], "stat_variant": "count"}))

@@ -43,7 +43,14 @@ from sigauto import (
 )
 from sigauto.hmm import next_event_probability
 
-from conftest import EVERY_STAT, E1, assert_row_cache_coherent, build_plain, random_walk
+from conftest import (
+    EVERY_STAT,
+    E1,
+    assert_row_cache_coherent,
+    build_plain,
+    matrix_cells,
+    random_walk,
+)
 
 
 def fold_pipeline(values, params, emission="discrete", kernel=None):
@@ -224,17 +231,15 @@ class TestNextHmm:
 
 def assert_models_equal(incremental, scratch, exact):
     tol = 0.0 if exact else 1e-9
-    ti, ts = incremental.transition_matrix(), scratch.transition_matrix()
-    assert ti.sparsity() == ts.sparsity()
-    for p, q in ti.sparsity():
-        assert abs(ti.weight(p, q) - ts.weight(p, q)) <= tol or (
-            ti.weight(p, q) == pytest.approx(ts.weight(p, q), rel=1e-9)
-        )
+    ti, ts = (matrix_cells(m.transition_matrix()) for m in (incremental, scratch))
+    assert ti.keys() == ts.keys()
+    for cell, weight in ti.items():
+        assert abs(weight - ts[cell]) <= tol or weight == pytest.approx(ts[cell], rel=1e-9)
     if incremental.emission_kind == "discrete":
-        ei, es = incremental.emission_matrix(), scratch.emission_matrix()
-        assert ei.sparsity() == es.sparsity()
-        for p, q in ei.sparsity():
-            assert ei.weight(p, q) == pytest.approx(es.weight(p, q), rel=1e-9, abs=tol)
+        ei, es = (matrix_cells(m.emission_matrix()) for m in (incremental, scratch))
+        assert ei.keys() == es.keys()
+        for cell, weight in ei.items():
+            assert weight == pytest.approx(es[cell], rel=1e-9, abs=tol)
     assert incremental.current == scratch.current
     assert incremental.current_is_new == scratch.current_is_new
 
@@ -249,6 +254,44 @@ def test_incremental_equals_scratch_random_walks(variant, delta, lam):
         scratch_isa, scratch_hmm = build_plain(sig, params)
         assert isa == scratch_isa
         assert_models_equal(hmm, scratch_hmm, exact=(variant == "count"))
+
+
+def model_bits(model):
+    """What the model's steps write, in key order, floats as hex: equal
+    exactly when the two models are equal bit for bit."""
+    def bits(acc):
+        return acc.value.hex(), acc.last_now, acc.raw_count
+
+    def table(rows):
+        return [(p, [(c, bits(acc)) for c, acc in row.cells.items()], bits(row.total))
+                for p, row in rows.items()]
+
+    out = [model.n, model.current, model.current_is_new, list(model.state_order),
+           table(model._trows)]
+    if model.emission_kind == "discrete":
+        return out + [table(model._erows), list(model.clusterer.observed.items())]
+    return out + [list(model.mixtures.items())]
+
+
+@pytest.mark.parametrize("emission", ["discrete", "continuous"])
+@pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+def test_the_first_step_equals_the_scratch_model(stat, emission):
+    """The first observation is an ordinary step: the pipeline's model,
+    built on the empty automaton and stepped once, is bit for bit the scratch
+    model of ``init_isa``'s one-observation automaton, inside the region and
+    outside it."""
+    params = PluginParams(grid_width=1.0, **stat)
+    for value in (0.5, 7.0):
+        pipe = StreamPipeline(params, emission=emission)
+        pipe.advance(value)
+        isa = init_isa(pipe.signal[0], EmaGridClassifier(params))
+        if emission == "discrete":
+            scratch = isa_to_hmm(isa, pipe.signal, pipe.sigma, pipe.rho,
+                                 Clusterer(params.grid_width))
+        else:
+            scratch = isa_to_hmm_continuous(isa, pipe.signal, pipe.sigma, pipe.kernel)
+        assert pipe.isa == isa
+        assert model_bits(pipe.hmm) == model_bits(scratch)
 
 
 def test_row_stochasticity_after_every_update(count_params):

@@ -193,14 +193,14 @@ class TestStatAccumulators:
     def test_tick_discounts(self):
         params = PluginParams(delta=0.5, stat_variant="discounted_sum")
         acc = StatAccumulator(value=1.25, last_now=4, raw_count=2)
-        sigma_fn(params).tick(acc)
+        sigma_fn(params).advance(acc, acc.last_now + 1)
         assert acc.value == pytest.approx(0.625, abs=0)
         assert acc.last_now == 5
 
     def test_tick_keeps_count(self, count_params):
         fn = sigma_fn(count_params)
         acc = StatAccumulator(value=3.0, last_now=0, raw_count=3)
-        fn.tick(acc)
+        fn.advance(acc, acc.last_now + 1)
         assert fn.read(acc, 1) == 3.0
 
     def test_fold_matches_eval(self):
@@ -214,8 +214,8 @@ class TestStatAccumulators:
     def test_two_ticks_equal_reading_later(self):
         fn = sigma_fn(PluginParams(delta=0.3, stat_variant="discounted_sum"))
         ticked = StatAccumulator(value=1.0, last_now=2, raw_count=1)
-        fn.tick(ticked)
-        fn.tick(ticked)
+        fn.advance(ticked, ticked.last_now + 1)
+        fn.advance(ticked, ticked.last_now + 1)
         lazy = StatAccumulator(value=1.0, last_now=2, raw_count=1)
         assert ticked.value == pytest.approx(fn.read(lazy, 4), rel=1e-9)
 
@@ -248,7 +248,7 @@ def test_accumulator_fold_equals_eval(instants, delta, variant, extra_ticks):
         fn.step(acc, sig[i], i)
     now = (instants[-1] if instants else 0) + extra_ticks
     for _ in range(extra_ticks):
-        fn.tick(acc)
+        fn.advance(acc, acc.last_now + 1)
     expected = fn.eval(sig, instants, now)
     assert fn.read(acc, now) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 

@@ -148,3 +148,22 @@ def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
                 seeding.add(f"{path.name}:{function}")
     assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step"}
     assert seeding == {"forecasting.py:uniform_draw", "bench.py:random_walk"}
+
+
+def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
+    """Every streaming path steps through ``automaton.step_stream``: no
+    module but ``automaton.py`` calls ``init_isa`` or ``next_isa``.  The
+    whole-automaton conversions run only on the scratch paths: the
+    pipeline's reference rebuild, snapshot and model documents, and the
+    build gate of ``bench``."""
+    stepping, converting = set(), set()
+    for path in MODULES:
+        for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            name = callee.split(".")[-1]
+            if name in {"init_isa", "next_isa"} and path.name != "automaton.py":
+                stepping.add(f"{path.name}:{function}")
+            if (name in {"isa_to_hmm", "isa_to_hmm_continuous"}
+                    and path.name not in {"snapshot.py", "bench.py"}):
+                converting.add(f"{path.name}:{function}")
+    assert sorted(stepping) == []
+    assert converting <= {"pipeline.py:StreamPipeline.rebuild_from_scratch"}
