@@ -67,10 +67,18 @@ class Forecast:
 
 
 def state_occupancies(model: _TransitionCore, horizon: int) -> list[dict[str, float]]:
-    """State distributions after 1..horizon transition steps."""
-    occ: dict[str, float] = model.alpha()
-    out = []
-    for _ in range(horizon):
+    """State distributions after 1..horizon transition steps.
+
+    The initial distribution is the point mass on the current state, so the
+    first step is a copy of the current state's transition row, in its key
+    order: ``0.0 + 1.0 * t`` is ``t`` for every weight t >= 0.  It is a copy
+    because the caller keeps it and the cached row is shared.
+    """
+    if horizon < 1:
+        return []
+    occ: dict[str, float] = dict(model.transition_row(model.current))
+    out = [occ]
+    for _ in range(horizon - 1):
         nxt: dict[str, float] = {}
         for s, w in occ.items():
             for q, t in model.transition_row(s).items():

@@ -57,11 +57,6 @@ class SparseStochasticMatrix:
 
     rows: dict[str, dict[str, float]]
 
-    def row(self, p: str) -> dict[str, float]:
-        if p not in self.rows:
-            raise UnknownStateError(p)
-        return dict(self.rows[p])
-
 
 SINK_TRANSITION = {DUMMY_STATE: 1.0}
 SINK_EMISSION = {DUMMY_EVENT: 1.0}

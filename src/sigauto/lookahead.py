@@ -35,9 +35,10 @@ Either way an advance costs O(h) accumulator updates plus the frontier's
 draw of a generator seeded by (run seed, absolute instant), so a rebuilt
 suffix is identical to a fresh build over the extended signal.  The
 frontier keeps each instant's draw while the instant is in the frontier, so
-a rebuild picks from it without seeding again, and the word classifier and
-the model's clusterer remember recent rows, so an advance labels only its
-new row.  ``fingerprint`` undoes every live entry and redoes them one by
+a rebuild picks from it without seeding again.  The model is built on the
+word classifier's own clusterer, which remembers recent rows, so an advance
+labels only its new row, once for the word and the model together.
+``fingerprint`` undoes every live entry and redoes them one by
 one, reading each automaton/model pair at its own instant.
 """
 
@@ -244,7 +245,8 @@ class LookaheadFrontier:
 def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     """Build the frontier over a signal with at least h + 1 observations.
 
-    The automaton and model start empty; instants 0 .. n - h are each one
+    The automaton and model start empty, and the model is built on the
+    word classifier's clusterer; instants 0 .. n - h are each one
     ``step_stream`` with their genuine future windows, as in the plain
     pipeline.  The remaining instants are extended one by one, each sampling
     the next estimated observation from the previous frontier model.
@@ -257,12 +259,11 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
         raise InsufficientHistoryError(
             f"lookahead with horizon {h} needs more than {h} observations, got {n + 1}"
         )
-    clusterer = Clusterer(params.grid_width)
     frontier = LookaheadFrontier(
-        params, seed, src, classifier, clusterer, sigma_fn(params), rho_fn(params)
+        params, seed, src, classifier, classifier.clusterer, sigma_fn(params), rho_fn(params)
     )
     isa = frontier.base_isa = Isa()
-    hmm = frontier.base_hmm = Hmm(frontier.sigma, frontier.rho, clusterer, isa)
+    hmm = frontier.base_hmm = Hmm(frontier.sigma, frontier.rho, frontier.clusterer, isa)
     for i in range(n - h + 1):
         step_stream(isa, src, classifier, (hmm,), future=src[i + 1 : i + h + 1])
     for i in range(n - h + 1, n + 1):

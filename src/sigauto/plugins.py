@@ -16,6 +16,7 @@ State labels and cluster ids are plain strings: ``"3"`` for a 1-d grid cell,
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -191,12 +192,20 @@ class PluginParams:
 # Grid cells and labels
 
 
+# Cells whose labels are kept, shared by every classifier and clusterer:
+# more than the ~2.6k cells a 40k-step 2-d walk visits, ~1.3 MB when full.
+LABEL_CELLS = 1 << 12
+
+
 def cell_index(coords: Sequence[float], widths: Sequence[float]) -> tuple[int, ...]:
     """Half-open grid cell [k*w, (k+1)*w) per coordinate."""
-    return tuple(math.floor(x / w) for x, w in zip(coords, widths))
+    return tuple([math.floor(x / w) for x, w in zip(coords, widths)])
 
 
-def cell_label(index: Sequence[int]) -> str:
+@functools.lru_cache(maxsize=LABEL_CELLS)
+def cell_label(index: tuple[int, ...]) -> str:
+    """The label of a cell index, built once per cell while the cell is
+    among the ``LABEL_CELLS`` most recently labelled."""
     if len(index) == 1:
         return str(index[0])
     return "(" + ",".join(str(k) for k in index) + ")"
@@ -216,7 +225,8 @@ class EmaGridClassifier:
     Keeps e_i = lam * r_i + (1 - lam) * e_{i-1} as the running summary and
     emits the grid cell of e_i as the state label.  The summary makes the
     per-observation step constant-time while the emitted label equals the
-    from-scratch classification of the whole prefix.
+    from-scratch classification of the whole prefix.  A step computes one
+    cell index; ``cell_label`` builds each cell's label once.
     """
 
     kind = "ema_grid"
@@ -234,16 +244,16 @@ class EmaGridClassifier:
     def step(self, obs, future=()) -> str:
         if future:
             raise RejectedInputError("plain classifier takes no lookahead window")
-        coords = as_observation(obs, None if self._ema is None else len(self._ema))
-        if self._ema is None:
-            self._ema = coords
+        ema = self._ema
+        coords = as_observation(obs, None if ema is None else len(ema))
+        if ema is None:
+            ema = coords
             self._widths = self.params.widths_for(len(coords))
         else:
             lam = self.params.lam
-            self._ema = tuple(
-                lam * x + (1.0 - lam) * e for x, e in zip(coords, self._ema)
-            )
-        return cell_label(cell_index(self._ema, self._widths))
+            ema = tuple([lam * x + (1.0 - lam) * e for x, e in zip(coords, ema)])
+        self._ema = ema
+        return cell_label(cell_index(ema, self._widths))
 
     def summary(self):
         """Serializable running state (the EMA vector)."""
@@ -262,9 +272,13 @@ class LookaheadWordClassifier:
 
     The label is the word of grid-cluster ids of the future window, letters
     joined by ``"|"``.  It keeps no running summary.  Its letters are the
-    labels of a ``Clusterer`` of its own grid, so a row that sits in the
-    windows of h consecutive words is labelled once, and the first letter
-    after ``reset`` fixes the dimension of every later one.
+    ``label_of`` labels of ``clusterer``, a ``Clusterer`` of its own grid,
+    so a row that sits in the windows of h consecutive words is labelled
+    once, and the first letter after ``reset`` fixes the dimension of every
+    later one.  ``label_of`` registers nothing, so a model may be built on
+    the same clusterer and label each row the words labelled already;
+    ``reset`` gives the classifier a fresh clusterer and leaves the old one
+    to such a model.
     """
 
     def __init__(self, params: PluginParams):
@@ -278,7 +292,7 @@ class LookaheadWordClassifier:
         return self.params.horizon
 
     def reset(self) -> None:
-        self._letters = Clusterer(self.params.grid_width)
+        self.clusterer = Clusterer(self.params.grid_width)
 
     def step(self, obs, future=()) -> str:
         h = self.params.horizon
@@ -286,7 +300,7 @@ class LookaheadWordClassifier:
             raise RejectedInputError(
                 f"lookahead window has {len(future)} observations, expected {h}"
             )
-        return "|".join([self._letters.label_of(value) for value in future])
+        return "|".join([self.clusterer.label_of(value) for value in future])
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +499,8 @@ class Clusterer:
     ``as_observation`` refuses it.  The memo is cleared when it is full.
     The models of a ``fit`` group read the same stored row, and a lookahead
     row is read by h words and by the model, so each is labelled once.
-    ``center`` keeps each label's centre.
+    A miss computes the row's cell index, and ``cell_label`` builds each
+    cell's label once.  ``center`` keeps each label's centre.
     """
 
     def __init__(self, grid_width):

@@ -111,6 +111,45 @@ def test_iterative_propagation_equals_matrix_power(count_params):
             assert np.max(np.abs(dense - sparse)) < 1e-12
 
 
+def propagated_from_alpha(model, horizon):
+    """The occupancies of ``horizon`` steps propagated from ``model.alpha()``,
+    the point mass on the current state, one sparse product per step."""
+    occ, out = model.alpha(), []
+    for _ in range(horizon):
+        nxt = {}
+        for s, w in occ.items():
+            for q, t in model.transition_row(s).items():
+                nxt[q] = nxt.get(q, 0.0) + w * t
+        occ = nxt
+        out.append(occ)
+    return out
+
+
+def hex_items(dist):
+    return [(k, v.hex()) for k, v in dist.items()]
+
+
+@pytest.mark.parametrize("emission", ["discrete", "continuous"])
+@pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+def test_the_first_occupancy_is_a_copy_of_the_current_row(stat, emission):
+    """Step 1 is the current state's transition row, in its key order and
+    bit for bit, but never the model's cached row object; every step equals
+    propagating the point mass on the current state."""
+    pipe = StreamPipeline(PluginParams(grid_width=0.5, **stat), emission=emission)
+    for obs in random_walk(300, seed=4):
+        pipe.advance(obs)
+        model = pipe.hmm
+        occupancies = state_occupancies(model, 3)
+        row = model.transition_row(model.current)
+        assert hex_items(occupancies[0]) == hex_items(row)
+        assert occupancies[0] is not row
+        assert ([hex_items(o) for o in occupancies]
+                == [hex_items(o) for o in propagated_from_alpha(model, 3)])
+        occupancies[0]["changed"] = 1.0  # a caller's copy, not the model's row
+        assert "changed" not in model.transition_row(model.current)
+    assert state_occupancies(pipe.hmm, 0) == []
+
+
 class TestForecastDensity:
     def make_continuous(self, values, params, kernel):
         sig = Signal(values)

@@ -390,8 +390,8 @@ class TestAdvanceCost:
         assert len(seeds) == len(set(seeds)), "an instant was seeded twice"
 
     def test_grid_cells_per_advance_do_not_grow_with_h(self, monkeypatch):
-        """An advance labels its new row once for the word classifier and
-        once for the model; the rows and estimates of the h words around it
+        """An advance labels its new row once, for the word classifier and
+        the model together; the rows and estimates of the h words around it
         are labelled already."""
         per_advance = [counted_walk(h, monkeypatch)[1] for h in (1, 2, 3)]
         assert max(per_advance) <= 3, per_advance
@@ -424,3 +424,23 @@ class TestAdvanceCost:
             counts[n] = per_advance
         assert counts[1_000] == counts[10_000]
         assert all(0 < count <= 4 * (h + 1) for count in counts[1_000]), counts
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_the_words_and_the_model_label_each_genuine_row_once(h, monkeypatch):
+    """The frontier's model is built on the word classifier's clusterer, so
+    a 10k build computes about one cell per row, not two.  The words only
+    look labels up: the observed alphabet is the genuine rows' clusters in
+    first-appearance order, with no estimate's."""
+    values = random_walk(10_000, seed=1)
+    cells = []
+    real_cell_index = plugins.cell_index
+    monkeypatch.setattr(plugins, "cell_index",
+                        lambda coords, widths: cells.append(coords) or real_cell_index(coords, widths))
+    frontier = lookahead_build(values, PluginParams(grid_width=0.5, horizon=h), seed=3)
+    monkeypatch.undo()
+    assert frontier.base_hmm.clusterer is frontier.clusterer is frontier.classifier.clusterer
+    assert len(cells) < 1.2 * len(values)
+    fresh = Clusterer(0.5)
+    genuine = dict.fromkeys(fresh.label_of(value) for value in values)
+    assert list(frontier.clusterer.observed) == list(genuine)

@@ -26,6 +26,8 @@ from sigauto import (
     sigma_fn,
 )
 
+from sigauto import plugins
+
 from conftest import E1
 
 
@@ -603,6 +605,54 @@ class TestKernel:
         kernel = Kernel(H)
         assert kernel.h_matrix.tolist() == H
         assert kernel((0.2, -0.1)) > 0.0
+
+
+class TestLabelTables:
+    """``cell_label`` builds each cell's label once, in one table that
+    ``EmaGridClassifier`` and ``Clusterer`` share, with one entry per
+    distinct cell."""
+
+    @staticmethod
+    def distinct_rows(count):
+        return [(0.037 * k, -0.011 * k) for k in range(count)]
+
+    def test_each_cell_is_labelled_once(self):
+        rows = self.distinct_rows(10_000) * 2
+        widths = (1.0, 1.0)
+        cells = {plugins.cell_index(row, widths) for row in rows}
+        assert len(cells) <= plugins.LABEL_CELLS
+        raw = plugins.cell_label.__wrapped__
+        plugins.cell_label.cache_clear()
+        classifier = EmaGridClassifier(PluginParams(grid_width=1.0))
+        for row in rows:
+            assert classifier.step(row) == raw(plugins.cell_index(row, widths))
+        info = plugins.cell_label.cache_info()
+        assert info.misses == info.currsize == len(cells)
+        clusterer = Clusterer(1.0)
+        for row in rows:
+            assert clusterer.cluster_of(row) == raw(plugins.cell_index(row, widths))
+        assert plugins.cell_label.cache_info().misses == len(cells)
+        assert len(clusterer.observed) == len(cells)
+
+    def test_the_ema_labels_the_cell_of_its_summary(self):
+        params = PluginParams(lam=0.3, grid_width=(0.5, 2.0))
+        classifier, emitted = EmaGridClassifier(params), set()
+        plugins.cell_label.cache_clear()
+        for k, row in enumerate(self.distinct_rows(10_000)):
+            label = classifier.step(row)
+            emitted.add(label)
+            if k % 997 == 0:
+                assert label == scratch_label(params, Signal(self.distinct_rows(k + 1)))
+        assert plugins.cell_label.cache_info().currsize == len(emitted)
+
+    def test_a_full_table_keeps_labelling_correctly(self):
+        plugins.cell_label.cache_clear()
+        count = plugins.LABEL_CELLS + 100
+        for k in range(count):
+            assert plugins.cell_label((k, -k)) == f"({k},{-k})"
+        assert plugins.cell_label.cache_info().currsize == plugins.LABEL_CELLS
+        assert plugins.cell_label((0, 0)) == "(0,0)"
+        assert plugins.cell_label((7,)) == "7"
 
 
 class TestDefaultBandwidth:
