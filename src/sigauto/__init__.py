@@ -16,8 +16,11 @@ from .automaton import (
     build_isa,
     init_isa,
     is_new_state,
+    move,
     next_isa,
+    replay,
     step_stream,
+    unmove,
 )
 from .bench import BenchPoint, BenchReport, run_bench
 from .errors import (

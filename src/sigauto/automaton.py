@@ -8,21 +8,22 @@ Exactly one instant is stored per observation, so the cells partition
 
 A distinguished BOTTOM_STATE precedes the first observation; classifiers can
 never produce it.  An automaton starts empty, at instant -1 on BOTTOM_STATE,
-and every observation, the first included, is one step.  A state with no
+and every observation, the first included, is one move.  A state with no
 outgoing cell is called *new*; at most one such state exists at any time and
 it is necessarily the current state.
 
-Construction is single-writer.  ``step_stream`` is the one step: it moves
-the automaton one instant in place and then calls each model's ``update``
-with the new observation; ``next_isa`` is that step with no model, and
-returns the automaton.
+This module alone changes or rebuilds an automaton: ``move`` steps it in
+place to a given state and then ``update``s each model, ``unmove`` is its
+exact inverse and ``replay`` rebuilds and checks it from its cells.
+``step_stream`` classifies the next observation and moves; ``next_isa`` is
+that step with no model, and returns the automaton.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyInputError, SigautoError, StalenessError
+from .errors import EmptyInputError, SigautoError, SnapshotError, StalenessError
 from .signal import Signal
 
 BOTTOM_STATE = "__bottom__"
@@ -110,12 +111,6 @@ class Isa:
     new_state_instants: list[int] = field(default_factory=list)
 
 
-def _checked_label(label: str) -> str:
-    if label == BOTTOM_STATE:
-        raise SigautoError("classifier produced the reserved bottom state label")
-    return label
-
-
 def init_isa(r0, classifier, future=()) -> Isa:
     """Build the automaton for a one-observation signal: the first step of
     the empty automaton, with ``classifier`` reset."""
@@ -123,25 +118,14 @@ def init_isa(r0, classifier, future=()) -> Isa:
     return next_isa(Isa(), (r0,), classifier, future)
 
 
-def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None:
-    """The one step of the automaton and its models, from the first
-    observation on: consume observation ``signal[isa.n + 1]``, mutating
-    ``isa`` in place, then ``update`` each of ``models``, one instant behind
-    ``isa``, with that observation.  The classifier and models are read at
-    each call, never kept.
-
-    Whether the emitted state is new or already known, exactly one instant is
-    appended: to cell (previous current, new current).  A new state is also
-    added to the state set.  Amortized O(1) plus the classifier step and the
-    models' updates.
-    """
+def move(isa: Isa, label: str, obs, models=()) -> None:
+    """Move ``isa`` in place to state ``label`` at its next instant, whose
+    observation is ``obs``: that instant is appended to cell (current,
+    ``label``) and ``label`` added if new.  Then ``update`` each of
+    ``models`` with ``obs``.  Amortized O(1) plus the updates."""
+    if label == BOTTOM_STATE:
+        raise SigautoError("classifier produced the reserved bottom state label")
     i = isa.n + 1
-    if len(signal) < i + 1:
-        raise StalenessError(
-            f"automaton is at instant {isa.n} but signal has only {len(signal)} observations"
-        )
-    obs = signal[i]
-    label = _checked_label(classifier.step(obs, future))
     if label not in isa.states:
         isa.states[label] = None
         isa.new_state_instants.append(i)
@@ -150,6 +134,56 @@ def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None
     isa.n = i
     for model in models:
         model.update(isa, obs)
+
+
+def unmove(isa: Isa, previous: str) -> None:
+    """Undo ``isa``'s newest move, which left state ``previous``: the exact
+    inverse of ``move``, state set, instants matrix and their iteration
+    order included.  The models are not touched."""
+    i = isa.theta.pop(previous, isa.current)
+    if isa.new_state_instants[-1] == i:  # the move added its state
+        isa.new_state_instants.pop()
+        del isa.states[isa.current]
+    isa.current = previous
+    isa.n = i - 1
+
+
+def replay(cells, n: int) -> Isa:
+    """The automaton at instant ``n`` with the ``(p, q, instants)`` cells
+    ``cells``, in any order, moved through instants 0..n.  Refused
+    (``SnapshotError``) unless no cell is empty, each integer 0..n is in one
+    cell and the cells chain: instant 0 leaves ``__bottom__``, each later
+    one the state the one before entered, and none enters ``__bottom__``."""
+    moves: list = [None] * (n + 1)  # moves[i]: the (p, q) cell holding instant i
+    for p, q, instants in cells:
+        if not instants:
+            raise SnapshotError(f"automaton cell ({p!r}, {q!r}) has no instants")
+        for i in instants:
+            if type(i) is not int or not 0 <= i <= n or moves[i] is not None:
+                raise SnapshotError(f"automaton holds {i!r}, not an instant 0..{n} held once")
+            moves[i] = (p, q)
+    # Moving in instant order rebuilds the cells in the order the live
+    # automaton first wrote them.
+    isa = Isa()
+    for i, cell in enumerate(moves):
+        if cell is None or cell[0] != isa.current or cell[1] == BOTTOM_STATE:
+            raise SnapshotError(f"automaton's instant {i} is in no cell, or its cells do "
+                                "not chain from __bottom__")
+        move(isa, cell[1], None)
+    return isa
+
+
+def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None:
+    """The one step of the automaton and its models, from the first
+    observation on: classify observation ``signal[isa.n + 1]`` and ``move``
+    ``isa`` and ``models`` to its state.  The classifier and models are read
+    at each call, never kept."""
+    i = isa.n + 1
+    if len(signal) < i + 1:
+        raise StalenessError(f"automaton is at instant {isa.n} but signal has only "
+                             f"{len(signal)} observations")
+    obs = signal[i]
+    move(isa, classifier.step(obs, future), obs, models)
 
 
 def next_isa(isa: Isa, signal: Signal, classifier, future=()) -> Isa:

@@ -23,16 +23,16 @@ instant; they are read at ``n`` and normalized on every read.  Rows with no
 mass are the shared ``SINK_TRANSITION``/``SINK_EMISSION``.
 ``next_event_probability``, the one-step score ``fit`` needs, builds no row:
 it divides the few cells it needs by their row sums.
-A model is built on the automaton it models and takes from it what the
-automaton already holds: its instant, current state and newness, its state
-order and, for a continuous model, its mixture centres (the incoming
-instants).  A streaming model is built on the empty automaton, with empty
-tables.  ``update(isa, obs)`` is the one constant-time step for both
-emission kinds, from instant 0 on: it reads the arriving observation, not
-the signal, mutates the model in place and returns it, mirroring
-``next_isa``; at instant 0 it writes only the emission, since the move out
-of ``__bottom__`` holds no transition row.  ``automaton.step_stream`` calls
-it after each move of the automaton.  ``isa_to_hmm`` and
+A model keeps the automaton it models as ``isa`` and reads its state order
+and the newness of its current state from it; it starts at its instant and
+current state and, for a continuous model, with its mixture centres (the
+incoming instants).  A streaming model is built on the empty automaton.
+``update(isa, obs)`` is the one constant-time step for both emission kinds,
+from instant 0 on: it reads the arriving observation, not the signal,
+mutates the model in place and returns it; at instant 0 it writes only the
+emission, since the move out of ``__bottom__`` holds no transition row.
+``automaton.move`` calls it after each move of the model's own automaton;
+any other automaton is refused.  ``isa_to_hmm`` and
 ``isa_to_hmm_continuous`` fill the tables of a whole automaton at once: the
 scratch path.  ``next_hmm``/``next_hmm_continuous`` are the step for
 library callers, after checking their arguments against the model.
@@ -140,26 +140,33 @@ def swap_journal(records) -> None:
 
 
 class _TransitionCore:
-    """State set, initial indicator and transition accumulators shared by the
+    """Automaton, initial indicator and transition accumulators shared by the
     discrete and continuous models; each supplies ``_apply_emission(state,
-    obs, instant)``, the emission write of ``update``.  The instant, current
-    state, its newness and the state order are ``isa``'s; the tables start
-    empty."""
+    obs, instant)``, the emission write of ``update``.  The model starts at
+    ``isa``'s instant and current state; the tables start empty."""
 
     def __init__(self, sigma: StatFn, isa: Isa):
         self.sigma = sigma
+        self.isa = isa
         self.n = isa.n
         self.current = isa.current
-        self.current_is_new = is_new_state(isa)
-        self.state_order = {s: None for s in isa.states if s != BOTTOM_STATE}
         self._trows: dict[str, Row] = {}
         self.journal: list | None = None
 
     # -- read side
 
     @property
+    def state_order(self) -> tuple[str, ...]:
+        """The automaton's states, ``__bottom__`` (the first) left out."""
+        return tuple(self.isa.states)[1:]
+
+    @property
+    def current_is_new(self) -> bool:
+        return is_new_state(self.isa)
+
+    @property
     def states(self) -> tuple[str, ...]:
-        return tuple(self.state_order) + (DUMMY_STATE,)
+        return self.state_order + (DUMMY_STATE,)
 
     def alpha(self) -> dict[str, float]:
         return {self.current: 1.0}
@@ -177,7 +184,7 @@ class _TransitionCore:
         """The normalized ``row`` of state ``p`` when it has none cached,
         kept in the row when the statistic ignores the present."""
         if row is None:
-            if p not in self.state_order and p != DUMMY_STATE:
+            if p == BOTTOM_STATE or (p not in self.isa.states and p != DUMMY_STATE):
                 raise UnknownStateError(p)
             return sink
         norm = _normalized_row(row, stat, self.n, sink)
@@ -192,7 +199,10 @@ class _TransitionCore:
     # -- write side
 
     def _next_instant(self, isa: Isa) -> int:
-        """The automaton's instant, refused unless it is the model's next."""
+        """The automaton's instant, refused unless the automaton is the
+        model's own and the instant the model's next."""
+        if isa is not self.isa:
+            raise StalenessError("update of a model with an automaton other than its own")
         i = isa.n
         if i != self.n + 1:
             raise StalenessError(
@@ -233,8 +243,6 @@ class _TransitionCore:
         accumulator is written with one statistic call."""
         i = self._next_instant(isa)
         state = isa.current
-        if state not in self.state_order:
-            self.state_order[state] = None
         if i:
             sigma = self.sigma
             cell, total = self._write(self._trows, self.current, state, sigma, i)
@@ -244,7 +252,6 @@ class _TransitionCore:
             total.raw_count += 1
         self._apply_emission(state, obs, i)
         self.current = state
-        self.current_is_new = is_new_state(isa)
         self.n = i
         return self
 
@@ -317,7 +324,7 @@ class HmmContinuous(_TransitionCore):
 
     def mixture(self, q: str) -> tuple[tuple[int, ...], float]:
         """Center instants of state ``q`` and the shared uniform weight."""
-        if q not in self.state_order:
+        if q == BOTTOM_STATE or q not in self.isa.states:
             raise UnknownStateError(q)
         centers = self.mixtures.get(q, [])
         return tuple(centers), (1.0 / len(centers) if centers else 0.0)

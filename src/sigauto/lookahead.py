@@ -13,23 +13,24 @@ no lookahead objects exist beyond that point until genuine data arrives.
 
 The frontier steps one automaton and one model in place.  Because an
 unseen word poisons its entry, a live entry never adds a state, so its step
-is one instant appended to the instants matrix, a new ``current`` and ``n``,
-and the model's ``update``, which writes to two existing rows: the
-transition row it leaves and the emission row it enters.  Each entry keeps
-a journal of what its step changed: the word, the automaton's prior
-``current`` and ``n``, the model's prior ``current_is_new``, and the model's
-own journal of the rows it wrote (``Hmm.journal``, filled by the model's write path while the step
-runs).  Undoing an entry hands that journal to ``swap_journal``, newest
-record first, which puts back each row's prior cell, total and cached
-normalization and deletes the cells the step created, so every table reads,
-in key order and in value, as it did before the step; redoing swaps them
-forward again.  No cached row is dropped either way.
+is one ``move`` of the automaton to a known state and the model's
+``update``, which writes to two existing rows: the transition row it leaves
+and the emission row it enters.  Each entry keeps its word, the state its
+step left and the model's journal of the rows it wrote (``Hmm.journal``,
+filled by the model's write path while the step runs).  Undoing an entry
+hands that journal to ``swap_journal``, newest record first, which puts back
+each row's prior cell, total and cached normalization and deletes the cells
+the step created, so every table reads, in key order and in value, as it
+did before the step, and ``unmove``s the automaton; redoing swaps the
+journal forward again and ``move``s the automaton back.  No cached row is
+dropped either way.
 
 When a genuine observation arrives, the oldest frontier entry becomes fully
 determined.  If its estimated word matches the genuine one, its step is the
 genuine step: the entry and its journal are dropped and every deeper entry
 is kept.  Otherwise the live entries are undone, newest first, the automaton
-and model take the genuine step, and the at most h entries are rebuilt.
+and model move with the genuine word, classified once, and the at most h
+entries are rebuilt.
 Either way an advance costs O(h) accumulator updates plus the frontier's
 (h+1)-step sampling forecasts.  Each frontier step samples with the uniform
 draw of a generator seeded by (run seed, absolute instant), so a rebuilt
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import Isa, _checked_label, step_stream
+from .automaton import Isa, move, step_stream, unmove
 from .errors import InsufficientHistoryError
 from .forecasting import (
     Forecast,
@@ -73,36 +74,31 @@ from .snapshot import model_document
 class FrontierEntry:
     """One frontier step and the journal that undoes it.
 
-    ``isa``/``hmm`` are the frontier's one automaton and model, which stand
-    at the newest live entry; ``word`` is the state this step moved to.  The
-    journal holds the automaton's prior ``current``, ``n`` and the model's
-    ``current_is_new`` (``prior``) and the model's records of the rows the
-    step wrote (``journal``, for ``swap_journal``).
+    ``hmm`` is the frontier's one model and ``isa`` its automaton, both at
+    the newest live entry; this step moved from state ``left`` to ``word``
+    and wrote the rows of the model's records in ``journal``.
     """
 
-    isa: Isa
     hmm: Hmm
     word: str
-    prior: tuple
+    left: str
     journal: list
 
-    def _set(self, current: str, n: int, is_new: bool) -> None:
-        self.isa.current = self.hmm.current = current
-        self.isa.n = self.hmm.n = n
-        self.hmm.current_is_new = is_new
+    @property
+    def isa(self) -> Isa:
+        return self.hmm.isa
 
     def undo(self) -> None:
         """Step the automaton and model back to before this entry."""
         swap_journal(reversed(self.journal))
-        self.isa.theta.pop(self.prior[0], self.word)
-        self._set(*self.prior)
+        unmove(self.isa, self.left)
+        self.hmm.current, self.hmm.n = self.left, self.hmm.n - 1
 
     def redo(self) -> None:
         """Take this entry's step again, after ``undo``."""
         swap_journal(self.journal)
-        i = self.prior[1] + 1
-        self.isa.theta.append(self.prior[0], self.word, i)
-        self._set(self.word, i, False)  # a live entry's word is never new
+        move(self.isa, self.word, None)
+        self.hmm.current, self.hmm.n = self.word, self.hmm.n + 1
 
 
 class LookaheadFrontier:
@@ -182,21 +178,18 @@ class LookaheadFrontier:
             self.estimated.append(None)
             return
         self.estimated.append(self.clusterer.center(label))
-        word = _checked_label(self.classifier.step(self.signal[i], self._window(i)))
+        word = self.classifier.step(self.signal[i], self._window(i))
         prev = isa.current
-        isa.theta.append(prev, word, i)
-        if not isa.theta.has_outgoing(word):  # an unseen word: a new state
-            isa.theta.pop(prev, word)
+        if not (word == prev or isa.theta.has_outgoing(word)):  # an unseen word
             self.entries.append(None)
             return
         # A live step leaves a state that has outgoing instants for one that
         # has incoming ones, so both rows it writes exist (the journal puts
         # back cells, not rows); only cells may not.
-        entry = FrontierEntry(isa, hmm, word, (prev, isa.n, hmm.current_is_new), [])
-        isa.current, isa.n = word, i
+        entry = FrontierEntry(hmm, word, prev, [])
         hmm.journal = entry.journal
         try:
-            hmm.update(isa, self.signal[i])
+            move(isa, word, self.signal[i], (hmm,))
         finally:
             hmm.journal = None
         self.entries.append(entry)
@@ -277,8 +270,8 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     The oldest frontier entry's window is now fully genuine.  If its stored
     word matches the genuine word, its step is the genuine one: the entry
     and its journal are dropped and all deeper entries are kept.  Otherwise
-    the live entries are undone, newest first, the automaton and model take
-    the genuine step, and the suffix is rebuilt by the same induction (and
+    the live entries are undone, newest first, the automaton and model move
+    with the genuine word, and the suffix is rebuilt by the same induction (and
     the same per-instant draws, kept from when each instant was first
     sampled) as a fresh build.  Always computes the newest entry.
     """
@@ -297,8 +290,7 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     else:
         for entry in reversed(frontier.live()):
             entry.undo()
-        step_stream(frontier.base_isa, frontier.signal, frontier.classifier,
-                    (frontier.base_hmm,), future=genuine_window)
+        move(frontier.base_isa, genuine_word, frontier.signal[i0], (frontier.base_hmm,))
         frontier.entries = []
         frontier.estimated = []
         frontier.rebuilt += 1

@@ -4,15 +4,17 @@ Pipeline snapshots capture everything the streaming loop needs to continue
 bit-identically after a restart: the signal, the classifier summary, the
 automaton, and every model accumulator, all in live iteration order so that
 restored dictionaries replay float arithmetic in the same order.  A model is
-rebuilt on the restored automaton, which gives it its instant, current state,
-state order and, for a continuous model, its mixture centres, so the model
-part holds only its row tables: ``trans``, and ``emit`` for a discrete model.
+rebuilt on the automaton its cells ``replay`` to, which gives it its instant,
+current state, state order and, for a continuous model, its mixture centres,
+so the model part holds only its row tables: ``trans``, and ``emit`` for a
+discrete model.
 
 Model documents are a canonical (sorted) export of one model: states, events,
 initial state, materialized transition and emission weights, and the instants
 matrix.  Integer fields round-trip exactly; weights are written as shortest
 round-trip decimals (at most 17 significant digits), so parsing returns the
-identical double.
+identical double.  A model is rebuilt from the ``replay`` of its instants
+matrix.  A snapshot or document no stream could write is a ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import os
 
-from .automaton import BOTTOM_STATE, Isa, InstantsMatrix
+from .automaton import Isa, replay
 from .errors import SnapshotError
 from .hmm import Row, isa_to_hmm, isa_to_hmm_continuous
 from .pipeline import StreamPipeline
@@ -57,13 +59,13 @@ def _rows_doc(table: dict[str, Row]) -> list:
     ]
 
 
-def _rows_from(doc: list, states: dict, columns: dict) -> dict[str, Row]:
+def _rows_from(doc: list, states, columns) -> dict[str, Row]:
     """The table of ``_rows_doc``, refused unless each row is one of
     ``states`` and each of its cells one of ``columns``."""
     table = {p: Row({c: _acc_from(acc) for c, acc in cells}, _acc_from(total))
              for p, cells, total in doc}
     for p, row in table.items():
-        if p not in states or not row.cells.keys() <= columns.keys():
+        if p not in states or not row.cells.keys() <= columns:
             raise SnapshotError(f"snapshot row {p!r} names a state or column the model "
                                 "does not have")
     return table
@@ -80,43 +82,17 @@ def _isa_state(isa: Isa) -> dict:
 
 
 def _isa_from(doc: dict, n: int) -> Isa:
-    """The automaton of ``_isa_state``, refused unless it is the one its
-    cells replay to at the signal's instant ``n``: each instant 0..n is in
-    one cell, instant 0 leaves ``__bottom__`` and each later one the state
-    the one before entered, no cell enters ``__bottom__``, and ``states``,
-    ``new_state_instants`` and ``current`` are the replay's first-visit
-    order, first-visit instants and last state.  A model built on it reads
-    all of these."""
+    """The automaton of ``_isa_state``: its cells' ``replay`` to the
+    signal's instant ``n``, refused unless its ``states``,
+    ``new_state_instants`` and ``current`` are the replay's."""
     if int(doc["n"]) != n:
         raise SnapshotError(f"snapshot automaton is not at its signal's instant {n}")
-    moves: list = [None] * (n + 1)  # moves[i]: the (p, q) cell holding instant i
-    for p, q, instants in doc["theta"]:
-        move = (p, q)
-        for i in instants:
-            i = int(i)
-            if not 0 <= i <= n or moves[i] is not None:
-                raise SnapshotError(f"snapshot automaton holds instant {i} outside 0..{n} "
-                                    "or in two cells")
-            moves[i] = move
-    # Appending in instant order rebuilds the cells in the order the live
-    # automaton first wrote them, which is the order the snapshot stores.
-    theta = InstantsMatrix()
-    states, new_state_instants, current = {BOTTOM_STATE: None}, [], BOTTOM_STATE
-    for i, move in enumerate(moves):
-        if move is None or move[0] != current or move[1] == BOTTOM_STATE:
-            raise SnapshotError(f"snapshot automaton's instant {i} is in no cell, or its "
-                                "cells do not chain from __bottom__")
-        theta.append(current, move[1], i)
-        current = move[1]
-        if current not in states:
-            states[current] = None
-            new_state_instants.append(i)
-    if (doc["states"] != [*states] or doc["new_state_instants"] != new_state_instants
-            or doc["current"] != current):
+    isa = replay(doc["theta"], n)
+    if (doc["states"] != [*isa.states] or doc["new_state_instants"] != isa.new_state_instants
+            or doc["current"] != isa.current):
         raise SnapshotError("snapshot automaton's states, new-state instants or current "
                             "state are not those its cells replay to")
-    return Isa(states=states, current=current, theta=theta, n=n,
-               new_state_instants=new_state_instants)
+    return isa
 
 
 def _model_state(hmm) -> dict:
@@ -178,10 +154,11 @@ def restore_pipeline(doc: dict):
                                     f"{sorted(tables)} of a {pipe.emission} model")
             pipe.isa = _isa_from(doc["isa"], pipe.n)
             hmm = pipe._model_on(pipe.isa)
+            states = set(hmm.state_order)
             if pipe.emission == "discrete":
-                hmm._erows = _rows_from(model_doc["emit"], hmm.state_order,
-                                        pipe.clusterer.observed)
-            hmm._trows = _rows_from(model_doc["trans"], hmm.state_order, hmm.state_order)
+                hmm._erows = _rows_from(model_doc["emit"], states,
+                                        pipe.clusterer.observed.keys())
+            hmm._trows = _rows_from(model_doc["trans"], states, states)
             pipe.hmm = hmm
         return pipe
     except (KeyError, TypeError, ValueError) as exc:
@@ -285,36 +262,21 @@ def load_model_document(path) -> dict:
 
 
 def hmm_from_document(doc: dict, signal: Signal):
-    """Rebuild a live model from a document plus the originating signal.
-
-    The automaton is reconstructed from the instants matrix, then converted
-    with plugins configured from the stored parameters.  Weights agree with
-    the document within float tolerance (exactly, for counting statistics).
-    """
-    if doc.get("instants_matrix") is None:
+    """Rebuild a live model from a document plus the originating signal:
+    the ``replay`` of the instants matrix, refused unless it ends in
+    ``alpha`` and ``signal`` reaches its instant, converted with plugins
+    configured from the stored parameters.  Weights agree with the document
+    within float tolerance (exactly, for counting statistics)."""
+    cells = doc.get("instants_matrix")
+    if cells is None:
         raise SnapshotError("model document carries no instants matrix")
     params = PluginParams.from_dict(doc["tau"])
-    theta = InstantsMatrix()
-    first_seen: dict[str, int] = {}
-    total = 0
-    for p, q, instants in doc["instants_matrix"]:
-        if not instants:
-            raise SnapshotError(f"model document cell ({p!r}, {q!r}) has no instants")
-    for p, q, instants in sorted(doc["instants_matrix"], key=lambda c: min(c[2])):
-        for i in instants:
-            theta.append(p, q, int(i))
-        total += len(instants)
-        first = min(instants)
-        if q not in first_seen or first < first_seen[q]:
-            first_seen[q] = int(first)
-    order = sorted(first_seen, key=first_seen.get)
-    isa = Isa(
-        states={BOTTOM_STATE: None, **{s: None for s in order}},
-        current=doc["alpha"],
-        theta=theta,
-        n=total - 1,
-        new_state_instants=sorted(first_seen.values()),
-    )
+    isa = replay(cells, sum(len(instants) for _, _, instants in cells) - 1)
+    if doc["alpha"] != isa.current:
+        raise SnapshotError(f"model document's alpha is not its last state {isa.current!r}")
+    if len(signal) < isa.n + 1:
+        raise SnapshotError(f"model document reaches instant {isa.n}, but the signal "
+                            f"has {len(signal)} observations")
     if doc.get("mixtures") is not None:
         bandwidths = [m[2] for m in doc["mixtures"] if m[2] is not None]
         kernel = Kernel(bandwidths[0]) if bandwidths else None

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigauto import (
+    BOTTOM_STATE,
     Clusterer,
     ConfigError,
     DUMMY_EVENT,
     DUMMY_STATE,
     EmaGridClassifier,
+    FrontierEntry,
     Kernel,
     PluginParams,
     Signal,
@@ -27,9 +29,12 @@ from sigauto import (
     forecast_density_at,
     hmm_from_document,
     init_isa,
+    is_new_state,
     isa_to_hmm,
     isa_to_hmm_continuous,
     load_snapshot,
+    lookahead_advance,
+    lookahead_build,
     model_document,
     next_hmm,
     next_hmm_continuous,
@@ -41,6 +46,8 @@ from sigauto import (
     state_occupancies,
     transition_row,
 )
+from sigauto import forecasting
+from sigauto.forecasting import _scores
 from sigauto.hmm import next_event_probability
 
 from conftest import (
@@ -673,3 +680,69 @@ class TestScottKernel:
         x = pipe.signal[-1]
         assert (forecast_density_at(rebuilt, pipe.signal, 1, x)
                 == forecast_density_at(pipe.hmm, pipe.signal, 1, x))
+
+
+def assert_model_reads_its_automaton(model, isa):
+    assert model.isa is isa
+    assert (model.n, model.current) == (isa.n, isa.current)
+    assert model.current_is_new == is_new_state(isa)
+    assert list(model.state_order) == [s for s in isa.states if s != BOTTOM_STATE]
+
+
+class TestModelReadsItsAutomaton:
+    """A model keeps no copy of its automaton's state set or newness: after
+    every step of each path that steps models, and after each undo and redo
+    of a lookahead frontier, both read as the automaton's."""
+
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_pipeline(self, emission):
+        pipe = StreamPipeline(PluginParams(grid_width=0.5), emission=emission)
+        for value in random_walk(300, dim=2, seed=8):
+            pipe.step(value)
+            assert_model_reads_its_automaton(pipe.hmm, pipe.isa)
+
+    def test_fit_group(self, monkeypatch):
+        grid = [PluginParams(stat_variant="count")] + [
+            PluginParams(stat_variant="discounted_sum", delta=d) for d in (0.5, 0.9, 0.99)]
+        real, steps = forecasting.step_stream, []
+
+        def checked(isa, signal, classifier, models, future=()):
+            real(isa, signal, classifier, models, future)
+            for model in models:
+                assert_model_reads_its_automaton(model, isa)
+            steps.append(len(models))
+
+        monkeypatch.setattr(forecasting, "step_stream", checked)
+        signal = Signal(random_walk(300, seed=9))
+        _scores(grid, signal, 150, signal.last_instant, 1e-12)
+        assert steps == [4] * signal.last_instant
+
+    def test_frontier(self, monkeypatch):
+        frontier = lookahead_build(random_walk(200, seed=2, step=0.6),
+                                   PluginParams(grid_width=1.0, horizon=2), seed=5)
+        model, isa = frontier.base_hmm, frontier.base_isa
+        moved = []
+        for name in ("undo", "redo"):
+            real = getattr(FrontierEntry, name)
+
+            def checked(entry, real=real):
+                real(entry)
+                assert_model_reads_its_automaton(model, isa)
+                moved.append(entry)
+
+            monkeypatch.setattr(FrontierEntry, name, checked)
+        for value in random_walk(100, seed=3, step=0.6):
+            lookahead_advance(frontier, value)
+            assert_model_reads_its_automaton(model, isa)
+            frontier.fingerprint()
+        assert frontier.matched and frontier.rebuilt and moved
+
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_update_with_another_automaton_is_refused(self, emission):
+        params = PluginParams()
+        sig, isa, hmm = fold_pipeline(E1, params, emission, Kernel([[1.0]]))
+        sig.append(9.0)
+        other = build_isa(sig, EmaGridClassifier(params))
+        assert other.n == hmm.n + 1
+        with pytest.raises(StalenessError, match="other than its own"):
+            hmm.update(other, sig[-1])

@@ -444,3 +444,23 @@ def test_the_words_and_the_model_label_each_genuine_row_once(h, monkeypatch):
     fresh = Clusterer(0.5)
     genuine = dict.fromkeys(fresh.label_of(value) for value in values)
     assert list(frontier.clusterer.observed) == list(genuine)
+
+
+def test_each_genuine_row_is_classified_once(monkeypatch):
+    """An advance classifies its newly genuine row once: a mismatched
+    advance moves with the word it compared, and no row is classified twice
+    with the same window over 300 advances."""
+    values = random_walk(3_300, seed=2)
+    frontier = lookahead_build(values[:3_000], PluginParams(grid_width=0.5, horizon=2), seed=0)
+    calls = []
+    real = LookaheadWordClassifier.step
+
+    def counted(classifier, obs, future=()):
+        calls.append((obs, tuple(future)))
+        return real(classifier, obs, future)
+
+    monkeypatch.setattr(LookaheadWordClassifier, "step", counted)
+    for value in values[3_000:]:
+        lookahead_advance(frontier, value)
+    assert frontier.rebuilt > 0
+    assert len(calls) - len(set(calls)) == 0, f"{len(calls)} calls"

@@ -6,6 +6,7 @@ import pytest
 from sigauto import (
     ConfigError,
     PluginParams,
+    Signal,
     SnapshotError,
     StreamPipeline,
     forecast,
@@ -215,9 +216,11 @@ class TestPipelineSnapshot:
         {"theta": [["__bottom__", "1", [0, 2]], ["1", "__bottom__", [1]], ["1", "5", [3]],
                    ["5", "1", [4]]],
          "current": "1", "new_state_instants": [0, 3]},
+        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1.5]], ["1", "5", [2, 4]],
+                   ["5", "1", [3]]]},
     ], ids=["state_and_instant_added", "state_never_entered", "states_reordered",
             "new_state_instant_moved", "current_another_state", "cells_do_not_chain",
-            "bottom_entered"])
+            "bottom_entered", "fractional_instant"])
     def test_automaton_its_cells_do_not_replay_to_is_refused(self, tmp_path, capsys,
                                                              count_params, edits):
         """The automaton's states, new-state instants and current state are
@@ -324,6 +327,40 @@ class TestModelDocument:
         path.write_text("[1, 2]\n")
         with pytest.raises(SnapshotError, match="root must be an object"):
             load_model_document(path)
+
+    @staticmethod
+    def walk_document(emission="discrete"):
+        """A 200-row walk's pipeline and the document of its model."""
+        pipe = StreamPipeline(PluginParams(grid_width=0.5), emission=emission)
+        for value in random_walk(200, seed=6):
+            pipe.advance(value)
+        return pipe, model_document(pipe.hmm, pipe.params, pipe.isa)
+
+    def test_document_missing_a_cell_is_refused(self):
+        """Without one of its cells the matrix leaves an instant in no cell:
+        it replays to no automaton, here one at n = 192 against a 200-row
+        signal."""
+        pipe, doc = self.walk_document()
+        cells = doc["instants_matrix"]
+        del cells[next(k for k, cell in enumerate(cells) if len(cell[2]) == 7)]
+        with pytest.raises(SnapshotError, match="not an instant 0..192"):
+            hmm_from_document(doc, pipe.signal)
+
+    @pytest.mark.parametrize("alpha", ["other", "zz"])
+    def test_alpha_other_than_the_replayed_state_is_refused(self, alpha):
+        """``alpha`` is the state the instants matrix ends in; another
+        known state, or one the model does not have, describes no model."""
+        pipe, doc = self.walk_document()
+        doc["alpha"] = (next(s for s in pipe.hmm.state_order if s != pipe.isa.current)
+                        if alpha == "other" else alpha)
+        with pytest.raises(SnapshotError, match="alpha"):
+            hmm_from_document(doc, pipe.signal)
+
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_signal_shorter_than_the_document_is_refused(self, emission):
+        pipe, doc = self.walk_document(emission)
+        with pytest.raises(SnapshotError, match="has 199 observations"):
+            hmm_from_document(doc, Signal(list(pipe.signal)[:-1]))
 
     def test_cell_without_instants_is_refused(self, e1_signal, count_params):
         isa, hmm = build_plain(e1_signal, count_params)

@@ -10,15 +10,20 @@ from sigauto import (
     EmaGridClassifier,
     EmptyInputError,
     InstantsMatrix,
+    Isa,
     PluginParams,
     RejectedInputError,
+    SigautoError,
     Signal,
     StalenessError,
     as_observation,
     build_isa,
     init_isa,
     is_new_state,
+    move,
     next_isa,
+    replay,
+    unmove,
 )
 
 from conftest import E1, random_walk
@@ -137,6 +142,46 @@ class TestInstantsMatrixPop:
         assert theta.pop(p, q) == 9
         assert self.view(theta, p, q) == seen
         assert theta == before
+
+
+class TestMoveAndUnmove:
+    @staticmethod
+    def view(isa):
+        return (list(isa.states), list(isa.new_state_instants),
+                [(p, q, list(c)) for p, q, c in isa.theta.cells()], isa.current, isa.n)
+
+    # E1's automaton is at "5" after instant 2 ("5" new) and after instant 4.
+    @pytest.mark.parametrize("upto, label", [
+        (0, "1"),  # the first move, out of __bottom__
+        (5, "5"),  # a self-loop
+        (5, "1"),  # an instant appended to an existing cell
+        (5, "9"),  # a new state, by a new cell of an existing row
+        (3, "1"),  # a new row, out of the new state
+        (3, "9"),  # a new state, by a new row
+    ])
+    def test_unmove_is_the_exact_inverse_of_move(self, upto, label):
+        isa = e1_isa(upto)[0] if upto else Isa()
+        left, before = isa.current, self.view(isa)
+        move(isa, label, None)
+        assert (isa.current, isa.n) == (label, upto)
+        assert isa.theta.cell(left, label)[-1] == upto
+        assert (label in before[0]) == (upto not in isa.new_state_instants)
+        unmove(isa, left)
+        assert self.view(isa) == before
+        assert isa == (e1_isa(upto)[0] if upto else Isa())
+
+    def test_bottom_label_is_refused(self):
+        isa = e1_isa()[0]
+        with pytest.raises(SigautoError, match="reserved bottom state"):
+            move(isa, BOTTOM_STATE, None)
+        assert isa == e1_isa()[0]
+
+    def test_replay_rebuilds_the_automaton_from_its_cells_in_any_order(self, count_params):
+        isa = build_isa(Signal(random_walk(200, seed=4)), EmaGridClassifier(count_params))
+        cells = [(p, q, list(reversed(c))) for p, q, c in isa.theta.cells()][::-1]
+        rebuilt = replay(cells, isa.n)
+        assert rebuilt == isa
+        assert list(rebuilt.theta.cells()) == list(isa.theta.cells())
 
 
 class TestInitIsa:

@@ -167,3 +167,23 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
                 converting.add(f"{path.name}:{function}")
     assert sorted(stepping) == []
     assert converting <= {"pipeline.py:StreamPipeline.rebuild_from_scratch"}
+
+
+def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
+    """``automaton.py`` alone builds an instants matrix, fills an automaton
+    field by field, or appends to or pops its cells: every other module
+    moves one with ``move``/``unmove``/``step_stream``, rebuilds one with
+    ``replay`` or starts one empty with ``Isa()``."""
+    found = []
+    for path in MODULES:
+        if path.name == "automaton.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func)
+            if (callee.split(".")[-1] == "InstantsMatrix"
+                    or (callee.split(".")[-1] == "Isa" and (node.args or node.keywords))
+                    or re.search(r"\btheta\.(append|pop)$", callee)):
+                found.append(f"{path.name}:{callee}")
+    assert found == []
