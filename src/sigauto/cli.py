@@ -103,13 +103,21 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _parse_row(raw: str):
-    """One observation from a CSV row or a JSONL record {"r": [...]}."""
+    """One observation from a CSV row or a JSONL record {"r": [...]}.  A
+    row with a field that ``float`` refuses is read, or refused, with its
+    fields stripped: ``float`` also refuses some edges that they lose
+    (``"\x1c2.5"``)."""
     if raw.startswith("{"):
         record = json.loads(raw)
         if not isinstance(record, dict) or "r" not in record:
             raise RejectedInputError(f"JSON record lacks an 'r' field: {raw[:80]}")
         return as_observation(record["r"])
-    return as_observation([field.strip() for field in raw.split(",")])
+    fields = raw.split(",")
+    try:
+        coords = tuple(map(float, fields))
+    except ValueError:
+        coords = [field.strip() for field in fields]
+    return as_observation(coords)
 
 
 def _looks_like_header(raw: str) -> bool:

@@ -81,13 +81,13 @@ def _normalized_row(row: Row | None, stat: StatFn, now: int, sink: dict) -> dict
     """
     if row is None or not row.cells:
         return sink
-    total = row.total
+    total, read = row.total, stat.read
     if stat.row_ignores_now:
         now = total.last_now
-    denom = stat.read(total, now)
+    denom = read(total, now)
     if denom <= 0.0:
         return sink
-    return {c: stat.read(acc, now) / denom for c, acc in row.cells.items()}
+    return {c: read(acc, now) / denom for c, acc in row.cells.items()}
 
 
 def next_event_probability(hmm: Hmm, cluster: str) -> float:
@@ -96,23 +96,30 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
 
     It sums T(current, q)·E(q, cluster) over the current row's states q
     with the quotients ``_normalized_row`` would store, in the forecast's
-    order, so the value is bit-identical, and reads an emission row only
-    when ``cluster`` is one of its cells."""
+    order, so the value is bit-identical.  It reads the current row's sum,
+    and the transition cell, emission cell and emission sum of each q whose
+    emission row holds ``cluster``, the only terms the sum adds.  A cell it
+    does not read is still refused if a read at the row's instant would be."""
     if hmm.current_is_new:
         return 0.0
     n, sigma, rho, emit = hmm.n, hmm.sigma, hmm.rho, hmm._erows
     row = hmm._trows.get(hmm.current)
     if row is None or not row.cells:  # the sink row: DUMMY_STATE emits DUMMY_EVENT
         return 0.0
+    read = sigma.read
     at = row.total.last_now if sigma.row_ignores_now else n
-    denom = sigma.read(row.total, at)
+    denom = read(row.total, at)
     if denom <= 0.0:
         return 0.0
     p = 0.0
     for q, acc in row.cells.items():
-        w = sigma.read(acc, at) / denom
         emitted = emit.get(q)
-        if w != 0.0 and emitted is not None and cluster in emitted.cells:
+        if emitted is None or cluster not in emitted.cells:
+            if acc.last_now > at:
+                read(acc, at)  # raises the refusal of the read it skips
+            continue
+        w = read(acc, at) / denom
+        if w != 0.0:
             e_total = emitted.total
             e_at = e_total.last_now if rho.row_ignores_now else n
             e_denom = rho.read(e_total, e_at)

@@ -321,6 +321,118 @@ class StatAccumulator:
     raw_count: int = 0
 
 
+def _stale(what: str, acc: StatAccumulator) -> TemporalOrderError:
+    return TemporalOrderError(f"{what} precedes accumulator time {acc.last_now}")
+
+
+# Each variant's formulas, side by side: from the discount and the region
+# test, its ``evaluate(signal, instants, now)`` over an instant list,
+# ``read(acc, now)`` and ``step_gain(acc, obs, instant)``.  A step adds the
+# current instant, so a discounted variant adds delta**0 = 1 for it, and
+# returns how much it raised the accumulator's read at that instant: what a
+# transition cell's step adds to its row sum.
+
+
+def _count(delta, in_region):
+    def evaluate(signal, instants, now):
+        return float(len(instants))
+
+    def read(acc, now):
+        if now < acc.last_now:
+            raise _stale(f"read at {now}", acc)
+        return float(acc.raw_count)
+
+    def step_gain(acc, obs, instant):
+        if instant < acc.last_now:
+            raise _stale(f"instant {instant}", acc)
+        before = float(acc.raw_count)
+        acc.value = before + 1.0
+        acc.last_now = instant
+        acc.raw_count += 1
+        return acc.value - before
+
+    return evaluate, read, step_gain
+
+
+def _discounted_sum(delta, in_region):
+    def evaluate(signal, instants, now):
+        return float(sum(delta ** (now - i) for i in instants))
+
+    def read(acc, now):
+        if now < acc.last_now:
+            raise _stale(f"read at {now}", acc)
+        return acc.value * delta ** (now - acc.last_now)
+
+    def step_gain(acc, obs, instant):
+        if instant < acc.last_now:
+            raise _stale(f"instant {instant}", acc)
+        before = acc.value * delta ** (instant - acc.last_now)
+        acc.value = before + 1.0
+        acc.last_now = instant
+        acc.raw_count += 1
+        return acc.value - before
+
+    return evaluate, read, step_gain
+
+
+def _discounted_complement(delta, in_region):
+    """The cardinality minus the discounted sum, kept as the value k - sum
+    with ``raw_count`` k: a step raises both by 1 and leaves the value."""
+    def evaluate(signal, instants, now):
+        return float(len(instants)) - sum(delta ** (now - i) for i in instants)
+
+    def read(acc, now):
+        if now < acc.last_now:
+            raise _stale(f"read at {now}", acc)
+        k = acc.raw_count
+        return k - (k - acc.value) * delta ** (now - acc.last_now)
+
+    def step_gain(acc, obs, instant):
+        if instant < acc.last_now:
+            raise _stale(f"instant {instant}", acc)
+        k = acc.raw_count
+        before = acc.value = k - (k - acc.value) * delta ** (instant - acc.last_now)
+        acc.last_now = instant
+        acc.raw_count = k = k + 1
+        return k - (k - before) - before  # the read after the step, which may round
+
+    return evaluate, read, step_gain
+
+
+def _region_count(delta, in_region, latest=False):
+    """The in-region observations, or with ``latest`` the latest in-region
+    instant (0 if none)."""
+    def evaluate(signal, instants, now):
+        hits = [i for i in instants if in_region(signal[i])]
+        return float(max(hits, default=0)) if latest else float(len(hits))
+
+    def read(acc, now):
+        if now < acc.last_now:
+            raise _stale(f"read at {now}", acc)
+        return acc.value
+
+    def step_gain(acc, obs, instant):
+        if instant < acc.last_now:
+            raise _stale(f"instant {instant}", acc)
+        before = acc.value
+        if in_region(as_observation(obs)):
+            acc.value = float(instant) if latest else before + 1.0
+        acc.last_now = instant
+        acc.raw_count += 1
+        return acc.value - before
+
+    return evaluate, read, step_gain
+
+
+_FORMULAS = {
+    "count": _count,
+    "discounted_sum": _discounted_sum,
+    "discounted_complement": _discounted_complement,
+    "region_count": _region_count,
+    "latest_occurrence": functools.partial(_region_count, latest=True),
+}
+
+
 class StatFn:
     """One statistical weight function; evaluates instant sets and maintains
     accumulators.
@@ -329,7 +441,11 @@ class StatFn:
     delta**(now - i), recent instants weigh more), ``discounted_complement``
     (cardinality minus that sum), ``region_count`` (observations inside the
     configured box), ``latest_occurrence`` (most recent in-region instant,
-    0 if none).
+    0 if none).  Each variant's formulas are the functions that ``_FORMULAS``
+    maps it to, above; a ``StatFn`` binds its variant's ``read(acc, now)``
+    (the accumulator's value at ``now``), ``step_gain(acc, obs, instant)``
+    and ``advance(acc, now)`` once, when it is built, so no accumulator call
+    looks at the variant.
     """
 
     def __init__(self, variant: str, delta: float = 0.0, region=None):
@@ -344,6 +460,14 @@ class StatFn:
         # cancelled, so a row left long ago does not underflow to zero.  The
         # complement's weights change with ``now``; it is read at ``now``.
         self.row_ignores_now = variant != "discounted_complement"
+        self._eval, read, self.step_gain = _FORMULAS[variant](self.delta, self._in_region)
+
+        def advance(acc: StatAccumulator, now: int) -> None:
+            """Catch the stored value up to ``now`` (lazy discount application)."""
+            acc.value = read(acc, now)
+            acc.last_now = now
+
+        self.read, self.advance = read, advance
 
     @property
     def additive(self) -> bool:
@@ -364,18 +488,7 @@ class StatFn:
         instants = list(instants)
         if any(i > now for i in instants):
             raise TemporalOrderError(f"instant set reaches beyond now={now}")
-        v = self.variant
-        if v == "count":
-            return float(len(instants))
-        if v == "discounted_sum":
-            return float(sum(self.delta ** (now - i) for i in instants))
-        if v == "discounted_complement":
-            return float(len(instants)) - sum(self.delta ** (now - i) for i in instants)
-        if v == "region_count":
-            return float(sum(1 for i in instants if self._in_region(signal[i])))
-        # latest_occurrence
-        hits = [i for i in instants if self._in_region(signal[i])]
-        return float(max(hits)) if hits else 0.0
+        return self._eval(signal, instants, now)
 
     def eval_acc(self, signal, instants: Iterable[int], now: int) -> StatAccumulator:
         """Accumulator equivalent to having stepped through ``instants``."""
@@ -391,61 +504,10 @@ class StatFn:
     def new_acc(self, now: int = 0) -> StatAccumulator:
         return StatAccumulator(value=0.0, last_now=now, raw_count=0)
 
-    def read(self, acc: StatAccumulator, now: int) -> float:
-        """The accumulator's value at ``now``.  Each variant's formula is
-        written here only; ``advance`` and ``step`` read through it."""
-        if now < acc.last_now:
-            raise TemporalOrderError(
-                f"read at {now} precedes accumulator time {acc.last_now}"
-            )
-        v = self.variant
-        if v == "count":
-            return float(acc.raw_count)
-        if v == "discounted_sum":
-            return acc.value * self.delta ** (now - acc.last_now)
-        if v == "discounted_complement":
-            return acc.raw_count - (acc.raw_count - acc.value) * self.delta ** (
-                now - acc.last_now
-            )
-        return acc.value
-
-    def advance(self, acc: StatAccumulator, now: int) -> None:
-        """Catch the stored value up to ``now`` (lazy discount application)."""
-        acc.value = self.read(acc, now)
-        acc.last_now = now
-
     def step(self, acc: StatAccumulator, obs, instant: int) -> StatAccumulator:
-        """Add one instant (with its observation) to the accumulated set.
-
-        The added instant is the current time, so discounted variants
-        contribute delta**0 = 1 for it.
-        """
+        """Add one instant (with its observation) to the accumulated set."""
         self.step_gain(acc, obs, instant)
         return acc
-
-    def step_gain(self, acc: StatAccumulator, obs, instant: int) -> float:
-        """``step``, returning how much it raised the accumulator's read at
-        ``instant``: what a transition cell's step adds to its row sum."""
-        if instant < acc.last_now:
-            raise TemporalOrderError(
-                f"instant {instant} precedes accumulator time {acc.last_now}"
-            )
-        before = self.read(acc, instant)
-        v = self.variant
-        if v == "discounted_complement":
-            acc.value = before  # value = k - sum; both gain 1
-        elif v in ("count", "discounted_sum"):
-            acc.value = before + 1.0
-        elif not self._in_region(as_observation(obs)):
-            acc.value = before
-        else:
-            acc.value = before + 1.0 if v == "region_count" else float(instant)
-        acc.last_now = instant
-        acc.raw_count += 1
-        # At its own instant an accumulator reads as its stored value, bit
-        # for bit, except the complement's: k - (k - value) may round.
-        after = self.read(acc, instant) if v == "discounted_complement" else acc.value
-        return after - before
 
     def params_fingerprint(self) -> tuple:
         return (self.variant, self.delta, self.region)
@@ -475,10 +537,9 @@ def rho_fn(params: PluginParams) -> StatFn:
 
 # The rows a ``Clusterer`` remembers, a fixed bound.  One lookahead advance
 # labels ~2h + 1 distinct rows (h + 1 genuine ones and up to h estimates),
-# so 32 holds several advances' rows at the horizons in use.  A full memo is
-# cleared, not evicted row by row, which is cheaper per row; a small bound
-# keeps each clear short (~2 us), so that it does not stand out in a
-# per-row latency tail when rows never repeat.
+# so 32 holds several advances' rows at the horizons in use.  A full memo
+# forgets its oldest row, so a row stays while the h words and the model
+# that read it are still to come.
 MEMO_ROWS = 32
 
 
@@ -496,7 +557,7 @@ class Clusterer:
     Only rows that ``as_observation`` accepted are stored, as float tuples,
     and a hit on a row with a coordinate that is not a ``float`` (a complex
     number equal to one, say) is taken as a miss, so a row is refused as
-    ``as_observation`` refuses it.  The memo is cleared when it is full.
+    ``as_observation`` refuses it.  A full memo forgets its oldest row.
     The models of a ``fit`` group read the same stored row, and a lookahead
     row is read by h words and by the model, so each is labelled once.
     A miss computes the row's cell index, and ``cell_label`` builds each
@@ -523,9 +584,10 @@ class Clusterer:
         if self._widths is None:
             self._widths = _widths_for_dim(self._raw_width, len(coords))
         idx = cell_index(coords, self._widths)
-        if len(self._memo) >= MEMO_ROWS:
-            self._memo.clear()
-        hit = self._memo[coords] = (cell_label(idx), idx, coords)
+        memo = self._memo
+        if len(memo) >= MEMO_ROWS:
+            del memo[next(iter(memo))]
+        hit = memo[coords] = (cell_label(idx), idx, coords)
         return hit
 
     def label_of(self, obs) -> str:

@@ -128,6 +128,8 @@ def restore_pipeline(doc: dict):
             raise SnapshotError(
                 f"snapshot version {version} not supported (expected {SNAPSHOT_VERSION})"
             )
+        if not isinstance(doc["tau"], dict):
+            raise SnapshotError(f"snapshot tau must be an object, got {doc['tau']!r}")
         params = PluginParams.from_dict(doc["tau"])
         if not is_number(doc["seed"], int):
             raise SnapshotError(f"snapshot seed must be an integer, got {doc['seed']!r}")

@@ -7,11 +7,13 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sigauto import BenchPoint, BenchReport
-from sigauto.cli import _build_parser, main, parse_config
+from sigauto import BenchPoint, BenchReport, RejectedInputError, as_observation
+from sigauto.cli import _build_parser, _parse_row, main, parse_config, read_signal
 
-from conftest import E1, random_walk
+from conftest import E1, EVERY_STAT, random_walk
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -207,6 +209,19 @@ class TestRun:
                      "--horizon", "2", "--seed", "4"]) == 0
         assert read_records(tmp_path / "b.jsonl")[0]["i"] == 15
 
+    @pytest.mark.parametrize("tau", [[], [["lambda", 1.0]], "count", 3, None])
+    def test_resume_refuses_a_tau_that_is_not_an_object(self, tmp_path, capsys, resumable, tau):
+        second, _, snap = resumable
+        doc = json.loads(snap.read_text())
+        doc["tau"] = tau
+        snap.write_text(json.dumps(doc))
+        out = tmp_path / "b.jsonl"
+        assert main(["run", "--input", str(second), "--output", str(out),
+                     "--resume", str(snap)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: snapshot tau must be an object"), err
+        assert not out.exists()
+
     def test_config_error_exit_code(self, tmp_path, e1_csv):
         config = tmp_path / "c.json"
         config.write_text(json.dumps({"delta": 1.0}))
@@ -238,6 +253,80 @@ class TestRun:
         assert main(["run", "--input", str(second), "--output", str(out_b2),
                      "--resume", str(snap)]) == 0
         assert out_a.read_bytes() == out_b1.read_bytes() + out_b2.read_bytes()
+
+
+def stripping_parse(raw):
+    """The CSV row reader that ``_parse_row`` replaced, kept as its oracle:
+    every field stripped, then read by ``as_observation``."""
+    return as_observation([field.strip() for field in raw.split(",")])
+
+
+def outcome(parse, raw):
+    """What ``parse(raw)`` returns, each float by its repr (so -0.0 is not
+    0.0) and type, or the type and message of what it raises."""
+    try:
+        return [(repr(x), type(x)) for x in parse(raw)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+# Rows a CSV reader meets: numbers in every spelling `float` takes, the
+# malformed rows the byte-identity checks plant (non-numeric, non-finite,
+# wrong widths, an edge `float` refuses but `str.strip` removes, underscores,
+# hex, empty fields, non-ASCII digits, padding), and 2-d rows of each kind.
+ROWS = [
+    "1.5", "-0.0", "-0", "0", "+1", "1e3", "1E-3", ".5", "5.", "1_000", "1__0", "_1",
+    "0x1p3", "0x10", "n/a", "nan", "NaN", "-nan", "inf", "-inf", "Infinity", "1e999",
+    "-1e999", "", " ", "\t", "1,2", "1,2,3", "1,", ",1", "1,,2", ",", " nan , 1",
+    "1, inf", "\x1c2.5", "2.5\x1d", "\x1c2.5,\x1f1", "1\x1c2", "\x1e,1",
+    "\u0661\u0662\u0663", "\uff11\uff12.\uff15", "\u00b2", "\u0661,\u0662",
+    " 1.5 ", "\t1.5\t", "\xa01.5\xa0", "\u30003", "1 2", " 1 , 2 ", "\t-0.0 ,\t0.25",
+    " 1_000 , 2 ", "1.5, -0", "a,1", "1,b",
+]
+
+
+def refusal_in_a_1d_file(raw):
+    """The message for line ``raw`` of a 1-d file, None if it is read; the
+    reader strips the line first."""
+    got = outcome(stripping_parse, raw.strip())
+    if not isinstance(got, list):
+        return got[1]
+    return f"observation has {len(got)} coordinates, expected 1" if len(got) > 1 else None
+
+
+class TestParseRow:
+    """``_parse_row`` reads a CSV row as the stripping reader did: the same
+    floats, or the same refusal."""
+
+    @pytest.mark.parametrize("raw", ROWS, ids=repr)
+    def test_reads_a_row_as_the_stripping_reader(self, raw):
+        assert outcome(_parse_row, raw) == outcome(stripping_parse, raw)
+
+    @settings(max_examples=300, deadline=None)
+    @given(fields=st.lists(st.one_of(
+        st.floats().map(repr),
+        st.text(alphabet=" \t\x1c\x1f\xa0\u3000+-.e_0123456789\u0661\uff15infa", max_size=6),
+    ), min_size=1, max_size=3))
+    def test_reads_any_row_as_the_stripping_reader(self, fields):
+        raw = ",".join(fields)
+        assert outcome(_parse_row, raw) == outcome(stripping_parse, raw)
+
+    @pytest.mark.parametrize("raw", [r for r in ROWS if r.strip() and refusal_in_a_1d_file(r)],
+                             ids=repr)
+    def test_a_refused_row_keeps_its_line_number(self, tmp_path, raw):
+        """``read_signal`` refuses the row with its ``line N:`` prefix, and
+        a lenient ``run`` writes the same message as the row's error record."""
+        src = tmp_path / "in.csv"
+        src.write_text(f"x\n1.0\n{raw}\n2.0\n", encoding="utf-8")
+        message = refusal_in_a_1d_file(raw)
+        with pytest.raises(RejectedInputError) as exc:
+            read_signal(str(src))
+        assert str(exc.value) == f"line 3: {message}"
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(src), "--output", str(out)]) == 0
+        records = read_records(out)
+        assert records[1] == {"line": 3, "error": message}
+        assert [r["i"] for r in records if "i" in r] == [0, 1]
 
 
 class TestFitCommand:
@@ -517,7 +606,18 @@ class TestGoldenOutputs:
         "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
         "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
         "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",
+        "fit_every_stat_1d": "948bfcd0b952950db55d9fc00fe3c3820d67805e159aa1f706288e3163ac31cb",
+        "fit_every_stat_2d": "2600c4f7c67c4f5edae3a04ee2fe396729d3c30c94856a8a638765ec9674b084",
+        "run_count": "ae6e98f8848095a79488cefabc4639eec36b68ab23a0cad111ef62b3c1447a75",
+        "run_discounted_sum": "1cff12e75846a9c5f323b79bd79d086f27d22a6a6fd91c657e36fa1037001be9",
+        "run_discounted_complement": "e72ca4c7006ff715411c49f4aafa7ccfb1a98eff7861ef9d941e917cf65d5eb2",
+        "run_region_count": "41ac11079389777a55938f5072851b3a2388b7c839f4f31b2f1e0af5f29e03d3",
+        "run_latest_occurrence": "4002c00a78b4f0e209e1033e1f625014e350af6a1cda2d2ce7a4faf4efd54667",
     }
+
+    # Boxes that the second half of each `fit_every_stat` walk enters and
+    # leaves, so the region statistics score more than the floor.
+    REGIONS = {1: [[-6.0, 0.0]], 2: [[0.0, 5.0], [-5.0, 0.0]]}
 
     @staticmethod
     def digest(path):
@@ -569,3 +669,31 @@ class TestGoldenOutputs:
         assert main(["fit", "--input", str(src), "--config", str(config),
                      "--output", str(out)]) == 0
         assert self.digest(out) == self.GOLDEN["fit"]
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_fit_every_stat(self, tmp_path, dim):
+        src = tmp_path / "walk.csv"
+        write_csv(src, random_walk(500, dim=dim, seed=15))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"region": self.REGIONS[dim], "grid": [
+            {"stat_variant": "count"},
+            {"stat_variant": "discounted_sum", "delta": 0.9},
+            {"stat_variant": "discounted_complement", "delta": 0.9},
+            {"stat_variant": "region_count"},
+            {"stat_variant": "latest_occurrence"},
+        ]}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(src), "--config", str(config),
+                     "--output", str(out)]) == 0
+        assert self.digest(out) == self.GOLDEN[f"fit_every_stat_{dim}d"]
+
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+    def test_run_every_stat(self, tmp_path, stat):
+        src = tmp_path / "walk.csv"
+        write_csv(src, random_walk(300, seed=16))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps(stat))
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--horizon", "2", "--config", str(config),
+                     "--input", str(src), "--output", str(out)]) == 0
+        assert self.digest(out) == self.GOLDEN["run_" + stat["stat_variant"]]

@@ -120,18 +120,24 @@ def test_one_function_forks_and_no_process_pool_is_imported():
     assert pools == []
 
 
-def calls_by_function(tree):
-    """``(qualified name of the enclosing function, unparsed callee)`` for
-    every call made inside a function or method."""
+def nodes_by_function(tree):
+    """``(qualified name of the enclosing function or class, node)`` for
+    every node of a module; the name is empty at the module's top level."""
     def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 yield from walk(child, scope + [child.name])
             else:
-                if isinstance(child, ast.Call) and scope:
-                    yield ".".join(scope), ast.unparse(child.func)
+                yield ".".join(scope), child
                 yield from walk(child, scope)
     return walk(tree, [])
+
+
+def calls_by_function(tree):
+    """``(qualified name of the enclosing function, unparsed callee)`` for
+    every call made inside a function or method."""
+    return ((scope, ast.unparse(node.func)) for scope, node in nodes_by_function(tree)
+            if isinstance(node, ast.Call) and scope)
 
 
 def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
@@ -187,3 +193,33 @@ def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
                     or re.search(r"\btheta\.(append|pop)$", callee)):
                 found.append(f"{path.name}:{callee}")
     assert found == []
+
+
+def stat_variants():
+    """The names in ``plugins.STAT_VARIANTS``, read from the source."""
+    tree = ast.parse((PACKAGE / "plugins.py").read_text(encoding="utf-8"))
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [ast.unparse(t) for t in node.targets] == ["STAT_VARIANTS"])
+
+
+def test_only_a_statistic_being_built_tells_its_variant_by_name():
+    """A ``StatFn`` binds its variant's formulas once, when it is built, so
+    no accumulator call and no other module compares a variant with a
+    variant's name (``==``, ``in`` a literal tuple or a ``case``): only
+    ``StatFn.__init__`` does."""
+    names = set(stat_variants())
+
+    def names_a_variant(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(names_a_variant, node.elts))
+        return isinstance(node, ast.Constant) and node.value in names
+
+    found = set()
+    for path in MODULES:
+        for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            operands = ([node.left, *node.comparators] if isinstance(node, ast.Compare)
+                        else [node.value] if isinstance(node, ast.MatchValue) else [])
+            if any(map(names_a_variant, operands)):
+                found.add(f"{path.name}:{scope}")
+    assert found == {"plugins.py:StatFn.__init__"}
