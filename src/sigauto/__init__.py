@@ -77,13 +77,6 @@ from .plugins import (
     sigma_fn,
 )
 from .signal import Signal, as_observation
-from .snapshot import (
-    hmm_from_document,
-    load_model_document,
-    load_snapshot,
-    model_document,
-    save_model_document,
-    save_snapshot,
-)
+from .snapshot import load_snapshot, save_snapshot
 
 __version__ = "0.1.0"

@@ -67,7 +67,6 @@ from .plugins import (
     sigma_fn,
 )
 from .signal import Signal
-from .snapshot import model_document
 
 
 @dataclass(eq=False)
@@ -205,14 +204,24 @@ class LookaheadFrontier:
     def fingerprint(self) -> dict:
         """Canonical structure for exact equality comparisons; O(n) per entry.
 
-        Each automaton/model pair is its model document plus the automaton
-        and model fields the document leaves out.  The live entries are
-        undone, then redone one by one, so each pair is read at its own
-        instant.
+        Each automaton/model pair is sorted lists of the parameters, the
+        model's states, current state, events and normalized transition and
+        emission weights, the automaton's instants matrix, and the automaton
+        and model fields those leave out.  The live entries are undone, then
+        redone one by one, so each pair is read at its own instant.
         """
+        def weights(matrix) -> list:
+            return sorted([p, q, w] for p, row in matrix.rows.items() for q, w in row.items())
+
         def pair_doc(isa, hmm) -> dict:
             return {
-                **model_document(hmm, self.params, isa),
+                "tau": self.params.to_dict(),
+                "states": sorted(hmm.states),
+                "alpha": hmm.current,
+                "transitions": weights(hmm.transition_matrix()),
+                "events": sorted(hmm.events),
+                "emissions": weights(hmm.emission_matrix()),
+                "instants_matrix": sorted([p, q, list(c)] for p, q, c in isa.theta.cells()),
                 "isa": [sorted(isa.states), isa.current, isa.n,
                         list(isa.new_state_instants)],
                 "model": [hmm.n, hmm.current_is_new],

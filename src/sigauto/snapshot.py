@@ -1,4 +1,4 @@
-"""Persistence: pipeline snapshots and model documents.
+"""Persistence: pipeline snapshots.
 
 Pipeline snapshots capture everything the streaming loop needs to continue
 bit-identically after a restart: the signal, the classifier summary, the
@@ -7,48 +7,38 @@ restored dictionaries replay float arithmetic in the same order.  A model is
 rebuilt on the automaton its cells ``replay`` to, which gives it its instant,
 current state, state order and, for a continuous model, its mixture centres,
 so the model part holds only its row tables: ``trans``, and ``emit`` for a
-discrete model.
-
-Model documents are a canonical (sorted) export of one model: states, events,
-initial state, materialized transition and emission weights, and the instants
-matrix.  Integer fields round-trip exactly; weights are written as shortest
-round-trip decimals (at most 17 significant digits), so parsing returns the
-identical double.  A model is rebuilt from the ``replay`` of its instants
-matrix.  A snapshot or document no stream could write is a ``SnapshotError``.
+discrete model.  A snapshot no stream could write is a ``SnapshotError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from .automaton import Isa, replay
 from .errors import SnapshotError
-from .hmm import Row, isa_to_hmm, isa_to_hmm_continuous
+from .hmm import Row
 from .pipeline import StreamPipeline
-from .plugins import (
-    Clusterer,
-    Kernel,
-    PluginParams,
-    StatAccumulator,
-    is_number,
-    rho_fn,
-    sigma_fn,
-)
-from .signal import Signal
+from .plugins import PluginParams, StatAccumulator, StatFn, is_number
 
 SNAPSHOT_VERSION = 3
-MODEL_DOCUMENT_VERSION = 2
 
 
 def _acc_doc(acc: StatAccumulator) -> dict:
     return {"value": acc.value, "last_now": acc.last_now, "count": acc.raw_count}
 
 
-def _acc_from(doc: dict) -> StatAccumulator:
-    return StatAccumulator(
-        value=float(doc["value"]), last_now=int(doc["last_now"]), raw_count=int(doc["count"])
-    )
+def _acc_from(doc: dict, stat: StatFn) -> StatAccumulator:
+    """The accumulator of ``_acc_doc``, refused unless steps of ``stat``
+    could have written it: its ``last_now`` an instant, its ``count`` an
+    integer and its ``value`` a finite number >= 0, the count itself under
+    ``count``."""
+    value, last_now, count = doc["value"], doc["last_now"], doc["count"]
+    if not (is_number(last_now, int) and is_number(count, int) and last_now >= 0
+            and 0 <= value < math.inf and (value == count or not stat.value_is_count)):
+        raise SnapshotError(f"snapshot accumulator {doc!r} is not one a stream writes")
+    return StatAccumulator(float(value), last_now, count)
 
 
 def _rows_doc(table: dict[str, Row]) -> list:
@@ -59,15 +49,55 @@ def _rows_doc(table: dict[str, Row]) -> list:
     ]
 
 
-def _rows_from(doc: list, states, columns) -> dict[str, Row]:
-    """The table of ``_rows_doc``, refused unless each row is one of
-    ``states`` and each of its cells one of ``columns``."""
-    table = {p: Row({c: _acc_from(acc) for c, acc in cells}, _acc_from(total))
+def _rows_from(doc: list, stat: StatFn, rows: list) -> dict[str, Row]:
+    """The table of ``_rows_doc``, refused unless its rows are ``rows``, in
+    order, and each row total is what ``update`` writes beside the cells:
+    their counts' sum, at their latest ``last_now``."""
+    table = {p: Row({c: _acc_from(acc, stat) for c, acc in cells}, _acc_from(total, stat))
              for p, cells, total in doc}
+    if [*table] != rows:
+        raise SnapshotError(f"snapshot rows {[*table]} are not the model's {rows}")
     for p, row in table.items():
-        if p not in states or not row.cells.keys() <= columns:
-            raise SnapshotError(f"snapshot row {p!r} names a state or column the model "
-                                "does not have")
+        cells = row.cells.values()
+        if (sum(acc.raw_count for acc in cells) != row.total.raw_count
+                or max(acc.last_now for acc in cells) != row.total.last_now):
+            raise SnapshotError(f"snapshot row {p!r} has a total other than its cells'")
+    return table
+
+
+def _trows_from(doc: list, hmm) -> dict[str, Row]:
+    """The transition table ``update`` writes for ``hmm``'s automaton: a row
+    for each state with outgoing cells, in the automaton's order, whose
+    cells are those cells, in order, each with their count and last instant."""
+    theta = hmm.isa.theta
+    outgoing = {p: theta.row(p) for p in hmm.state_order if theta.has_outgoing(p)}
+    table = _rows_from(doc, hmm.sigma, [*outgoing])
+    for p, row in table.items():
+        if ([(q, acc.raw_count, acc.last_now) for q, acc in row.cells.items()]
+                != [(q, len(js), js[-1]) for q, js in outgoing[p].items()]):
+            raise SnapshotError(f"snapshot transition row {p!r} is not its automaton's cells")
+    return table
+
+
+def _erows_from(doc: list, hmm, signal) -> dict[str, Row]:
+    """The emission table ``update`` writes for ``hmm``'s automaton: a row
+    for each state, in order, whose total counts the state's incoming
+    instants at the latest of them, and whose cells are observed clusters,
+    each holding the observation at its last instant."""
+    incoming: dict[str, list[int]] = {}  # state -> [instants, latest instant]
+    for _, q, js in hmm.isa.theta.cells():
+        seen = incoming.setdefault(q, [0, -1])
+        seen[0] += len(js)
+        seen[1] = max(seen[1], js[-1])
+    clusterer = hmm.clusterer
+    table = _rows_from(doc, hmm.rho, [*hmm.state_order])
+    for q, row in table.items():
+        if ([row.total.raw_count, row.total.last_now] != incoming[q]
+                or not row.cells.keys() <= clusterer.observed.keys()
+                or any(clusterer.label_of(signal[acc.last_now]) != c
+                       for c, acc in row.cells.items())):
+            raise SnapshotError(f"snapshot emission row {q!r} is not its automaton's "
+                                "incoming instants in observed clusters")
     return table
 
 
@@ -156,14 +186,12 @@ def restore_pipeline(doc: dict):
                                     f"{sorted(tables)} of a {pipe.emission} model")
             pipe.isa = _isa_from(doc["isa"], pipe.n)
             hmm = pipe._model_on(pipe.isa)
-            states = set(hmm.state_order)
             if pipe.emission == "discrete":
-                hmm._erows = _rows_from(model_doc["emit"], states,
-                                        pipe.clusterer.observed.keys())
-            hmm._trows = _rows_from(model_doc["trans"], states, states)
+                hmm._erows = _erows_from(model_doc["emit"], hmm, pipe.signal)
+            hmm._trows = _trows_from(model_doc["trans"], hmm)
             pipe.hmm = hmm
         return pipe
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc
 
 
@@ -198,90 +226,3 @@ def load_snapshot(path):
         raise SnapshotError("snapshot root must be an object")
     return restore_pipeline(doc)
 
-
-# ---------------------------------------------------------------------------
-# Model documents (canonical export of one model)
-
-
-def model_document(hmm, params: PluginParams, isa: Isa) -> dict:
-    """Canonical versioned export of a model snapshot.
-
-    Weight lists are sorted, so two structurally equal models produce
-    identical documents regardless of construction order.  The instants
-    matrix of the automaton the model was derived from is embedded, which is
-    what makes the document reconstructible.
-    """
-    transitions = hmm.transition_matrix()
-    doc = {
-        "version": MODEL_DOCUMENT_VERSION,
-        "tau": params.to_dict(),
-        "states": sorted(hmm.states),
-        "alpha": hmm.current,
-        "transitions": sorted(
-            [p, q, w] for p, row in transitions.rows.items() for q, w in row.items()
-        ),
-        "instants_matrix": sorted(
-            [p, q, list(c)] for p, q, c in isa.theta.cells()
-        ),
-    }
-    if hmm.emission_kind == "discrete":
-        emissions = hmm.emission_matrix()
-        doc["events"] = sorted(hmm.events)
-        doc["emissions"] = sorted(
-            [q, c, w] for q, row in emissions.rows.items() for c, w in row.items()
-        )
-    else:
-        bandwidth = hmm.kernel.h_matrix.tolist() if hmm.kernel is not None else None
-        doc["events"] = None
-        doc["mixtures"] = sorted(
-            [q, list(c), bandwidth] for q, c in hmm.mixtures.items()
-        )
-    return doc
-
-
-def save_model_document(doc: dict, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-        handle.write("\n")
-
-
-def load_model_document(path) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SnapshotError(f"cannot read model document {path}: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SnapshotError("model document root must be an object")
-    version = doc.get("version")
-    if version != MODEL_DOCUMENT_VERSION:
-        raise SnapshotError(f"model document version {version} not supported "
-                            f"(expected {MODEL_DOCUMENT_VERSION})")
-    for key in ("tau", "states", "alpha", "transitions", "instants_matrix"):
-        if key not in doc:
-            raise SnapshotError(f"model document misses key {key!r}")
-    return doc
-
-
-def hmm_from_document(doc: dict, signal: Signal):
-    """Rebuild a live model from a document plus the originating signal:
-    the ``replay`` of the instants matrix, refused unless it ends in
-    ``alpha`` and ``signal`` reaches its instant, converted with plugins
-    configured from the stored parameters.  Weights agree with the document
-    within float tolerance (exactly, for counting statistics)."""
-    cells = doc.get("instants_matrix")
-    if cells is None:
-        raise SnapshotError("model document carries no instants matrix")
-    params = PluginParams.from_dict(doc["tau"])
-    isa = replay(cells, sum(len(instants) for _, _, instants in cells) - 1)
-    if doc["alpha"] != isa.current:
-        raise SnapshotError(f"model document's alpha is not its last state {isa.current!r}")
-    if len(signal) < isa.n + 1:
-        raise SnapshotError(f"model document reaches instant {isa.n}, but the signal "
-                            f"has {len(signal)} observations")
-    if doc.get("mixtures") is not None:
-        bandwidths = [m[2] for m in doc["mixtures"] if m[2] is not None]
-        kernel = Kernel(bandwidths[0]) if bandwidths else None
-        return isa_to_hmm_continuous(isa, signal, sigma_fn(params), kernel)
-    clusterer = Clusterer(params.grid_width)
-    return isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params), clusterer)

@@ -27,7 +27,6 @@ from sigauto import (
     forecast,
     default_bandwidth,
     forecast_density_at,
-    hmm_from_document,
     init_isa,
     is_new_state,
     isa_to_hmm,
@@ -35,7 +34,6 @@ from sigauto import (
     load_snapshot,
     lookahead_advance,
     lookahead_build,
-    model_document,
     next_hmm,
     next_hmm_continuous,
     next_isa,
@@ -671,16 +669,18 @@ class TestScottKernel:
         assert drawn == [sample_observation(pipe.hmm, 1, seed, scott) for seed in range(5)]
         assert any(len(x) == 2 for x in drawn if x is not None)
 
-    def test_scott_model_document_round_trips(self):
+    def test_scott_model_snapshot_round_trips(self, tmp_path):
+        """A snapshot stores no bandwidth for a Scott-rule model: the
+        restored model has no kernel and reads Scott's rule over the
+        restored signal, so its densities are the original's."""
         pipe = self.scott_pipeline()
-        doc = model_document(pipe.hmm, pipe.params, pipe.isa)
-        rebuilt = hmm_from_document(doc, pipe.signal)
-        assert rebuilt.kernel is None
-        assert model_document(rebuilt, pipe.params, pipe.isa) == doc
+        path = tmp_path / "snap.json"
+        save_snapshot(pipe, path)
+        restored = load_snapshot(path)
+        assert restored.hmm.kernel is None
         x = pipe.signal[-1]
-        assert (forecast_density_at(rebuilt, pipe.signal, 1, x)
+        assert (forecast_density_at(restored.hmm, restored.signal, 1, x)
                 == forecast_density_at(pipe.hmm, pipe.signal, 1, x))
-
 
 def assert_model_reads_its_automaton(model, isa):
     assert model.isa is isa

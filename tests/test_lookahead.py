@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -127,6 +128,59 @@ class TestBuild:
         assert first is not None
         k0 = first - (frontier.n - frontier.h + 1)
         assert all(e is None for e in frontier.entries[k0:])
+
+
+class TestFingerprint:
+    """``fingerprint`` tells frontiers apart by any one part: a frontier
+    changed in one transition weight, one emission cell, one instants cell
+    or its parameters has another fingerprint, in that part alone."""
+
+    @staticmethod
+    def first_row_of_two(table):
+        return next(row for row in table.values() if len(row.cells) > 1)
+
+    @classmethod
+    def change_transitions(cls, frontier):
+        row = cls.first_row_of_two(frontier.base_hmm._trows)
+        cell = next(iter(row.cells.values()))
+        cell.raw_count += 1
+        cell.value += 1.0
+        row.norm = None
+
+    @classmethod
+    def change_emissions(cls, frontier):
+        row = cls.first_row_of_two(frontier.base_hmm._erows)
+        cell = next(iter(row.cells.values()))
+        cell.raw_count += 1
+        cell.value += 1.0
+        row.norm = None
+
+    @staticmethod
+    def change_instants_matrix(frontier):
+        instants = next(c for _, _, c in frontier.base_isa.theta.cells() if len(c) > 1)
+        instants[0] = -1
+
+    @staticmethod
+    def change_tau(frontier):
+        frontier.params = replace(frontier.params, delta=0.5)
+
+    @staticmethod
+    def changed_parts(a, b):
+        def pairs(fingerprint):
+            return [fingerprint["base"], *(e for e in fingerprint["entries"] if e is not None)]
+        assert len(pairs(a)) == len(pairs(b))
+        return {key for x, y in zip(pairs(a), pairs(b)) for key in x if x[key] != y[key]}
+
+    @pytest.mark.parametrize("part", ["transitions", "emissions", "instants_matrix", "tau"])
+    def test_one_changed_part_changes_the_fingerprint(self, part):
+        frontier = lookahead_build(random_walk(200, seed=5),
+                                   PluginParams(lam=0.5, grid_width=0.5, horizon=2), seed=1)
+        assert frontier.live()
+        before = frontier.fingerprint()
+        getattr(self, f"change_{part}")(frontier)
+        after = frontier.fingerprint()
+        assert after != before
+        assert self.changed_parts(before, after) == {part}
 
 
 class TestAdvance:

@@ -1,7 +1,13 @@
+import copy
 import json
+import math
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sigauto import (
     ConfigError,
@@ -10,18 +16,15 @@ from sigauto import (
     SnapshotError,
     StreamPipeline,
     forecast,
-    hmm_from_document,
-    load_model_document,
     load_snapshot,
-    model_document,
-    save_model_document,
     save_snapshot,
 )
 from sigauto import snapshot
 from sigauto.cli import main
+from sigauto.plugins import is_number
 from sigauto.snapshot import pipeline_state, restore_pipeline
 
-from conftest import E1, build_plain, random_walk
+from conftest import E1, EVERY_STAT, build_plain, random_walk
 
 
 def record_lines(pipe, values):
@@ -58,20 +61,24 @@ class TestStreamPipeline:
 
 
 class TestPipelineSnapshot:
+    @pytest.mark.parametrize("split", [1, 40])
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("emission", ["discrete", "continuous"])
-    @pytest.mark.parametrize("variant,delta", [("count", 0.0), ("discounted_sum", 0.9)])
-    def test_mid_stream_round_trip_is_byte_identical(self, tmp_path, emission,
-                                                     variant, delta):
-        params = PluginParams(lam=0.5, delta=delta, stat_variant=variant, horizon=2)
-        walk = random_walk(80, seed=5)
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda stat: stat["stat_variant"])
+    def test_mid_stream_round_trip_is_byte_identical(self, tmp_path, stat, emission, dim,
+                                                     split):
+        if dim == 2 and "region" in stat:
+            stat = {**stat, "region": stat["region"] * 2}
+        params = PluginParams(lam=0.5, horizon=2, **stat)
+        walk = random_walk(80, dim=dim, seed=5)
         reference = record_lines(StreamPipeline(params, emission=emission, seed=7), walk)
 
         pipe = StreamPipeline(params, emission=emission, seed=7)
-        lines = record_lines(pipe, walk[:40])
+        lines = record_lines(pipe, walk[:split])
         path = tmp_path / "snap.json"
         save_snapshot(pipe, path)
         resumed = load_snapshot(path)
-        lines += record_lines(resumed, walk[40:])
+        lines += record_lines(resumed, walk[split:])
         assert lines == reference
 
     def test_repeated_save_load_cycles(self, tmp_path, count_params):
@@ -218,15 +225,19 @@ class TestPipelineSnapshot:
          "current": "1", "new_state_instants": [0, 3]},
         {"theta": [["__bottom__", "1", [0]], ["1", "1", [1.5]], ["1", "5", [2, 4]],
                    ["5", "1", [3]]]},
+        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1]], ["1", "5", [2, 4]]]},
+        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1]], ["1", "5", [2, 4]],
+                   ["5", "1", [3]], ["1", "9", []]]},
     ], ids=["state_and_instant_added", "state_never_entered", "states_reordered",
             "new_state_instant_moved", "current_another_state", "cells_do_not_chain",
-            "bottom_entered", "fractional_instant"])
+            "bottom_entered", "fractional_instant", "cell_missing", "cell_empty"])
     def test_automaton_its_cells_do_not_replay_to_is_refused(self, tmp_path, capsys,
                                                              count_params, edits):
         """The automaton's states, new-state instants and current state are
         those its cells replay to from ``__bottom__``, and the cells chain:
-        each instant leaves the state the one before entered.  A snapshot
-        edited in any of these describes an automaton no stream built."""
+        each instant leaves the state the one before entered, each instant
+        0..n is in one cell and no cell is empty.  A snapshot edited in any
+        of these describes an automaton no stream built."""
         doc = self.e1_state(count_params)
         doc["isa"].update(edits)
         self.assert_refused(doc, tmp_path, capsys)
@@ -278,93 +289,193 @@ class TestPipelineSnapshot:
             load_snapshot("/nonexistent/snapshot.json")
 
 
-class TestModelDocument:
-    def test_round_trip_is_identity(self, tmp_path, e1_signal, count_params):
-        isa, hmm = build_plain(e1_signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        path = tmp_path / "model.json"
-        save_model_document(doc, path)
-        loaded = load_model_document(path)
-        assert loaded == doc
-        save_model_document(loaded, tmp_path / "model2.json")
-        assert (tmp_path / "model.json").read_bytes() == (tmp_path / "model2.json").read_bytes()
 
-    def test_document_lists_expected_weights(self, e1_signal, count_params):
-        isa, hmm = build_plain(e1_signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        assert ["1", "5", [2, 4]] in doc["instants_matrix"]
-        weights = {(p, q): w for p, q, w in doc["transitions"]}
-        assert weights[("1", "5")] == pytest.approx(2 / 3, abs=1e-15)
-        assert doc["alpha"] == "5"
+def walk_snapshot(params, emission, length, dim=1, seed=0):
+    """The state of a pipeline after the first ``length`` rows of a walk,
+    and the walk's next 50 rows."""
+    walk = random_walk(length + 50, dim=dim, seed=seed)
+    pipe = StreamPipeline(params, emission=emission)
+    for value in walk[:length]:
+        pipe.advance(value)
+    return pipeline_state(pipe), walk[length:]
 
-    def test_rebuild_from_document(self, e1_signal, count_params):
-        isa, hmm = build_plain(e1_signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        rebuilt = hmm_from_document(doc, e1_signal)
-        assert model_document(rebuilt, count_params, isa) == doc
 
-    def test_rebuild_random_walk_counts_exact(self, count_params):
-        from sigauto import Signal
+def resumed_records(doc, values):
+    return record_lines(restore_pipeline(copy.deepcopy(doc)), values)
 
-        signal = Signal(random_walk(150, seed=21))
-        isa, hmm = build_plain(signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        rebuilt = hmm_from_document(doc, signal)
-        assert rebuilt.transition_matrix().rows == hmm.transition_matrix().rows
-        assert rebuilt.emission_matrix().rows == hmm.emission_matrix().rows
 
-    def test_version_check(self, tmp_path, e1_signal, count_params):
-        isa, hmm = build_plain(e1_signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        doc["version"] = 999
-        path = tmp_path / "model.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(SnapshotError):
-            load_model_document(path)
+DELETE = object()
 
-    def test_non_object_root_is_refused(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text("[1, 2]\n")
-        with pytest.raises(SnapshotError, match="root must be an object"):
-            load_model_document(path)
 
-    @staticmethod
-    def walk_document(emission="discrete"):
-        """A 200-row walk's pipeline and the document of its model."""
-        pipe = StreamPipeline(PluginParams(grid_width=0.5), emission=emission)
-        for value in random_walk(200, seed=6):
-            pipe.advance(value)
-        return pipe, model_document(pipe.hmm, pipe.params, pipe.isa)
+def edited(doc, table, path, value):
+    """A copy of ``doc`` with the item at ``path`` in model table ``table``
+    set to ``value``, or deleted for ``DELETE``."""
+    doc = copy.deepcopy(doc)
+    parent, node = doc["model"], table
+    for key in path:
+        parent, node = parent[node], key
+    if value is DELETE:
+        del parent[node]
+    else:
+        parent[node] = value
+    return doc
 
-    def test_document_missing_a_cell_is_refused(self):
-        """Without one of its cells the matrix leaves an instant in no cell:
-        it replays to no automaton, here one at n = 192 against a 200-row
-        signal."""
-        pipe, doc = self.walk_document()
-        cells = doc["instants_matrix"]
-        del cells[next(k for k, cell in enumerate(cells) if len(cell[2]) == 7)]
-        with pytest.raises(SnapshotError, match="not an instant 0..192"):
-            hmm_from_document(doc, pipe.signal)
 
-    @pytest.mark.parametrize("alpha", ["other", "zz"])
-    def test_alpha_other_than_the_replayed_state_is_refused(self, alpha):
-        """``alpha`` is the state the instants matrix ends in; another
-        known state, or one the model does not have, describes no model."""
-        pipe, doc = self.walk_document()
-        doc["alpha"] = (next(s for s in pipe.hmm.state_order if s != pipe.isa.current)
-                        if alpha == "other" else alpha)
-        with pytest.raises(SnapshotError, match="alpha"):
-            hmm_from_document(doc, pipe.signal)
+# A 300-row walk at h=2, by default parameters otherwise.  Its first
+# transition row, state "0"'s, has two cells, the first with 4 instants, the
+# last at 147, and its first emission row's total counts 17 instants.
+WALK_STATE = walk_snapshot(PluginParams(horizon=2), "discrete", 300)[0]
 
-    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
-    def test_signal_shorter_than_the_document_is_refused(self, emission):
-        pipe, doc = self.walk_document(emission)
-        with pytest.raises(SnapshotError, match="has 199 observations"):
-            hmm_from_document(doc, Signal(list(pipe.signal)[:-1]))
 
-    def test_cell_without_instants_is_refused(self, e1_signal, count_params):
-        isa, hmm = build_plain(e1_signal, count_params)
-        doc = model_document(hmm, count_params, isa)
-        doc["instants_matrix"].append(["1", "9", []])
-        with pytest.raises(SnapshotError, match="no instants"):
-            hmm_from_document(doc, e1_signal)
+@pytest.mark.parametrize("table, path, value", [
+    ("trans", (0, 1, 0, 1, "count"), -1),
+    ("trans", (0, 1, 0, 1, "count"), 10**9),
+    ("trans", (0, 1, 0, 1, "last_now"), 10**9),
+    ("trans", (0, 1, 0), DELETE),
+    ("trans", (0,), DELETE),
+    ("emit", (0, 2, "count"), 7),
+    ("trans", (0, 1, 0, 1, "value"), math.nan),
+    ("trans", (0, 1, 0, 1, "value"), 5.0),
+    ("trans", (0, 1, 0, 1, "count"), 4.0),
+    ("trans", (0, 1, 0, 1, "last_now"), 147.0),
+    ("emit", (0, 1, 0, 1, "last_now"), 10**9),
+], ids=["cell_count_minus_one", "cell_count_huge", "cell_last_now_huge", "cell_dropped",
+        "first_row_deleted", "emission_total_count_seven", "cell_value_nan",
+        "count_value_other_than_count", "cell_count_as_float", "cell_last_now_as_float",
+        "emission_cell_last_now_huge"])
+def test_model_row_its_automaton_contradicts_is_refused(tmp_path, capsys, table, path, value):
+    """A snapshot's model rows are those ``update`` writes for its own
+    automaton: a transition row per state with outgoing cells, in order,
+    whose cells are that state's cells with their instant counts and last
+    instants; an emission row per state whose total counts its incoming
+    instants at the latest of them; every total its cells' count sum at
+    their latest instant; and every value a finite number >= 0, the count
+    itself under ``count``."""
+    TestPipelineSnapshot.assert_refused(edited(WALK_STATE, table, path, value),
+                                        tmp_path, capsys)
+
+
+# With lambda 1 a state is the cluster it emits; at 0.5 its rows spread.
+SPREAD_STATE = walk_snapshot(PluginParams(lam=0.5, horizon=2), "discrete", 300)[0]
+
+
+def emission_cells(doc):
+    """``(row, column, cell)`` for each emission cell before its row's
+    latest instant."""
+    return [(row, c, acc) for row in doc["model"]["emit"] for c, acc in row[1]
+            if acc["last_now"] < row[2]["last_now"]]
+
+
+def count_one_more(*accs):
+    for acc in accs:
+        acc["count"] += 1
+        acc["value"] += 1.0
+
+
+def cell_counts_one_more(doc):
+    count_one_more(emission_cells(doc)[0][2])
+
+
+def row_counts_one_more(doc):
+    row, _, acc = emission_cells(doc)[0]
+    count_one_more(acc, row[2])
+
+
+def cell_relabelled(doc):
+    row, column, _ = emission_cells(doc)[0]
+    other = next(c for c, _ in doc["clusterer"] if c not in {c for c, _ in row[1]})
+    next(cell for cell in row[1] if cell[0] == column)[0] = other
+
+
+def cell_last_now_wrapped(doc):
+    emission_cells(doc)[0][2]["last_now"] -= len(doc["signal"])
+
+
+def cluster_unobserved(doc):
+    column = emission_cells(doc)[0][1]
+    doc["clusterer"] = [entry for entry in doc["clusterer"] if entry[0] != column]
+
+
+@pytest.mark.parametrize("edit", [cell_counts_one_more, row_counts_one_more, cell_relabelled,
+                                  cell_last_now_wrapped, cluster_unobserved],
+                         ids=lambda edit: edit.__name__)
+def test_emission_row_its_automaton_or_signal_contradicts_is_refused(tmp_path, capsys, edit):
+    """Edits that keep every field in range and the row's own counts
+    consistent: an emission cell's counts are its row total's share, the
+    total counts its state's incoming instants, and each cell holds the
+    observation at its last instant, an instant of the signal, in a
+    cluster the clusterer observed."""
+    doc = copy.deepcopy(SPREAD_STATE)
+    edit(doc)
+    TestPipelineSnapshot.assert_refused(doc, tmp_path, capsys)
+
+# Values no stream writes into a model field: wrong types, and numbers out
+# of every field's range (a fraction is in range for a discounted value).
+WRONG_VALUES = ("x", "1", None, [], {}, True, 1.5, -1, 10**9, math.nan, math.inf, -math.inf)
+
+
+def field_edits(doc):
+    """Every single-field edit inside the model's row tables: delete a key
+    or list item, or set it to one of ``WRONG_VALUES``, as
+    ``(table, path, value)``."""
+    def walk(node, path):
+        if isinstance(node, (list, dict)):
+            for key in (node if isinstance(node, dict) else range(len(node))):
+                yield path + (key,)
+                yield from walk(node[key], path + (key,))
+
+    for table in doc["model"]:
+        yield table, (), DELETE
+        for path in walk(doc["model"][table], ()):
+            for value in (DELETE, *WRONG_VALUES):
+                yield table, path, value
+
+
+def is_trusted(doc, path, value):
+    """The one edit class restore cannot see in O(cells): a discounted
+    ``value`` set to another finite number >= 0.  A discounted value
+    depends on every instant's distance to the present, so only a replay
+    of the signal could check it; restore trusts it."""
+    return (path[-1:] == ("value",) and doc["tau"]["stat_variant"].startswith("discounted")
+            and is_number(value) and 0 <= value < math.inf)
+
+
+SMALL_SNAPSHOTS = {
+    "discrete": walk_snapshot(
+        PluginParams(lam=0.5, grid_width=0.5, delta=0.9, stat_variant="discounted_sum",
+                     horizon=2), "discrete", 30, seed=3),
+    "continuous": walk_snapshot(
+        PluginParams(lam=0.5, grid_width=0.5, horizon=2), "continuous", 30, dim=2, seed=4),
+}
+EDITS = [(kind, *edit) for kind, (doc, _) in SMALL_SNAPSHOTS.items()
+         for edit in field_edits(doc)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(edit=st.sampled_from(EDITS))
+# A value out of range in a row the next records read, under a statistic
+# whose values are not their counts: only the range check refuses it.
+@example(edit=("discrete", "emit", (5, 2, "value"), math.nan))
+def test_every_model_field_edit_is_refused_or_changes_no_record(edit):
+    """An edit of one field of a small snapshot's model is refused
+    (``SnapshotError``, and exit 1 with no output file through ``run
+    --resume``) or resumes to the same next 50 records as the unedited
+    snapshot, unless it is the trusted class of ``is_trusted``."""
+    kind, table, path, value = edit
+    doc, values = SMALL_SNAPSHOTS[kind]
+    bad = edited(doc, table, path, value)
+    try:
+        records = resumed_records(bad, values)
+    except SnapshotError:
+        with tempfile.TemporaryDirectory() as tmp:
+            snap, rows, out = (os.path.join(tmp, name)
+                               for name in ("snap.json", "more.csv", "out.jsonl"))
+            with open(snap, "w", encoding="utf-8") as handle:
+                json.dump(bad, handle)
+            with open(rows, "w", encoding="utf-8") as handle:
+                handle.write("1.0\n")
+            assert main(["run", "--input", rows, "--output", out, "--resume", snap]) == 1
+            assert not os.path.exists(out)
+        return
+    if not is_trusted(doc, path, value):
+        assert records == resumed_records(doc, values)

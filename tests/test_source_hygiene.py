@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import sigauto
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sigauto"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -160,8 +162,9 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
     """Every streaming path steps through ``automaton.step_stream``: no
     module but ``automaton.py`` calls ``init_isa`` or ``next_isa``.  The
     whole-automaton conversions run only on the scratch paths: the
-    pipeline's reference rebuild, snapshot and model documents, and the
-    build gate of ``bench``."""
+    pipeline's reference rebuild and the build gate of ``bench``; a
+    snapshot's model is rebuilt on its replayed automaton with its stored
+    rows, not converted."""
     stepping, converting = set(), set()
     for path in MODULES:
         for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
@@ -169,7 +172,7 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
             if name in {"init_isa", "next_isa"} and path.name != "automaton.py":
                 stepping.add(f"{path.name}:{function}")
             if (name in {"isa_to_hmm", "isa_to_hmm_continuous"}
-                    and path.name not in {"snapshot.py", "bench.py"}):
+                    and path.name != "bench.py"):
                 converting.add(f"{path.name}:{function}")
     assert sorted(stepping) == []
     assert converting <= {"pipeline.py:StreamPipeline.rebuild_from_scratch"}
@@ -223,3 +226,15 @@ def test_only_a_statistic_being_built_tells_its_variant_by_name():
             if any(map(names_a_variant, operands)):
                 found.add(f"{path.name}:{scope}")
     assert found == {"plugins.py:StatFn.__init__"}
+
+
+def test_readme_entry_points_exist():
+    """Every name that README's "Library use" lists as a lower-level entry
+    point is an attribute of ``sigauto``."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    sentence = re.search(r"Lower-level entry points mirror the stages:(.*?)\.\s",
+                         section, re.S).group(1)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert len(names) > 10
+    assert [name for name in names if not hasattr(sigauto, name)] == []
