@@ -7,76 +7,48 @@ model (discrete clustered events or continuous kernel-mixture emissions); the
 model forecasts event distributions over a finite horizon.  Every structure
 supports a constant-time per-observation update next to its from-scratch
 construction.
+
+Each public name is imported from its module on first access, so
+``import sigauto`` loads no stage until one of its names is used.
 """
 
-from .automaton import (
-    BOTTOM_STATE,
-    InstantsMatrix,
-    Isa,
-    build_isa,
-    init_isa,
-    is_new_state,
-    move,
-    next_isa,
-    replay,
-    step_stream,
-    unmove,
-)
-from .bench import BenchPoint, BenchReport, run_bench
-from .errors import (
-    ConfigError,
-    EmptyInputError,
-    InsufficientHistoryError,
-    RejectedInputError,
-    SigautoError,
-    SnapshotError,
-    StalenessError,
-    TemporalOrderError,
-    UnknownStateError,
-)
-from .forecasting import (
-    FitReport,
-    Forecast,
-    fit,
-    forecast,
-    forecast_density_at,
-    sample_event,
-    sample_observation,
-    score,
-    state_occupancies,
-)
-from .hmm import (
-    DUMMY_STATE,
-    Hmm,
-    HmmContinuous,
-    SparseStochasticMatrix,
-    isa_to_hmm,
-    isa_to_hmm_continuous,
-    next_hmm,
-    next_hmm_continuous,
-    transition_row,
-)
-from .lookahead import (
-    FrontierEntry,
-    LookaheadFrontier,
-    lookahead_advance,
-    lookahead_build,
-)
-from .pipeline import StreamPipeline
-from .plugins import (
-    DUMMY_EVENT,
-    Clusterer,
-    EmaGridClassifier,
-    Kernel,
-    LookaheadWordClassifier,
-    PluginParams,
-    StatAccumulator,
-    StatFn,
-    default_bandwidth,
-    rho_fn,
-    sigma_fn,
-)
-from .signal import Signal, as_observation
-from .snapshot import load_snapshot, save_snapshot
+import importlib
 
+# The public names of each module, each listed once.
+_EXPORTS = {
+    "automaton": ("BOTTOM_STATE", "InstantsMatrix", "Isa", "build_isa", "init_isa",
+                  "is_new_state", "move", "next_isa", "replay", "step_stream", "unmove"),
+    "bench": ("BenchPoint", "BenchReport", "run_bench"),
+    "errors": ("ConfigError", "EmptyInputError", "InsufficientHistoryError",
+               "RejectedInputError", "SigautoError", "SnapshotError", "StalenessError",
+               "TemporalOrderError", "UnknownStateError"),
+    "forecasting": ("FitReport", "Forecast", "fit", "forecast", "forecast_density_at",
+                    "sample_event", "sample_observation", "score", "state_occupancies"),
+    "hmm": ("DUMMY_STATE", "Hmm", "HmmContinuous", "SparseStochasticMatrix", "isa_to_hmm",
+            "isa_to_hmm_continuous", "next_hmm", "next_hmm_continuous", "transition_row"),
+    "lookahead": ("FrontierEntry", "LookaheadFrontier", "lookahead_advance",
+                  "lookahead_build"),
+    "pipeline": ("StreamPipeline",),
+    "plugins": ("DUMMY_EVENT", "Clusterer", "EmaGridClassifier", "Kernel",
+                "LookaheadWordClassifier", "PluginParams", "StatAccumulator", "StatFn",
+                "default_bandwidth", "rho_fn", "sigma_fn"),
+    "signal": ("Signal", "as_observation"),
+    "snapshot": ("load_snapshot", "save_snapshot"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import a public name's module on first access and keep the name."""
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

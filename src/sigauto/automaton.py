@@ -21,9 +21,7 @@ that step with no model, and returns the automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .errors import EmptyInputError, SigautoError, SnapshotError, StalenessError
+from .errors import EmptyInputError, Fields, SigautoError, SnapshotError, StalenessError
 from .signal import Signal
 
 BOTTOM_STATE = "__bottom__"
@@ -95,8 +93,7 @@ class InstantsMatrix:
         return f"InstantsMatrix(cells={sum(1 for _ in self.cells())})"
 
 
-@dataclass
-class Isa:
+class Isa(Fields):
     """Instantaneous signal automaton: states, current state, instants matrix.
 
     ``states`` is an insertion-ordered set (dict keyed by state label), so the
@@ -104,11 +101,11 @@ class Isa:
     ``Isa()`` is the empty automaton, before the first observation.
     """
 
-    states: dict[str, None] = field(default_factory=lambda: {BOTTOM_STATE: None})
-    current: str = BOTTOM_STATE
-    theta: InstantsMatrix = field(default_factory=InstantsMatrix)
-    n: int = -1
-    new_state_instants: list[int] = field(default_factory=list)
+    __slots__ = ("states", "current", "theta", "n", "new_state_instants")
+
+    def __init__(self):
+        self.states, self.current = {BOTTOM_STATE: None}, BOTTOM_STATE
+        self.theta, self.n, self.new_state_instants = InstantsMatrix(), -1, []
 
 
 def init_isa(r0, classifier, future=()) -> Isa:

@@ -17,7 +17,7 @@ import gc
 import random
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .automaton import build_isa
 from .forecasting import forecast
@@ -223,7 +223,7 @@ def run_bench(update_sizes: tuple[int, ...] = (2_000, 20_000, 200_000),
     ``update_samples`` advances each, at horizon ``LOOKAHEAD_HORIZON``.
     """
     params = params or PluginParams()
-    ahead = replace(params, horizon=LOOKAHEAD_HORIZON)
+    ahead = PluginParams.from_dict({**params.to_dict(), "horizon": LOOKAHEAD_HORIZON})
     walk = random_walk(max(max(update_sizes) + update_samples * len(update_sizes) + 16,
                            max(build_sizes) + update_samples), seed=seed)
     # warm-up pass, discarded

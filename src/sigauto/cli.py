@@ -19,16 +19,12 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
-from .bench import run_bench
-from .errors import ConfigError, EmptyInputError, RejectedInputError, SigautoError
+from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError, SigautoError
 from .forecasting import fit
-from .lookahead import lookahead_advance, lookahead_build
 from .pipeline import EMISSION_MODES, StreamPipeline, checked_score_floor
 from .plugins import PluginParams, is_number
 from .signal import Signal, as_observation
-from .snapshot import load_snapshot, save_snapshot
 
 log = logging.getLogger("sigauto")
 
@@ -36,17 +32,17 @@ PARAM_KEYS = tuple(PluginParams.FIELDS)
 CONFIG_KEYS = PARAM_KEYS + ("mode", "seed", "score_floor", "strict", "split", "grid")
 
 
-@dataclass
-class RunConfig:
-    params: PluginParams
-    emission: str
-    seed: int
-    strict: bool
-    score_floor: float
-    split: int | None
-    grid: list[dict]
-    # Keys given in the config file or by a flag, with their raw values.
-    given: dict
+class RunConfig(Fields):
+    """A subcommand's checked configuration; ``given`` holds the keys given
+    in the config file or by a flag, with their raw values."""
+
+    __slots__ = ("params", "emission", "seed", "strict", "score_floor", "split", "grid",
+                 "given")
+
+    def __init__(self, params: PluginParams, emission: str, seed: int, strict: bool,
+                 score_floor: float, split: int | None, grid: list[dict], given: dict):
+        self.params, self.emission, self.seed, self.strict = params, emission, seed, strict
+        self.score_floor, self.split, self.grid, self.given = score_floor, split, grid, given
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -226,6 +222,7 @@ def _check_resume(pipe: StreamPipeline, given: dict) -> None:
 
 def run_stream(config: RunConfig, args) -> int:
     if args.resume:
+        from .snapshot import load_snapshot
         pipe = load_snapshot(args.resume)
         _check_resume(pipe, config.given)
     else:
@@ -250,6 +247,7 @@ def run_stream(config: RunConfig, args) -> int:
             raise EmptyInputError("input contains no observations")
         log.info("processed %d observations, stream is at instant %d", consumed, pipe.n)
         if args.snapshot:
+            from .snapshot import save_snapshot
             save_snapshot(pipe, args.snapshot)
             log.info("snapshot written to %s", args.snapshot)
     return 0
@@ -286,6 +284,7 @@ def _sizes(flag: str, raw: str) -> tuple[int, ...]:
 
 
 def run_bench_command(config: RunConfig, args) -> int:
+    from .bench import run_bench
     kwargs = {"seed": config.seed, "params": config.params}
     if args.update_sizes is not None:
         kwargs["update_sizes"] = _sizes("--update-sizes", args.update_sizes)
@@ -307,6 +306,7 @@ def run_bench_command(config: RunConfig, args) -> int:
 
 
 def run_lookahead(config: RunConfig, args) -> int:
+    from .lookahead import lookahead_advance, lookahead_build
     signal = read_signal(args.input)
     h = config.params.horizon
     # Built before the output is opened, so a refused horizon or history

@@ -1,4 +1,25 @@
-"""Exception types shared across the package."""
+"""Exception types and the value classes' base, shared across the package."""
+
+
+class Fields:
+    """Field-wise ``==`` and ``repr`` over a subclass's ``__slots__``, in
+    their order, as ``@dataclass`` writes them, without its code generation
+    at import.  An instance is unhashable unless its class defines a hash."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
 class SigautoError(Exception):

@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import os
 import random
-from dataclasses import dataclass, field
 
 from .automaton import Isa, step_stream
-from .errors import ConfigError, EmptyInputError, RejectedInputError
+from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError
 from .hmm import (
     DUMMY_STATE,
     Hmm,
@@ -40,13 +39,13 @@ from .plugins import (
 from .signal import Signal
 
 
-@dataclass
-class Forecast:
+class Forecast(Fields):
     """Per-step event distributions; ``is_dummy`` marks the no-forecast case."""
 
-    horizon: int
-    steps: list[dict[str, float]]
-    is_dummy: bool
+    __slots__ = ("horizon", "steps", "is_dummy")
+
+    def __init__(self, horizon: int, steps: list[dict[str, float]], is_dummy: bool):
+        self.horizon, self.steps, self.is_dummy = horizon, steps, is_dummy
 
     @classmethod
     def dummy(cls, horizon: int) -> "Forecast":
@@ -327,18 +326,15 @@ def _forked_scores(grid: list[PluginParams], signal: Signal, start: int, stop: i
             os.waitpid(pid, 0)
 
 
-@dataclass
-class FitReport:
+class FitReport(Fields):
     """Grid-search outcome: held-out score per parameter tuple."""
 
-    grid: list[PluginParams]
-    scores: list[float]
-    best_index: int
-    split: int
-    best: PluginParams = field(init=False)
+    __slots__ = ("grid", "scores", "best_index", "split", "best")
 
-    def __post_init__(self):
-        self.best = self.grid[self.best_index]
+    def __init__(self, grid: list[PluginParams], scores: list[float], best_index: int,
+                 split: int):
+        self.grid, self.scores, self.best_index, self.split = grid, scores, best_index, split
+        self.best = grid[best_index]
 
 
 def fit(grid: list[PluginParams], signal: Signal, split: int,

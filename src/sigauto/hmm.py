@@ -40,37 +40,38 @@ library callers, after checking their arguments against the model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import BOTTOM_STATE, Isa, is_new_state
-from .errors import ConfigError, StalenessError, UnknownStateError
+from .errors import ConfigError, Fields, StalenessError, UnknownStateError
 from .plugins import DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn, default_bandwidth
 from .signal import Signal
 
 DUMMY_STATE = "__no_state__"
 
 
-@dataclass
-class SparseStochasticMatrix:
+class SparseStochasticMatrix(Fields):
     """Materialized sparse matrix: ``rows[p][q]`` is the weight of (p, q);
     absent entries are zero."""
 
-    rows: dict[str, dict[str, float]]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: dict[str, dict[str, float]]):
+        self.rows = rows
 
 
 SINK_TRANSITION = {DUMMY_STATE: 1.0}
 SINK_EMISSION = {DUMMY_EVENT: 1.0}
 
 
-@dataclass(slots=True, eq=False)
 class Row:
     """One row of a model table: ``cells`` maps each column to its
     accumulator, ``total`` is the row accumulator and ``norm`` the cached
     normalized row, or None until the row is read after its last write."""
 
-    cells: dict[str, StatAccumulator]
-    total: StatAccumulator
-    norm: dict[str, float] | None = None
+    __slots__ = ("cells", "total", "norm")
+
+    def __init__(self, cells: dict[str, StatAccumulator], total: StatAccumulator,
+                 norm: dict[str, float] | None = None):
+        self.cells, self.total, self.norm = cells, total, norm
 
 
 def _normalized_row(row: Row | None, stat: StatFn, now: int, sink: dict) -> dict[str, float]:

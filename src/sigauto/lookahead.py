@@ -45,8 +45,6 @@ one, reading each automaton/model pair at its own instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .automaton import Isa, move, step_stream, unmove
 from .errors import InsufficientHistoryError
 from .forecasting import (
@@ -69,7 +67,6 @@ from .plugins import (
 from .signal import Signal
 
 
-@dataclass(eq=False)
 class FrontierEntry:
     """One frontier step and the journal that undoes it.
 
@@ -78,10 +75,10 @@ class FrontierEntry:
     and wrote the rows of the model's records in ``journal``.
     """
 
-    hmm: Hmm
-    word: str
-    left: str
-    journal: list
+    __slots__ = ("hmm", "word", "left", "journal")
+
+    def __init__(self, hmm: Hmm, word: str, left: str, journal: list):
+        self.hmm, self.word, self.left, self.journal = hmm, word, left, journal
 
     @property
     def isa(self) -> Isa:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, EmptyInputError, RejectedInputError, TemporalOrderError
+from .errors import (ConfigError, EmptyInputError, Fields, RejectedInputError,
+                     TemporalOrderError)
 from .signal import Signal, as_observation
 
 log = logging.getLogger(__name__)
@@ -128,8 +128,7 @@ def _listed(value):
     return [_listed(v) for v in value] if isinstance(value, tuple) else value
 
 
-@dataclass(frozen=True)
-class PluginParams:
+class PluginParams(Fields):
     """The shared parameter tuple all plugins are configured from.
 
     ``lam`` is the exponential-average weight in (0, 1]; ``delta`` the
@@ -137,16 +136,11 @@ class PluginParams:
     per coordinate); ``region`` an optional closed axis-aligned box used by
     the region statistics; ``bandwidth`` either an explicit symmetric
     positive-definite matrix or ``"scott"``; ``horizon`` the forecast and
-    lookahead length.
+    lookahead length.  Immutable, and hashed by its fields.
     """
 
-    lam: float = 1.0
-    grid_width: float | tuple[float, ...] = 1.0
-    delta: float = 0.0
-    stat_variant: str = "count"
-    region: tuple[tuple[float, float], ...] | None = None
-    bandwidth: str | tuple[tuple[float, ...], ...] = "scott"
-    horizon: int = 1
+    __slots__ = ("lam", "grid_width", "delta", "stat_variant", "region", "bandwidth",
+                 "horizon")
 
     # The config key of each field, in the order ``to_dict`` writes them:
     # snapshot and report bytes depend on that order.
@@ -154,23 +148,39 @@ class PluginParams:
               "stat_variant": "stat_variant", "region": "region",
               "bandwidth": "bandwidth", "horizon": "horizon"}
 
-    def __post_init__(self):
-        for name, value in (("lambda", self.lam), ("delta", self.delta)):
+    def __init__(self, lam: float = 1.0, grid_width: float | tuple[float, ...] = 1.0,
+                 delta: float = 0.0, stat_variant: str = "count",
+                 region: tuple[tuple[float, float], ...] | None = None,
+                 bandwidth: str | tuple[tuple[float, ...], ...] = "scott", horizon: int = 1):
+        for name, value in (("lambda", lam), ("delta", delta)):
             if not is_number(value):
                 raise ConfigError(f"{name} must be a number, got {value!r}")
-        if not is_number(self.horizon, int):
-            raise ConfigError(f"horizon must be an integer, got {self.horizon!r}")
-        if not (0.0 < self.lam <= 1.0):
-            raise ConfigError(f"lambda must be in (0, 1], got {self.lam}")
-        if not (0.0 <= self.delta < 1.0):
-            raise ConfigError(f"delta must be in [0, 1), got {self.delta}")
-        if self.stat_variant not in STAT_VARIANTS:
-            raise ConfigError(f"unknown stat_variant {self.stat_variant!r}")
-        if self.horizon < 0:
-            raise ConfigError(f"horizon must be nonnegative, got {self.horizon}")
-        object.__setattr__(self, "grid_width", _as_widths(self.grid_width))
-        object.__setattr__(self, "region", _as_region(self.region))
-        object.__setattr__(self, "bandwidth", _as_bandwidth(self.bandwidth))
+        if not is_number(horizon, int):
+            raise ConfigError(f"horizon must be an integer, got {horizon!r}")
+        if not (0.0 < lam <= 1.0):
+            raise ConfigError(f"lambda must be in (0, 1], got {lam}")
+        if not (0.0 <= delta < 1.0):
+            raise ConfigError(f"delta must be in [0, 1), got {delta}")
+        if stat_variant not in STAT_VARIANTS:
+            raise ConfigError(f"unknown stat_variant {stat_variant!r}")
+        if horizon < 0:
+            raise ConfigError(f"horizon must be nonnegative, got {horizon}")
+        values = (lam, _as_widths(grid_width), delta, stat_variant, _as_region(region),
+                  _as_bandwidth(bandwidth), horizon)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
     def widths_for(self, dim: int) -> tuple[float, ...]:
         return _widths_for_dim(self.grid_width, dim)
@@ -307,8 +317,7 @@ class LookaheadWordClassifier:
 # Statistical weight functions
 
 
-@dataclass
-class StatAccumulator:
+class StatAccumulator(Fields):
     """Running value of a statistical function over a growing instant set.
 
     ``last_now`` is the instant the stored value is normalized to; reads at a
@@ -316,9 +325,10 @@ class StatAccumulator:
     are never visited when time advances.
     """
 
-    value: float = 0.0
-    last_now: int = 0
-    raw_count: int = 0
+    __slots__ = ("value", "last_now", "raw_count")
+
+    def __init__(self, value: float = 0.0, last_now: int = 0, raw_count: int = 0):
+        self.value, self.last_now, self.raw_count = value, last_now, raw_count
 
 
 def _stale(what: str, acc: StatAccumulator) -> TemporalOrderError:

@@ -115,7 +115,7 @@ def _isa_from(doc: dict, n: int) -> Isa:
     """The automaton of ``_isa_state``: its cells' ``replay`` to the
     signal's instant ``n``, refused unless its ``states``,
     ``new_state_instants`` and ``current`` are the replay's."""
-    if int(doc["n"]) != n:
+    if not is_number(doc["n"], int) or doc["n"] != n:
         raise SnapshotError(f"snapshot automaton is not at its signal's instant {n}")
     isa = replay(doc["theta"], n)
     if (doc["states"] != [*isa.states] or doc["new_state_instants"] != isa.new_state_instants
@@ -171,14 +171,18 @@ def restore_pipeline(doc: dict):
         )
         for obs in doc["signal"]:
             pipe.signal.append(obs)
-        pipe.classifier.restore(doc["classifier"]["summary"])
-        pipe.clusterer.observed = {label: tuple(idx) for label, idx in doc["clusterer"]}
-        model_doc = doc["model"]
+        summary, model_doc = doc["classifier"]["summary"], doc["model"]
         empty = len(pipe.signal) == 0
-        if any((part is None) is not empty
-               for part in (doc["classifier"]["summary"], doc["isa"], model_doc)):
+        if any((part is None) is not empty for part in (summary, doc["isa"], model_doc)):
             raise SnapshotError("snapshot must hold a classifier summary, an automaton and "
                                 "a model exactly when its signal is not empty")
+        if summary is not None and not (
+                len(summary) == pipe.signal.dim
+                and all(is_number(x) and math.isfinite(x) for x in summary)):
+            raise SnapshotError(f"snapshot classifier summary {summary!r} is not "
+                                f"{pipe.signal.dim} finite numbers")
+        pipe.classifier.restore(summary)
+        pipe.clusterer.observed = {label: tuple(idx) for label, idx in doc["clusterer"]}
         if model_doc is not None:
             tables = {"trans", "emit"} if pipe.emission == "discrete" else {"trans"}
             if set(model_doc) != tables:

@@ -39,7 +39,7 @@ def no_bench(monkeypatch):
     def measured(**kwargs):
         raise AssertionError("the bench ran")
 
-    monkeypatch.setattr("sigauto.cli.run_bench", measured)
+    monkeypatch.setattr("sigauto.bench.run_bench", measured)
 
 
 class TestParseConfig:
@@ -508,13 +508,13 @@ class TestBenchCommand:
                        BenchPoint(200_000, 30, 2_000.0, 4_000.0)],
             bandwidth_ratio=100.0,
         )
-        monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: bad)
+        monkeypatch.setattr("sigauto.bench.run_bench", lambda **kwargs: bad)
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3
         # the bandwidth gate alone fails the check
         only_bandwidth = replace(bad, build_slope=1.0, constancy_ratio=1.0,
                                  forecast_ratio=1.0, lookahead_ratio=1.0)
         assert only_bandwidth.failures() == [only_bandwidth.failures()[0]]
-        monkeypatch.setattr("sigauto.cli.run_bench", lambda **kwargs: only_bandwidth)
+        monkeypatch.setattr("sigauto.bench.run_bench", lambda **kwargs: only_bandwidth)
         assert main(["bench", "--check", "--output", str(tmp_path / "c.json")]) == 3
 
     @pytest.mark.parametrize("flag, sizes", [

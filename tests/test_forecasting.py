@@ -5,7 +5,6 @@ import signal as signal_module
 import threading
 import time
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,9 +316,10 @@ class TestFit:
         signal = walk_signal()
         first = PluginParams(stat_variant="discounted_sum", delta=0.5)
         other = PluginParams(lam=0.5, grid_width=0.5)
-        for grid in ([first, replace(first, horizon=2)], [replace(first, horizon=2), first]):
+        longer = PluginParams.from_dict({**first.to_dict(), "horizon": 2})
+        for grid in ([first, longer], [longer, first]):
             assert fit(grid, signal, split=100).best_index == 0
-        report = fit([first, other, replace(first, horizon=2)], signal, split=100)
+        report = fit([first, other, longer], signal, split=100)
         assert report.scores[0] == report.scores[2]
         assert report.best_index == (0 if report.scores[0] >= report.scores[1] else 1)
 

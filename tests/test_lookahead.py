@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import accumulate
 
 import pytest
@@ -162,7 +161,7 @@ class TestFingerprint:
 
     @staticmethod
     def change_tau(frontier):
-        frontier.params = replace(frontier.params, delta=0.5)
+        frontier.params = PluginParams.from_dict({**frontier.params.to_dict(), "delta": 0.5})
 
     @staticmethod
     def changed_parts(a, b):

@@ -188,6 +188,12 @@ class TestPipelineSnapshot:
         (("isa", "current"), "9"),
         (("isa", "current"), "__bottom__"),
         (("isa", "n"), 9),
+        (("isa", "n"), "4"),
+        (("isa", "n"), 4.7),
+        (("classifier", "summary", 0), math.nan),
+        (("classifier", "summary", 0), math.inf),
+        (("classifier", "summary", 0), "5.0"),
+        (("classifier", "summary"), [5.0, 5.0]),
         (("isa", "theta", 2, 2), [2, 4, 99]),
         (("isa", "theta", 2, 2), [2, 3]),
         # E1's model has states and clusters "1" and "5"; the second row of
@@ -199,6 +205,9 @@ class TestPipelineSnapshot:
     ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
             "seed_not_an_integer", "score_floor_not_a_number", "score_floor_zero",
             "current_not_a_state", "current_is_bottom", "automaton_ahead",
+            "automaton_instant_a_string", "automaton_instant_fractional",
+            "classifier_summary_nan", "classifier_summary_infinite",
+            "classifier_summary_a_string", "classifier_summary_too_wide",
             "instant_past_the_signal", "instant_twice",
             "transition_row_of_no_state", "emission_row_of_no_state",
             "transition_to_no_state", "emission_of_no_cluster"])

@@ -1,5 +1,7 @@
+import copy
 import gc
 import math
+import pickle
 import statistics
 
 import numpy as np
@@ -72,6 +74,40 @@ class TestParams:
         params = PluginParams(lam=0.5, grid_width=(1.0, 2.0), delta=0.9,
                               stat_variant="discounted_sum", horizon=3)
         assert PluginParams.from_dict(params.to_dict()) == params
+        for params in (PluginParams(grid_width=0.5),
+                       PluginParams(stat_variant="region_count", region=[[0, 1], [-2, 2]]),
+                       PluginParams(bandwidth=[[1.0, 0.5], [0.5, 2.0]])):
+            assert PluginParams.from_dict(params.to_dict()) == params
+
+    def test_fields_cannot_be_assigned_or_deleted(self):
+        params = PluginParams(lam=0.5)
+        with pytest.raises(AttributeError):
+            params.lam = 1.0
+        with pytest.raises(AttributeError):
+            params.extra = 1.0
+        with pytest.raises(AttributeError):
+            del params.horizon
+        assert params == PluginParams(lam=0.5)
+
+    def test_hashes_and_compares_by_its_fields(self):
+        a = PluginParams(lam=0.5, grid_width=[1, 2], horizon=2)
+        b = PluginParams(lam=0.5, grid_width=(1.0, 2.0), horizon=2)
+        assert a == b and a is not b and len({a, b}) == 1
+        assert hash(a) == hash((0.5, (1.0, 2.0), 0.0, "count", None, "scott", 2))
+        assert a != PluginParams(lam=0.5, grid_width=(1.0, 2.0), horizon=3)
+        assert a != (0.5, (1.0, 2.0), 0.0, "count", None, "scott", 2)
+
+    def test_repr_names_every_field(self):
+        params = PluginParams(lam=0.5, grid_width=[1, 2], region=[[0, 1], [2, 3]])
+        assert repr(params) == (
+            "PluginParams(lam=0.5, grid_width=(1.0, 2.0), delta=0.0, stat_variant='count', "
+            "region=((0.0, 1.0), (2.0, 3.0)), bandwidth='scott', horizon=1)")
+
+    def test_copies_and_pickles_equal(self):
+        params = PluginParams(lam=0.5, grid_width=[1, 2], bandwidth=[[1, 0], [0, 1]])
+        assert copy.copy(params) == params
+        assert copy.deepcopy(params) == params
+        assert pickle.loads(pickle.dumps(params)) == params
 
 
 class TestEmaGridClassifier:

@@ -238,3 +238,45 @@ def test_readme_entry_points_exist():
     names = re.findall(r"`(\w+)`", sentence)
     assert len(names) > 10
     assert [name for name in names if not hasattr(sigauto, name)] == []
+
+
+def imported_modules(node):
+    """The modules an import statement names, relative ones without their dots."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    return [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+
+
+def test_only_bench_imports_dataclasses_and_cli_imports_optional_stages_late():
+    """``import sigauto.cli`` compiles no dataclass: ``bench.py``, which only
+    ``sigauto bench`` and library callers load, alone imports
+    ``dataclasses``.  ``cli.py`` imports ``bench``, ``lookahead`` and
+    ``snapshot`` inside the handlers that use them, never at its top level."""
+    dataclass_users, eager = [], []
+    for path in MODULES:
+        for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            modules = imported_modules(node)
+            if "dataclasses" in modules:
+                dataclass_users.append(path.name)
+            if path.name == "cli.py" and not scope:
+                eager += [m for m in modules if m in {"bench", "lookahead", "snapshot"}]
+    assert dataclass_users == ["bench.py"]
+    assert eager == []
+
+
+def test_the_name_table_lists_each_name_once_where_it_is_defined():
+    """``__init__.py``'s ``_EXPORTS`` names each public name once, under a
+    module whose top level defines it, so its ``__getattr__`` resolves
+    every name in ``__all__``."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    table = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and [ast.unparse(t) for t in node.targets] == ["_EXPORTS"])
+    listed = [name for names in table.values() for name in names]
+    assert len(listed) == len(set(listed))
+    undefined = [
+        f"{module}.{name}" for module, names in table.items()
+        for name in set(names) - set(top_level_names(
+            ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))))
+    ]
+    assert undefined == []
