@@ -17,7 +17,7 @@ import importlib
 # The public names of each module, each listed once.
 _EXPORTS = {
     "automaton": ("BOTTOM_STATE", "InstantsMatrix", "Isa", "build_isa", "init_isa",
-                  "is_new_state", "move", "next_isa", "replay", "step_stream", "unmove"),
+                  "is_new_state", "move", "next_isa", "step_stream", "unmove"),
     "bench": ("BenchPoint", "BenchReport", "run_bench"),
     "errors": ("ConfigError", "EmptyInputError", "InsufficientHistoryError",
                "RejectedInputError", "SigautoError", "SnapshotError", "StalenessError",

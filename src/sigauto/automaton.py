@@ -12,16 +12,16 @@ and every observation, the first included, is one move.  A state with no
 outgoing cell is called *new*; at most one such state exists at any time and
 it is necessarily the current state.
 
-This module alone changes or rebuilds an automaton: ``move`` steps it in
-place to a given state and then ``update``s each model, ``unmove`` is its
-exact inverse and ``replay`` rebuilds and checks it from its cells.
-``step_stream`` classifies the next observation and moves; ``next_isa`` is
-that step with no model, and returns the automaton.
+This module alone changes or builds an automaton: ``move`` steps it in
+place to a given state and then ``update``s each model, and ``unmove`` is
+its exact inverse.  ``step_stream`` classifies the next observation and
+moves; ``next_isa`` is that step with no model, and returns the automaton;
+``build_isa`` takes that step over a whole signal.
 """
 
 from __future__ import annotations
 
-from .errors import EmptyInputError, Fields, SigautoError, SnapshotError, StalenessError
+from .errors import EmptyInputError, Fields, SigautoError, StalenessError
 from .signal import Signal
 
 BOTTOM_STATE = "__bottom__"
@@ -143,31 +143,6 @@ def unmove(isa: Isa, previous: str) -> None:
         del isa.states[isa.current]
     isa.current = previous
     isa.n = i - 1
-
-
-def replay(cells, n: int) -> Isa:
-    """The automaton at instant ``n`` with the ``(p, q, instants)`` cells
-    ``cells``, in any order, moved through instants 0..n.  Refused
-    (``SnapshotError``) unless no cell is empty, each integer 0..n is in one
-    cell and the cells chain: instant 0 leaves ``__bottom__``, each later
-    one the state the one before entered, and none enters ``__bottom__``."""
-    moves: list = [None] * (n + 1)  # moves[i]: the (p, q) cell holding instant i
-    for p, q, instants in cells:
-        if not instants:
-            raise SnapshotError(f"automaton cell ({p!r}, {q!r}) has no instants")
-        for i in instants:
-            if type(i) is not int or not 0 <= i <= n or moves[i] is not None:
-                raise SnapshotError(f"automaton holds {i!r}, not an instant 0..{n} held once")
-            moves[i] = (p, q)
-    # Moving in instant order rebuilds the cells in the order the live
-    # automaton first wrote them.
-    isa = Isa()
-    for i, cell in enumerate(moves):
-        if cell is None or cell[0] != isa.current or cell[1] == BOTTOM_STATE:
-            raise SnapshotError(f"automaton's instant {i} is in no cell, or its cells do "
-                                "not chain from __bottom__")
-        move(isa, cell[1], None)
-    return isa
 
 
 def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None:

@@ -239,7 +239,6 @@ class EmaGridClassifier:
     cell index; ``cell_label`` builds each cell's label once.
     """
 
-    kind = "ema_grid"
     lookahead = 0
 
     def __init__(self, params: PluginParams):
@@ -264,17 +263,6 @@ class EmaGridClassifier:
             ema = tuple([lam * x + (1.0 - lam) * e for x, e in zip(coords, ema)])
         self._ema = ema
         return cell_label(cell_index(ema, self._widths))
-
-    def summary(self):
-        """Serializable running state (the EMA vector)."""
-        return list(self._ema) if self._ema is not None else None
-
-    def restore(self, summary) -> None:
-        if summary is None:
-            self.reset()
-        else:
-            self._ema = tuple(float(x) for x in summary)
-            self._widths = self.params.widths_for(len(self._ema))
 
 
 class LookaheadWordClassifier:

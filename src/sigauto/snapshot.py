@@ -1,13 +1,13 @@
 """Persistence: pipeline snapshots.
 
-Pipeline snapshots capture everything the streaming loop needs to continue
-bit-identically after a restart: the signal, the classifier summary, the
-automaton, and every model accumulator, all in live iteration order so that
-restored dictionaries replay float arithmetic in the same order.  A model is
-rebuilt on the automaton its cells ``replay`` to, which gives it its instant,
-current state, state order and, for a continuous model, its mixture centres,
-so the model part holds only its row tables: ``trans``, and ``emit`` for a
-discrete model.  A snapshot no stream could write is a ``SnapshotError``.
+A pipeline snapshot stores what its signal does not determine: the
+configuration, the signal, the clusterer and every model accumulator, in
+live iteration order so that restored dictionaries replay float arithmetic
+in the same order.  Restore classifies the signal again with ``build_isa``,
+which leaves the pipeline's classifier at its live summary bit for bit and
+gives the automaton, and checks the model's row tables (``trans``, and
+``emit`` for a discrete model) against it.  A snapshot no stream could
+write is a ``SnapshotError``.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ import json
 import math
 import os
 
-from .automaton import Isa, replay
+from .automaton import build_isa
 from .errors import SnapshotError
 from .hmm import Row
 from .pipeline import StreamPipeline
-from .plugins import PluginParams, StatAccumulator, StatFn, is_number
+from .plugins import PluginParams, StatAccumulator, StatFn, cell_label, is_number
 
-SNAPSHOT_VERSION = 3
+SNAPSHOT_VERSION = 4
+KEYS = {"version", "tau", "emission", "seed", "score_floor", "signal", "clusterer", "model"}
 
 
 def _acc_doc(acc: StatAccumulator) -> dict:
@@ -82,8 +83,8 @@ def _trows_from(doc: list, hmm) -> dict[str, Row]:
 def _erows_from(doc: list, hmm, signal) -> dict[str, Row]:
     """The emission table ``update`` writes for ``hmm``'s automaton: a row
     for each state, in order, whose total counts the state's incoming
-    instants at the latest of them, and whose cells are observed clusters,
-    each holding the observation at its last instant."""
+    instants at the latest of them, and whose cells are clusters, each
+    holding the observation at its last instant."""
     incoming: dict[str, list[int]] = {}  # state -> [instants, latest instant]
     for _, q, js in hmm.isa.theta.cells():
         seen = incoming.setdefault(q, [0, -1])
@@ -93,36 +94,11 @@ def _erows_from(doc: list, hmm, signal) -> dict[str, Row]:
     table = _rows_from(doc, hmm.rho, [*hmm.state_order])
     for q, row in table.items():
         if ([row.total.raw_count, row.total.last_now] != incoming[q]
-                or not row.cells.keys() <= clusterer.observed.keys()
                 or any(clusterer.label_of(signal[acc.last_now]) != c
                        for c, acc in row.cells.items())):
             raise SnapshotError(f"snapshot emission row {q!r} is not its automaton's "
-                                "incoming instants in observed clusters")
+                                "incoming instants in their clusters")
     return table
-
-
-def _isa_state(isa: Isa) -> dict:
-    return {
-        "states": list(isa.states),
-        "current": isa.current,
-        "n": isa.n,
-        "new_state_instants": list(isa.new_state_instants),
-        "theta": [[p, q, list(c)] for p, q, c in isa.theta.cells()],
-    }
-
-
-def _isa_from(doc: dict, n: int) -> Isa:
-    """The automaton of ``_isa_state``: its cells' ``replay`` to the
-    signal's instant ``n``, refused unless its ``states``,
-    ``new_state_instants`` and ``current`` are the replay's."""
-    if not is_number(doc["n"], int) or doc["n"] != n:
-        raise SnapshotError(f"snapshot automaton is not at its signal's instant {n}")
-    isa = replay(doc["theta"], n)
-    if (doc["states"] != [*isa.states] or doc["new_state_instants"] != isa.new_state_instants
-            or doc["current"] != isa.current):
-        raise SnapshotError("snapshot automaton's states, new-state instants or current "
-                            "state are not those its cells replay to")
-    return isa
 
 
 def _model_state(hmm) -> dict:
@@ -132,22 +108,32 @@ def _model_state(hmm) -> dict:
     return doc
 
 
+def _observed_from(doc: list, erows: dict[str, Row]) -> dict[str, tuple[int, ...]]:
+    """The clusterer's observed cells, refused unless each label is listed
+    once with its own cell index and the labels are exactly the clusters
+    the emission table ``erows`` names."""
+    observed = {label: tuple(idx) for label, idx in doc}
+    named = {c for row in erows.values() for c in row.cells}
+    if (len(observed) != len(doc) or observed.keys() != named
+            or any(not all(is_number(k, int) for k in idx) or cell_label(idx) != label
+                   for label, idx in observed.items())):
+        raise SnapshotError("snapshot clusterer is not the cells of the clusters its "
+                            "model emits")
+    return observed
+
+
 def pipeline_state(pipe) -> dict:
-    """Serializable state of a live pipeline."""
-    doc = {
+    """Serializable state of a live pipeline: what its signal does not determine."""
+    return {
         "version": SNAPSHOT_VERSION,
-        "kind": "pipeline",
         "tau": pipe.params.to_dict(),
         "emission": pipe.emission,
         "seed": pipe.seed,
         "score_floor": pipe.score_floor,
         "signal": [list(obs) for obs in pipe.signal],
-        "classifier": {"kind": pipe.classifier.kind, "summary": pipe.classifier.summary()},
         "clusterer": [[label, list(idx)] for label, idx in pipe.clusterer.observed.items()],
-        "isa": _isa_state(pipe.isa) if pipe.isa is not None else None,
         "model": _model_state(pipe.hmm) if pipe.hmm is not None else None,
     }
-    return doc
 
 
 def restore_pipeline(doc: dict):
@@ -158,6 +144,8 @@ def restore_pipeline(doc: dict):
             raise SnapshotError(
                 f"snapshot version {version} not supported (expected {SNAPSHOT_VERSION})"
             )
+        if doc.keys() != KEYS:
+            raise SnapshotError(f"snapshot holds {sorted(doc)}, not {sorted(KEYS)}")
         if not isinstance(doc["tau"], dict):
             raise SnapshotError(f"snapshot tau must be an object, got {doc['tau']!r}")
         params = PluginParams.from_dict(doc["tau"])
@@ -171,29 +159,24 @@ def restore_pipeline(doc: dict):
         )
         for obs in doc["signal"]:
             pipe.signal.append(obs)
-        summary, model_doc = doc["classifier"]["summary"], doc["model"]
-        empty = len(pipe.signal) == 0
-        if any((part is None) is not empty for part in (summary, doc["isa"], model_doc)):
-            raise SnapshotError("snapshot must hold a classifier summary, an automaton and "
-                                "a model exactly when its signal is not empty")
-        if summary is not None and not (
-                len(summary) == pipe.signal.dim
-                and all(is_number(x) and math.isfinite(x) for x in summary)):
-            raise SnapshotError(f"snapshot classifier summary {summary!r} is not "
-                                f"{pipe.signal.dim} finite numbers")
-        pipe.classifier.restore(summary)
-        pipe.clusterer.observed = {label: tuple(idx) for label, idx in doc["clusterer"]}
+        model_doc = doc["model"]
+        if (model_doc is None) is not (len(pipe.signal) == 0):
+            raise SnapshotError("snapshot must hold a model exactly when its signal is "
+                                "not empty")
         if model_doc is not None:
             tables = {"trans", "emit"} if pipe.emission == "discrete" else {"trans"}
             if set(model_doc) != tables:
                 raise SnapshotError(f"snapshot model holds {sorted(model_doc)}, not the "
                                     f"{sorted(tables)} of a {pipe.emission} model")
-            pipe.isa = _isa_from(doc["isa"], pipe.n)
+            pipe.isa = build_isa(pipe.signal, pipe.classifier)
             hmm = pipe._model_on(pipe.isa)
             if pipe.emission == "discrete":
                 hmm._erows = _erows_from(model_doc["emit"], hmm, pipe.signal)
             hmm._trows = _trows_from(model_doc["trans"], hmm)
             pipe.hmm = hmm
+        # A continuous model, like an empty pipeline, emits no cluster.
+        pipe.clusterer.observed = _observed_from(doc["clusterer"],
+                                                 getattr(pipe.hmm, "_erows", {}))
         return pipe
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SnapshotError(f"malformed snapshot: {exc}") from exc

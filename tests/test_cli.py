@@ -601,8 +601,8 @@ class TestGoldenOutputs:
     GOLDEN = {
         "run": "cfd6d5f494886efebdaf1eb866a895fd2e2ff8e399665648e497c8b8e1beb754",
         "resumed_run": "55a73d729e52a149ad501534248caca537a54659fa4ecf374377104806fdc4cc",
-        "snapshot": "d9b9cea78955a118a934824251419f627518517568884abaeb396124294304ec",
-        "resumed_snapshot": "e27a58b4e4d85faeb80768290edf1560e73a85f7b4a37e0645ff3d76b50c920e",
+        "snapshot": "05da83fd64076b319568f1e93a8e8bee1ce513626d782c4a5f5d99cf45676567",
+        "resumed_snapshot": "53a235ef2575fc68760a34db4c35aed404f417903e35ce49e48cb86c2604963f",
         "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
         "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
         "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",

@@ -61,17 +61,22 @@ class TestStreamPipeline:
 
 
 class TestPipelineSnapshot:
+    @pytest.mark.parametrize("horizon", [1, 2, 3])
     @pytest.mark.parametrize("split", [1, 40])
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("emission", ["discrete", "continuous"])
     @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda stat: stat["stat_variant"])
     def test_mid_stream_round_trip_is_byte_identical(self, tmp_path, stat, emission, dim,
-                                                     split):
+                                                     split, horizon):
+        """A resumed stream writes the uninterrupted stream's records, and
+        its snapshot at the end is the uninterrupted pipeline's, byte for
+        byte."""
         if dim == 2 and "region" in stat:
             stat = {**stat, "region": stat["region"] * 2}
-        params = PluginParams(lam=0.5, horizon=2, **stat)
+        params = PluginParams(lam=0.5, horizon=horizon, **stat)
         walk = random_walk(80, dim=dim, seed=5)
-        reference = record_lines(StreamPipeline(params, emission=emission, seed=7), walk)
+        uninterrupted = StreamPipeline(params, emission=emission, seed=7)
+        reference = record_lines(uninterrupted, walk)
 
         pipe = StreamPipeline(params, emission=emission, seed=7)
         lines = record_lines(pipe, walk[:split])
@@ -80,6 +85,9 @@ class TestPipelineSnapshot:
         resumed = load_snapshot(path)
         lines += record_lines(resumed, walk[split:])
         assert lines == reference
+        save_snapshot(resumed, path)
+        save_snapshot(uninterrupted, tmp_path / "uninterrupted.json")
+        assert path.read_bytes() == (tmp_path / "uninterrupted.json").read_bytes()
 
     def test_repeated_save_load_cycles(self, tmp_path, count_params):
         walk = random_walk(60, seed=11)
@@ -94,12 +102,24 @@ class TestPipelineSnapshot:
                 pipe = load_snapshot(path)
         assert lines == reference
 
-    def test_snapshot_contains_the_instants_cell(self, tmp_path, count_params):
-        pipe = StreamPipeline(count_params)
-        for value in E1:
+    def test_restore_derives_the_automaton_and_classifier_from_the_signal(self, count_params):
+        """The snapshot stores neither the automaton nor the classifier's
+        running summary; restore classifies the signal, which gives back
+        both, the instants cell (1, 5) and the live EMA bit for bit."""
+        pipe = StreamPipeline(PluginParams(lam=0.3))
+        for value in random_walk(200, seed=8):
             pipe.advance(value)
         doc = pipeline_state(pipe)
-        assert ["1", "5", [2, 4]] in doc["isa"]["theta"]
+        assert list(doc) == ["version", "tau", "emission", "seed", "score_floor", "signal",
+                             "clusterer", "model"]
+        restored = restore_pipeline(doc)
+        assert restored.isa == pipe.isa
+        assert list(restored.isa.theta.cells()) == list(pipe.isa.theta.cells())
+        assert restored.classifier._ema == pipe.classifier._ema
+        e1 = StreamPipeline(count_params)
+        for value in E1:
+            e1.advance(value)
+        assert restore_pipeline(pipeline_state(e1)).isa.theta.cell("1", "5") == (2, 4)
 
     def test_version_mismatch(self, tmp_path, count_params):
         pipe = StreamPipeline(count_params)
@@ -178,37 +198,18 @@ class TestPipelineSnapshot:
         return pipeline_state(pipe)
 
     @pytest.mark.parametrize("path, value", [
-        (("isa",), None),
-        (("model",), None),
-        (("classifier", "summary"), None),
         (("emission",), "continuous"),
         (("seed",), "x"),
         (("score_floor",), "x"),
         (("score_floor",), 0),
-        (("isa", "current"), "9"),
-        (("isa", "current"), "__bottom__"),
-        (("isa", "n"), 9),
-        (("isa", "n"), "4"),
-        (("isa", "n"), 4.7),
-        (("classifier", "summary", 0), math.nan),
-        (("classifier", "summary", 0), math.inf),
-        (("classifier", "summary", 0), "5.0"),
-        (("classifier", "summary"), [5.0, 5.0]),
-        (("isa", "theta", 2, 2), [2, 4, 99]),
-        (("isa", "theta", 2, 2), [2, 3]),
         # E1's model has states and clusters "1" and "5"; the second row of
         # each table is state "5"'s, and its first cell is column "1".
         (("model", "trans", 1, 0), "qq"),
         (("model", "emit", 1, 0), "qq"),
         (("model", "trans", 1, 1, 0, 0), "qq"),
         (("model", "emit", 1, 1, 0, 0), "9"),
-    ], ids=["no_automaton", "no_model", "no_classifier_summary", "model_of_another_kind",
-            "seed_not_an_integer", "score_floor_not_a_number", "score_floor_zero",
-            "current_not_a_state", "current_is_bottom", "automaton_ahead",
-            "automaton_instant_a_string", "automaton_instant_fractional",
-            "classifier_summary_nan", "classifier_summary_infinite",
-            "classifier_summary_a_string", "classifier_summary_too_wide",
-            "instant_past_the_signal", "instant_twice",
+    ], ids=["model_of_another_kind", "seed_not_an_integer",
+            "score_floor_not_a_number", "score_floor_zero",
             "transition_row_of_no_state", "emission_row_of_no_state",
             "transition_to_no_state", "emission_of_no_cluster"])
     def test_malformed_snapshot_is_refused(self, tmp_path, capsys, count_params, path, value):
@@ -219,46 +220,14 @@ class TestPipelineSnapshot:
         part[path[-1]] = value
         self.assert_refused(doc, tmp_path, capsys)
 
-    # E1's automaton: instants 0..4 go __bottom__->1, 1->1, 1->5, 5->1, 1->5,
-    # so "1" is first entered at 0, "5" at 2, and the current state is "5".
-    @pytest.mark.parametrize("edits", [
-        {"states": ["__bottom__", "1", "5", "zz"], "new_state_instants": [0, 77]},
-        {"states": ["__bottom__", "1", "5", "zz"]},
-        {"states": ["__bottom__", "5", "1"]},
-        {"new_state_instants": [0, 3]},
-        {"current": "1"},
-        {"theta": [["__bottom__", "1", [0]], ["1", "1", [3]], ["1", "5", [2, 4]],
-                   ["5", "1", [1]]]},
-        {"theta": [["__bottom__", "1", [0, 2]], ["1", "__bottom__", [1]], ["1", "5", [3]],
-                   ["5", "1", [4]]],
-         "current": "1", "new_state_instants": [0, 3]},
-        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1.5]], ["1", "5", [2, 4]],
-                   ["5", "1", [3]]]},
-        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1]], ["1", "5", [2, 4]]]},
-        {"theta": [["__bottom__", "1", [0]], ["1", "1", [1]], ["1", "5", [2, 4]],
-                   ["5", "1", [3]], ["1", "9", []]]},
-    ], ids=["state_and_instant_added", "state_never_entered", "states_reordered",
-            "new_state_instant_moved", "current_another_state", "cells_do_not_chain",
-            "bottom_entered", "fractional_instant", "cell_missing", "cell_empty"])
-    def test_automaton_its_cells_do_not_replay_to_is_refused(self, tmp_path, capsys,
-                                                             count_params, edits):
-        """The automaton's states, new-state instants and current state are
-        those its cells replay to from ``__bottom__``, and the cells chain:
-        each instant leaves the state the one before entered, each instant
-        0..n is in one cell and no cell is empty.  A snapshot edited in any
-        of these describes an automaton no stream built."""
-        doc = self.e1_state(count_params)
-        doc["isa"].update(edits)
+    @pytest.mark.parametrize("key", ["model", "signal"])
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_a_model_without_a_signal_or_a_signal_without_one_is_refused(
+            self, tmp_path, capsys, count_params, emission, key):
+        """A pipeline has a model exactly when it has consumed a row."""
+        doc = self.e1_state(count_params, emission)
+        doc[key] = None if key == "model" else []
         self.assert_refused(doc, tmp_path, capsys)
-
-    def test_cells_are_rebuilt_in_instant_order(self, count_params):
-        """The cells replay to one automaton whatever order a cell lists its
-        instants in, or the cells are listed in; it is stored in live order."""
-        doc = self.e1_state(count_params)
-        edited = json.loads(json.dumps(doc))
-        edited["isa"]["theta"][2][2] = [4, 2]
-        edited["isa"]["theta"].reverse()
-        assert pipeline_state(restore_pipeline(edited)) == doc
 
     @pytest.mark.parametrize("key, value", [
         ("mixtures", [["qq", [99]]]),
@@ -276,17 +245,35 @@ class TestPipelineSnapshot:
         self.assert_refused(doc, tmp_path, capsys)
 
     @pytest.mark.parametrize("emission", ["discrete", "continuous"])
-    def test_version_2_snapshot_is_refused(self, tmp_path, capsys, count_params, emission):
-        """A snapshot as version 2 wrote it: the model part repeats the
-        automaton's instant, current state, newness and states, and a
-        continuous model its mixture centres."""
+    def test_version_3_snapshot_is_refused(self, tmp_path, capsys, count_params, emission):
+        """A snapshot as version 3 wrote it: beside the version 4 keys, a
+        ``kind``, the classifier's summary and the automaton, which version
+        4 derives from the signal."""
+        pipe = StreamPipeline(count_params, emission=emission)
+        for v in E1:
+            pipe.advance(v)
+        isa = pipe.isa
+        doc = pipeline_state(pipe)
+        doc.update(version=3, kind="pipeline",
+                   classifier={"kind": "ema_grid", "summary": list(pipe.classifier._ema)},
+                   isa={"states": [*isa.states], "current": isa.current, "n": isa.n,
+                        "new_state_instants": isa.new_state_instants,
+                        "theta": [[p, q, list(js)] for p, q, js in isa.theta.cells()]})
+        with pytest.raises(SnapshotError, match=r"version 3 not supported \(expected 4\)"):
+            restore_pipeline(copy.deepcopy(doc))
+        self.assert_refused(doc, tmp_path, capsys)
+
+    @pytest.mark.parametrize("key", [*sorted(snapshot.KEYS), "kind"])
+    @pytest.mark.parametrize("emission", ["discrete", "continuous"])
+    def test_a_key_missing_or_added_is_refused(self, tmp_path, capsys, count_params,
+                                              emission, key):
+        """The file holds no dead key: a snapshot without any one of its
+        keys is refused, and so is one that also holds version 3's ``kind``."""
         doc = self.e1_state(count_params, emission)
-        isa = doc["isa"]
-        doc["version"] = 2
-        doc["model"].update(kind=emission, n=isa["n"], current=isa["current"],
-                            current_is_new=False, states=isa["states"][1:])
-        if emission == "continuous":
-            doc["model"]["mixtures"] = [["1", [0, 1, 3]], ["5", [2, 4]]]
+        if key == "kind":
+            doc["kind"] = "pipeline"
+        else:
+            del doc[key]
         self.assert_refused(doc, tmp_path, capsys)
 
     def test_schema_violation(self, count_params):
@@ -413,10 +400,57 @@ def test_emission_row_its_automaton_or_signal_contradicts_is_refused(tmp_path, c
     consistent: an emission cell's counts are its row total's share, the
     total counts its state's incoming instants, and each cell holds the
     observation at its last instant, an instant of the signal, in a
-    cluster the clusterer observed."""
+    cluster the clusterer holds."""
     doc = copy.deepcopy(SPREAD_STATE)
     edit(doc)
     TestPipelineSnapshot.assert_refused(doc, tmp_path, capsys)
+
+
+def state_renamed(doc):
+    """The first state renamed, to a label no state has, in each row and
+    transition column that names it: tables that agree with each other."""
+    old, new = doc["model"]["trans"][0][0], "1000"
+    for table in ("trans", "emit"):
+        for row in doc["model"][table]:
+            row[0] = new if row[0] == old else row[0]
+            for cell in row[1] if table == "trans" else ():
+                cell[0] = new if cell[0] == old else cell[0]
+
+
+def signal_row_relabelled(doc):
+    doc["signal"][150][0] += 100.0
+
+
+@pytest.mark.parametrize("edit", [state_renamed, signal_row_relabelled],
+                         ids=lambda edit: edit.__name__)
+def test_model_its_signal_contradicts_is_refused(tmp_path, capsys, edit):
+    """The automaton is the signal's, classified again on restore: model
+    tables that name a state the signal never enters, or a signal row
+    moved so that its state changes, describe no stream."""
+    doc = copy.deepcopy(SPREAD_STATE)
+    edit(doc)
+    TestPipelineSnapshot.assert_refused(doc, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("emission, index, entry", [
+    ("discrete", 0, ["1", [99]]),
+    ("discrete", 0, ["1", ["1"]]),
+    ("discrete", 0, ["1", [1.0]]),
+    ("discrete", 0, ["1", [1, 0]]),
+    ("discrete", 2, ["1", [1]]),
+    ("discrete", 2, ["9", [9]]),
+    ("continuous", 0, ["1", [1]]),
+], ids=["index_of_another_cell", "index_a_string", "index_fractional", "index_too_wide",
+        "label_twice", "cluster_never_emitted", "cluster_in_continuous_mode"])
+def test_clusterer_other_than_its_model_emits_is_refused(tmp_path, capsys, count_params,
+                                                         emission, index, entry):
+    """The clusterer is each cluster the emission table names, once, with
+    its label's cell index, and is empty in continuous mode; E1's
+    clusters are "1" and "5"."""
+    doc = TestPipelineSnapshot.e1_state(count_params, emission)
+    doc["clusterer"][index:index + 1] = [entry]
+    TestPipelineSnapshot.assert_refused(doc, tmp_path, capsys)
+
 
 # Values no stream writes into a model field: wrong types, and numbers out
 # of every field's range (a fraction is in range for a discounted value).
@@ -443,8 +477,8 @@ def field_edits(doc):
 def is_trusted(doc, path, value):
     """The one edit class restore cannot see in O(cells): a discounted
     ``value`` set to another finite number >= 0.  A discounted value
-    depends on every instant's distance to the present, so only a replay
-    of the signal could check it; restore trusts it."""
+    depends on every instant's distance to the present, so only running
+    the updates over the signal again could check it; restore trusts it."""
     return (path[-1:] == ("value",) and doc["tau"]["stat_variant"].startswith("discounted")
             and is_number(value) and 0 <= value < math.inf)
 

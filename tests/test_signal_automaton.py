@@ -22,7 +22,6 @@ from sigauto import (
     is_new_state,
     move,
     next_isa,
-    replay,
     unmove,
 )
 
@@ -175,13 +174,6 @@ class TestMoveAndUnmove:
         with pytest.raises(SigautoError, match="reserved bottom state"):
             move(isa, BOTTOM_STATE, None)
         assert isa == e1_isa()[0]
-
-    def test_replay_rebuilds_the_automaton_from_its_cells_in_any_order(self, count_params):
-        isa = build_isa(Signal(random_walk(200, seed=4)), EmaGridClassifier(count_params))
-        cells = [(p, q, list(reversed(c))) for p, q, c in isa.theta.cells()][::-1]
-        rebuilt = replay(cells, isa.n)
-        assert rebuilt == isa
-        assert list(rebuilt.theta.cells()) == list(isa.theta.cells())
 
 
 class TestInitIsa:

@@ -145,7 +145,8 @@ def calls_by_function(tree):
 def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
     """Grid labels come from ``Clusterer._lookup``, whose memo labels each
     row once, and from the EMA classifier, whose summary is no stored row;
-    a generator is seeded in ``uniform_draw`` alone, whose draws the
+    the snapshot's clusterer check labels stored cell indexes, not rows.
+    A generator is seeded in ``uniform_draw`` alone, whose draws the
     lookahead frontier keeps (``bench.py``'s input generator aside)."""
     labelling, seeding = set(), set()
     for path in MODULES:
@@ -154,7 +155,8 @@ def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
                 labelling.add(f"{path.name}:{function}")
             if callee in {"random.Random", "Random"}:
                 seeding.add(f"{path.name}:{function}")
-    assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step"}
+    assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step",
+                         "snapshot.py:_observed_from"}
     assert seeding == {"forecasting.py:uniform_draw", "bench.py:random_walk"}
 
 
@@ -163,8 +165,8 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
     module but ``automaton.py`` calls ``init_isa`` or ``next_isa``.  The
     whole-automaton conversions run only on the scratch paths: the
     pipeline's reference rebuild and the build gate of ``bench``; a
-    snapshot's model is rebuilt on its replayed automaton with its stored
-    rows, not converted."""
+    snapshot's model is rebuilt with its stored rows on the automaton
+    ``build_isa`` classifies from its signal, not converted."""
     stepping, converting = set(), set()
     for path in MODULES:
         for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
@@ -181,8 +183,8 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
 def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
     """``automaton.py`` alone builds an instants matrix, fills an automaton
     field by field, or appends to or pops its cells: every other module
-    moves one with ``move``/``unmove``/``step_stream``, rebuilds one with
-    ``replay`` or starts one empty with ``Isa()``."""
+    moves one with ``move``/``unmove``/``step_stream``, builds one from a
+    signal with ``build_isa`` or starts one empty with ``Isa()``."""
     found = []
     for path in MODULES:
         if path.name == "automaton.py":
@@ -196,6 +198,17 @@ def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
                     or re.search(r"\btheta\.(append|pop)$", callee)):
                 found.append(f"{path.name}:{callee}")
     assert found == []
+
+
+def test_a_snapshot_gets_its_automaton_only_from_its_signal():
+    """``snapshot.py`` stores no automaton and moves none: its one source of
+    an automaton is ``build_isa`` over the restored signal, so it calls no
+    ``move``, ``unmove``, ``step_stream``, ``next_isa``, ``replay`` or
+    ``Isa``."""
+    tree = ast.parse((PACKAGE / "snapshot.py").read_text(encoding="utf-8"))
+    called = {callee.split(".")[-1] for _, callee in calls_by_function(tree)}
+    assert "build_isa" in called
+    assert not {"move", "unmove", "step_stream", "next_isa", "replay", "Isa"} & called
 
 
 def stat_variants():
