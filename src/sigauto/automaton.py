@@ -16,7 +16,8 @@ This module alone changes or builds an automaton: ``move`` steps it in
 place to a given state and then ``update``s each model, and ``unmove`` is
 its exact inverse.  ``step_stream`` classifies the next observation and
 moves; ``next_isa`` is that step with no model, and returns the automaton;
-``build_isa`` takes that step over a whole signal.
+``build_isa`` takes that step over a whole signal.  They hand on the rows
+of a ``Signal``, checked when appended, unchecked.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def init_isa(r0, classifier, future=()) -> Isa:
     """Build the automaton for a one-observation signal: the first step of
     the empty automaton, with ``classifier`` reset."""
     classifier.reset()
-    return next_isa(Isa(), (r0,), classifier, future)
+    return next_isa(Isa(), Signal([r0]), classifier, future)
 
 
 def move(isa: Isa, label: str, obs, models=()) -> None:

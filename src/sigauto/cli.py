@@ -24,7 +24,7 @@ from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError, Si
 from .forecasting import fit
 from .pipeline import EMISSION_MODES, StreamPipeline, checked_score_floor
 from .plugins import PluginParams, is_number
-from .signal import Signal, as_observation
+from .signal import Signal
 
 log = logging.getLogger("sigauto")
 
@@ -99,21 +99,19 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
 
 
 def _parse_row(raw: str):
-    """One observation from a CSV row or a JSONL record {"r": [...]}.  A
-    row with a field that ``float`` refuses is read, or refused, with its
-    fields stripped: ``float`` also refuses some edges that they lose
-    (``"\x1c2.5"``)."""
+    """The unchecked row of a CSV line or a JSONL record {"r": [...]}: a CSV
+    row with a field ``float`` refuses is handed on with its fields stripped,
+    since ``float`` also refuses some edges that they lose (``"\x1c2.5"``)."""
     if raw.startswith("{"):
         record = json.loads(raw)
         if not isinstance(record, dict) or "r" not in record:
             raise RejectedInputError(f"JSON record lacks an 'r' field: {raw[:80]}")
-        return as_observation(record["r"])
+        return record["r"]
     fields = raw.split(",")
     try:
-        coords = tuple(map(float, fields))
+        return tuple(map(float, fields))
     except ValueError:
-        coords = [field.strip() for field in fields]
-    return as_observation(coords)
+        return [field.strip() for field in fields]
 
 
 def _looks_like_header(raw: str) -> bool:
@@ -129,14 +127,13 @@ def _looks_like_header(raw: str) -> bool:
     return True
 
 
-def _observations(handle, dim: int | None = None, rejected=None):
-    """Yield the observation of each row of a CSV or JSONL stream, skipping
-    blank lines and a header on the first non-blank one.
-
-    A row that does not parse, or whose width differs from ``dim`` (or else
-    from the first observation's), raises ``RejectedInputError`` with a
-    ``line N:`` prefix; when ``rejected`` is given it is called with the line
-    number and the message instead, and the row is skipped.
+def _observations(handle, take, rejected=None):
+    """Hand the row of each line of a CSV or JSONL stream to ``take``, which
+    appends it to a ``Signal`` first, and yield what it returns; blank lines
+    and a header on the first non-blank one are skipped.  A row that does
+    not parse, or that the append refuses, raises ``RejectedInputError``
+    with a ``line N:`` prefix, or, when ``rejected`` is given, is passed to
+    it with its line number and the message and skipped.
     """
     first = True
     for lineno, line in enumerate(handle, start=1):
@@ -148,18 +145,13 @@ def _observations(handle, dim: int | None = None, rejected=None):
             if _looks_like_header(raw):
                 continue
         try:
-            obs = _parse_row(raw)
-            if dim is not None and len(obs) != dim:
-                raise RejectedInputError(
-                    f"observation has {len(obs)} coordinates, expected {dim}"
-                )
+            taken = take(_parse_row(raw))
         except (RejectedInputError, json.JSONDecodeError) as exc:
             if rejected is None:
                 raise RejectedInputError(f"line {lineno}: {exc}") from exc
             rejected(lineno, str(exc))
             continue
-        dim = len(obs)
-        yield obs
+        yield taken
 
 
 @contextmanager
@@ -192,8 +184,8 @@ def read_signal(path: str | None) -> Signal:
     """Strict batch read of a whole input file."""
     signal = Signal()
     with _opened(path, "r") as handle:
-        for obs in _observations(handle):
-            signal.append(obs)
+        for _ in _observations(handle, signal.append):
+            pass
     if len(signal) == 0:
         raise EmptyInputError("input contains no observations")
     return signal
@@ -237,11 +229,9 @@ def run_stream(config: RunConfig, args) -> int:
         def rejected(lineno, message):
             _write_record(out_handle, {"line": lineno, "error": message})
 
-        # A resumed pipeline knows its dimension; a fresh one takes it from
-        # its first observation.
-        dim = pipe.signal.dim if len(pipe.signal) else None
-        for obs in _observations(in_handle, dim, None if config.strict else rejected):
-            _write_record(out_handle, pipe.step(obs))
+        for record in _observations(in_handle, pipe.step,
+                                    None if config.strict else rejected):
+            _write_record(out_handle, record)
             consumed += 1
         if consumed == 0 and pipe.n < 0:
             raise EmptyInputError("input contains no observations")
@@ -307,16 +297,25 @@ def run_bench_command(config: RunConfig, args) -> int:
 
 def run_lookahead(config: RunConfig, args) -> int:
     from .lookahead import lookahead_advance, lookahead_build
-    signal = read_signal(args.input)
     h = config.params.horizon
-    # Built before the output is opened, so a refused horizon or history
-    # leaves no output file behind.
-    frontier = lookahead_build(signal[: h + 1], config.params, seed=config.seed)
-    with _opened(args.output, "w") as out_handle:
-        _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
-        for obs in signal[h + 1:]:
-            lookahead_advance(frontier, obs)
+    history, frontier = Signal(), None
+
+    def take(obs):  # the first h + 1 rows build the frontier, each later one advances it
+        return history.append(obs) if frontier is None else lookahead_advance(frontier, obs)
+
+    with _opened(args.input, "r") as in_handle:
+        rows = _observations(in_handle, take)
+        for _ in zip(range(h + 1), rows):
+            pass
+        if len(history) == 0:
+            raise EmptyInputError("input contains no observations")
+        # Built before the output is opened, so a refused horizon or history
+        # leaves no output file behind.
+        frontier = lookahead_build(history, config.params, seed=config.seed)
+        with _opened(args.output, "w") as out_handle:
             _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
+            for _ in rows:
+                _write_record(out_handle, frontier.forecast().record(frontier.n, config.seed))
     return 0
 
 

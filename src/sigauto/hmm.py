@@ -176,9 +176,6 @@ class _TransitionCore:
     def states(self) -> tuple[str, ...]:
         return self.state_order + (DUMMY_STATE,)
 
-    def alpha(self) -> dict[str, float]:
-        return {self.current: 1.0}
-
     def transition_row(self, p: str) -> dict[str, float]:
         """Dense view of one row; always sums to 1.  States with no outgoing
         instants send all mass to the absorbing dummy state.  The dict is the

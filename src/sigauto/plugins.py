@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .errors import (ConfigError, EmptyInputError, Fields, RejectedInputError,
                      TemporalOrderError)
-from .signal import Signal, as_observation
+from .signal import Signal
 
 log = logging.getLogger(__name__)
 
@@ -235,8 +235,9 @@ class EmaGridClassifier:
     Keeps e_i = lam * r_i + (1 - lam) * e_{i-1} as the running summary and
     emits the grid cell of e_i as the state label.  The summary makes the
     per-observation step constant-time while the emitted label equals the
-    from-scratch classification of the whole prefix.  A step computes one
-    cell index; ``cell_label`` builds each cell's label once.
+    from-scratch classification of the whole prefix.  A step takes a stored
+    ``Signal`` row, unchecked, and computes one cell index; ``cell_label``
+    builds each cell's label once.
     """
 
     lookahead = 0
@@ -254,13 +255,12 @@ class EmaGridClassifier:
         if future:
             raise RejectedInputError("plain classifier takes no lookahead window")
         ema = self._ema
-        coords = as_observation(obs, None if ema is None else len(ema))
         if ema is None:
-            ema = coords
-            self._widths = self.params.widths_for(len(coords))
+            ema = obs
+            self._widths = self.params.widths_for(len(obs))
         else:
             lam = self.params.lam
-            ema = tuple([lam * x + (1.0 - lam) * e for x, e in zip(coords, ema)])
+            ema = tuple([lam * x + (1.0 - lam) * e for x, e in zip(obs, ema)])
         self._ema = ema
         return cell_label(cell_index(ema, self._widths))
 
@@ -272,8 +272,7 @@ class LookaheadWordClassifier:
     joined by ``"|"``.  It keeps no running summary.  Its letters are the
     ``label_of`` labels of ``clusterer``, a ``Clusterer`` of its own grid,
     so a row that sits in the windows of h consecutive words is labelled
-    once, and the first letter after ``reset`` fixes the dimension of every
-    later one.  ``label_of`` registers nothing, so a model may be built on
+    once.  ``label_of`` registers nothing, so a model may be built on
     the same clusterer and label each row the words labelled already;
     ``reset`` gives the classifier a fresh clusterer and leaves the old one
     to such a model.
@@ -413,7 +412,7 @@ def _region_count(delta, in_region, latest=False):
         if instant < acc.last_now:
             raise _stale(f"instant {instant}", acc)
         before = acc.value
-        if in_region(as_observation(obs)):
+        if in_region(obs):
             acc.value = float(instant) if latest else before + 1.0
         acc.last_now = instant
         acc.raw_count += 1
@@ -552,50 +551,42 @@ class Clusterer:
     pure lookup.  Cells are half-open per coordinate and the reserved
     DUMMY_EVENT id is never produced.
 
-    Up to ``MEMO_ROWS`` recent rows are remembered with their label and
-    cell, keyed by the row's value: a label is a function of the
+    A row is a stored ``Signal`` row, unchecked; the first fixes the cell
+    widths.  Up to ``MEMO_ROWS`` recent rows are remembered with their label
+    and cell, keyed by the row's value: a label is a function of the
     coordinates and the grid alone, so a hit returns what a miss computes.
-    Only rows that ``as_observation`` accepted are stored, as float tuples,
-    and a hit on a row with a coordinate that is not a ``float`` (a complex
-    number equal to one, say) is taken as a miss, so a row is refused as
-    ``as_observation`` refuses it.  A full memo forgets its oldest row.
-    The models of a ``fit`` group read the same stored row, and a lookahead
-    row is read by h words and by the model, so each is labelled once.
-    A miss computes the row's cell index, and ``cell_label`` builds each
-    cell's label once.  ``center`` keeps each label's centre.
+    A full memo forgets its oldest row.  The models of a ``fit`` group read
+    the same stored row, and a lookahead row is read by h words and by the
+    model, so each is labelled once.  A miss computes the row's cell index,
+    and ``cell_label`` builds each cell's label once.  ``center`` keeps each
+    label's centre.
     """
 
     def __init__(self, grid_width):
         self._raw_width = _as_widths(grid_width)
         self._widths: tuple[float, ...] | None = None
         self.observed: dict[str, tuple[int, ...]] = {}
-        # row -> (label, cell index, the stored row itself)
-        self._memo: dict[tuple, tuple[str, tuple[int, ...], tuple]] = {}
+        self._memo: dict[tuple, tuple[str, tuple[int, ...]]] = {}  # row -> (label, cell)
         self._centers: dict[str, tuple[float, ...]] = {}
 
-    def _lookup(self, obs) -> tuple[str, tuple[int, ...], tuple]:
-        """Label, cell index and validated coordinates of ``obs``."""
-        try:
-            hit = self._memo.get(obs)
-        except TypeError:  # an unhashable row, such as a list
-            hit = None
-        if hit is not None and (hit[2] is obs or all(type(x) is float for x in obs)):
-            return hit
-        coords = as_observation(obs, None if self._widths is None else len(self._widths))
-        if self._widths is None:
-            self._widths = _widths_for_dim(self._raw_width, len(coords))
-        idx = cell_index(coords, self._widths)
-        memo = self._memo
-        if len(memo) >= MEMO_ROWS:
-            del memo[next(iter(memo))]
-        hit = memo[coords] = (cell_label(idx), idx, coords)
+    def _lookup(self, obs) -> tuple[str, tuple[int, ...]]:
+        """Label and cell index of the row ``obs``."""
+        hit = self._memo.get(obs)
+        if hit is None:
+            if self._widths is None:
+                self._widths = _widths_for_dim(self._raw_width, len(obs))
+            idx = cell_index(obs, self._widths)
+            memo = self._memo
+            if len(memo) >= MEMO_ROWS:
+                del memo[next(iter(memo))]
+            hit = memo[obs] = (cell_label(idx), idx)
         return hit
 
     def label_of(self, obs) -> str:
         return self._lookup(obs)[0]
 
     def cluster_of(self, obs) -> str:
-        label, idx, _ = self._lookup(obs)
+        label, idx = self._lookup(obs)
         if label not in self.observed:
             self.observed[label] = idx
         return label

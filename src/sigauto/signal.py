@@ -2,13 +2,16 @@
 
 Instants are implicit: the observation appended k-th lives at instant k.
 Observations are immutable once stored and random access is O(1), which the
-incremental model updates rely on.  Per-coordinate moments are folded lazily:
-a reader pays only for the observations appended since the previous read.
+incremental model updates rely on.  ``Signal.append`` checks each row: the
+stages that read a signal take its rows, tuples of finite floats of one
+width, as they are.  Per-coordinate moments are folded lazily: a reader
+pays only for the observations appended since the previous read.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from typing import Iterable
 
 from .errors import EmptyInputError, RejectedInputError
@@ -18,9 +21,11 @@ def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
     """Coerce a scalar or sequence into a validated observation tuple.
 
     A tuple whose coordinates are all of type ``float`` is checked and
-    returned as it is, not copied, so a validated row keeps its identity
-    from reader to reader; anything else (a list, ints, numpy scalars) is
-    converted into a new tuple.
+    returned as it is, not copied, so a validated row keeps its identity;
+    anything else (a list, ints, numpy scalars) is converted into a new
+    tuple.  A ``bool`` value or coordinate, and a ``str``, ``bytes`` or
+    mapping value, is not numeric; a non-finite row of another width is
+    refused as non-finite.
     """
     coords = value if type(value) is tuple else None
     for x in coords or ():
@@ -28,22 +33,27 @@ def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
             coords = None
             break
     if coords is None:
-        if isinstance(value, (int, float)):
-            coords = (float(value),)
-        else:
-            try:
-                coords = tuple(float(x) for x in value)
-            except (TypeError, ValueError) as exc:
-                raise RejectedInputError(f"observation is not numeric: {value!r}") from exc
+        try:
+            if isinstance(value, (int, float)) and type(value) is not bool:
+                coords = (float(value),)
+            elif type(value) is list or not isinstance(value, (str, bytes, bytearray, Mapping)):
+                values = tuple(value)  # refuses a bool value, which is not iterable
+                if bool in map(type, values):
+                    raise TypeError(f"{value!r} holds a boolean")
+                coords = tuple(map(float, values))
+            else:
+                raise TypeError(f"{value!r} is not a sequence of numbers")
+        except (TypeError, ValueError) as exc:
+            raise RejectedInputError(f"observation is not numeric: {value!r}") from exc
     if not coords:
         raise RejectedInputError("observation has no coordinates")
+    for x in coords:
+        if not math.isfinite(x):
+            raise RejectedInputError(f"observation contains a non-finite value: {coords}")
     if dim is not None and len(coords) != dim:
         raise RejectedInputError(
             f"observation has {len(coords)} coordinates, expected {dim}"
         )
-    for x in coords:
-        if not math.isfinite(x):
-            raise RejectedInputError(f"observation contains a non-finite value: {coords}")
     return coords
 
 

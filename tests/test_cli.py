@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigauto import BenchPoint, BenchReport, RejectedInputError, as_observation
+from sigauto import BenchPoint, BenchReport, RejectedInputError, Signal, as_observation
 from sigauto.cli import _build_parser, _parse_row, main, parse_config, read_signal
 
 from conftest import E1, EVERY_STAT, random_walk
@@ -89,6 +89,23 @@ class TestRun:
         out = tmp_path / "out.jsonl"
         assert main(["run", "--input", str(src), "--output", str(out)]) == 0
         assert len(read_records(out)) == 5
+
+    def test_jsonl_values_that_are_not_numbers_are_refused(self, tmp_path, capsys):
+        """A boolean value or coordinate, a string and an object are not
+        observations: a lenient run writes an error record for each, and a
+        strict one stops at the first."""
+        src = tmp_path / "in.jsonl"
+        src.write_text('{"r": [1.0]}\n{"r": true}\n{"r": [false]}\n{"r": "12"}\n'
+                       '{"r": {"1": 2}}\n{"r": [2.0]}\n')
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--input", str(src), "--output", str(out)]) == 0
+        records = read_records(out)
+        assert [r.get("i") for r in records] == [0, None, None, None, None, 1]
+        assert [r["error"] for r in records[1:5]] == [
+            f"observation is not numeric: {value}"
+            for value in ("True", "[False]", "'12'", "{'1': 2}")]
+        assert main(["run", "--strict", "--input", str(src), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "input error: line 2: observation is not numeric: True\n"
 
     def test_header_row_is_skipped(self, tmp_path):
         src = tmp_path / "in.csv"
@@ -294,13 +311,21 @@ def refusal_in_a_1d_file(raw):
     return f"observation has {len(got)} coordinates, expected 1" if len(got) > 1 else None
 
 
+def appended_row(raw):
+    """The row ``_parse_row`` reads from ``raw``, as ``Signal.append``
+    stores it."""
+    signal = Signal()
+    signal.append(_parse_row(raw))
+    return signal[0]
+
+
 class TestParseRow:
-    """``_parse_row`` reads a CSV row as the stripping reader did: the same
-    floats, or the same refusal."""
+    """``_parse_row`` followed by ``Signal.append`` reads a CSV row as the
+    stripping reader did: the same floats, or the same refusal."""
 
     @pytest.mark.parametrize("raw", ROWS, ids=repr)
     def test_reads_a_row_as_the_stripping_reader(self, raw):
-        assert outcome(_parse_row, raw) == outcome(stripping_parse, raw)
+        assert outcome(appended_row, raw) == outcome(stripping_parse, raw)
 
     @settings(max_examples=300, deadline=None)
     @given(fields=st.lists(st.one_of(
@@ -309,7 +334,7 @@ class TestParseRow:
     ), min_size=1, max_size=3))
     def test_reads_any_row_as_the_stripping_reader(self, fields):
         raw = ",".join(fields)
-        assert outcome(_parse_row, raw) == outcome(stripping_parse, raw)
+        assert outcome(appended_row, raw) == outcome(stripping_parse, raw)
 
     @pytest.mark.parametrize("raw", [r for r in ROWS if r.strip() and refusal_in_a_1d_file(r)],
                              ids=repr)
@@ -327,6 +352,74 @@ class TestParseRow:
         records = read_records(out)
         assert records[1] == {"line": 3, "error": message}
         assert [r["i"] for r in records if "i" in r] == [0, 1]
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """The rows ``as_observation`` is called with from here on, wherever a
+    module of the package holds it."""
+    import sigauto.lookahead
+    import sigauto.signal
+    import sigauto.snapshot
+
+    real, calls = sigauto.signal.as_observation, []
+
+    def counted(value, dim=None):
+        calls.append(value)
+        return real(value, dim)
+
+    for module in (sigauto.signal, sigauto.cli, sigauto.plugins, sigauto.automaton,
+                   sigauto.snapshot, sigauto.lookahead):
+        if hasattr(module, "as_observation"):
+            monkeypatch.setattr(module, "as_observation", counted)
+    return calls
+
+
+class TestOneCheckPerRow:
+    """Each input row is checked once, by the ``Signal.append`` that stores
+    it: every stage behind the signal takes the stored row as it is.  The
+    checks are counted as calls, with no timing."""
+
+    def test_run_fresh_and_resumed(self, tmp_path, checks):
+        rows = random_walk(200, seed=21)
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_csv(first, rows[:120])
+        write_csv(second, rows[120:])
+        snap = tmp_path / "snap.json"
+        assert main(["run", "--horizon", "3", "--input", str(first), "--output",
+                     str(tmp_path / "a.jsonl"), "--snapshot", str(snap)]) == 0
+        assert len(checks) == 120
+        del checks[:]
+        assert main(["run", "--input", str(second), "--output", str(tmp_path / "b.jsonl"),
+                     "--resume", str(snap)]) == 0
+        assert len(checks) == 120 + 80  # the snapshot's rows, then the input's
+
+    def test_snapshot_load(self, tmp_path, checks):
+        from sigauto.snapshot import load_snapshot
+        snap = tmp_path / "snap.json"
+        write_csv(tmp_path / "in.csv", random_walk(150, dim=2, seed=22))
+        assert main(["run", "--input", str(tmp_path / "in.csv"), "--output",
+                     str(tmp_path / "out.jsonl"), "--snapshot", str(snap)]) == 0
+        del checks[:]
+        load_snapshot(snap)
+        assert len(checks) == 150
+
+    def test_fit_read(self, tmp_path, checks):
+        write_csv(tmp_path / "in.csv", random_walk(150, seed=23))
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid": [{"delta": 0.0}, {"delta": 0.5}]}))
+        assert main(["fit", "--input", str(tmp_path / "in.csv"), "--config", str(config),
+                     "--output", str(tmp_path / "fit.json")]) == 0
+        assert len(checks) == 150
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_lookahead(self, tmp_path, checks, h):
+        """The first h + 1 rows are checked by the reader and again by the
+        frontier's own copy of them; every later row once."""
+        write_csv(tmp_path / "in.csv", random_walk(150, seed=24))
+        assert main(["lookahead", "--horizon", str(h), "--input", str(tmp_path / "in.csv"),
+                     "--output", str(tmp_path / "out.jsonl")]) == 0
+        assert len(checks) == 2 * (h + 1) + 150 - (h + 1)
 
 
 class TestFitCommand:
@@ -383,6 +476,22 @@ class TestLookaheadCommand:
         assert main(["lookahead", "--input", str(src), "--horizon", "2",
                      "--output", str(out)]) == 1
         assert not out.exists()
+
+    def test_a_refused_row_ends_the_stream_where_it_is_read(self, tmp_path, capsys):
+        """Rows are read as the frontier advances: a row refused among the
+        first h + 1 leaves no output file, and one refused later keeps the
+        records written before it."""
+        src, out = tmp_path / "in.csv", tmp_path / "out.jsonl"
+        src.write_text("1.0\nn/a\n5.0\n1.0\n")
+        assert main(["lookahead", "--input", str(src), "--horizon", "2",
+                     "--output", str(out)]) == 1
+        assert not out.exists()
+        src.write_text("1.0\n5.0\n1.0\n5.0\nn/a\n1.0\n")
+        assert main(["lookahead", "--input", str(src), "--horizon", "1",
+                     "--output", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "input error: line 5: observation is not numeric: ['n/a']"
+        assert [r["i"] for r in read_records(out)] == [1, 2, 3]
 
 
 class TestMalformedConfigValues:

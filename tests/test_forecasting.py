@@ -111,9 +111,9 @@ def test_iterative_propagation_equals_matrix_power(count_params):
 
 
 def propagated_from_alpha(model, horizon):
-    """The occupancies of ``horizon`` steps propagated from ``model.alpha()``,
-    the point mass on the current state, one sparse product per step."""
-    occ, out = model.alpha(), []
+    """The occupancies of ``horizon`` steps propagated from the point mass on
+    the current state, one sparse product per step."""
+    occ, out = {model.current: 1.0}, []
     for _ in range(horizon):
         nxt = {}
         for s, w in occ.items():

@@ -93,7 +93,7 @@ class TestIsaToHmm:
         assert hmm.transition_row(DUMMY_STATE) == {DUMMY_STATE: 1.0}
         assert hmm.emission_row("1") == {"1": 1.0}
         assert hmm.emission_row("5") == {"5": 1.0}
-        assert hmm.alpha() == {"5": 1.0}
+        assert hmm.current == "5"
         assert not hmm.current_is_new
 
     def test_single_observation(self, count_params):
@@ -158,20 +158,19 @@ class TestNextHmm:
     def test_step_3_to_4_renormalizes_one_row(self, count_params):
         _, _, hmm = fold_pipeline(E1[:4], count_params)
         assert hmm.transition_row("1") == {"1": 0.5, "5": 0.5}
-        assert hmm.alpha() == {"1": 1.0}
+        assert hmm.current == "1"
         _, _, hmm2 = fold_pipeline(E1, count_params)
         assert hmm2.transition_row("1") == {
             "1": pytest.approx(1 / 3, abs=1e-15),
             "5": pytest.approx(2 / 3, abs=1e-15),
         }
-        assert hmm2.alpha() == {"5": 1.0}
+        assert hmm2.current == "5"
 
     def test_new_state_step(self, count_params):
         _, isa, hmm = fold_pipeline((1.0, 1.0, 5.0), count_params)
         assert hmm.current == "5"
         assert hmm.current_is_new
         assert hmm.transition_row("5") == {DUMMY_STATE: 1.0}
-        assert hmm.alpha() == {"5": 1.0}
 
     def test_staleness(self, count_params):
         sig, isa, hmm = fold_pipeline(E1, count_params)

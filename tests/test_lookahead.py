@@ -276,7 +276,7 @@ def advance_against_fresh_builds(values, params, seed):
         if first is None:
             kinds["poisoned"] += 1
         elif first.word == LookaheadWordClassifier(params).step(
-                None, values[i - h + 1 : i + 1]):
+                None, frontier.signal[i - h + 1 : i + 1]):
             kinds["matched"] += 1
         else:
             kinds["mismatched"] += 1
@@ -497,7 +497,7 @@ def test_the_words_and_the_model_label_each_genuine_row_once(h, monkeypatch):
     assert frontier.base_hmm.clusterer is frontier.clusterer is frontier.classifier.clusterer
     assert len(cells) == len(set(cells)) <= len(values) + h
     fresh = Clusterer(0.5)
-    genuine = dict.fromkeys(fresh.label_of(value) for value in values)
+    genuine = dict.fromkeys(fresh.label_of(row) for row in Signal(values))
     assert list(frontier.clusterer.observed) == list(genuine)
 
 

@@ -229,6 +229,15 @@ class TestPipelineSnapshot:
         doc[key] = None if key == "model" else []
         self.assert_refused(doc, tmp_path, capsys)
 
+    @pytest.mark.parametrize("row", [[True], [False], "5", {"5": 1}, [math.nan], [1.0, 5.0]],
+                             ids=repr)
+    def test_a_signal_row_a_stream_refuses_is_refused(self, tmp_path, capsys, count_params,
+                                                      row):
+        """A snapshot's rows are checked as ``Signal.append`` checks a row."""
+        doc = self.e1_state(count_params)
+        doc["signal"][2] = row
+        self.assert_refused(doc, tmp_path, capsys)
+
     @pytest.mark.parametrize("key, value", [
         ("mixtures", [["qq", [99]]]),
         ("emit", [["1", [["1", {"value": 1.0, "last_now": 0, "count": 1}]],

@@ -126,7 +126,7 @@ class TestEmaGridClassifier:
 
     def test_step_sequence_on_e1(self, count_params):
         handle = EmaGridClassifier(count_params)
-        labels = [handle.step(obs) for obs in E1]
+        labels = [handle.step(obs) for obs in Signal(E1)]
         assert labels == ["1", "1", "5", "1", "5"]
 
     def test_empty_signal(self, count_params):
@@ -153,7 +153,7 @@ def test_precursor_consistency(values, lam, width):
     prefix."""
     params = PluginParams(lam=lam, grid_width=width)
     handle = EmaGridClassifier(params)
-    for k, obs in enumerate(values):
+    for k, obs in enumerate(Signal(values)):
         stepped = handle.step(obs)
         assert stepped == scratch_label(params, Signal(values[: k + 1]))
 
@@ -172,11 +172,9 @@ class TestLookaheadWord:
         with pytest.raises(RejectedInputError):
             LookaheadWordClassifier(params).step(None, ((5.0,),))
 
-    def test_the_first_letter_fixes_the_dimension_until_reset(self):
+    def test_reset_forgets_the_dimension(self):
         classifier = LookaheadWordClassifier(PluginParams(grid_width=1.0, horizon=1))
         assert classifier.step(None, ((5.0,),)) == "5"
-        with pytest.raises(RejectedInputError):
-            classifier.step(None, ((5.0, 1.0),))
         classifier.reset()
         assert classifier.step(None, ((5.0, 1.0),)) == "(5,1)"
 
@@ -371,57 +369,36 @@ class TestClusterer:
         label = clusterer.cluster_of((1.3, 2.0))
         assert clusterer.label_of(clusterer.center(label)) == label
 
-    def test_non_finite_rejected(self):
-        with pytest.raises(RejectedInputError):
-            Clusterer(1.0).cluster_of((float("inf"),))
-
-    def test_other_dimension_rejected(self):
-        # the widths are fixed by the first observation; a later one of
-        # another dimension must not be truncated to fit them
-        clusterer = Clusterer(1.0)
-        clusterer.cluster_of((1.5,))
-        with pytest.raises(RejectedInputError):
-            clusterer.cluster_of((1.5, 7.2))
-        with pytest.raises(RejectedInputError):
-            clusterer.label_of((3.0, 4.0, 5.0))
-        assert list(clusterer.observed) == ["1"]
-
 
 @settings(max_examples=80, deadline=None)
 @given(calls=st.lists(
     st.tuples(st.sampled_from(["label_of", "cluster_of"]),
-              st.sampled_from(["same", "twin", "new", "list"]),
+              st.sampled_from(["same", "twin", "new"]),
               st.floats(min_value=-3, max_value=3), st.floats(min_value=-3, max_value=3)),
     min_size=1, max_size=30))
 def test_last_row_memo_is_coherent(calls):
-    """Mixed ``label_of``/``cluster_of`` calls on the same tuple again, on
-    an equal but distinct tuple, on a new tuple and on one list changed in
-    place between calls give the labels and the observed alphabet of a
-    fresh clusterer that never sees the same object twice."""
+    """Mixed ``label_of``/``cluster_of`` calls on the same row again, on an
+    equal but distinct row and on a new row give the labels and the observed
+    alphabet of a clusterer that sees a new object at each call."""
     memo, fresh = Clusterer(0.5), Clusterer(0.5)
-    shared = [0.0, 0.0]
     obs = (0.0, 0.0)
     for method, form, x, y in calls:
         if form == "twin":
             obs = tuple(list(obs))
         elif form == "new":
             obs = (x, y)
-        elif form == "list":
-            shared[:] = [x, y]
-            obs = shared
         # "same" passes the previous object again
         got = getattr(memo, method)(obs)
-        assert got == getattr(fresh, method)(list(obs))
+        assert got == getattr(fresh, method)(tuple(list(obs)))
         assert memo.observed == fresh.observed
         assert list(memo.observed) == list(fresh.observed)
 
 
-# A coordinate in each form a row may carry it in; each equals its float
-# (-0.0 included), except a bare numpy scalar row, which is refused.
+# A coordinate in each form a row may be appended with; each is stored as
+# its float (-0.0 included).
 COORDS = st.one_of(
     st.floats(min_value=-6, max_value=6),
     st.integers(-6, 6),
-    st.booleans(),
     st.floats(min_value=-6, max_value=6).map(np.float64),
     st.integers(-6, 6).map(np.int64),
     st.floats(min_value=-6, max_value=6, width=32).map(np.float32),
@@ -429,9 +406,12 @@ COORDS = st.one_of(
 
 
 def rows(dim):
-    """Rows of ``dim`` coordinates: tuples, lists and, in 1-d, bare numbers."""
+    """Rows of ``dim`` coordinates as a ``Signal`` stores them, appended as
+    tuples, lists and, in 1-d, bare numbers."""
     coords = st.lists(COORDS, min_size=dim, max_size=dim)
-    return st.one_of(coords.map(tuple), coords, *([COORDS] if dim == 1 else []))
+    bare = st.one_of(st.floats(min_value=-6, max_value=6), st.integers(-6, 6))
+    given = st.one_of(coords.map(tuple), coords, *([bare] if dim == 1 else []))
+    return given.map(lambda row: Signal([row])[0])
 
 
 def outcome(call, *args):
@@ -464,8 +444,7 @@ def reachable(obj):
 
 class TestRowMemo:
     """A clusterer or word classifier that has labelled rows before gives
-    the labels, words, observed alphabet and centres of a fresh one, and the
-    errors of a fresh one for the rows it refuses."""
+    the labels, words, observed alphabet and centres of a fresh one."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2]), width=st.sampled_from([0.5, 1.0, 2.5]))
@@ -514,25 +493,6 @@ class TestRowMemo:
             future = tuple(pool[k] for k in window)
             fresh = LookaheadWordClassifier(params)
             assert outcome(warm.step, None, future) == outcome(fresh.step, None, future)
-
-    @settings(max_examples=40, deadline=None)
-    @given(pool=st.lists(rows(1), min_size=1, max_size=5),
-           bad=st.sampled_from([
-               (math.nan,), [math.nan], (math.inf,), (-math.inf, ), (1.0, 2.0), [0.5, 0.5],
-               ("a",), (None,), "1.5", None, (1.5 + 0j,), (0.5 + 0j,), (),
-               np.float64(math.nan), np.float32(1.5)]))
-    def test_a_refused_row_is_refused_again_and_never_stored(self, pool, bad):
-        warm, ref = Clusterer(1.0), Clusterer(1.0)
-        for row in [(0.5,), (1.5,)] + pool:  # (1.5,) equals the complex row
-            outcome(warm.cluster_of, row)
-        ref.label_of((0.25,))  # fixes the dimension, as the warm one's is
-        for method in ("label_of", "cluster_of", "label_of"):
-            observed = dict(warm.observed)
-            got = outcome(getattr(warm, method), bad)
-            assert got == outcome(ref.label_of, bad)
-            assert isinstance(got, tuple) and got[0] is RejectedInputError
-            assert warm.observed == observed
-        assert all(o is not bad for o in reachable(warm))
 
     def test_ten_thousand_distinct_rows_leave_at_most_the_bound(self):
         clusterer = Clusterer(1.0)

@@ -1,3 +1,4 @@
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -100,6 +101,17 @@ class TestSignal:
         ((1.0, float("-inf")), "observation contains a non-finite value: (1.0, -inf)"),
         ((1.0,), "observation has 1 coordinates, expected 2"),
         ((1.0, 2.0, 3.0), "observation has 3 coordinates, expected 2"),
+        # non-finite is found before the width
+        ((float("nan"), 1.0, 2.0), "observation contains a non-finite value: (nan, 1.0, 2.0)"),
+        ([float("inf")], "observation contains a non-finite value: (inf,)"),
+        # booleans, strings, bytes and mappings are not numbers
+        (True, "observation is not numeric: True"),
+        ([False, 1.0], "observation is not numeric: [False, 1.0]"),
+        ((1.0, True), "observation is not numeric: (1.0, True)"),
+        ("12", "observation is not numeric: '12'"),
+        (b"12", "observation is not numeric: b'12'"),
+        (bytearray(b"12"), "observation is not numeric: bytearray(b'12')"),
+        ({"1": 2, "3": 4}, "observation is not numeric: {'1': 2, '3': 4}"),
     ])
     def test_rejections_keep_their_messages(self, value, message):
         sig = Signal([(0.0, 0.0)])
@@ -107,6 +119,22 @@ class TestSignal:
             sig.append(value)
         assert str(caught.value) == message
         assert len(sig) == 1
+
+    def test_numeric_strings_inside_a_row_are_read(self):
+        sig = Signal([["1.5", " -2 "]])
+        assert sig[0] == (1.5, -2.0)
+
+    @pytest.mark.parametrize("bad", [
+        (math.nan,), [math.nan], (math.inf,), (-math.inf,), (1.0, 2.0), [0.5, 0.5],
+        ("a",), (None,), "1.5", None, (1.5 + 0j,), (0.5 + 0j,), (), True, (False,),
+        np.float64(math.nan), np.float32(1.5)], ids=repr)
+    def test_a_refused_row_is_refused_again_and_never_stored(self, bad):
+        sig = Signal([(0.5,), (1.5,)])
+        for _ in range(2):
+            with pytest.raises(RejectedInputError):
+                sig.append(bad)
+        assert list(sig) == [(0.5,), (1.5,)]
+        assert all(row is not bad for row in sig)
 
 
 def e1_isa(upto=len(E1)):

@@ -200,6 +200,25 @@ def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
     assert found == []
 
 
+def test_a_row_is_checked_only_where_it_enters_a_signal():
+    """``as_observation`` checks a row once, when ``Signal.append`` stores
+    it, and every stage behind a signal takes the stored row as it is: no
+    module but ``signal.py`` calls it, and none imports it (``__init__.py``
+    names it in its export table only)."""
+    calling, importing = set(), set()
+    for path in MODULES:
+        for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "as_observation"):
+                calling.add(f"{path.name}:{scope}")
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and any(alias.name.split(".")[-1] == "as_observation"
+                            for alias in node.names)):
+                importing.add(path.name)
+    assert calling == {"signal.py:Signal.append"}
+    assert importing == set()
+
+
 def test_a_snapshot_gets_its_automaton_only_from_its_signal():
     """``snapshot.py`` stores no automaton and moves none: its one source of
     an automaton is ``build_isa`` over the restored signal, so it calls no
