@@ -204,7 +204,7 @@ def _check_resume(pipe: StreamPipeline, given: dict) -> None:
     tau = {k: given[k] for k in PARAM_KEYS if k in given}
     wanted = PluginParams.from_dict({**stored, **tau}).to_dict()
     conflicts = [(k, wanted[k], stored[k]) for k in tau if wanted[k] != stored[k]]
-    run_values = {"mode": pipe.emission, "seed": pipe.seed, "score_floor": pipe.score_floor}
+    run_values = {"mode": pipe.emission, "seed": pipe.seed}
     conflicts += [(k, given[k], v) for k, v in run_values.items()
                   if k in given and given[k] != v]
     if conflicts:
@@ -218,12 +218,7 @@ def run_stream(config: RunConfig, args) -> int:
         pipe = load_snapshot(args.resume)
         _check_resume(pipe, config.given)
     else:
-        pipe = StreamPipeline(
-            config.params,
-            emission=config.emission,
-            seed=config.seed,
-            score_floor=config.score_floor,
-        )
+        pipe = StreamPipeline(config.params, emission=config.emission, seed=config.seed)
     consumed = 0
     with _opened(args.input, "r") as in_handle, _opened(args.output, "w") as out_handle:
         def rejected(lineno, message):

@@ -249,10 +249,14 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     ``step_stream`` with their genuine future windows, as in the plain
     pipeline.  The remaining instants are extended one by one, each sampling
     the next estimated observation from the previous frontier model.
+
+    A ``Signal`` argument becomes the frontier's own signal, not a copy:
+    ``lookahead_advance`` appends each later row to it.  Any other iterable
+    is copied into a new ``Signal``.
     """
     h = params.horizon
     classifier = LookaheadWordClassifier(params)  # refuses h < 1
-    src = Signal(list(signal))
+    src = signal if isinstance(signal, Signal) else Signal(signal)
     n = src.last_instant
     if n < h:
         raise InsufficientHistoryError(

@@ -5,9 +5,9 @@ One pipeline owns one signal, one classifier, one clusterer and one model.
 ``step_stream``, which moves the automaton one instant and steps the model
 with ``update``, for either emission kind; ``step`` also produces the
 JSONL-ready forecast record for the new instant.  The first observation is
-the same step, taken by an automaton and a model that start empty (``Isa()``
-and ``_model_on``); before it, ``isa`` and ``hmm`` are None.  Only
-``rebuild_from_scratch`` builds from scratch.
+the same step, taken by an automaton and a model that start empty; before it,
+``isa`` and ``hmm`` are None.  Only ``rebuild_from_scratch`` builds from
+scratch.
 """
 
 from __future__ import annotations
@@ -69,8 +69,11 @@ class StreamPipeline:
         """Consume one observation; returns its instant."""
         instant = self.signal.append(obs)
         if self.isa is None:
-            isa = Isa()
-            self.hmm, self.isa = self._model_on(isa), isa
+            isa = self.isa = Isa()
+            if self.emission == "discrete":
+                self.hmm = Hmm(self.sigma, self.rho, self.clusterer, isa)
+            else:
+                self.hmm = HmmContinuous(self.sigma, self.signal, self.kernel, isa)
         step_stream(self.isa, self.signal, self.classifier, (self.hmm,))
         return instant
 
@@ -89,13 +92,6 @@ class StreamPipeline:
     def step(self, obs) -> dict:
         self.advance(obs)
         return self.forecast_record()
-
-    def _model_on(self, isa: Isa) -> Hmm | HmmContinuous:
-        """A model of ``isa`` with the pipeline's plugins and empty tables,
-        at the automaton's instant, for ``update`` to step."""
-        if self.emission == "discrete":
-            return Hmm(self.sigma, self.rho, self.clusterer, isa)
-        return HmmContinuous(self.sigma, self.signal, self.kernel, isa)
 
     def rebuild_from_scratch(self) -> tuple:
         """Reference build of the current state, ignoring all caches."""

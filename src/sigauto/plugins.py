@@ -457,9 +457,6 @@ class StatFn:
         # cancelled, so a row left long ago does not underflow to zero.  The
         # complement's weights change with ``now``; it is read at ``now``.
         self.row_ignores_now = variant != "discounted_complement"
-        # True when every accumulator's value is its count, as a snapshot
-        # checks.
-        self.value_is_count = variant == "count"
         self._eval, read, self.step_gain = _FORMULAS[variant](self.delta, self._in_region)
 
         def advance(acc: StatAccumulator, now: int) -> None:

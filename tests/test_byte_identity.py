@@ -47,35 +47,35 @@ GRID = [{"stat_variant": "count"}, {"stat_variant": "discounted_sum", "delta": 0
 DIGESTS = {
     "1d/fit": [1, "e897513f3bc679026193463e2b34210f3895d18747e9abdc117b44281f0037b5"],
     "1d/h1/first.jsonl": "6e0f28a6c5adfa39156941b7a1008ee377fc6857980fc521a724dd4d2b0225d4",
-    "1d/h1/first.snap": "404c103b76c853409252251bcd6a52a24ef664c78bde23455d95659af81f777e",
+    "1d/h1/first.snap": "58255af7837caccd601218ec19b226a6a1ae03827293533e2a80551787bc97d8",
     "1d/h1/second.jsonl": "623aaccf2835ac877e85c4260b393134ab1a70a75e0f5e53d858839ca749e8ef",
-    "1d/h1/second.snap": "2629b93f00283cd996ad4a290dede8735041d4f1c536cd13b98261298a8fb92f",
+    "1d/h1/second.snap": "f3aeb9755bbfa371571820c51f67bb9fb0afa628b7cab7d9da12131cba03aea1",
     "1d/h3/first.jsonl": "3f1b82caa3e2a8bc829ac3931405bda67a82be9d871d7dec3a963fd04c8c0c6e",
-    "1d/h3/first.snap": "0a200df40bf21fa8fda760547391c5d99a738f8fbc7a50943ef676587a74ee10",
+    "1d/h3/first.snap": "ac48331282d2daffe58f0a60209c316703d69355f48aeeab6cff0d63ab971fa2",
     "1d/h3/second.jsonl": "5b568e75ba9abb964b72acbb37c7ba775225ead15cf4245a466f7baea408d9f6",
-    "1d/h3/second.snap": "e8ce9eb3ef41f9299a9876cced2047fe2c9029c098a19dd01136cd441fec4abe",
+    "1d/h3/second.snap": "87509743cac861969401384531e05b87e7b60f1861893d76ea2c364a898af80b",
     "1d/lookahead": [1, "e897513f3bc679026193463e2b34210f3895d18747e9abdc117b44281f0037b5"],
     "1d/run": [1, "e897513f3bc679026193463e2b34210f3895d18747e9abdc117b44281f0037b5"],
     "2d/fit": [1, "194e42db828ec39748279996bf263a15ecd8a0b918d1108160f6a09d5c3cf249"],
     "2d/h1/first.jsonl": "98df7389edeb20341b041d2fd56076e613f156444f55b1b6f39c219e6a95f0f5",
-    "2d/h1/first.snap": "f42e6d131a064055f01866188fb48275d10be1acb8865c37bac77995b94988ff",
+    "2d/h1/first.snap": "a970c83e5041dbeed04a45928b0e7b8d15961f1baaeb99f217bf2dc3763f272e",
     "2d/h1/second.jsonl": "61b767f3aa39a4e05cd7f7b6cef841ea9d2623c14e5ea6f159f0b2d47bbaee0a",
-    "2d/h1/second.snap": "a4e0633edc76ab3ef556fa3daede5e47ca64393727b71263af8f2a1c2ce7a72f",
+    "2d/h1/second.snap": "5641d87167d5fe82552f6d09f4c719c752d7e6739f5fd6bdb4dc8bc1a9dcc541",
     "2d/h3/first.jsonl": "224186450793d6df26e300ef46c0b66ff45505461860cb1c187732225e38c094",
-    "2d/h3/first.snap": "a4a4f57adf6a0392db9cdfc256bfef8baba60acdd83cb5e80d5becef970a63a7",
+    "2d/h3/first.snap": "0fd5374447184bf4dfce78a0c8caddf30aa336ab907493bea41761f62a475620",
     "2d/h3/second.jsonl": "e408127da2f2a91f8f9cb3efb7ad21dff50b9c795c41e5eb0553665627f36997",
-    "2d/h3/second.snap": "f98dff0d257f8c387ba5f97e93d0dd73e530d944663a22c5ea65cc23674ffa0f",
+    "2d/h3/second.snap": "5bfd7c9c7ab5ef5fb417604a24924190d21b0f31b95e1a6f688aaed13b5e56ec",
     "2d/lookahead": [1, "194e42db828ec39748279996bf263a15ecd8a0b918d1108160f6a09d5c3cf249"],
     "2d/run": [1, "194e42db828ec39748279996bf263a15ecd8a0b918d1108160f6a09d5c3cf249"],
     "jsonl/fit": [1, "d47ed4fb086f544416398131fc17ccd7b59da31f14ae6b555ec79031cb36b080"],
     "jsonl/h1/first.jsonl": "5cc866ae2ce6da7e355bdf9e8203b102a8538011101138ce4c09b20e290ca0c5",
-    "jsonl/h1/first.snap": "f300ac7053b6f23528b5e393ed3a0d881b4d07018f6c9bbfd6e7409fa6e94e43",
+    "jsonl/h1/first.snap": "4414371ac922188c250a0eb2a61ddaec16dd8882a10d314a07643b9a5f6af397",
     "jsonl/h1/second.jsonl": "111c44aa6726e74fad8c3680d8c3d6f27196d2a76f0995be94b02218ff3e2bb6",
-    "jsonl/h1/second.snap": "c2aba7f155bd937632846f6ee3211da9955a0d22def410c9fda714db6d51f806",
+    "jsonl/h1/second.snap": "00f18aec9a9bd0b591e421693b6646939196bca8a068f093196afe1c79fc98fa",
     "jsonl/h3/first.jsonl": "43ac77c758b5c7498c31340d3b98f4999deec99aff94ce3eff5300f0fe1a7ca0",
-    "jsonl/h3/first.snap": "1447a1b681c37af6b364b7057d2abbdbf3b032699f31279909c08d438309b000",
+    "jsonl/h3/first.snap": "2009c9961a43e8a016b9db073e3f09983ef716c42686b57340e1529ff6b5ea5d",
     "jsonl/h3/second.jsonl": "1d7c0db60fae35b4fd53de652448f1206bc0767d0d024bf4f6b13d540a2df49d",
-    "jsonl/h3/second.snap": "462b6e7fe9dc37cab93e14627829c505a1ac3a10d35aaab293cec3f6c94c2b8a",
+    "jsonl/h3/second.snap": "9deda6bc9eacd82285bf7bb82012627212b33fce80b29bb6a73b1aa0a4373d84",
     "jsonl/lookahead": [1, "d47ed4fb086f544416398131fc17ccd7b59da31f14ae6b555ec79031cb36b080"],
     "jsonl/run": [1, "d47ed4fb086f544416398131fc17ccd7b59da31f14ae6b555ec79031cb36b080"],
 }

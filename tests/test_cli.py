@@ -414,12 +414,12 @@ class TestOneCheckPerRow:
 
     @pytest.mark.parametrize("h", [1, 3])
     def test_lookahead(self, tmp_path, checks, h):
-        """The first h + 1 rows are checked by the reader and again by the
-        frontier's own copy of them; every later row once."""
+        """The frontier takes the reader's history as its own signal, so the
+        first h + 1 rows are checked once, like every later row."""
         write_csv(tmp_path / "in.csv", random_walk(150, seed=24))
         assert main(["lookahead", "--horizon", str(h), "--input", str(tmp_path / "in.csv"),
                      "--output", str(tmp_path / "out.jsonl")]) == 0
-        assert len(checks) == 2 * (h + 1) + 150 - (h + 1)
+        assert len(checks) == 150
 
 
 class TestFitCommand:
@@ -710,8 +710,8 @@ class TestGoldenOutputs:
     GOLDEN = {
         "run": "cfd6d5f494886efebdaf1eb866a895fd2e2ff8e399665648e497c8b8e1beb754",
         "resumed_run": "55a73d729e52a149ad501534248caca537a54659fa4ecf374377104806fdc4cc",
-        "snapshot": "05da83fd64076b319568f1e93a8e8bee1ce513626d782c4a5f5d99cf45676567",
-        "resumed_snapshot": "53a235ef2575fc68760a34db4c35aed404f417903e35ce49e48cb86c2604963f",
+        "snapshot": "6579a06b7f7733453331d6a40dfe525f4b5a91abd890d157476b4c38c42f74a1",
+        "resumed_snapshot": "a418c5d7e312549b687cc040ba0181c85e5704c1a152520174d237b0fa132178",
         "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
         "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
         "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",

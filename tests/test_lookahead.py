@@ -218,11 +218,18 @@ class TestAdvance:
         b = lookahead_build(values, word_params, seed=99)
         assert a.fingerprint() == b.fingerprint()
 
-    def test_does_not_mutate_caller_signal(self, word_params):
+    def test_a_signal_argument_becomes_the_frontiers_own(self, word_params):
+        """A ``Signal`` is taken, not copied, and an advance appends to it;
+        any other iterable is copied and left as it was."""
         signal = period_two(6)
         frontier = lookahead_build(signal, word_params, seed=0)
+        assert frontier.signal is signal
         lookahead_advance(frontier, (1.0,))
-        assert len(signal) == 6
+        assert len(signal) == 7
+        values = list(signal)
+        frontier = lookahead_build(values, word_params, seed=0)
+        lookahead_advance(frontier, (5.0,))
+        assert len(values) == 7 and len(frontier.signal) == 8
 
 
 def forecast_key(frontier):

@@ -88,17 +88,16 @@ def test_only_the_model_knows_its_row_layout(path):
     """``hmm.py`` owns the row layout and what a step writes: no other
     module names ``step_slots``, the emission or transition write, or sets a
     row's cached normalization, the state order or the mixture centres,
-    which a model takes from its automaton; only ``snapshot.py``, which
-    reads and writes rows, names the row tables.  Inside the package a model steps with its
-    own ``update``: ``next_hmm``/``next_hmm_continuous``, which check a
-    library caller's arguments, are called nowhere else."""
+    which a model takes from its automaton, or names the row tables.
+    Inside the package a model steps with its own ``update``:
+    ``next_hmm``/``next_hmm_continuous``, which check a library caller's
+    arguments, are called nowhere else."""
     text = path.read_text(encoding="utf-8")
     tree = ast.parse(text)
     assert not re.search(r"\b(step_slots|_apply_emission|_apply_transition)\b", text)
     assert not {"norm", "state_order", "mixtures"} & set(assigned_attributes(tree))
     assert not {"next_hmm", "next_hmm_continuous"} & set(called_names(tree))
-    if path.name != "snapshot.py":
-        assert not ROW_TABLES.search(text)
+    assert not ROW_TABLES.search(text)
 
 
 def test_one_function_forks_and_no_process_pool_is_imported():
@@ -144,8 +143,7 @@ def calls_by_function(tree):
 
 def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
     """Grid labels come from ``Clusterer._lookup``, whose memo labels each
-    row once, and from the EMA classifier, whose summary is no stored row;
-    the snapshot's clusterer check labels stored cell indexes, not rows.
+    row once, and from the EMA classifier, whose summary is no stored row.
     A generator is seeded in ``uniform_draw`` alone, whose draws the
     lookahead frontier keeps (``bench.py``'s input generator aside)."""
     labelling, seeding = set(), set()
@@ -155,8 +153,7 @@ def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
                 labelling.add(f"{path.name}:{function}")
             if callee in {"random.Random", "Random"}:
                 seeding.add(f"{path.name}:{function}")
-    assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step",
-                         "snapshot.py:_observed_from"}
+    assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step"}
     assert seeding == {"forecasting.py:uniform_draw", "bench.py:random_walk"}
 
 
@@ -165,8 +162,7 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
     module but ``automaton.py`` calls ``init_isa`` or ``next_isa``.  The
     whole-automaton conversions run only on the scratch paths: the
     pipeline's reference rebuild and the build gate of ``bench``; a
-    snapshot's model is rebuilt with its stored rows on the automaton
-    ``build_isa`` classifies from its signal, not converted."""
+    snapshot's pipeline is restored by streaming its signal, not converted."""
     stepping, converting = set(), set()
     for path in MODULES:
         for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
@@ -219,15 +215,17 @@ def test_a_row_is_checked_only_where_it_enters_a_signal():
     assert importing == set()
 
 
-def test_a_snapshot_gets_its_automaton_only_from_its_signal():
-    """``snapshot.py`` stores no automaton and moves none: its one source of
-    an automaton is ``build_isa`` over the restored signal, so it calls no
-    ``move``, ``unmove``, ``step_stream``, ``next_isa``, ``replay`` or
-    ``Isa``."""
+def test_a_snapshot_restores_a_pipeline_only_by_streaming_its_signal():
+    """``snapshot.py`` builds a pipeline only through
+    ``StreamPipeline.advance``, the live run's step: it sets no attribute
+    and calls no ``build_isa``, ``move``, ``step_stream`` or ``Isa``, so no
+    part of a restored pipeline comes from anywhere but its signal."""
     tree = ast.parse((PACKAGE / "snapshot.py").read_text(encoding="utf-8"))
     called = {callee.split(".")[-1] for _, callee in calls_by_function(tree)}
-    assert "build_isa" in called
-    assert not {"move", "unmove", "step_stream", "next_isa", "replay", "Isa"} & called
+    assert "advance" in called
+    assert not {"build_isa", "move", "unmove", "step_stream", "next_isa", "init_isa",
+                "update", "Isa"} & called
+    assert list(assigned_attributes(tree)) == []
 
 
 def stat_variants():
