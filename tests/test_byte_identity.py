@@ -12,8 +12,10 @@ the exit code and stderr of a strict ``run``, of ``fit`` and of
 ``lookahead`` at the first refused row.  ``RECORD_DIGESTS`` pins the two
 record files of the same split ``run`` for every statistic, both emission
 modes and h = 1 and 3; it holds no snapshot, so a new snapshot format
-leaves it as it is.  A change that alters any of these bytes on purpose
-updates the table and says so in CHANGES.md.
+leaves it as it is.  ``LOOKAHEAD_DIGESTS`` pins the records of
+``lookahead`` over the 1-d and 2-d inputs with no malformed row planted,
+for every statistic and h = 2 and 3.  A change that alters any of these
+bytes on purpose updates the table and says so in CHANGES.md.
 """
 
 import hashlib
@@ -81,9 +83,10 @@ DIGESTS = {
 }
 
 
-def input_lines(kind):
+def input_lines(kind, planted=True):
     """The lines of input ``kind``: a walk with ``MALFORMED[kind]`` planted
-    at every 17th line from the 6th on; the 1-d CSV starts with a header."""
+    at every 17th line from the 6th on, unless ``planted`` is false; the
+    1-d CSV starts with a header."""
     n = ROWS[kind]
     xs = random_walk(n, seed=31)
     if kind == "2d":
@@ -93,7 +96,7 @@ def input_lines(kind):
     else:
         valid = [repr(x) for x in xs]
     lines = list(valid)
-    for k, bad in enumerate(MALFORMED[kind]):
+    for k, bad in enumerate(MALFORMED[kind] if planted else ()):
         lines.insert(5 + 17 * k, bad)
     return (["value"] if kind == "1d" else []) + lines
 
@@ -148,6 +151,15 @@ STAT_PARAMS = {
     "region_count": {"region": [[0.0, 2.0]]},
     "latest_occurrence": {"region": [[0.0, 2.0]]},
 }
+
+
+def stat_doc(kind, stat):
+    """``PARAMS`` with statistic ``stat``, its region given once per axis."""
+    doc = {**PARAMS, **STAT_PARAMS[stat], "stat_variant": stat}
+    if "region" in doc and kind == "2d":
+        doc["region"] = doc["region"] * 2
+    return doc
+
 
 RECORD_DIGESTS = {
     "1d/count/discrete/h1": [
@@ -340,14 +352,35 @@ RECORD_DIGESTS = {
 def test_every_statistic_and_mode_split_by_snapshot(tmp_path, kind, stat, mode, h):
     """The records of the split ``run`` under each statistic and emission
     mode; the snapshots between them are not pinned."""
-    doc = {**PARAMS, **STAT_PARAMS[stat], "stat_variant": stat, "mode": mode}
-    if "region" in doc and kind == "2d":
-        doc["region"] = doc["region"] * 2
+    doc = {**stat_doc(kind, stat), "mode": mode}
     out1, _, out2, _ = split_run(tmp_path, kind, doc, h)
     key = f"{kind}/{stat}/{mode}/h{h}"
     assert {key: [digest(out1.read_bytes()), digest(out2.read_bytes())]} == {
         key: RECORD_DIGESTS.get(key)}
 
+
+LOOKAHEAD_DIGESTS = {
+    "1d/count/h2": "49eecaea471e17af4c1c21021ff143ab8866e74d868a440f83ce9d5e0e71502d",
+    "1d/count/h3": "7840a1617a9a8ab2dac459740d8efb8354dda5eb73f5bda26d949a8e83fc160c",
+    "1d/discounted_sum/h2": "1dbc530150fc9a478a1a5f5717a3354a288d04fcf4d4b10a5e259eb698b9f775",
+    "1d/discounted_sum/h3": "9a38e82c0102359e5a7344cd825746b2db065d4c25e3289e75af12b1c664d7b5",
+    "1d/discounted_complement/h2": "d983157995e365c3aab3840b4a13301bb7423a74c769cc4bb75521b43625e05a",
+    "1d/discounted_complement/h3": "0d12db117125128750c0f31b01a24bfb17152b2f9528ea336769b399941c165d",
+    "1d/region_count/h2": "a933cd4891b7934ec3170a552c0f8e7ba58f60c01a0860ef8b622bd74d4019bb",
+    "1d/region_count/h3": "276e540de54077500660e0e8667bea4405b60c0d6cae0633c3e4e284487c782f",
+    "1d/latest_occurrence/h2": "c7ab25cbbe18bface3aafe65a108be2d91a23534d21868fc08a32b570a2d2a96",
+    "1d/latest_occurrence/h3": "6d62d42f60e6d49c9c8bd0f90c47c748a6e2a6b164a257d7bf3306abe44606e6",
+    "2d/count/h2": "e03ea35e59718499f8f69f6292f81a4eda68c8e4a13b36a5b7f6e7fc81ad1cea",
+    "2d/count/h3": "d9c8f08583c21712805113b967a8e2d8fbd3e6b4af5271477f2d19f4b9890e07",
+    "2d/discounted_sum/h2": "0675f4d19ff34f79523a8541b4ae4056eebe7419ef91a60fa0286e1b741e7148",
+    "2d/discounted_sum/h3": "b1ae6ba1c4ce068d10672f45e470924fad7536c190486d7833815e2a6c04d211",
+    "2d/discounted_complement/h2": "5cfd8d8d536ae902135ab5311bb9c9cf30e8eb4d7bcefe1152298a4ebafbba0f",
+    "2d/discounted_complement/h3": "aa1b7a6fa817602440c29e46debb9bd8313effd18312aaa9063a26786204bb92",
+    "2d/region_count/h2": "9739f7db57b6899de08d48bb951508c10a46804cde834d0ed4274f8811d60d65",
+    "2d/region_count/h3": "c1cd8f457e307a209cc357348d5033473344f99422f68322c14d5651f1855df1",
+    "2d/latest_occurrence/h2": "094b6f6052419f16f28eb7fb525283d91703ae59bef70401913280cb95ff0eac",
+    "2d/latest_occurrence/h3": "c1cd8f457e307a209cc357348d5033473344f99422f68322c14d5651f1855df1",
+}
 
 COMMANDS = {
     "run": (["run", "--strict"], PARAMS),
@@ -365,3 +398,16 @@ def test_a_strict_command_at_the_first_refused_row(tmp_path, capsys, kind, comma
                  "--config", config(tmp_path, doc)])
     key = f"{kind}/{command}"
     assert {key: [code, digest(capsys.readouterr().err)]} == {key: DIGESTS.get(key)}
+
+
+@pytest.mark.parametrize("h", [2, 3])
+@pytest.mark.parametrize("stat", STAT_VARIANTS)
+@pytest.mark.parametrize("kind", ["1d", "2d"])
+def test_lookahead_for_every_statistic(tmp_path, kind, stat, h):
+    source = write(tmp_path / "in", input_lines(kind, planted=False))
+    out = tmp_path / "out.jsonl"
+    assert main(["lookahead", "--input", source, "--output", str(out), "--config",
+                 config(tmp_path, stat_doc(kind, stat)), "--horizon", str(h),
+                 "--seed", "7"]) == 0
+    key = f"{kind}/{stat}/h{h}"
+    assert {key: digest(out.read_bytes())} == {key: LOOKAHEAD_DIGESTS.get(key)}

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from itertools import accumulate
 
@@ -180,6 +182,26 @@ class TestFingerprint:
         after = frontier.fingerprint()
         assert after != before
         assert self.changed_parts(before, after) == {part}
+
+    # sha256 of the sorted-key JSON of the fingerprint below, recorded
+    # before the model's matrix views were deleted.
+    DIGESTS = {
+        2: "169513f311fad9448faf174af3a4d9769482ca5836c58036e988b4bed8c9ab94",
+        3: "a9ab1e0c9b5d4fce393c4358cf2517819d82a49a6cd3c2e9d9296b1c6353b930",
+    }
+
+    @pytest.mark.parametrize("h", [2, 3])
+    def test_digest_of_a_built_and_advanced_frontier(self, h):
+        """Every entry is live at the end, after matched and rebuilt advances."""
+        walk = random_walk(300, seed=13)
+        params = PluginParams(lam=0.5, grid_width=0.5, stat_variant="discounted_sum",
+                              delta=0.8, horizon=h)
+        frontier = lookahead_build(walk[:200], params, seed=3)
+        for x in walk[200:]:
+            lookahead_advance(frontier, x)
+        assert len(frontier.live()) == h and frontier.matched and frontier.rebuilt
+        text = json.dumps(frontier.fingerprint(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[h]
 
 
 class TestAdvance:
