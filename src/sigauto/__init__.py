@@ -24,8 +24,8 @@ _EXPORTS = {
                "TemporalOrderError", "UnknownStateError"),
     "forecasting": ("FitReport", "Forecast", "fit", "forecast", "forecast_density_at",
                     "sample_event", "sample_observation", "score", "state_occupancies"),
-    "hmm": ("DUMMY_STATE", "Hmm", "HmmContinuous", "SparseStochasticMatrix", "isa_to_hmm",
-            "isa_to_hmm_continuous", "next_hmm", "next_hmm_continuous", "transition_row"),
+    "hmm": ("DUMMY_STATE", "Hmm", "HmmContinuous", "isa_to_hmm", "isa_to_hmm_continuous",
+            "next_hmm", "next_hmm_continuous", "transition_row"),
     "lookahead": ("FrontierEntry", "LookaheadFrontier", "lookahead_advance",
                   "lookahead_build"),
     "pipeline": ("StreamPipeline",),

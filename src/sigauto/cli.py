@@ -114,36 +114,43 @@ def _parse_row(raw: str):
         return [field.strip() for field in fields]
 
 
-def _looks_like_header(raw: str) -> bool:
-    if raw.startswith("{"):
-        return False
-    tokens = [t.strip() for t in raw.split(",")]
-    for token in tokens:
-        try:
-            float(token)
+def _is_header(raw: str) -> bool:
+    """Every stripped field of ``raw`` is an identifier and none is a
+    number ``float`` reads (``nan``, ``inf``)."""
+    for field in raw.split(","):
+        field = field.strip()
+        if not field.isidentifier():
             return False
+        try:
+            float(field)
         except ValueError:
             continue
+        return False
     return True
 
 
 def _observations(handle, take, rejected=None):
     """Hand the row of each line of a CSV or JSONL stream to ``take``, which
     appends it to a ``Signal`` first, and yield what it returns; blank lines
-    and a header on the first non-blank one are skipped.  A row that does
-    not parse, or that the append refuses, raises ``RejectedInputError``
-    with a ``line N:`` prefix, or, when ``rejected`` is given, is passed to
-    it with its line number and the message and skipped.
+    are skipped, and so are a byte-order mark opening the first non-blank
+    line (``encoding="utf-8"`` keeps it) and that line when it is a header
+    (``_is_header``).  Every other line is a row: one that does not parse,
+    or that the append refuses, raises ``RejectedInputError`` with a
+    ``line N:`` prefix, or, when ``rejected`` is given, is passed to it with
+    its line number and the message and skipped.
     """
     first = True
     for lineno, line in enumerate(handle, start=1):
         raw = line.strip()
-        if not raw:
-            continue
         if first:
-            first = False
-            if _looks_like_header(raw):
+            raw = raw.removeprefix("\ufeff").lstrip()
+            if not raw:
                 continue
+            first = False
+            if _is_header(raw):
+                continue
+        elif not raw:
+            continue
         try:
             taken = take(_parse_row(raw))
         except (RejectedInputError, json.JSONDecodeError) as exc:

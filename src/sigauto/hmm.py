@@ -41,21 +41,11 @@ library callers, after checking their arguments against the model.
 from __future__ import annotations
 
 from .automaton import BOTTOM_STATE, Isa, is_new_state
-from .errors import ConfigError, Fields, StalenessError, UnknownStateError
+from .errors import ConfigError, StalenessError, UnknownStateError
 from .plugins import DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn, default_bandwidth
 from .signal import Signal
 
 DUMMY_STATE = "__no_state__"
-
-
-class SparseStochasticMatrix(Fields):
-    """Materialized sparse matrix: ``rows[p][q]`` is the weight of (p, q);
-    absent entries are zero."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: dict[str, dict[str, float]]):
-        self.rows = rows
 
 
 SINK_TRANSITION = {DUMMY_STATE: 1.0}
@@ -197,10 +187,6 @@ class _TransitionCore:
             row.norm = norm
         return norm
 
-    def transition_matrix(self) -> SparseStochasticMatrix:
-        """A copy of every row, so changing the matrix leaves the model as is."""
-        return SparseStochasticMatrix({p: dict(self.transition_row(p)) for p in self.states})
-
     # -- write side
 
     def _next_instant(self, isa: Isa) -> int:
@@ -279,10 +265,6 @@ class Hmm(_TransitionCore):
         self.clusterer = clusterer
         self._erows: dict[str, Row] = {}
 
-    @property
-    def events(self) -> tuple[str, ...]:
-        return tuple(self.clusterer.observed) + (DUMMY_EVENT,)
-
     def emission_row(self, q: str) -> dict[str, float]:
         """Emission distribution of state ``q``; like ``transition_row``, the
         model's cached row, shared and read-only."""
@@ -290,10 +272,6 @@ class Hmm(_TransitionCore):
         if row is not None and (norm := row.norm) is not None:
             return norm
         return self._read_row(row, q, self.rho, SINK_EMISSION)
-
-    def emission_matrix(self) -> SparseStochasticMatrix:
-        """A copy of every row, so changing the matrix leaves the model as is."""
-        return SparseStochasticMatrix({q: dict(self.emission_row(q)) for q in self.states})
 
     def _apply_emission(self, state: str, obs, instant: int) -> None:
         rho = self.rho

@@ -207,17 +207,16 @@ class LookaheadFrontier:
         and model fields those leave out.  The live entries are undone, then
         redone one by one, so each pair is read at its own instant.
         """
-        def weights(matrix) -> list:
-            return sorted([p, q, w] for p, row in matrix.rows.items() for q, w in row.items())
-
         def pair_doc(isa, hmm) -> dict:
             return {
                 "tau": self.params.to_dict(),
                 "states": sorted(hmm.states),
                 "alpha": hmm.current,
-                "transitions": weights(hmm.transition_matrix()),
-                "events": sorted(hmm.events),
-                "emissions": weights(hmm.emission_matrix()),
+                "transitions": sorted([p, q, w] for p in hmm.states
+                                      for q, w in hmm.transition_row(p).items()),
+                "events": sorted([*hmm.clusterer.observed, DUMMY_EVENT]),
+                "emissions": sorted([p, q, w] for p in hmm.states
+                                    for q, w in hmm.emission_row(p).items()),
                 "instants_matrix": sorted([p, q, list(c)] for p, q, c in isa.theta.cells()),
                 "isa": [sorted(isa.states), isa.current, isa.n,
                         list(isa.new_state_instants)],

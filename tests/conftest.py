@@ -59,10 +59,10 @@ def build_plain(signal, params):
     return isa, hmm
 
 
-def matrix_cells(matrix):
-    """A ``SparseStochasticMatrix`` as ``{(p, q): weight}`` over its stored
-    entries."""
-    return {(p, q): w for p, row in matrix.rows.items() for q, w in row.items()}
+def model_rows(model, read):
+    """A copy of every row ``read`` serves (a model's ``transition_row`` or
+    ``emission_row``), as ``{state: {column: weight}}``."""
+    return {p: dict(read(p)) for p in model.states}
 
 
 def assert_row_cache_coherent(model):

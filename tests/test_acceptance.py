@@ -37,7 +37,7 @@ from sigauto import (
     sigma_fn,
 )
 
-from conftest import E1, build_plain, matrix_cells, random_walk
+from conftest import E1, build_plain, model_rows, random_walk
 
 
 def report(number, name, failures, elapsed):
@@ -149,15 +149,16 @@ def run_oracle_case(seed, dim, variant, delta, lam, length=2000):
                 dummy_absorbing_ok = False
 
     scratch_isa, scratch_hmm = pipe.rebuild_from_scratch()
-    ti, ts = pipe.hmm.transition_matrix(), scratch_hmm.transition_matrix()
-    ei, es = pipe.hmm.emission_matrix(), scratch_hmm.emission_matrix()
-    ti, ts, ei, es = (matrix_cells(m) for m in (ti, ts, ei, es))
-    sparsity_equal = ti.keys() == ts.keys() and ei.keys() == es.keys()
+    pairs = [tuple(model_rows(m, getattr(m, read)) for m in (pipe.hmm, scratch_hmm))
+             for read in ("transition_row", "emission_row")]
+    sparsity_equal = all({p: row.keys() for p, row in a.items()}
+                         == {p: row.keys() for p, row in b.items()} for a, b in pairs)
     max_diff = 0.0
     if sparsity_equal:
-        for cells_a, cells_b in ((ti, ts), (ei, es)):
-            for cell, weight in cells_a.items():
-                max_diff = max(max_diff, abs(weight - cells_b[cell]))
+        for a, b in pairs:
+            for p, row in a.items():
+                for q, weight in row.items():
+                    max_diff = max(max_diff, abs(weight - b[p][q]))
     count_exact = max_diff == 0.0 if variant == "count" else True
 
     return OracleRun(

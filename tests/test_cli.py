@@ -107,12 +107,50 @@ class TestRun:
         assert main(["run", "--strict", "--input", str(src), "--output", str(out)]) == 1
         assert capsys.readouterr().err == "input error: line 2: observation is not numeric: True\n"
 
-    def test_header_row_is_skipped(self, tmp_path):
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    @pytest.mark.parametrize("text", [
+        "value\n1.0\n2.0\n",
+        "x,y\n1,2\n3,4\n",
+        " x , y \n1,2\n3,4\n",
+        "\n\nvalue\n1.0\n2.0\n",
+        "\ufeffvalue\n1.0\n2.0\n",
+        "\ufeff1.0\n2.0\n",
+    ])
+    def test_a_header_or_byte_order_mark_is_skipped(self, tmp_path, text, strict):
         src = tmp_path / "in.csv"
-        src.write_text("value\n1.0\n2.0\n")
+        src.write_text(text, encoding="utf-8")
         out = tmp_path / "out.jsonl"
-        assert main(["run", "--input", str(src), "--output", str(out)]) == 0
-        assert len(read_records(out)) == 2
+        assert main(["run", *strict, "--input", str(src), "--output", str(out)]) == 0
+        assert [r["i"] for r in read_records(out)] == [0, 1]
+
+    @pytest.mark.parametrize("first, message", [
+        ("n/a", "observation is not numeric: ['n/a']"),
+        ("0x1p3", "observation is not numeric: ['0x1p3']"),
+        (",", "observation is not numeric: ['', '']"),
+        ("km/h", "observation is not numeric: ['km/h']"),
+        ("value,2", "observation is not numeric: ['value', '2']"),
+        ("nan", "observation contains a non-finite value: (nan,)"),
+        ("\ufeffinf", "observation contains a non-finite value: (inf,)"),
+    ])
+    def test_a_first_line_that_is_not_a_header_is_a_row(self, tmp_path, capsys, first,
+                                                         message):
+        """Only identifiers that are not numbers make a header; any other
+        first line is refused like a bad row elsewhere, fresh or resumed."""
+        src = tmp_path / "in.csv"
+        src.write_text(first + "\n1.0\n2.0\n", encoding="utf-8")
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--strict", "--input", str(src), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"input error: line 1: {message}\n"
+        assert main(["run", "--input", str(src), "--output", str(out),
+                     "--snapshot", str(tmp_path / "snap")]) == 0
+        records = read_records(out)
+        assert records[0] == {"line": 1, "error": message}
+        assert [r["i"] for r in records[1:]] == [0, 1]
+        assert main(["run", "--input", str(src), "--output", str(out),
+                     "--resume", str(tmp_path / "snap")]) == 0
+        records = read_records(out)
+        assert records[0] == {"line": 1, "error": message}
+        assert [r["i"] for r in records[1:]] == [2, 3]
 
     def test_empty_input(self, tmp_path):
         src = tmp_path / "empty.csv"

@@ -26,7 +26,7 @@ from sigauto import (
 from sigauto import plugins
 from sigauto.bench import random_walk
 
-from conftest import EVERY_STAT, assert_row_cache_coherent
+from conftest import EVERY_STAT, assert_row_cache_coherent, model_rows
 
 
 def period_two(length):
@@ -78,10 +78,9 @@ class TestBuild:
         assert frontier.base_isa == isa
         hmm = isa_to_hmm(isa, signal, sigma_fn(word_params), rho_fn(word_params),
                          Clusterer(word_params.grid_width))
-        assert (frontier.base_hmm.transition_matrix().rows
-                == hmm.transition_matrix().rows)
-        assert (frontier.base_hmm.emission_matrix().rows
-                == hmm.emission_matrix().rows)
+        base = frontier.base_hmm
+        assert model_rows(base, base.transition_row) == model_rows(hmm, hmm.transition_row)
+        assert model_rows(base, base.emission_row) == model_rows(hmm, hmm.emission_row)
         for entry in live:
             entry.redo()
 
