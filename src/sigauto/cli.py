@@ -115,10 +115,13 @@ def _parse_row(raw: str):
 
 
 def _is_header(raw: str) -> bool:
-    """Every stripped field of ``raw`` is an identifier and none is a
-    number ``float`` reads (``nan``, ``inf``)."""
+    """Every stripped field of ``raw``, less one pair of enclosing double
+    quotes (``"x","y"``), is an identifier and none is a number ``float``
+    reads (``nan``, ``inf``)."""
     for field in raw.split(","):
         field = field.strip()
+        if len(field) > 1 and field[0] == field[-1] == '"':
+            field = field[1:-1]
         if not field.isidentifier():
             return False
         try:

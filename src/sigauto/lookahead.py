@@ -208,15 +208,16 @@ class LookaheadFrontier:
         redone one by one, so each pair is read at its own instant.
         """
         def pair_doc(isa, hmm) -> dict:
+            def weights(read):
+                return sorted([p, q, w] for p in hmm.states for q, w in read(p).items())
+
             return {
                 "tau": self.params.to_dict(),
                 "states": sorted(hmm.states),
                 "alpha": hmm.current,
-                "transitions": sorted([p, q, w] for p in hmm.states
-                                      for q, w in hmm.transition_row(p).items()),
+                "transitions": weights(hmm.transition_row),
                 "events": sorted([*hmm.clusterer.observed, DUMMY_EVENT]),
-                "emissions": sorted([p, q, w] for p in hmm.states
-                                    for q, w in hmm.emission_row(p).items()),
+                "emissions": weights(hmm.emission_row),
                 "instants_matrix": sorted([p, q, list(c)] for p, q, c in isa.theta.cells()),
                 "isa": [sorted(isa.states), isa.current, isa.n,
                         list(isa.new_state_instants)],

@@ -59,9 +59,10 @@ def build_plain(signal, params):
     return isa, hmm
 
 
-def model_rows(model, read):
-    """A copy of every row ``read`` serves (a model's ``transition_row`` or
-    ``emission_row``), as ``{state: {column: weight}}``."""
+def model_rows(model, name):
+    """A copy of every row the model's method ``name`` serves
+    (``"transition_row"`` or ``"emission_row"``), as ``{state: {column: weight}}``."""
+    read = getattr(model, name)
     return {p: dict(read(p)) for p in model.states}
 
 

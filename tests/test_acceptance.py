@@ -149,7 +149,7 @@ def run_oracle_case(seed, dim, variant, delta, lam, length=2000):
                 dummy_absorbing_ok = False
 
     scratch_isa, scratch_hmm = pipe.rebuild_from_scratch()
-    pairs = [tuple(model_rows(m, getattr(m, read)) for m in (pipe.hmm, scratch_hmm))
+    pairs = [tuple(model_rows(m, read) for m in (pipe.hmm, scratch_hmm))
              for read in ("transition_row", "emission_row")]
     sparsity_equal = all({p: row.keys() for p, row in a.items()}
                          == {p: row.keys() for p, row in b.items()} for a, b in pairs)

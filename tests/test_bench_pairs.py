@@ -28,13 +28,34 @@ def test_a_gain_needs_nine_wins_in_ten_and_a_gap_past_the_iqr():
     assert (v["wins"], v["ties"], v["losses"]) == (10, 0, 0)
     assert v["parent_median"] == 100.0 and v["change_median"] == 105.0
     assert v["parent_iqr"] == pytest.approx(1.25)  # 100.875 - 99.625
-    assert v["gain"] and not v["worse"]
+    assert v["gain"] and not v["worse"] and not v["unresolved"]
     eight = [x + 5.0 for x in PARENT[:8]] + [x - 1.0 for x in PARENT[8:]]
     v = bench_pairs.verdict(pairs(PARENT, eight), "m", "higher", 0.25)
     assert (v["wins"], v["losses"]) == (8, 2) and not v["gain"]
     # every pair won, by less than the parent's spread
     v = bench_pairs.verdict(pairs(PARENT, [x + 0.5 for x in PARENT]), "m", "higher", 0.25)
     assert v["wins"] == 10 and not v["gain"]
+
+
+def test_fewer_than_ten_pairs_are_no_gain():
+    for n in (1, 5, 9):
+        v = bench_pairs.verdict(pairs(PARENT[:n], [x + 50.0 for x in PARENT[:n]]), "m",
+                                "higher", 0.25)
+        assert v["wins"] == n and not v["gain"]
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved():
+    wide = [60.0, 140.0, 70.0, 130.0, 100.0, 90.0, 110.0, 80.0, 120.0, 100.0]
+    v = bench_pairs.verdict(pairs(wide, wide), "m", "lower", 0.25)
+    assert v["parent_iqr"] > 0.25 * v["parent_median"]
+    assert v["unresolved"] and not v["worse"] and not v["gain"]
+    # every change run beats every parent run: resolved, whatever the spread
+    v = bench_pairs.verdict(pairs(wide, [x / 10.0 for x in wide]), "m", "lower", 0.25)
+    assert not v["unresolved"] and v["gain"]
+    v = bench_pairs.verdict(pairs(wide, [x + 81.0 for x in wide]), "m", "higher", 0.25)
+    assert not v["unresolved"] and v["gain"]
+    v = bench_pairs.verdict(pairs(wide, [x + 79.0 for x in wide]), "m", "higher", 0.25)
+    assert v["unresolved"] and v["gain"]
 
 
 def test_lower_is_better_and_the_bound_marks_worse():
@@ -59,3 +80,4 @@ def test_a_failed_side_is_kept_and_counts_against_a_gain():
     assert bench_pairs.failed_share([None, result(1.0), {**result(1.0), "failed": 50}]) == 0.25
     v = bench_pairs.verdict([(None, None)], "m", "higher", 0.25)
     assert v["parent_median"] is None and v["worse"] is None and not v["gain"]
+    assert v["unresolved"] is None

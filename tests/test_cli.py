@@ -115,6 +115,8 @@ class TestRun:
         "\n\nvalue\n1.0\n2.0\n",
         "\ufeffvalue\n1.0\n2.0\n",
         "\ufeff1.0\n2.0\n",
+        '"value"\n1.0\n2.0\n',
+        '"x", "y"\n1,2\n3,4\n',
     ])
     def test_a_header_or_byte_order_mark_is_skipped(self, tmp_path, text, strict):
         src = tmp_path / "in.csv"
@@ -129,6 +131,10 @@ class TestRun:
         (",", "observation is not numeric: ['', '']"),
         ("km/h", "observation is not numeric: ['km/h']"),
         ("value,2", "observation is not numeric: ['value', '2']"),
+        ("sensor value", "observation is not numeric: ['sensor value']"),
+        ("time (s)", "observation is not numeric: ['time (s)']"),
+        ('"nan"', "observation is not numeric: ['\"nan\"']"),
+        ('"value', "observation is not numeric: ['\"value']"),
         ("nan", "observation contains a non-finite value: (nan,)"),
         ("\ufeffinf", "observation contains a non-finite value: (inf,)"),
     ])

@@ -79,8 +79,8 @@ class TestBuild:
         hmm = isa_to_hmm(isa, signal, sigma_fn(word_params), rho_fn(word_params),
                          Clusterer(word_params.grid_width))
         base = frontier.base_hmm
-        assert model_rows(base, base.transition_row) == model_rows(hmm, hmm.transition_row)
-        assert model_rows(base, base.emission_row) == model_rows(hmm, hmm.emission_row)
+        assert model_rows(base, "transition_row") == model_rows(hmm, "transition_row")
+        assert model_rows(base, "emission_row") == model_rows(hmm, "emission_row")
         for entry in live:
             entry.redo()
 

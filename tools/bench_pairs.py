@@ -1,10 +1,11 @@
 """Paired benchmark runs of a parent revision against this checkout.
 
-    python3 tools/bench_pairs.py --parent REV [--workload all] [--pairs 10]
+    python3 tools/bench_pairs.py --parent REV
 
 The parent's committed files are exported (``git archive``) into a
-temporary directory, which is removed on every exit path.  For pair k and
-each workload, ``perfbench/run.py --trace 0`` runs once in each checkout
+temporary directory, which is removed on every exit path.  For each of
+``PAIRS`` pairs k and each workload in BENCHMARK.json,
+``perfbench/run.py --trace 0`` runs once in each checkout
 with seed ``SEED_BASE + k`` and BENCHMARK.json's ``run_seconds``; the parent
 runs first when k is even.  A run that fails or reports ``correct: false``
 is kept in the record.
@@ -12,10 +13,12 @@ is kept in the record.
 Per workload and end-to-end metric the report gives the parent's median and
 interquartile range (IQR), the change's median, the pairs the change wins,
 ties and loses by the metric's ``better``, whether the gain rule holds (at
-least 9 of 10 pairs won and a median gap larger than the parent's IQR) and
-whether the change is worse than the parent by more than the metric's
-``bound``.  A pair with a failed side counts as no win, tie or loss, so it
-counts against a gain.  The last line is the JSON record of every run and
+least ten pairs, at least 9 in 10 of them won, and a median gap larger than
+the parent's IQR), whether the change is worse than the parent by more than
+the metric's ``bound``, and whether the metric is unresolved: the parent's
+IQR is wider than the bound and not every change run beats every parent
+run, so the runs spread too widely to call it unchanged.  A pair with a
+failed side counts as no win, tie or loss, so it counts against a gain.  The last line is the JSON record of every run and
 verdict, for a ``BENCH_<pr>.json``.
 """
 
@@ -35,6 +38,7 @@ from statistics import median, quantiles
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED_BASE = 101
+PAIRS = 10
 
 
 def failed(run: dict | None) -> bool:
@@ -63,15 +67,18 @@ def verdict(pairs: list[tuple[dict | None, dict | None]], metric: str, better: s
         wins, ties, losses = wins + (gap > 0), ties + (gap == 0), losses + (gap < 0)
     out = {"parent_median": None, "parent_iqr": None, "change_median": None,
            "wins": wins, "ties": ties, "losses": losses,
-           "failed_pairs": len(pairs) - wins - ties - losses, "gain": False, "worse": None}
+           "failed_pairs": len(pairs) - wins - ties - losses, "gain": False, "worse": None,
+           "unresolved": None}
     if not parent or not change:
         return out
     p_med, c_med = median(parent), median(change)
     q1, _, q3 = quantiles(parent, n=4, method="inclusive") if len(parent) > 1 else parent * 3
     gap = sign * (c_med - p_med)
+    beats_all = all(sign * (c - p) > 0 for c in change for p in parent)
     out.update(parent_median=p_med, parent_iqr=q3 - q1, change_median=c_med,
-               gain=10 * wins >= 9 * len(pairs) and gap > q3 - q1,
-               worse=-gap > bound * abs(p_med))
+               gain=len(pairs) >= PAIRS and 10 * wins >= 9 * len(pairs) and gap > q3 - q1,
+               worse=-gap > bound * abs(p_med),
+               unresolved=q3 - q1 > bound * abs(p_med) and not beats_all)
     return out
 
 
@@ -106,16 +113,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", default="all")
-    parser.add_argument("--pairs", type=int, default=10)
     args = parser.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json"), "r", encoding="utf-8") as handle:
         spec = json.load(handle)
     names = [w["name"] for w in spec["workloads"]]
-    if args.workload != "all":
-        if args.workload not in names:
-            parser.error(f"--workload must be 'all' or one of {names}")
-        names = [args.workload]
     seconds = spec["run_seconds"]
 
     # SIGTERM ends the run through the ``finally`` below, like Ctrl-C.
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
         export(args.parent, scratch)
         checkouts = {"parent": scratch, "change": ROOT}
         runs = {name: [] for name in names}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             for name in names:
                 pair = {side: run_once(checkouts[side], name, SEED_BASE + k, seconds)
@@ -137,8 +138,8 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
 
-    report = {"parent": args.parent, "pairs": args.pairs, "seconds": seconds,
-              "seeds": [SEED_BASE, SEED_BASE + args.pairs - 1], "workloads": {}}
+    report = {"parent": args.parent, "pairs": PAIRS, "seconds": seconds,
+              "seeds": [SEED_BASE, SEED_BASE + PAIRS - 1], "workloads": {}}
     for name in names:
         pairs = runs[name]
         verdicts = {m["name"]: verdict(pairs, m["name"], m["better"], m["bound"])
@@ -154,7 +155,7 @@ def main(argv=None) -> int:
             print(f"  {metric}: parent {v['parent_median']} (IQR {v['parent_iqr']}), "
                   f"change {v['change_median']}; {v['wins']}/{v['ties']}/{v['losses']} "
                   f"won/tied/lost, {v['failed_pairs']} failed; gain {v['gain']}, "
-                  f"worse beyond bound {v['worse']}")
+                  f"worse beyond bound {v['worse']}, unresolved {v['unresolved']}")
     print(json.dumps(report))
     return 0
 
