@@ -1,3 +1,6 @@
+import json
+
+import numpy as np
 import pytest
 
 from sigauto import BenchReport, run_bench
@@ -65,3 +68,30 @@ def test_small_scale_run():
     assert report.bandwidth_ratio > 0
     assert report.to_dict()["build_slope"] == report.build_slope
     assert report.to_dict()["bandwidth_ratio"] == report.bandwidth_ratio
+
+
+SERIES = {"update": "constancy_ratio", "forecast": "forecast_ratio",
+          "lookahead": "lookahead_ratio", "bandwidth": "bandwidth_ratio", "build": None}
+
+
+def test_report_schema_at_small_sizes():
+    """The 12 keys of the JSON report; each ratio and the build slope are
+    figures of the points the report carries."""
+    report = run_bench(update_sizes=(300, 900), build_sizes=(100, 300),
+                       update_samples=60, build_samples=30, seed=1)
+    doc = json.loads(json.dumps(report.to_dict()))
+    assert set(doc) == {*SERIES, *filter(None, SERIES.values()), "build_slope",
+                        "max_ratio", "slope_range"}
+    assert len(doc) == 12
+    assert doc["max_ratio"] == 3.0 and doc["slope_range"] == [0.8, 1.2]
+    for series, ratio in SERIES.items():
+        points = doc[series]
+        assert all(set(p) == {"n", "samples", "median_ns", "p99_ns"} for p in points)
+        if ratio:
+            smallest = min(points, key=lambda p: p["n"])
+            largest = max(points, key=lambda p: p["n"])
+            assert doc[ratio] == largest["median_ns"] / smallest["median_ns"]
+    build = doc["build"]
+    slope = np.polyfit(np.log10([p["n"] for p in build]),
+                       np.log10([p["median_ns"] for p in build]), 1)[0]
+    assert doc["build_slope"] == float(slope)

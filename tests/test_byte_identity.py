@@ -14,8 +14,10 @@ record files of the same split ``run`` for every statistic, both emission
 modes and h = 1 and 3; it holds no snapshot, so a new snapshot format
 leaves it as it is.  ``LOOKAHEAD_DIGESTS`` pins the records of
 ``lookahead`` over the 1-d and 2-d inputs with no malformed row planted,
-for every statistic and h = 2 and 3.  A change that alters any of these
-bytes on purpose updates the table and says so in CHANGES.md.
+for every statistic and h = 2 and 3, and ``FIT_DIGESTS`` the report of
+``fit`` over the same inputs for every statistic with a 4-entry grid.  A
+change that alters any of these bytes on purpose updates the table and says
+so in CHANGES.md.
 """
 
 import hashlib
@@ -411,3 +413,32 @@ def test_lookahead_for_every_statistic(tmp_path, kind, stat, h):
                  "--seed", "7"]) == 0
     key = f"{kind}/{stat}/h{h}"
     assert {key: digest(out.read_bytes())} == {key: LOOKAHEAD_DIGESTS.get(key)}
+
+
+# Four entries per statistic, varying ``delta`` and ``lambda`` beside the
+# statistic's own parameters.
+FIT_GRID = [{"lambda": lam, "delta": delta} for lam in (0.5, 0.9) for delta in (0.0, 0.8)]
+
+FIT_DIGESTS = {
+    "1d/count": "f5898908bd8f128467904fb92ce8f0012680caaa0e634cd6ff7252090535faf9",
+    "1d/discounted_sum": "138e2b284944db0227bb8d922a008b4e281dce0f0c1cdfe5f10baa0ee40ec9a6",
+    "1d/discounted_complement": "dd5dfbacf95313ec9fad66927a0f12fc9fd8ce76a69a96dd7583951cc440e4f7",
+    "1d/region_count": "22d2c9e78b2b77a9c85e8ec86407e92a4d9f639b1dd1d7213d4d570bcd949f16",
+    "1d/latest_occurrence": "a2485284ef928eaf94f270041221c79c5fe6efb58114be144c89890cb0e76c7c",
+    "2d/count": "5bdc0d9b68d2c49adaecda11145212e06623338ae4d05cd48baf31bd4dee3f83",
+    "2d/discounted_sum": "61978c4d65cf4b8b9795dd38e7b95f0a5517f5d7039db73fa022c87cefd0d08e",
+    "2d/discounted_complement": "1d38bc5d6a50acca9550bc47522d7a59a7cc01e60852b0c30fbca734d7a54c50",
+    "2d/region_count": "b915addf2c5f1384f5dac66378aabe5f72e878b336850e8159d7a80f918acd02",
+    "2d/latest_occurrence": "52d487a0aa4000100a17b843d76cf556d2b224f5c560fe9e20cf990083e6a137",
+}
+
+
+@pytest.mark.parametrize("stat", STAT_VARIANTS)
+@pytest.mark.parametrize("kind", ["1d", "2d"])
+def test_fit_for_every_statistic(tmp_path, kind, stat):
+    source = write(tmp_path / "in", input_lines(kind, planted=False))
+    out = tmp_path / "report.json"
+    assert main(["fit", "--input", source, "--output", str(out), "--config",
+                 config(tmp_path, {**stat_doc(kind, stat), "grid": FIT_GRID})]) == 0
+    key = f"{kind}/{stat}"
+    assert {key: digest(out.read_bytes())} == {key: FIT_DIGESTS.get(key)}
