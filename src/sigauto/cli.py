@@ -19,6 +19,7 @@ import logging
 import os
 import sys
 from contextlib import contextmanager
+from itertools import combinations
 
 from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError, SigautoError
 from .forecasting import fit
@@ -267,28 +268,9 @@ def run_fit(config: RunConfig, args) -> int:
     return 0
 
 
-def _sizes(flag: str, raw: str) -> tuple[int, ...]:
-    """The positive integers of a comma-separated ``raw``."""
-    try:
-        sizes = tuple(int(x) for x in raw.split(","))
-    except ValueError:
-        sizes = ()
-    if not sizes or min(sizes) <= 0:
-        raise ConfigError(f"{flag} must be comma-separated positive integers, got {raw!r}")
-    return sizes
-
-
 def run_bench_command(config: RunConfig, args) -> int:
     from .bench import run_bench
-    kwargs = {"seed": config.seed, "params": config.params}
-    if args.update_sizes is not None:
-        kwargs["update_sizes"] = _sizes("--update-sizes", args.update_sizes)
-    if args.build_sizes is not None:
-        kwargs["build_sizes"] = _sizes("--build-sizes", args.build_sizes)
-    if args.samples:
-        kwargs["update_samples"] = max(args.samples, 30)
-        kwargs["build_samples"] = max(args.samples, 30)
-    report = run_bench(**kwargs)
+    report = run_bench(seed=config.seed, params=config.params)
     with _opened(args.output, "w") as out_handle:
         _write_record(out_handle, report.to_dict())
     if args.check:
@@ -344,7 +326,7 @@ FLAGS = (
     ("--output", "run fit bench lookahead", {"help": "output path, '-' for stdout"}),
     ("--horizon", "run fit lookahead", {"type": int, "help": "forecast/lookahead length"}),
     ("--mode", "run", {"choices": EMISSION_MODES, "help": "emission mode"}),
-    ("--seed", "run bench lookahead", {"type": int, "help": "random seed"}),
+    ("--seed", "run lookahead", {"type": int, "help": "random seed"}),
     ("--strict", "run", {"action": "store_true", "default": None,
                          "help": "abort on the first malformed row"}),
     ("--snapshot", "run", {"help": "write a pipeline snapshot on exit"}),
@@ -352,9 +334,6 @@ FLAGS = (
     ("--split", "fit", {"type": int, "help": "train/test boundary instant"}),
     ("--check", "bench", {"action": "store_true",
                           "help": "exit 3 when a complexity bound is violated"}),
-    ("--update-sizes", "bench", {"help": "comma-separated stream sizes"}),
-    ("--build-sizes", "bench", {"help": "comma-separated build sizes"}),
-    ("--samples", "bench", {"type": int, "help": "timing samples per point"}),
 )
 
 
@@ -388,13 +367,15 @@ def main(argv=None) -> int:
     flags = vars(args)
     try:
         config = parse_config(args.config, {k: v for k, v in flags.items() if k in CONFIG_KEYS})
-        real_paths = [
-            os.path.abspath(p)
-            for p in (flags.get(k) for k in ("input", "output", "snapshot"))
-            if p and p != "-"
-        ]
-        if len(real_paths) != len(set(real_paths)):
-            raise ConfigError("input, output and snapshot paths must be distinct")
+        # A written path differs from every other given path, except that a
+        # snapshot may replace the one it resumes from; the written ones come last.
+        paths = [(k, os.path.abspath(flags[k]))
+                 for k in ("input", "config", "resume", "output", "snapshot")
+                 if flags.get(k) not in (None, "-")]
+        for (flag, path), (written, other) in combinations(paths, 2):
+            if (path == other and written in ("output", "snapshot")
+                    and (flag, written) != ("resume", "snapshot")):
+                raise ConfigError(f"--{flag} and --{written} name the same file {path}")
         return args.handler(config, args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -263,11 +263,11 @@ def test_criterion_06_complexity():
         failures.append(f"bench took {elapsed:.0f}s, budget 180s")
     report(
         6,
-        f"update ratio {bench.constancy_ratio:.2f} <= 3, "
-        f"forecast ratio {bench.forecast_ratio:.2f} <= 3, "
+        f"update ratio {bench.ratio('update'):.2f} <= 3, "
+        f"forecast ratio {bench.ratio('forecast'):.2f} <= 3, "
         f"build slope {bench.build_slope:.2f} in [0.8, 1.2], "
-        f"lookahead ratio {bench.lookahead_ratio:.2f} <= 3, "
-        f"bandwidth ratio {bench.bandwidth_ratio:.2f} <= 3",
+        f"lookahead ratio {bench.ratio('lookahead'):.2f} <= 3, "
+        f"bandwidth ratio {bench.ratio('bandwidth'):.2f} <= 3",
         failures,
         elapsed,
     )

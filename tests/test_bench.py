@@ -33,15 +33,12 @@ def test_failures_detection():
     report = BenchReport(
         update=[BenchPoint(2_000, 30, 100.0, 1.0), BenchPoint(200_000, 30, 400.0, 1.0)],
         build=[BenchPoint(1_000, 30, 1.0, 1.0), BenchPoint(100_000, 30, 10.0, 1.0)],
-        build_slope=0.5,
-        constancy_ratio=4.0,
         forecast=[BenchPoint(2_000, 30, 10.0, 1.0), BenchPoint(200_000, 30, 40.0, 1.0)],
-        forecast_ratio=4.0,
         lookahead=[BenchPoint(1_000, 30, 100.0, 1.0), BenchPoint(100_000, 30, 400.0, 1.0)],
-        lookahead_ratio=4.0,
         bandwidth=[BenchPoint(2_000, 30, 20.0, 1.0), BenchPoint(200_000, 30, 2_000.0, 1.0)],
-        bandwidth_ratio=100.0,
     )
+    assert report.build_slope == pytest.approx(0.5)
+    assert report.ratio("bandwidth") == 100.0
     problems = report.failures()
     assert len(problems) == 5
     assert any("constancy" in p for p in problems)
@@ -62,12 +59,8 @@ def test_small_scale_run():
     assert all(p.samples >= 30 for p in
                report.update + report.forecast + report.build + report.lookahead
                + report.bandwidth)
-    assert report.constancy_ratio > 0
-    assert report.forecast_ratio > 0
-    assert report.lookahead_ratio > 0
-    assert report.bandwidth_ratio > 0
-    assert report.to_dict()["build_slope"] == report.build_slope
-    assert report.to_dict()["bandwidth_ratio"] == report.bandwidth_ratio
+    assert all(report.ratio(series) > 0
+               for series in ("update", "forecast", "lookahead", "bandwidth"))
 
 
 SERIES = {"update": "constancy_ratio", "forecast": "forecast_ratio",

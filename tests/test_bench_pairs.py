@@ -81,3 +81,21 @@ def test_a_failed_side_is_kept_and_counts_against_a_gain():
     v = bench_pairs.verdict([(None, None)], "m", "higher", 0.25)
     assert v["parent_median"] is None and v["worse"] is None and not v["gain"]
     assert v["unresolved"] is None
+
+
+def test_a_larger_failed_share_marks_the_workload_worse():
+    metrics = [{"name": "m", "better": "higher", "bound": 0.25}]
+    runs = pairs(PARENT, PARENT)
+    record = bench_pairs.summary(runs, metrics)
+    assert record["failed_share"] == {"parent": 0.0, "change": 0.0}
+    assert record["failed_share_worse"] is False
+    assert set(record["verdicts"]) == {"m"} and len(record["runs"]) == 10
+    runs[4] = (runs[4][0], {**runs[4][1], "failed": 10})  # 10 of 1000 operations
+    record = bench_pairs.summary(runs, metrics)
+    assert record["failed_share"] == {"parent": 0.0, "change": 0.01}
+    assert record["failed_share_worse"] is True
+    runs[4] = ({**runs[4][0], "failed": 20}, runs[4][1])  # fewer failed than the parent
+    assert bench_pairs.summary(runs, metrics)["failed_share_worse"] is False
+    runs = [(p, None) for p, _ in runs]  # no change run has a result
+    record = bench_pairs.summary(runs, metrics)
+    assert record["failed_share"]["change"] is None and record["failed_share_worse"] is None

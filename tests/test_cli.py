@@ -3,14 +3,15 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigauto import BenchPoint, BenchReport, RejectedInputError, Signal, as_observation
+from sigauto import (BenchPoint, BenchReport, RejectedInputError, Signal, as_observation,
+                     run_bench)
 from sigauto.cli import _build_parser, _parse_row, main, parse_config, read_signal
 
 from conftest import E1, EVERY_STAT, random_walk
@@ -295,6 +296,43 @@ class TestRun:
         clash = tmp_path / "same.json"
         assert main(["run", "--input", str(e1_csv), "--output", str(clash),
                      "--snapshot", str(clash)]) == 2
+
+    @pytest.mark.parametrize("command, given, written", [
+        ("run", "--resume", "--output"),
+        ("run", "--config", "--output"),
+        ("run", "--config", "--snapshot"),
+        ("run", "--input", "--snapshot"),
+        ("fit", "--config", "--output"),
+        ("fit", "--input", "--output"),
+        ("lookahead", "--config", "--output"),
+        ("lookahead", "--input", "--output"),
+        ("bench", "--config", "--output"),
+    ])
+    def test_a_written_path_naming_another_file_exits_2(self, no_bench, tmp_path, e1_csv,
+                                                        capsys, command, given, written):
+        config, snap = tmp_path / "c.json", tmp_path / "s.json"
+        config.write_text(json.dumps({"grid": [{"delta": 0.0}]}))
+        assert main(["run", "--input", str(e1_csv), "--output", str(tmp_path / "a.jsonl"),
+                     "--snapshot", str(snap)]) == 0
+        files = {"--input": e1_csv, "--config": config, "--resume": snap}
+        before = {path: path.read_bytes() for path in files.values()}
+        argv = [command, given, str(files[given]), written, str(files[given])]
+        if command != "bench" and given != "--input":
+            argv += ["--input", str(e1_csv)]
+        assert main(argv) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in files.values()} == before
+
+    def test_a_snapshot_may_replace_the_one_it_resumes(self, tmp_path):
+        first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
+        write_csv(first, [[1.0], [5.0], [1.0]])
+        write_csv(second, [[5.0], [1.0]])
+        snap = tmp_path / "snap.json"
+        assert main(["run", "--input", str(first), "--output", str(tmp_path / "a.jsonl"),
+                     "--snapshot", str(snap)]) == 0
+        assert main(["run", "--input", str(second), "--output", str(tmp_path / "b.jsonl"),
+                     "--resume", str(snap), "--snapshot", str(snap)]) == 0
+        assert len(json.loads(snap.read_text())["signal"]) == 5
 
     def test_snapshot_resume_keeps_stream_identical(self, tmp_path):
         rows = [[1.0 if k % 2 == 0 else 5.0] for k in range(40)]
@@ -633,57 +671,45 @@ class TestMalformedConfigValues:
 
 
 class TestBenchCommand:
-    def test_tiny_bench_runs(self, tmp_path):
+    def test_tiny_bench_runs(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("sigauto.bench.run_bench", partial(
+            run_bench, update_sizes=(500, 1000), build_sizes=(200, 400),
+            update_samples=40, build_samples=40))
         out = tmp_path / "bench.json"
-        assert main(["bench", "--update-sizes", "500,1000",
-                     "--build-sizes", "200,400", "--samples", "40",
-                     "--output", str(out)]) == 0
+        assert main(["bench", "--output", str(out)]) == 0
         report = read_records(out)[0]
         assert {"update", "build", "build_slope", "constancy_ratio", "forecast",
                 "forecast_ratio", "bandwidth", "bandwidth_ratio"} <= set(report)
-        assert all(point["samples"] >= 30 for point in report["update"])
+        assert [point["samples"] for point in report["update"]] == [40, 40]
+
+    @staticmethod
+    def report(update, build, forecast, lookahead, bandwidth):
+        """A report whose every series runs from its first median to its
+        second, at the default sizes."""
+        def points(sizes, first, last):
+            return [BenchPoint(sizes[0], 30, first, 2 * first),
+                    BenchPoint(sizes[1], 30, last, 2 * last)]
+
+        streams, builds = (2_000, 200_000), (1_000, 100_000)
+        return BenchReport(update=points(streams, *update), build=points(builds, *build),
+                           forecast=points(streams, *forecast),
+                           lookahead=points(builds, *lookahead),
+                           bandwidth=points(streams, *bandwidth))
 
     def test_check_failure_exit_code(self, monkeypatch, tmp_path):
-        bad = BenchReport(
-            update=[BenchPoint(2_000, 30, 100.0, 200.0),
-                    BenchPoint(200_000, 30, 1_000.0, 2_000.0)],
-            build=[BenchPoint(1_000, 30, 1e6, 2e6),
-                   BenchPoint(100_000, 30, 1e9, 2e9)],
-            build_slope=1.5,
-            constancy_ratio=10.0,
-            forecast=[BenchPoint(2_000, 30, 10.0, 20.0),
-                      BenchPoint(200_000, 30, 100.0, 200.0)],
-            forecast_ratio=10.0,
-            lookahead=[BenchPoint(1_000, 30, 100.0, 200.0),
-                       BenchPoint(100_000, 30, 1_000.0, 2_000.0)],
-            lookahead_ratio=10.0,
-            bandwidth=[BenchPoint(2_000, 30, 20.0, 40.0),
-                       BenchPoint(200_000, 30, 2_000.0, 4_000.0)],
-            bandwidth_ratio=100.0,
-        )
+        bad = self.report(update=(100.0, 1_000.0), build=(1e6, 1e9), forecast=(10.0, 100.0),
+                          lookahead=(100.0, 1_000.0), bandwidth=(20.0, 2_000.0))
+        assert len(bad.failures()) == 5
         monkeypatch.setattr("sigauto.bench.run_bench", lambda **kwargs: bad)
         assert main(["bench", "--check", "--output", str(tmp_path / "b.json")]) == 3
         # the bandwidth gate alone fails the check
-        only_bandwidth = replace(bad, build_slope=1.0, constancy_ratio=1.0,
-                                 forecast_ratio=1.0, lookahead_ratio=1.0)
-        assert only_bandwidth.failures() == [only_bandwidth.failures()[0]]
+        only_bandwidth = self.report(update=(100.0, 110.0), build=(1e6, 1e8),
+                                     forecast=(10.0, 11.0), lookahead=(100.0, 90.0),
+                                     bandwidth=(20.0, 2_000.0))
+        problems = only_bandwidth.failures()
+        assert len(problems) == 1 and "bandwidth" in problems[0]
         monkeypatch.setattr("sigauto.bench.run_bench", lambda **kwargs: only_bandwidth)
         assert main(["bench", "--check", "--output", str(tmp_path / "c.json")]) == 3
-
-    @pytest.mark.parametrize("flag, sizes", [
-        ("--update-sizes", "a,b"),
-        ("--update-sizes", "0"),
-        ("--update-sizes", ""),
-        ("--build-sizes", "100,-5"),
-        ("--build-sizes", "1.5"),
-        ("--build-sizes", "100,,200"),
-    ])
-    def test_bad_sizes_exit_2_before_measuring(self, no_bench, tmp_path, capsys, flag, sizes):
-        out = tmp_path / "b.json"
-        assert main(["bench", flag, sizes, "--output", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("configuration error") and flag in err
-        assert not out.exists()
 
 
 class TestFlags:
@@ -696,6 +722,8 @@ class TestFlags:
         ("fit", "--snapshot"), ("fit", "--resume"), ("fit", "--check"),
         ("bench", "--input"), ("bench", "--horizon"), ("bench", "--mode"),
         ("bench", "--strict"), ("bench", "--snapshot"), ("bench", "--resume"),
+        ("bench", "--seed"), ("bench", "--update-sizes"), ("bench", "--build-sizes"),
+        ("bench", "--samples"),
         ("lookahead", "--mode"), ("lookahead", "--strict"), ("lookahead", "--snapshot"),
         ("lookahead", "--resume"), ("lookahead", "--check"),
     ]
@@ -708,7 +736,8 @@ class TestFlags:
         config.write_text(json.dumps({"grid": [{"delta": 0.0}]}))
         out, snap = tmp_path / "out.jsonl", tmp_path / "snap.json"
         values = {"--input": str(e1_csv), "--horizon": "2", "--mode": "continuous",
-                  "--seed": "9", "--snapshot": str(snap),
+                  "--seed": "9", "--snapshot": str(snap), "--update-sizes": "5",
+                  "--build-sizes": "5", "--samples": "40",
                   "--resume": str(tmp_path / "missing.json")}
         argv = [command, "--config", str(config), "--output", str(out)]
         if command != "bench":

@@ -18,8 +18,10 @@ the parent's IQR), whether the change is worse than the parent by more than
 the metric's ``bound``, and whether the metric is unresolved: the parent's
 IQR is wider than the bound and not every change run beats every parent
 run, so the runs spread too widely to call it unchanged.  A pair with a
-failed side counts as no win, tie or loss, so it counts against a gain.  The last line is the JSON record of every run and
-verdict, for a ``BENCH_<pr>.json``.
+failed side counts as no win, tie or loss, so it counts against a gain.
+Per workload it also gives each side's share of failed operations, and
+whether the change's share is larger than the parent's.  The last line is
+the JSON record of every run and verdict, for a ``BENCH_<pr>.json``.
 """
 
 from __future__ import annotations
@@ -88,6 +90,22 @@ def failed_share(runs: list[dict | None]) -> float | None:
     return sum(r["failed"] for r in runs if r is not None) / attempted if attempted else None
 
 
+def summary(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -> dict:
+    """The record of one workload over ``pairs``: each side's failed share,
+    whether the change's is larger (None when a side has no result), the
+    verdict on each of ``metrics`` (BENCHMARK.json's ``end_to_end``) and
+    the runs."""
+    shares = {side: failed_share([pair[i] for pair in pairs])
+              for i, side in enumerate(("parent", "change"))}
+    return {"failed_share": shares,
+            "failed_share_worse": (None if None in shares.values()
+                                   else shares["change"] > shares["parent"]),
+            "verdicts": {m["name"]: verdict(pairs, m["name"], m["better"], m["bound"])
+                         for m in metrics},
+            "runs": [{"seed": SEED_BASE + k, "parent": p, "change": c}
+                     for k, (p, c) in enumerate(pairs)]}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict | None:
     """One ``perfbench/run.py --trace 0`` in ``checkout``; its result, or None."""
     argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
@@ -141,17 +159,11 @@ def main(argv=None) -> int:
     report = {"parent": args.parent, "pairs": PAIRS, "seconds": seconds,
               "seeds": [SEED_BASE, SEED_BASE + PAIRS - 1], "workloads": {}}
     for name in names:
-        pairs = runs[name]
-        verdicts = {m["name"]: verdict(pairs, m["name"], m["better"], m["bound"])
-                    for m in spec["end_to_end"]}
-        shares = {side: failed_share([pair[i] for pair in pairs])
-                  for i, side in enumerate(("parent", "change"))}
-        report["workloads"][name] = {
-            "failed_share": shares, "verdicts": verdicts,
-            "runs": [{"seed": SEED_BASE + k, "parent": p, "change": c}
-                     for k, (p, c) in enumerate(pairs)]}
-        print(f"{name}: failed share parent {shares['parent']}, change {shares['change']}")
-        for metric, v in verdicts.items():
+        record = report["workloads"][name] = summary(runs[name], spec["end_to_end"])
+        shares = record["failed_share"]
+        print(f"{name}: failed share parent {shares['parent']}, change {shares['change']}; "
+              f"failed share worse {record['failed_share_worse']}")
+        for metric, v in record["verdicts"].items():
             print(f"  {metric}: parent {v['parent_median']} (IQR {v['parent_iqr']}), "
                   f"change {v['change_median']}; {v['wins']}/{v['ties']}/{v['losses']} "
                   f"won/tied/lost, {v['failed_pairs']} failed; gain {v['gain']}, "
