@@ -367,9 +367,10 @@ def main(argv=None) -> int:
     flags = vars(args)
     try:
         config = parse_config(args.config, {k: v for k, v in flags.items() if k in CONFIG_KEYS})
-        # A written path differs from every other given path, except that a
-        # snapshot may replace the one it resumes from; the written ones come last.
-        paths = [(k, os.path.abspath(flags[k]))
+        # A written path differs from every other given path, links resolved,
+        # except that a snapshot may replace the one it resumes from; the
+        # written ones come last.
+        paths = [(k, os.path.realpath(flags[k]))
                  for k in ("input", "config", "resume", "output", "snapshot")
                  if flags.get(k) not in (None, "-")]
         for (flag, path), (written, other) in combinations(paths, 2):

@@ -323,6 +323,15 @@ class TestRun:
         assert "name the same file" in capsys.readouterr().err
         assert {path: path.read_bytes() for path in files.values()} == before
 
+    def test_a_link_to_another_given_file_is_that_file(self, tmp_path, e1_csv, capsys):
+        config, link = tmp_path / "c.json", tmp_path / "link.json"
+        config.write_text(json.dumps({"lambda": 0.5}))
+        link.symlink_to(config)
+        assert main(["run", "--input", str(e1_csv), "--config", str(config),
+                     "--output", str(link)]) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert json.loads(config.read_text()) == {"lambda": 0.5}
+
     def test_a_snapshot_may_replace_the_one_it_resumes(self, tmp_path):
         first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
         write_csv(first, [[1.0], [5.0], [1.0]])
