@@ -22,28 +22,29 @@ from contextlib import contextmanager
 from itertools import combinations
 
 from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError, SigautoError
-from .forecasting import fit
-from .pipeline import EMISSION_MODES, StreamPipeline, checked_score_floor
+from .forecasting import SCORE_FLOOR, fit
+from .pipeline import EMISSION_MODES, StreamPipeline
 from .plugins import PluginParams, is_number
 from .signal import Signal
 
 log = logging.getLogger("sigauto")
 
 PARAM_KEYS = tuple(PluginParams.FIELDS)
-CONFIG_KEYS = PARAM_KEYS + ("mode", "seed", "score_floor", "strict", "split", "grid")
+CONFIG_KEYS = PARAM_KEYS + ("mode", "seed", "strict", "split", "grid")
 
 
 class RunConfig(Fields):
     """A subcommand's checked configuration; ``given`` holds the keys given
-    in the config file or by a flag, with their raw values."""
+    in the config file or by a flag, with their raw values.  ``score_floor``
+    is always ``SCORE_FLOOR``."""
 
-    __slots__ = ("params", "emission", "seed", "strict", "score_floor", "split", "grid",
-                 "given")
+    __slots__ = ("params", "emission", "seed", "strict", "split", "grid", "given")
+    score_floor = SCORE_FLOOR
 
     def __init__(self, params: PluginParams, emission: str, seed: int, strict: bool,
-                 score_floor: float, split: int | None, grid: list[dict], given: dict):
+                 split: int | None, grid: list[dict], given: dict):
         self.params, self.emission, self.seed, self.strict = params, emission, seed, strict
-        self.score_floor, self.split, self.grid, self.given = score_floor, split, grid, given
+        self.split, self.grid, self.given = split, grid, given
 
 
 def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
@@ -75,7 +76,6 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
     strict = merged.get("strict", False)
     if not isinstance(strict, bool):
         raise ConfigError(f"strict must be true or false, got {strict!r}")
-    floor = checked_score_floor(merged.get("score_floor", 1e-12))
     split = merged.get("split")
     if split is not None and not is_number(split, int):
         raise ConfigError(f"split must be an integer, got {split!r}")
@@ -88,7 +88,6 @@ def parse_config(path: str | None, overrides: dict | None = None) -> RunConfig:
         emission=emission,
         seed=seed,
         strict=strict,
-        score_floor=floor,
         split=split,
         grid=list(grid),
         given={k: v for k, v in merged.items() if v is not None},
@@ -206,15 +205,14 @@ def read_signal(path: str | None) -> Signal:
 # Subcommands
 
 
-def _check_resume(pipe: StreamPipeline, given: dict) -> None:
+def _check_resume(pipe: StreamPipeline, config: RunConfig) -> None:
     """Refuse a given value that differs from the resumed snapshot's, so a
     resumed run cannot silently drift from its configuration.  Parameters are
-    compared after normalisation through ``PluginParams``; values not given
-    are not compared."""
-    stored = pipe.params.to_dict()
-    tau = {k: given[k] for k in PARAM_KEYS if k in given}
-    wanted = PluginParams.from_dict({**stored, **tau}).to_dict()
-    conflicts = [(k, wanted[k], stored[k]) for k in tau if wanted[k] != stored[k]]
+    compared as ``PluginParams`` normalised them; values not given are not
+    compared."""
+    given, stored, wanted = config.given, pipe.params.to_dict(), config.params.to_dict()
+    conflicts = [(k, wanted[k], stored[k]) for k in PARAM_KEYS
+                 if k in given and wanted[k] != stored[k]]
     run_values = {"mode": pipe.emission, "seed": pipe.seed}
     conflicts += [(k, given[k], v) for k, v in run_values.items()
                   if k in given and given[k] != v]
@@ -227,7 +225,7 @@ def run_stream(config: RunConfig, args) -> int:
     if args.resume:
         from .snapshot import load_snapshot
         pipe = load_snapshot(args.resume)
-        _check_resume(pipe, config.given)
+        _check_resume(pipe, config)
     else:
         pipe = StreamPipeline(config.params, emission=config.emission, seed=config.seed)
     consumed = 0
@@ -256,7 +254,7 @@ def run_fit(config: RunConfig, args) -> int:
     base_tau = config.params.to_dict()
     grid = [PluginParams.from_dict({**base_tau, **overrides}) for overrides in config.grid]
     split = config.split if config.split is not None else signal.last_instant // 2
-    report = fit(grid, signal, split, floor=config.score_floor)
+    report = fit(grid, signal, split)
     with _opened(args.output, "w") as out_handle:
         _write_record(out_handle, {
             "split": report.split,
@@ -367,15 +365,16 @@ def main(argv=None) -> int:
     flags = vars(args)
     try:
         config = parse_config(args.config, {k: v for k, v in flags.items() if k in CONFIG_KEYS})
-        # A written path differs from every other given path, links resolved,
-        # except that a snapshot may replace the one it resumes from; the
-        # written ones come last.
+        # A written path differs from every other given path and from any
+        # link to one, except that a snapshot may replace the one it resumes
+        # from; the written ones come last.
         paths = [(k, os.path.realpath(flags[k]))
                  for k in ("input", "config", "resume", "output", "snapshot")
                  if flags.get(k) not in (None, "-")]
         for (flag, path), (written, other) in combinations(paths, 2):
-            if (path == other and written in ("output", "snapshot")
-                    and (flag, written) != ("resume", "snapshot")):
+            if (written in ("output", "snapshot") and (flag, written) != ("resume", "snapshot")
+                    and (path == other or os.path.exists(path) and os.path.exists(other)
+                         and os.path.samefile(path, other))):
                 raise ConfigError(f"--{flag} and --{written} name the same file {path}")
         return args.handler(config, args)
     except ConfigError as exc:

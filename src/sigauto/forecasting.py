@@ -31,7 +31,6 @@ from .plugins import (
     DUMMY_EVENT,
     Clusterer,
     EmaGridClassifier,
-    Kernel,
     PluginParams,
     rho_fn,
     sigma_fn,
@@ -198,6 +197,8 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
 # ---------------------------------------------------------------------------
 # Scoring and fitting
 
+SCORE_FLOOR = 1e-12  # the least probability a scored observation counts as
+
 
 def _groups(grid: list[PluginParams]) -> list[list[int]]:
     """Indices of ``grid`` by ``(lam, grid_width)``, groups in first-appearance
@@ -208,8 +209,7 @@ def _groups(grid: list[PluginParams]) -> list[list[int]]:
     return list(groups.values())
 
 
-def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
-            floor: float) -> list[float]:
+def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int) -> list[float]:
     """``score`` of every entry of ``grid``.  The automaton depends only on
     the classifier, so entries that share ``lam`` and ``grid_width`` share
     one pass over ``signal[0..stop)``: its classifier, clusterer and
@@ -222,9 +222,6 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
         raise RejectedInputError(
             f"scoring window [{start}, {stop}) out of range for signal at {n}"
         )
-    for params in grid:
-        if params.bandwidth != "scott":
-            Kernel(params.bandwidth)  # refused as `run` refuses it; no score reads it
     totals = [0.0] * len(grid)
     for members in _groups(grid):
         lead = grid[members[0]]
@@ -235,24 +232,23 @@ def _scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
             if i >= start:
                 cluster = clusterer.label_of(signal[i + 1])
                 for k, hmm in models.items():
-                    totals[k] += math.log(max(next_event_probability(hmm, cluster), floor))
+                    totals[k] += math.log(max(next_event_probability(hmm, cluster), SCORE_FLOOR))
     return [total / (stop - start) for total in totals]
 
 
-def score(params: PluginParams, signal: Signal, start: int, stop: int,
-          floor: float = 1e-12) -> float:
+def score(params: PluginParams, signal: Signal, start: int, stop: int) -> float:
     """Mean one-step-ahead log-likelihood over instants [start, stop).
 
     At each instant i the probability the current model assigns to the cluster
     of the next observation is scored; dummy forecasts (and zero-probability
-    events) contribute log(floor), so refusing to forecast stays costly but
-    finite.
+    events) contribute log(SCORE_FLOOR), so refusing to forecast stays costly
+    but finite.
     """
-    return _scores([params], signal, start, stop, floor)[0]
+    return _scores([params], signal, start, stop)[0]
 
 
-def _forked_scores(grid: list[PluginParams], signal: Signal, start: int, stop: int,
-                   floor: float) -> list[float] | None:
+def _forked_scores(grid: list[PluginParams], signal: Signal, start: int,
+                   stop: int) -> list[float] | None:
     """``_scores(grid, ...)`` from one process per CPU this process may run
     on, at most one per entry; None when that is one process, or when a
     chunk fails, so that the caller scores serially and gets the serial
@@ -295,7 +291,7 @@ def _forked_scores(grid: list[PluginParams], signal: Signal, start: int, stop: i
             if pid == 0:  # the child: every path ends in os._exit
                 code = 1
                 try:
-                    result = _scores([grid[k] for k in chunk], signal, start, stop, floor)
+                    result = _scores([grid[k] for k in chunk], signal, start, stop)
                     with open(write, "wb") as pipe:
                         pipe.write(array("d", result).tobytes())
                     code = 0
@@ -304,7 +300,7 @@ def _forked_scores(grid: list[PluginParams], signal: Signal, start: int, stop: i
             os.close(write)
             children[pid] = (open(read, "rb"), chunk)
         try:
-            own = _scores([grid[k] for k in mine], signal, start, stop, floor)
+            own = _scores([grid[k] for k in mine], signal, start, stop)
         except Exception:  # a chunk's error; the serial pass raises it in grid order
             return None
         for k, s in zip(mine, own):
@@ -337,8 +333,7 @@ class FitReport(Fields):
         self.best = grid[best_index]
 
 
-def fit(grid: list[PluginParams], signal: Signal, split: int,
-        floor: float = 1e-12) -> FitReport:
+def fit(grid: list[PluginParams], signal: Signal, split: int) -> FitReport:
     """Score every parameter tuple on the held-out window [split, n).
 
     Each score is ``score`` of its entry: the model, warmed up on [0, split),
@@ -356,8 +351,8 @@ def fit(grid: list[PluginParams], signal: Signal, split: int,
     n = signal.last_instant
     if not (0 < split < n):
         raise RejectedInputError(f"split {split} out of range (0, {n})")
-    scores = _forked_scores(grid, signal, split, n, floor)
+    scores = _forked_scores(grid, signal, split, n)
     if scores is None:
-        scores = _scores(grid, signal, split, n, floor)
+        scores = _scores(grid, signal, split, n)
     best_index = max(range(len(scores)), key=lambda k: (scores[k], -k))
     return FitReport(grid=list(grid), scores=scores, best_index=best_index, split=split)

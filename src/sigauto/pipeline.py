@@ -12,8 +12,6 @@ scratch.
 
 from __future__ import annotations
 
-import math
-
 from .automaton import Isa, build_isa, step_stream
 from .errors import ConfigError
 from .forecasting import forecast, state_occupancies
@@ -23,7 +21,6 @@ from .plugins import (
     EmaGridClassifier,
     Kernel,
     PluginParams,
-    is_number,
     rho_fn,
     sigma_fn,
 )
@@ -32,15 +29,10 @@ from .signal import Signal
 EMISSION_MODES = ("discrete", "continuous")
 
 
-def checked_score_floor(value) -> float:
-    """``value`` as the floor of ``fit`` scores: a positive finite number."""
-    if not (is_number(value) and 0 < value < math.inf):
-        raise ConfigError(f"score_floor must be positive and finite, got {value!r}")
-    return float(value)
-
-
 class StreamPipeline:
-    """Online model of a single stream with per-observation O(1) updates."""
+    """Online model of a single stream with per-observation O(1) updates.
+
+    ``score_floor`` is accepted and not read."""
 
     def __init__(self, params: PluginParams, emission: str = "discrete",
                  seed: int = 0, score_floor: float = 1e-12):
@@ -49,14 +41,15 @@ class StreamPipeline:
         self.params = params
         self.emission = emission
         self.seed = seed
-        self.score_floor = checked_score_floor(score_floor)
         self.signal = Signal()
         self.classifier = EmaGridClassifier(params)
         self.clusterer = Clusterer(params.grid_width)
         self.sigma = sigma_fn(params)
         self.rho = rho_fn(params)
+        # Only a continuous model reads the kernel.
         self.kernel: Kernel | None = (
-            Kernel(params.bandwidth) if params.bandwidth != "scott" else None
+            Kernel(params.bandwidth)
+            if emission == "continuous" and params.bandwidth != "scott" else None
         )
         self.isa: Isa | None = None
         self.hmm: Hmm | HmmContinuous | None = None

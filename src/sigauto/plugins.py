@@ -120,6 +120,7 @@ def _as_bandwidth(bandwidth):
         raise ConfigError(f"bandwidth matrix rows differ in length: {bandwidth!r}")
     if not all(math.isfinite(x) for row in matrix for x in row):
         raise ConfigError(f"bandwidth matrix entries must be finite: {bandwidth!r}")
+    Kernel(matrix)  # the kernel's rule: square, symmetric, positive definite
     return matrix
 
 

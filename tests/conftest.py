@@ -39,6 +39,15 @@ def count_params():
     return PluginParams(lam=1.0, grid_width=1.0)
 
 
+@pytest.fixture
+def no_bench(monkeypatch):
+    """``run_bench`` replaced by a function that fails the test if called."""
+    def measured(**kwargs):
+        raise AssertionError("the bench ran")
+
+    monkeypatch.setattr("sigauto.bench.run_bench", measured)
+
+
 def random_walk(length, dim=1, seed=0, step=0.3):
     """Synthetic random-walk signal; the workload used by the oracle runs."""
     rng = random.Random(seed)

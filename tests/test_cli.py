@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import re
 from functools import partial
 from pathlib import Path
@@ -32,15 +33,6 @@ def e1_csv(tmp_path):
 
 def read_records(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
-
-
-@pytest.fixture
-def no_bench(monkeypatch):
-    """``run_bench`` replaced by a function that fails the test if called."""
-    def measured(**kwargs):
-        raise AssertionError("the bench ran")
-
-    monkeypatch.setattr("sigauto.bench.run_bench", measured)
 
 
 class TestParseConfig:
@@ -332,6 +324,27 @@ class TestRun:
         assert "name the same file" in capsys.readouterr().err
         assert json.loads(config.read_text()) == {"lambda": 0.5}
 
+    @pytest.mark.parametrize("given", ["--config", "--input", "--resume"])
+    def test_a_hard_link_to_another_given_file_is_that_file(self, tmp_path, e1_csv, capsys,
+                                                            given):
+        """A hard link shares the file's inode under another name, which no
+        path resolution reveals."""
+        config, snap = tmp_path / "c.json", tmp_path / "s.json"
+        config.write_text(json.dumps({"lambda": 0.5}))
+        assert main(["run", "--input", str(e1_csv), "--output", str(tmp_path / "a.jsonl"),
+                     "--snapshot", str(snap)]) == 0
+        files = {"--input": e1_csv, "--config": config, "--resume": snap}
+        before = {path: path.read_bytes() for path in files.values()}
+        link = tmp_path / "hard"
+        os.link(files[given], link)
+        argv = ["run", given, str(files[given]), "--output", str(link)]
+        if given != "--input":
+            argv += ["--input", str(e1_csv)]
+        assert main(argv) == 2
+        assert "name the same file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in files.values()} == before
+        assert link.read_bytes() == before[files[given]]
+
     def test_a_snapshot_may_replace_the_one_it_resumes(self, tmp_path):
         first, second = tmp_path / "p1.csv", tmp_path / "p2.csv"
         write_csv(first, [[1.0], [5.0], [1.0]])
@@ -601,7 +614,7 @@ class TestMalformedConfigValues:
         ("run", {"grid_width": [True]}),
         ("run", {"bandwidth": True}),
         ("run", {"seed": False}),
-        ("run", {"score_floor": True}),
+        ("run", {"score_floor": 1e-12}),  # no longer a key, even at its old default
         ("fit", {"split": True, "grid": [{"delta": 0.5}]}),
         ("fit", {"grid": [{"horizon": True}]}),
         ("run", {"region": [[True, 2]]}),
@@ -618,7 +631,7 @@ class TestMalformedConfigValues:
         ("fit", {"grid": [{"grid_width": math.nan}]}),
         ("run", {"bandwidth": math.inf}),
         ("run", {"bandwidth": [[math.inf]]}),
-        ("fit", {"score_floor": math.inf, "grid": [{"delta": 0.5}]}),
+        ("fit", {"score_floor": 1e-12, "grid": [{"delta": 0.5}]}),
     ])
     def test_wrong_type_exits_2(self, tmp_path, e1_csv, capsys, command, config):
         path = tmp_path / "c.json"

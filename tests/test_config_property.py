@@ -1,4 +1,5 @@
-"""Any config file maps to exit 0, 1 or 2, and an exit 2 writes no output.
+"""Any config file maps to exit 0, 1 or 2, and an exit 2 writes no output;
+a parameter is refused by every subcommand or by none.
 
 Configs hold one to four keys drawn from ``CONFIG_KEYS`` and one unknown
 key, with values drawn from numbers (NaN and the infinities among them),
@@ -14,7 +15,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sigauto.bench import random_walk
@@ -50,7 +51,6 @@ own_kind = {
     "horizon": st.integers(0, 5),
     "mode": st.sampled_from(["discrete", "continuous"]),
     "seed": st.integers(0, 5),
-    "score_floor": st.sampled_from([1e-12, 1e-3]),
     "strict": st.booleans(),
     "split": st.integers(-3, 5).map(lambda k: k * 10),
 }
@@ -93,18 +93,62 @@ def inputs(tmp_path_factory):
     return paths
 
 
+def exit_code(inputs, command, dim, config):
+    """``command`` on the ``dim``-d walk with ``config`` laid over its base:
+    the exit code, and whether it left an output file."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path, out = Path(scratch) / "config.json", Path(scratch) / "out.jsonl"
+        argv, base = COMMANDS[command]
+        path.write_text(json.dumps({**base, **config}), encoding="utf-8")
+        code = main([*argv, "--input", str(inputs[dim]), "--output", str(out),
+                     "--config", str(path)])
+        return code, out.exists()
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @settings(max_examples=60, deadline=None)
 @given(config=configs)
 def test_every_config_exits_0_1_or_2(inputs, command, dim, config):
+    code, written = exit_code(inputs, command, dim, config)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert not written
+
+
+# The parameters alone, with a horizon every subcommand takes: continuous
+# ``run`` is left out, since it alone reads the kernel and so also refuses a
+# bandwidth whose dimension differs from the rows'.
+params_only = st.lists(
+    st.one_of(entry([k for k in PARAM_KEYS if k != "horizon"]),
+              st.tuples(st.just("horizon"), st.integers(1, 5))),
+    min_size=1, max_size=4,
+).map(dict)
+
+
+@settings(max_examples=80, deadline=None)
+@given(config=params_only)
+@example(config={"bandwidth": [[1, 2], [3, 4]]})
+def test_a_parameter_is_refused_by_every_subcommand_or_by_none(inputs, config):
+    refused = {command: exit_code(inputs, command, 1, config)[0] == 2
+               for command in ("run-discrete", "fit", "lookahead")}
+    assert len(set(refused.values())) == 1, refused
+
+
+@pytest.mark.parametrize("bandwidth, message", [
+    ([[1, 2], [3, 4]], "bandwidth matrix must be symmetric"),
+    ([[-1]], "bandwidth matrix must be positive definite"),
+    ([[1, 0], [0, -1]], "bandwidth matrix must be positive definite"),
+], ids=["asymmetric", "negative", "indefinite"])
+def test_a_bad_bandwidth_is_refused_alike_by_every_subcommand(inputs, no_bench, capsys,
+                                                              bandwidth, message):
     with tempfile.TemporaryDirectory() as scratch:
-        path = Path(scratch) / "config.json"
-        argv, base = COMMANDS[command]
-        path.write_text(json.dumps({**base, **config}), encoding="utf-8")
-        out = Path(scratch) / "out.jsonl"
-        code = main([*argv, "--input", str(inputs[dim]), "--output", str(out),
-                     "--config", str(path)])
-        assert code in (0, 1, 2)
-        if code == 2:
-            assert not out.exists()
+        config, out = Path(scratch) / "config.json", Path(scratch) / "out.json"
+        config.write_text(json.dumps({"bandwidth": bandwidth}), encoding="utf-8")
+        assert main(["bench", "--config", str(config), "--output", str(out)]) == 2
+        assert not out.exists()
+    lines = [capsys.readouterr().err.splitlines()]
+    for command in sorted(COMMANDS):
+        assert exit_code(inputs, command, 1, {"bandwidth": bandwidth}) == (2, False)
+        lines.append(capsys.readouterr().err.splitlines())
+    assert lines == [[f"configuration error: {message}"]] * 5

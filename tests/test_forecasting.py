@@ -33,7 +33,7 @@ from sigauto import (
 )
 
 from sigauto import cli, forecasting, plugins
-from sigauto.forecasting import _scores
+from sigauto.forecasting import SCORE_FLOOR, _scores
 
 from conftest import E1, EVERY_STAT, build_plain, random_walk
 
@@ -220,8 +220,8 @@ class TestScore:
     def test_all_dummy_window_hits_floor(self, count_params):
         # strictly monotone: every state is new, every forecast dummy
         values = [float(k) for k in range(12)]
-        value = score(count_params, Signal(values), 2, 10, floor=1e-12)
-        assert value == pytest.approx(math.log(1e-12), rel=1e-12)
+        value = score(count_params, Signal(values), 2, 10)
+        assert value == pytest.approx(math.log(SCORE_FLOOR), rel=1e-12)
 
     def test_translation_invariance_of_labels(self, count_params):
         # shifting by a whole number of cells relabels every state but cannot
@@ -253,10 +253,10 @@ def walk_signal():
     return Signal(random_walk(240, seed=5))
 
 
-def replayed_score(params, signal, start, stop, floor=1e-12):
+def replayed_score(params, signal, start, stop):
     """The per-entry reference: an independent pipeline per entry and a full
     one-step forecast at every scored instant."""
-    pipe = StreamPipeline(params, score_floor=floor)
+    pipe = StreamPipeline(params)
     total = 0.0
     for i in range(stop):
         pipe.advance(signal[i])
@@ -264,7 +264,7 @@ def replayed_score(params, signal, start, stop, floor=1e-12):
             fc = forecast(pipe.hmm, 1)
             p = 0.0 if fc.is_dummy else fc.step(1).get(
                 pipe.clusterer.label_of(signal[i + 1]), 0.0)
-            total += math.log(max(p, floor))
+            total += math.log(max(p, SCORE_FLOOR))
     return total / (stop - start)
 
 
@@ -340,7 +340,7 @@ class TestFit:
 
         monkeypatch.setattr(EmaGridClassifier, "step", counted)
         signal = walk_signal()
-        _scores(grid, signal, 100, signal.last_instant, 1e-12)
+        _scores(grid, signal, 100, signal.last_instant)
         # a pass consumes instants 0..n-1; observation n is only scored
         assert len(steps) == passes * signal.last_instant
 
@@ -359,7 +359,7 @@ class TestFit:
         counts = []
         for k in (1, 2, 4):
             calls.clear()
-            _scores(self.ONE_GROUP[:k], signal, 100, signal.last_instant, 1e-12)
+            _scores(self.ONE_GROUP[:k], signal, 100, signal.last_instant)
             counts.append(len(calls))
         assert counts[0] == counts[1] == counts[2]
 
@@ -413,7 +413,7 @@ class TestForkedFit:
         signal = walk_signal()
         n = signal.last_instant
         report = fit(grid, signal, split=n // 2)
-        serial = _scores(grid, signal, n // 2, n, 1e-12)
+        serial = _scores(grid, signal, n // 2, n)
         assert [s.hex() for s in report.scores] == [s.hex() for s in serial]
         assert calls == [os.getpid()] * (min(cpus, len(grid)) - 1)
         assert no_child_left()
@@ -433,7 +433,7 @@ class TestForkedFit:
         assert not other.is_alive()
         assert calls == []
         assert report.scores == _scores(TestFit.TWO_GROUPS, signal, 100,
-                                        signal.last_instant, 1e-12)
+                                        signal.last_instant)
 
     def test_a_platform_without_affinity_forks_nothing(self, forks, monkeypatch):
         calls, _ = forks
@@ -444,7 +444,7 @@ class TestForkedFit:
     # With 2 CPUs the caller scores entries 0..2 of five, with 4 entries 0..1.
     @pytest.mark.parametrize("cpus", [2, 4])
     @pytest.mark.parametrize("bad", [{1: WIDE_REGION}, {4: WIDE_REGION},
-                                     {1: WIDE_REGION, 4: PluginParams(bandwidth=[[-1.0]])}],
+                                     {1: WIDE_REGION, 4: PluginParams(grid_width=[1.0, 1.0])}],
                              ids=["in_the_callers_chunk", "in_a_childs_chunk",
                                   "serial_order_of_two"])
     def test_an_entry_error_is_the_serial_one(self, forks, cpus, bad):
@@ -455,7 +455,7 @@ class TestForkedFit:
             grid.insert(at, params)
         signal = walk_signal()
         with pytest.raises(ConfigError) as serial:
-            _scores(grid, signal, 100, signal.last_instant, 1e-12)
+            _scores(grid, signal, 100, signal.last_instant)
         with pytest.raises(ConfigError) as forked:
             fit(grid, signal, split=100)
         assert str(forked.value) == str(serial.value)
@@ -491,7 +491,7 @@ class TestForkedFit:
         monkeypatch.setattr(os, "fork", fork)
         signal = walk_signal()
         report = fit(THREE_GROUPS, signal, split=100)
-        assert report.scores == _scores(THREE_GROUPS, signal, 100, signal.last_instant, 1e-12)
+        assert report.scores == _scores(THREE_GROUPS, signal, 100, signal.last_instant)
         assert len(calls) == failing_call
         assert no_child_left()
 
@@ -513,7 +513,7 @@ class TestForkedFit:
         monkeypatch.setattr(forecasting, "_scores", scores)
         signal = walk_signal()
         report = fit(TestFit.TWO_GROUPS, signal, split=100)
-        assert report.scores == real(TestFit.TWO_GROUPS, signal, 100, signal.last_instant, 1e-12)
+        assert report.scores == real(TestFit.TWO_GROUPS, signal, 100, signal.last_instant)
         assert no_child_left()
 
     def test_an_interrupt_in_the_caller_kills_every_child(self, monkeypatch, forks):

@@ -702,7 +702,7 @@ class TestModelReadsItsAutomaton:
 
         monkeypatch.setattr(forecasting, "step_stream", checked)
         signal = Signal(random_walk(300, seed=9))
-        _scores(grid, signal, 150, signal.last_instant, 1e-12)
+        _scores(grid, signal, 150, signal.last_instant)
         assert steps == [4] * signal.last_instant
 
     def test_frontier(self, monkeypatch):

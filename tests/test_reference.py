@@ -25,6 +25,7 @@ from sigauto import (
     lookahead_build,
     score,
 )
+from sigauto.forecasting import SCORE_FLOOR
 
 from reference import Reference
 
@@ -32,7 +33,6 @@ VARIANTS = ("count", "discounted_sum", "discounted_complement", "region_count",
             "latest_occurrence")
 REGION = ((-1.0, 2.0),)
 FAR = 100.0
-FLOOR = 1e-12
 
 
 def bound(n: int, h: int, variant: str, delta: float) -> float:
@@ -143,11 +143,11 @@ def test_score_equals_the_reference(variant, delta, lam, steps, gap):
     sum add at most (window + 2)·|ln floor|·2⁻⁵² to the mean."""
     rows = stream(steps, gap)
     start, stop = len(rows) - len(steps) - 1, len(rows) - 1
-    got = score(params_for(variant, delta, lam), Signal(rows), start, stop, floor=FLOOR)
+    got = score(params_for(variant, delta, lam), Signal(rows), start, stop)
     want = Reference(rows, lam=lam, width=1.0, variant=variant, delta=delta,
-                     region=params_for(variant, delta, lam).region).score(start, stop, FLOOR)
+                     region=params_for(variant, delta, lam).region).score(start, stop, SCORE_FLOOR)
     allowed = (bound(len(rows), 1, variant, delta)
-               + (stop - start + 2) * -math.log(FLOOR) * 2.0**-52)
+               + (stop - start + 2) * -math.log(SCORE_FLOOR) * 2.0**-52)
     assert abs(got - float(want)) <= allowed, (got, want, allowed)
 
 

@@ -310,3 +310,17 @@ def test_the_name_table_lists_each_name_once_where_it_is_defined():
             ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))))
     ]
     assert undefined == []
+
+
+def test_a_bandwidth_is_checked_once_when_the_parameters_are_read():
+    """``_as_bandwidth`` builds a ``Kernel`` to check an explicit bandwidth
+    by the kernel's own rule, so ``PluginParams`` refuses every bandwidth a
+    stage would.  Past it only the readers build one: the continuous
+    pipeline and a model that falls back on Scott's rule.  No other stage
+    builds a kernel just to check the parameters again."""
+    building = {f"{path.name}:{function}" for path in MODULES
+                for function, callee in calls_by_function(
+                    ast.parse(path.read_text(encoding="utf-8")))
+                if callee.split(".")[-1] == "Kernel"}
+    assert building == {"plugins.py:_as_bandwidth", "pipeline.py:StreamPipeline.__init__",
+                        "hmm.py:HmmContinuous.kernel_for"}
