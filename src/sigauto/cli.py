@@ -8,14 +8,14 @@ flag once with the subcommands that read it; a subcommand refuses every
 other flag.  Flags that name a config key override the config file.
 
 Exit codes: 0 ok, 1 input error, 2 configuration error, 3 check failure.
-Set SIGAUTO_LOG to error|info|debug to control logging.
+SIGAUTO_LOG=info or debug logs to stderr; unset, ``error`` or any other
+value logs nothing and leaves ``logging`` unimported.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import sys
 from contextlib import contextmanager
@@ -27,7 +27,7 @@ from .pipeline import EMISSION_MODES, StreamPipeline
 from .plugins import PluginParams, is_number
 from .signal import Signal
 
-log = logging.getLogger("sigauto")
+log = None  # the "sigauto" logger, set by ``_configure_logging``
 
 PARAM_KEYS = tuple(PluginParams.FIELDS)
 CONFIG_KEYS = PARAM_KEYS + ("mode", "seed", "strict", "split", "grid")
@@ -239,11 +239,13 @@ def run_stream(config: RunConfig, args) -> int:
             consumed += 1
         if consumed == 0 and pipe.n < 0:
             raise EmptyInputError("input contains no observations")
-        log.info("processed %d observations, stream is at instant %d", consumed, pipe.n)
+        if log is not None:
+            log.info("processed %d observations, stream is at instant %d", consumed, pipe.n)
         if args.snapshot:
             from .snapshot import save_snapshot
             save_snapshot(pipe, args.snapshot)
-            log.info("snapshot written to %s", args.snapshot)
+            if log is not None:
+                log.info("snapshot written to %s", args.snapshot)
     return 0
 
 
@@ -351,10 +353,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_logging() -> None:
-    level_name = os.environ.get("SIGAUTO_LOG", "error").lower()
-    levels = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
-    logging.basicConfig(level=levels.get(level_name, logging.ERROR),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Set ``log`` for SIGAUTO_LOG=info or debug, importing ``logging``; any
+    other value, or none, leaves it None and ``logging`` unloaded."""
+    global log
+    level = os.environ.get("SIGAUTO_LOG", "error").lower()
+    log = None
+    if level in ("info", "debug"):
+        import logging
+        logging.basicConfig(level=level.upper(), format="%(levelname)s %(name)s: %(message)s")
+        log = logging.getLogger("sigauto")
 
 
 def main(argv=None) -> int:

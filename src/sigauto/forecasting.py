@@ -55,7 +55,10 @@ class Forecast(Fields):
         return cls(horizon, [{DUMMY_EVENT: 1.0} for _ in range(horizon)], horizon > 0)
 
     def step(self, j: int) -> dict[str, float]:
-        """Distribution for step j (1-based)."""
+        """Distribution for step j, 1 <= j <= horizon."""
+        _check_step(j)
+        if j > self.horizon:
+            raise ConfigError(f"forecast step must be <= the horizon {self.horizon}, got {j}")
         return self.steps[j - 1]
 
     def record(self, i: int, seed) -> dict:
@@ -104,6 +107,11 @@ def forecast(hmm: Hmm, horizon: int) -> Forecast:
     return Forecast(horizon, steps, False)
 
 
+def _check_step(j: int) -> None:
+    if j < 1:
+        raise ConfigError(f"forecast step must be >= 1, got {j}")
+
+
 def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
                         kernel: Kernel | None = None) -> float:
     """Forecast density at point ``x`` for step ``j`` of the continuous model,
@@ -113,8 +121,7 @@ def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
     The dummy state's point mass lives off the observation space, so it
     contributes zero at any finite x.
     """
-    if j < 1:
-        raise ConfigError(f"forecast step must be >= 1, got {j}")
+    _check_step(j)
     kern = hmm_c.kernel_for(kernel)
     if len(x) != kern.d:
         raise ConfigError(f"point has dimension {len(x)}, kernel has {kern.d}")
@@ -180,6 +187,7 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
     drawn (no observation can represent the dummy event).  The noise is
     drawn with ``hmm_c.kernel_for(kernel)``.
     """
+    _check_step(j)
     import numpy as np
 
     kern = hmm_c.kernel_for(kernel)

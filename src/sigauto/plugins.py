@@ -17,15 +17,13 @@ State labels and cluster ids are plain strings: ``"3"`` for a 1-d grid cell,
 from __future__ import annotations
 
 import functools
-import logging
 import math
+import sys
 from typing import Iterable, Sequence
 
 from .errors import (ConfigError, EmptyInputError, Fields, RejectedInputError,
                      TemporalOrderError)
 from .signal import Signal
-
-log = logging.getLogger(__name__)
 
 DUMMY_EVENT = "__no_event__"
 
@@ -520,11 +518,17 @@ def rho_fn(params: PluginParams) -> StatFn:
     """Emission-weight statistic; must be additive to keep rows stochastic.
 
     ``latest_occurrence`` is not additive over the cluster partition, so it
-    falls back to plain counting here.
+    falls back to plain counting here, with a WARNING on the
+    ``sigauto.plugins`` logger when ``logging`` is loaded: sigauto never
+    loads it for this notice (the CLI loads it for SIGAUTO_LOG=info or
+    debug), so a process that does not use ``logging`` pays nothing for it.
     """
     variant = params.stat_variant
     if variant not in ADDITIVE_VARIANTS:
-        log.warning("stat variant %r is not additive; emissions use 'count'", variant)
+        logging = sys.modules.get("logging")
+        if logging is not None:
+            logging.getLogger(__name__).warning(
+                "stat variant %r is not additive; emissions use 'count'", variant)
         variant = "count"
     return StatFn(variant, params.delta, params.region)
 

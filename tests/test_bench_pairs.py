@@ -1,6 +1,8 @@
 """The verdict of ``tools/bench_pairs.py`` on synthetic paired results."""
 
 import importlib.util
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +101,16 @@ def test_a_larger_failed_share_marks_the_workload_worse():
     runs = [(p, None) for p, _ in runs]  # no change run has a result
     record = bench_pairs.summary(runs, metrics)
     assert record["failed_share"]["change"] is None and record["failed_share_worse"] is None
+
+
+def test_the_environment_names_the_python_the_bytecode_cache_and_the_cpus(monkeypatch):
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    env = bench_pairs.environment()
+    assert set(env) == {"python", "dont_write_bytecode", "cpus"}
+    assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+    assert env["dont_write_bytecode"] is False
+    assert env["cpus"] == len(os.sched_getaffinity(0)) >= 1
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    assert bench_pairs.environment()["dont_write_bytecode"] is True
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # empty is unset, as for python
+    assert bench_pairs.environment()["dont_write_bytecode"] is False

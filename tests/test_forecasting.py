@@ -15,6 +15,7 @@ from sigauto import (
     ConfigError,
     EmaGridClassifier,
     EmptyInputError,
+    Forecast,
     Kernel,
     PluginParams,
     RejectedInputError,
@@ -59,6 +60,21 @@ class TestForecast:
         _, hmm = build_plain(e1_signal, count_params)
         fc = forecast(hmm, 0)
         assert fc.steps == [] and not fc.is_dummy
+
+    @pytest.mark.parametrize("dummy", [False, True])
+    def test_a_step_outside_one_to_the_horizon_is_refused(self, count_params, dummy):
+        """The list index would wrap step 0 to the last step and step -1 to
+        step h - 1, and step h + 1 would raise a bare IndexError."""
+        _, hmm = build_plain(Signal(random_walk(40, seed=2)), count_params)
+        fc = Forecast.dummy(3) if dummy else forecast(hmm, 3)
+        assert [fc.step(j) for j in (1, 2, 3)] == fc.steps
+        for j in (0, -1):
+            with pytest.raises(ConfigError, match=f"forecast step must be >= 1, got {j}$"):
+                fc.step(j)
+        with pytest.raises(ConfigError, match="must be <= the horizon 3, got 4$"):
+            fc.step(4)
+        with pytest.raises(ConfigError, match="<= the horizon 0, got 1$"):
+            forecast(hmm, 0).step(1)
 
     def test_period_two_signal_is_deterministic(self, count_params):
         values = [1.0 if k % 2 == 0 else 5.0 for k in range(12)]
@@ -179,9 +195,14 @@ class TestForecastDensity:
             assert np.trapezoid(density, grid) == pytest.approx(real_mass, abs=1e-3)
 
     def test_step_must_be_positive(self, count_params):
-        sig, hmm = self.make_continuous(E1, count_params, Kernel([[1.0]]))
-        with pytest.raises(Exception):
-            forecast_density_at(hmm, sig, 0, (1.0,))
+        sig, hmm = self.make_continuous(random_walk(40, seed=2), count_params,
+                                        Kernel([[1.0]]))
+        for j in (0, -1):
+            message = f"forecast step must be >= 1, got {j}$"
+            with pytest.raises(ConfigError, match=message):
+                forecast_density_at(hmm, sig, j, (1.0,))
+            with pytest.raises(ConfigError, match=message):
+                sample_observation(hmm, j, seed=7)
 
 
 class TestSampling:

@@ -2,7 +2,9 @@
 the stages that ``run`` and ``fit`` use: neither ``dataclasses`` (with the
 ``inspect`` it imports) nor ``bench`` or ``lookahead``.  A subcommand
 imports the stages it runs when it runs them; ``snapshot`` only for
-``--snapshot`` or ``--resume``.
+``--snapshot`` or ``--resume``.  ``logging`` is loaded only when
+``SIGAUTO_LOG`` is ``info`` or ``debug``: with it unset, neither the import
+nor any command loads it.
 
 Checked in a fresh interpreter, because this test process has imported every
 module long before.  The checks are on which modules are loaded, never on
@@ -24,7 +26,8 @@ import sigauto
 from conftest import random_walk
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-WATCHED = ("dataclasses", "inspect", "sigauto.bench", "sigauto.lookahead", "sigauto.snapshot")
+WATCHED = ("dataclasses", "inspect", "logging", "sigauto.bench", "sigauto.lookahead",
+           "sigauto.snapshot")
 
 # Prints, after ``import sigauto``, ``import sigauto.cli`` and each command
 # in turn, the package modules and the watched modules loaded so far.
@@ -64,19 +67,32 @@ def write_csv(path, rows):
 
 
 @pytest.fixture(scope="module")
-def loaded(tmp_path_factory):
+def work(tmp_path_factory):
     work = tmp_path_factory.mktemp("imports")
     walk = random_walk(80, seed=23)
     write_csv(work / "a.csv", walk[:50])
     write_csv(work / "b.csv", walk[50:])
     (work / "grid.json").write_text(json.dumps({"grid": [
         {"stat_variant": "count"}, {"stat_variant": "discounted_sum", "delta": 0.5}]}))
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return work
+
+
+def run_script(work, log_level=None):
+    """What ``SCRIPT`` prints, with ``SIGAUTO_LOG`` set to ``log_level`` or unset."""
+    env = {k: v for k, v in os.environ.items() if k != "SIGAUTO_LOG"}
+    env["PYTHONPATH"] = str(SRC)
+    if log_level is not None:
+        env["SIGAUTO_LOG"] = log_level
     proc = subprocess.run([sys.executable, "-c", SCRIPT, str(work)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return {name: set(modules) for name, modules in
             json.loads(proc.stdout.splitlines()[-1]).items()}
+
+
+@pytest.fixture(scope="module")
+def loaded(work):
+    return run_script(work)
 
 
 def test_import_sigauto_loads_no_stage(loaded):
@@ -102,6 +118,12 @@ def test_snapshot_flags_load_the_snapshot_module_only(loaded):
 def test_lookahead_loads_its_stage_but_no_bench_or_dataclasses(loaded):
     assert loaded["lookahead"] == loaded["run --resume"] | {"sigauto.lookahead"}
     assert not {"sigauto.bench", "dataclasses", "inspect"} & loaded["lookahead"]
+
+
+def test_logging_is_loaded_only_when_sigauto_log_asks_for_output(work, loaded):
+    assert all("logging" not in modules for modules in loaded.values()), loaded
+    for name, modules in run_script(work, "info").items():  # main() configures it
+        assert ("logging" in modules) == (not name.startswith("import ")), name
 
 
 def test_every_public_name_resolves_to_its_modules_object():

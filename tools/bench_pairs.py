@@ -20,8 +20,11 @@ IQR is wider than the bound and not every change run beats every parent
 run, so the runs spread too widely to call it unchanged.  A pair with a
 failed side counts as no win, tie or loss, so it counts against a gain.
 Per workload it also gives each side's share of failed operations, and
-whether the change's share is larger than the parent's.  The last line is
-the JSON record of every run and verdict, for a ``BENCH_<pr>.json``.
+whether the change's share is larger than the parent's.  The report also
+records the environment the runs shared (``environment()``): ``setup_s``
+includes importing sigauto, which compiles its sources when no bytecode is
+cached.  The last line is the JSON record of every run and verdict, for a
+``BENCH_<pr>.json``.
 """
 
 from __future__ import annotations
@@ -106,6 +109,15 @@ def summary(pairs: list[tuple[dict | None, dict | None]], metrics: list[dict]) -
                      for k, (p, c) in enumerate(pairs)]}
 
 
+def environment() -> dict:
+    """The Python version, whether PYTHONDONTWRITEBYTECODE is set (no
+    bytecode is written, so each import of a fresh checkout compiles its
+    sources), and the CPUs this process may run on."""
+    return {"python": sys.version.split()[0],
+            "dont_write_bytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "cpus": len(os.sched_getaffinity(0))}
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict | None:
     """One ``perfbench/run.py --trace 0`` in ``checkout``; its result, or None."""
     argv = [sys.executable, os.path.join(checkout, "perfbench", "run.py"), "--workload",
@@ -157,7 +169,8 @@ def main(argv=None) -> int:
         shutil.rmtree(scratch, ignore_errors=True)
 
     report = {"parent": args.parent, "pairs": PAIRS, "seconds": seconds,
-              "seeds": [SEED_BASE, SEED_BASE + PAIRS - 1], "workloads": {}}
+              "seeds": [SEED_BASE, SEED_BASE + PAIRS - 1], "environment": environment(),
+              "workloads": {}}
     for name in names:
         record = report["workloads"][name] = summary(runs[name], spec["end_to_end"])
         shares = record["failed_share"]
