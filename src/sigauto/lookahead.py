@@ -38,14 +38,18 @@ suffix is identical to a fresh build over the extended signal.  The
 frontier keeps each instant's draw while the instant is in the frontier, so
 a rebuild picks from it without seeding again.  The model is built on the
 word classifier's own clusterer, which remembers recent rows, so an advance
-labels only its new row, once for the word and the model together.
+labels only its new row, once for the word and the model together.  The
+build keeps a window of the next h labels and labels each row once, as it
+enters the window.
 ``fingerprint`` undoes every live entry and redoes them one by
 one, reading each automaton/model pair at its own instant.
 """
 
 from __future__ import annotations
 
-from .automaton import Isa, move, step_stream, unmove
+from itertools import islice
+
+from .automaton import Isa, move, unmove
 from .errors import InsufficientHistoryError
 from .forecasting import (
     Forecast,
@@ -245,9 +249,12 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     """Build the frontier over a signal with at least h + 1 observations.
 
     The automaton and model start empty, and the model is built on the
-    word classifier's clusterer; instants 0 .. n - h are each one
-    ``step_stream`` with their genuine future windows, as in the plain
-    pipeline.  The remaining instants are extended one by one, each sampling
+    word classifier's clusterer.  Instants 0 .. n - h each ``move`` with the
+    word of their genuine future window, as the plain pipeline's
+    ``step_stream`` would: a window of the next h labels slides along the
+    signal, so each row is labelled once, as it enters the window, and the
+    model finds the label of the row it reads still in the clusterer's
+    memo.  The remaining instants are extended one by one, each sampling
     the next estimated observation from the previous frontier model.
 
     A ``Signal`` argument becomes the frontier's own signal, not a copy:
@@ -267,8 +274,13 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     )
     isa = frontier.base_isa = Isa()
     hmm = frontier.base_hmm = Hmm(frontier.sigma, frontier.rho, frontier.clusterer, isa)
-    for i in range(n - h + 1):
-        step_stream(isa, src, classifier, (hmm,), future=src[i + 1 : i + h + 1])
+    models, label_of, word = (hmm,), frontier.clusterer.label_of, classifier.word
+    # Before instant i the window holds the labels of rows i+1 .. i+h-1.
+    window = [label_of(row) for row in islice(src, 1, h)]
+    for obs, entering in zip(src, islice(src, h, None)):
+        window.append(label_of(entering))
+        move(isa, word(window), obs, models)
+        del window[0]
     for i in range(n - h + 1, n + 1):
         frontier._extend(i)
     return frontier

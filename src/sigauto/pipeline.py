@@ -45,7 +45,8 @@ class StreamPipeline:
         self.classifier = EmaGridClassifier(params)
         self.clusterer = Clusterer(params.grid_width)
         self.sigma = sigma_fn(params)
-        self.rho = rho_fn(params)
+        # Only a discrete model reads rho, so only it has a fallback to tell.
+        self.rho = rho_fn(params, notice=emission == "discrete")
         # Only a continuous model reads the kernel.
         self.kernel: Kernel | None = (
             Kernel(params.bandwidth)

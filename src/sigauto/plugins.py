@@ -287,6 +287,10 @@ class LookaheadWordClassifier:
     def lookahead(self) -> int:
         return self.params.horizon
 
+    # The word of a window's labels; ``lookahead_build`` joins its sliding
+    # window of labels with it too.
+    word = "|".join
+
     def reset(self) -> None:
         self.clusterer = Clusterer(self.params.grid_width)
 
@@ -296,7 +300,7 @@ class LookaheadWordClassifier:
             raise RejectedInputError(
                 f"lookahead window has {len(future)} observations, expected {h}"
             )
-        return "|".join([self.clusterer.label_of(value) for value in future])
+        return self.word([self.clusterer.label_of(value) for value in future])
 
 
 # ---------------------------------------------------------------------------
@@ -514,18 +518,20 @@ def sigma_fn(params: PluginParams) -> StatFn:
     return StatFn(params.stat_variant, params.delta, params.region)
 
 
-def rho_fn(params: PluginParams) -> StatFn:
+def rho_fn(params: PluginParams, notice: bool = True) -> StatFn:
     """Emission-weight statistic; must be additive to keep rows stochastic.
 
     ``latest_occurrence`` is not additive over the cluster partition, so it
     falls back to plain counting here, with a WARNING on the
-    ``sigauto.plugins`` logger when ``logging`` is loaded: sigauto never
-    loads it for this notice (the CLI loads it for SIGAUTO_LOG=info or
-    debug), so a process that does not use ``logging`` pays nothing for it.
+    ``sigauto.plugins`` logger when ``logging`` is loaded and ``notice`` is
+    true (a caller that builds no discrete model passes false): sigauto
+    never loads it for this notice (the CLI loads it for SIGAUTO_LOG=info
+    or debug), so a process that does not use ``logging`` pays nothing for
+    it.
     """
     variant = params.stat_variant
     if variant not in ADDITIVE_VARIANTS:
-        logging = sys.modules.get("logging")
+        logging = sys.modules.get("logging") if notice else None
         if logging is not None:
             logging.getLogger(__name__).warning(
                 "stat variant %r is not additive; emissions use 'count'", variant)

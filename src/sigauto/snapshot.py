@@ -20,16 +20,19 @@ from .plugins import PluginParams, is_number
 
 SNAPSHOT_VERSION = 5
 KEYS = {"version", "tau", "emission", "seed", "signal"}
+# ``save_snapshot`` encodes the signal this many rows at a time.
+CHUNK_ROWS = 1024
 
 
-def pipeline_state(pipe) -> dict:
-    """Serializable state of a live pipeline: its configuration and signal."""
+def pipeline_state(pipe, rows=None) -> dict:
+    """Serializable state of a live pipeline: its configuration and signal,
+    whose rows are ``rows`` when given.  The signal is the last key."""
     return {
         "version": SNAPSHOT_VERSION,
         "tau": pipe.params.to_dict(),
         "emission": pipe.emission,
         "seed": pipe.seed,
-        "signal": [list(obs) for obs in pipe.signal],
+        "signal": [list(obs) for obs in (pipe.signal if rows is None else rows)],
     }
 
 
@@ -61,16 +64,28 @@ def restore_pipeline(doc: dict):
 
 def save_snapshot(pipe, path) -> None:
     """Write the snapshot next to ``path``, then move it into place, so a
-    write that fails midway leaves the previous snapshot intact."""
+    write that fails midway leaves the previous snapshot intact.
+
+    The file holds ``json.dumps(pipeline_state(pipe), separators=(",",
+    ":"))`` and a newline, written in pieces: the document with an empty
+    signal, then the rows ``CHUNK_ROWS`` at a time, each one string from
+    the C encoder (``json.dump`` would stream the same bytes through the
+    pure-Python one).  So the memory a save takes is bounded by a chunk,
+    not proportional to the signal."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            # One string from the C encoder: ``json.dump`` would stream the
-            # same bytes through the pure-Python one.
-            handle.write(json.dumps(pipeline_state(pipe), separators=(",", ":")))
-            handle.write("\n")
+            handle.write(encode(pipeline_state(pipe, rows=()))[:-2])  # ends '"signal":['
+            signal = pipe.signal
+            for start in range(0, len(signal), CHUNK_ROWS):
+                if start:
+                    handle.write(",")
+                rows = signal[start : start + CHUNK_ROWS]
+                handle.write(encode([list(obs) for obs in rows])[1:-1])
+            handle.write("]}\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)

@@ -3,8 +3,9 @@
 Unset, ``error`` or a value sigauto does not know (``warning``) prints
 nothing: no subcommand writes a line to stderr, not even the notice that a
 non-additive ``latest_occurrence`` emission statistic falls back to
-``count``.  ``info`` prints that notice and the two lines of a ``run`` with
-``--snapshot``.
+``count``.  ``info`` prints that notice once for each discrete model a
+subcommand builds (none for a continuous ``run``) and the two lines of a
+``run`` with ``--snapshot``.
 
 Each case runs the command line in a fresh interpreter, so the logging
 configuration of this test process plays no part.
@@ -63,10 +64,21 @@ def test_the_default_level_prints_nothing(work, command, level):
     assert sigauto(work, argv, level) == (0, "")
 
 
-def test_info_prints_the_fallback_and_the_run(work):
+FALLBACK = ("WARNING sigauto.plugins: stat variant 'latest_occurrence' is not additive; "
+            "emissions use 'count'\n")
+
+
+@pytest.mark.parametrize("command, fallbacks, run", [
+    ("run discrete", 1, True),
+    ("run continuous", 0, True),  # a continuous model has no emission statistic
+    ("fit", 2, False),  # one discrete model per grid entry
+    ("lookahead", 1, False),
+])
+def test_info_prints_the_fallback_and_the_run(work, command, fallbacks, run):
     snapshot = work / "info-snap.json"
-    assert sigauto(work, ["run", "--snapshot", str(snapshot)], "info") == (0, (
-        "WARNING sigauto.plugins: stat variant 'latest_occurrence' is not additive; "
-        "emissions use 'count'\n"
-        "INFO sigauto: processed 40 observations, stream is at instant 39\n"
-        f"INFO sigauto: snapshot written to {snapshot}\n"))
+    argv = [str(snapshot) if a == "SNAP" else a for a in COMMANDS[command]]
+    lines = FALLBACK * fallbacks
+    if run:
+        lines += ("INFO sigauto: processed 40 observations, stream is at instant 39\n"
+                  f"INFO sigauto: snapshot written to {snapshot}\n")
+    assert sigauto(work, argv, "info") == (0, lines)

@@ -33,6 +33,12 @@ def period_two(length):
     return Signal([1.0 if k % 2 == 0 else 5.0 for k in range(length)])
 
 
+# Every statistic, the region ones with a box that holds every value of
+# the three-level signals below, so no row is empty and no entry poisoned.
+EVERY_STAT_IN_A_BOX = [{**stat, "region": ((0.0, 6.0),)} if "region" in stat else stat
+                       for stat in EVERY_STAT]
+
+
 @pytest.fixture
 def word_params():
     return PluginParams(grid_width=1.0, horizon=1)
@@ -59,28 +65,33 @@ class TestBuild:
                 assert fc.step(1) == {realized: 1.0}
             lookahead_advance(frontier, values[i])
 
-    def test_base_agreement_with_plain_fold(self, word_params):
+    @pytest.mark.parametrize("stat", EVERY_STAT_IN_A_BOX)
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    def test_base_agreement_with_plain_fold(self, h, stat):
         """With every live entry undone, the frontier's automaton and model
         match the plain pipeline run to n - h with the same lookahead
-        classifier and genuine windows."""
-        signal = period_two(9)
-        h = word_params.horizon
-        n = signal.last_instant
-        frontier = lookahead_build(signal, word_params, seed=1)
-        classifier = LookaheadWordClassifier(word_params)
-        isa = init_isa(signal[0], classifier, future=signal[1 : 1 + h])
-        for i in range(1, n - h + 1):
-            next_isa(isa, signal, classifier, future=signal[i + 1 : i + h + 1])
+        classifier and genuine windows (``plain_fold``), at each horizon and
+        statistic: the automaton and every accumulator exactly, and each
+        row, within rounding, as the scratch conversion of that automaton
+        reads it."""
+        params = PluginParams(grid_width=1.0, horizon=h, **stat)
+        rng = random.Random(0)
+        signal = Signal([rng.choice((1.0, 3.0, 5.0)) for _ in range(64)])
+        frontier = lookahead_build(signal, params, seed=1)
         live = frontier.live()
-        assert live
+        assert len(live) == h
         for entry in reversed(live):
             entry.undo()
+        isa, hmm = plain_fold(signal, params, signal.last_instant - h)
         assert frontier.base_isa == isa
-        hmm = isa_to_hmm(isa, signal, sigma_fn(word_params), rho_fn(word_params),
-                         Clusterer(word_params.grid_width))
-        base = frontier.base_hmm
-        assert model_rows(base, "transition_row") == model_rows(hmm, "transition_row")
-        assert model_rows(base, "emission_row") == model_rows(hmm, "emission_row")
+        assert accumulator_tables(frontier.base_hmm) == accumulator_tables(hmm)
+        scratch = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params),
+                             Clusterer(params.grid_width))
+        for name in ("transition_row", "emission_row"):
+            rows, expected = model_rows(frontier.base_hmm, name), model_rows(scratch, name)
+            assert rows.keys() == expected.keys()
+            for p in rows:
+                assert rows[p] == pytest.approx(expected[p], rel=1e-12, abs=0.0), (name, p)
         for entry in live:
             entry.redo()
 
@@ -527,6 +538,23 @@ def test_the_words_and_the_model_label_each_genuine_row_once(h, monkeypatch):
     fresh = Clusterer(0.5)
     genuine = dict.fromkeys(fresh.label_of(row) for row in Signal(values))
     assert list(frontier.clusterer.observed) == list(genuine)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3])
+def test_the_build_labels_each_row_once(h, monkeypatch):
+    """The build's genuine instants label rows 1 .. n once each, in order,
+    as each enters the window of the next h labels; only the h extended
+    instants label their windows, h rows each.  Labelling every window
+    afresh would take ~h labels per row."""
+    values = random_walk(3_000, seed=4)
+    calls = []
+    real = Clusterer.label_of
+    monkeypatch.setattr(Clusterer, "label_of",
+                        lambda clusterer, obs: calls.append(obs) or real(clusterer, obs))
+    lookahead_build(values, PluginParams(grid_width=0.5, horizon=h), seed=0)
+    n = len(values) - 1
+    assert calls[:n] == [(value,) for value in values[1:]]
+    assert len(calls) <= n + 1 + h * h, f"{len(calls)} labels for {n + 1} rows"
 
 
 def test_each_genuine_row_is_classified_once(monkeypatch):

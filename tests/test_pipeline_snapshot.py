@@ -163,9 +163,9 @@ class TestPipelineSnapshot:
         pipe.advance(2.0)
         real_state = snapshot.pipeline_state
 
-        def unserializable_tail(p):
-            # json.dump writes every key before this one, then fails
-            return {**real_state(p), "tail": object()}
+        def unserializable_tail(p, rows=None):
+            # the encoder reaches every key before this one, then fails
+            return {**real_state(p, rows), "tail": object()}
 
         monkeypatch.setattr(snapshot, "pipeline_state", unserializable_tail)
         with pytest.raises(TypeError):
@@ -173,6 +173,38 @@ class TestPipelineSnapshot:
         assert path.read_bytes() == previous
         assert load_snapshot(path).n == 4
         assert [f.name for f in tmp_path.iterdir()] == ["snap.json"]
+
+    @pytest.mark.parametrize("length", [0, 1, snapshot.CHUNK_ROWS, snapshot.CHUNK_ROWS + 1,
+                                        3 * snapshot.CHUNK_ROWS + 17])
+    def test_a_chunked_save_writes_the_bytes_of_one_encoding(self, tmp_path, length):
+        """The rows go out in chunks, and the file holds the bytes of one
+        C-encoder string of the whole document, for an empty signal, one
+        row, a signal that ends at a chunk boundary or just past it, and
+        many chunks."""
+        pipe = StreamPipeline(PluginParams(grid_width=(0.5, 2.0)))
+        for value in random_walk(length, dim=2, seed=4):
+            pipe.advance(value)
+        path = tmp_path / "snap.json"
+        save_snapshot(pipe, path)
+        expected = json.dumps(pipeline_state(pipe), separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == expected
+
+    def test_a_save_takes_memory_bounded_by_a_chunk(self, tmp_path):
+        """Saving a 20 000-row pipeline (a ~415 KB file) allocates at most
+        1 MB at its peak; one string of the whole document took ~4.1 MB."""
+        import tracemalloc
+
+        pipe = StreamPipeline(PluginParams(grid_width=0.5))
+        for value in random_walk(20_000, seed=5):
+            pipe.advance(value)
+        tracemalloc.start()
+        try:
+            save_snapshot(pipe, tmp_path / "snap.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert os.path.getsize(tmp_path / "snap.json") > 400_000
+        assert peak <= 1_000_000, peak
 
     def test_loaded_clusterer_centers(self, tmp_path):
         params = PluginParams(grid_width=(0.5, 2.0))

@@ -158,8 +158,9 @@ def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
 
 
 def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
-    """Every streaming path steps through ``automaton.step_stream``: no
-    module but ``automaton.py`` calls ``init_isa`` or ``next_isa``.  The
+    """No module but ``automaton.py`` calls ``init_isa`` or ``next_isa``: a
+    streaming path steps through ``automaton.step_stream``, or ``move``s
+    with a word it labelled itself, as the lookahead build does.  The
     whole-automaton conversions run only on the scratch paths: the
     pipeline's reference rebuild and the build gate of ``bench``; a
     snapshot's pipeline is restored by streaming its signal, not converted."""
