@@ -250,11 +250,10 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
 
     The automaton and model start empty, and the model is built on the
     word classifier's clusterer.  Instants 0 .. n - h each ``move`` with the
-    word of their genuine future window, as the plain pipeline's
-    ``step_stream`` would: a window of the next h labels slides along the
-    signal, so each row is labelled once, as it enters the window, and the
-    model finds the label of the row it reads still in the clusterer's
-    memo.  The remaining instants are extended one by one, each sampling
+    word of their genuine future window, the step ``step_stream`` would
+    take, from a window of the next h labels that slides along the signal:
+    each row is labelled once, as it enters the window, and the model finds
+    that label still in the clusterer's memo.  The remaining instants are extended one by one, each sampling
     the next estimated observation from the previous frontier model.
 
     A ``Signal`` argument becomes the frontier's own signal, not a copy:

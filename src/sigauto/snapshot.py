@@ -66,12 +66,10 @@ def save_snapshot(pipe, path) -> None:
     """Write the snapshot next to ``path``, then move it into place, so a
     write that fails midway leaves the previous snapshot intact.
 
-    The file holds ``json.dumps(pipeline_state(pipe), separators=(",",
-    ":"))`` and a newline, written in pieces: the document with an empty
-    signal, then the rows ``CHUNK_ROWS`` at a time, each one string from
-    the C encoder (``json.dump`` would stream the same bytes through the
-    pure-Python one).  So the memory a save takes is bounded by a chunk,
-    not proportional to the signal."""
+    The bytes are ``json.dumps(pipeline_state(pipe), separators=(",", ":"))``
+    and a newline, written ``CHUNK_ROWS`` rows at a time, each chunk one
+    string from the C encoder (``json.dump`` would take the pure-Python
+    one), so the memory a save takes is bounded by a chunk."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     path = os.fspath(path)
     directory, name = os.path.split(path)
