@@ -253,8 +253,9 @@ def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     word of their genuine future window, the step ``step_stream`` would
     take, from a window of the next h labels that slides along the signal:
     each row is labelled once, as it enters the window, and the model finds
-    that label still in the clusterer's memo.  The remaining instants are extended one by one, each sampling
-    the next estimated observation from the previous frontier model.
+    that label still in the clusterer's memo.  The remaining instants are
+    extended one by one, each sampling the next estimated observation from
+    the previous frontier model.
 
     A ``Signal`` argument becomes the frontier's own signal, not a copy:
     ``lookahead_advance`` appends each later row to it.  Any other iterable

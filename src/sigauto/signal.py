@@ -23,9 +23,9 @@ def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
     A tuple whose coordinates are all of type ``float`` is checked and
     returned as it is, not copied, so a validated row keeps its identity;
     anything else (a list, ints, numpy scalars) is converted into a new
-    tuple.  A bare finite ``float`` of the expected width becomes a
-    one-coordinate tuple at once, so a list of floats fills a signal
-    without the general conversion.  A ``bool`` value or coordinate, and a
+    tuple.  A bare ``float`` is wrapped in a one-coordinate tuple without
+    the general conversion, so a list of floats fills a signal cheaply, and
+    is then checked like any row.  A ``bool`` value or coordinate, and a
     ``str``, ``bytes`` or mapping value, is not numeric; a non-finite row
     of another width is refused as non-finite.
     """
@@ -34,9 +34,9 @@ def as_observation(value, dim: int | None = None) -> tuple[float, ...]:
         if type(x) is not float:
             coords = None
             break
-    if coords is None:
-        if type(value) is float and math.isfinite(value) and dim in (None, 1):
-            return (value,)
+    if type(value) is float:
+        coords = (value,)
+    elif coords is None:
         try:
             if isinstance(value, (int, float)) and type(value) is not bool:
                 coords = (float(value),)

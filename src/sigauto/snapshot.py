@@ -24,16 +24,19 @@ KEYS = {"version", "tau", "emission", "seed", "signal"}
 CHUNK_ROWS = 1024
 
 
-def pipeline_state(pipe, rows=None) -> dict:
-    """Serializable state of a live pipeline: its configuration and signal,
-    whose rows are ``rows`` when given.  The signal is the last key."""
+def _configuration(pipe) -> dict:
+    """Every key of a snapshot but the signal, in the file's order."""
     return {
         "version": SNAPSHOT_VERSION,
         "tau": pipe.params.to_dict(),
         "emission": pipe.emission,
         "seed": pipe.seed,
-        "signal": [list(obs) for obs in (pipe.signal if rows is None else rows)],
     }
+
+
+def pipeline_state(pipe) -> dict:
+    """Serializable state of a live pipeline: its configuration and signal."""
+    return {**_configuration(pipe), "signal": [list(obs) for obs in pipe.signal]}
 
 
 def restore_pipeline(doc: dict):
@@ -76,7 +79,10 @@ def save_snapshot(pipe, path) -> None:
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(encode(pipeline_state(pipe, rows=()))[:-2])  # ends '"signal":['
+            # The configuration's object without its closing brace, then
+            # the signal as its last key.
+            handle.write(encode(_configuration(pipe))[:-1])
+            handle.write(',"signal":[')
             signal = pipe.signal
             for start in range(0, len(signal), CHUNK_ROWS):
                 if start:

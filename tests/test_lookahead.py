@@ -72,8 +72,9 @@ class TestBuild:
         match the plain pipeline run to n - h with the same lookahead
         classifier and genuine windows (``plain_fold``), at each horizon and
         statistic: the automaton and every accumulator exactly, and each
-        row, within rounding, as the scratch conversion of that automaton
-        reads it."""
+        row as the scratch conversion of that automaton reads it, exactly
+        for the statistics read without discounting, within float tolerance
+        for the discounted ones (lazy discounting rounds differently)."""
         params = PluginParams(grid_width=1.0, horizon=h, **stat)
         rng = random.Random(0)
         signal = Signal([rng.choice((1.0, 3.0, 5.0)) for _ in range(64)])
@@ -89,6 +90,9 @@ class TestBuild:
                              Clusterer(params.grid_width))
         for name in ("transition_row", "emission_row"):
             rows, expected = model_rows(frontier.base_hmm, name), model_rows(scratch, name)
+            if not params.stat_variant.startswith("discounted"):
+                assert rows == expected, name
+                continue
             assert rows.keys() == expected.keys()
             for p in rows:
                 assert rows[p] == pytest.approx(expected[p], rel=1e-12, abs=0.0), (name, p)

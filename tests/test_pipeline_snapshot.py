@@ -161,13 +161,10 @@ class TestPipelineSnapshot:
         save_snapshot(pipe, path)
         previous = path.read_bytes()
         pipe.advance(2.0)
-        real_state = snapshot.pipeline_state
-
-        def unserializable_tail(p, rows=None):
-            # the encoder reaches every key before this one, then fails
-            return {**real_state(p, rows), "tail": object()}
-
-        monkeypatch.setattr(snapshot, "pipeline_state", unserializable_tail)
+        # An unencodable last row, stored past the append's check: the save
+        # writes the configuration and the first chunks, then fails.
+        pipe.signal._obs.append((object(),))
+        monkeypatch.setattr(snapshot, "CHUNK_ROWS", 2)
         with pytest.raises(TypeError):
             save_snapshot(pipe, path)
         assert path.read_bytes() == previous
