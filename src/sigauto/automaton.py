@@ -16,8 +16,11 @@ This module alone changes or builds an automaton: ``move`` steps it in
 place to a given state and then ``update``s each model, and ``unmove`` is
 its exact inverse.  ``step_stream`` classifies the next observation and
 moves; ``next_isa`` is that step with no model, and returns the automaton;
-``build_isa`` takes that step over a whole signal.  They hand on the rows
-of a ``Signal``, checked when appended, unchecked.
+``build_isa`` takes that step over a whole signal.  Their classifier maps
+one row to one label: ``reset()`` and ``step(row)``.  A lookahead
+classifier's label also depends on the next h rows, so the lookahead
+frontier labels its words itself and ``move``s with them.  The steps hand
+on the rows of a ``Signal``, checked when appended, unchecked.
 """
 
 from __future__ import annotations
@@ -109,11 +112,11 @@ class Isa(Fields):
         self.theta, self.n, self.new_state_instants = InstantsMatrix(), -1, []
 
 
-def init_isa(r0, classifier, future=()) -> Isa:
+def init_isa(r0, classifier) -> Isa:
     """Build the automaton for a one-observation signal: the first step of
     the empty automaton, with ``classifier`` reset."""
     classifier.reset()
-    return next_isa(Isa(), Signal([r0]), classifier, future)
+    return next_isa(Isa(), Signal([r0]), classifier)
 
 
 def move(isa: Isa, label: str, obs, models=()) -> None:
@@ -146,7 +149,7 @@ def unmove(isa: Isa, previous: str) -> None:
     isa.n = i - 1
 
 
-def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None:
+def step_stream(isa: Isa, signal: Signal, classifier, models) -> None:
     """The one step of the automaton and its models, from the first
     observation on: classify observation ``signal[isa.n + 1]`` and ``move``
     ``isa`` and ``models`` to its state.  The classifier and models are read
@@ -156,13 +159,13 @@ def step_stream(isa: Isa, signal: Signal, classifier, models, future=()) -> None
         raise StalenessError(f"automaton is at instant {isa.n} but signal has only "
                              f"{len(signal)} observations")
     obs = signal[i]
-    move(isa, classifier.step(obs, future), obs, models)
+    move(isa, classifier.step(obs), obs, models)
 
 
-def next_isa(isa: Isa, signal: Signal, classifier, future=()) -> Isa:
+def next_isa(isa: Isa, signal: Signal, classifier) -> Isa:
     """Consume observation ``signal[isa.n + 1]``, mutating ``isa`` in place:
     ``step_stream`` with no model."""
-    step_stream(isa, signal, classifier, (), future)
+    step_stream(isa, signal, classifier, ())
     return isa
 
 
@@ -170,10 +173,6 @@ def build_isa(signal: Signal, classifier) -> Isa:
     """Build the automaton for a whole signal from scratch (O(n) steps)."""
     if len(signal) == 0:
         raise EmptyInputError("cannot build an automaton from an empty signal")
-    if getattr(classifier, "lookahead", 0):
-        raise SigautoError(
-            "build_isa takes a plain classifier; lookahead construction is separate"
-        )
     classifier.reset()
     isa = Isa()
     for _ in range(len(signal)):

@@ -296,12 +296,8 @@ class HmmContinuous(_TransitionCore):
 
     def __init__(self, sigma: StatFn, signal: Signal, kernel: Kernel | None, isa: Isa):
         super().__init__(sigma, isa)
-        if kernel is not None and len(signal) and kernel.d != signal.dim:
-            raise ConfigError(
-                f"kernel dimension {kernel.d} does not match signal dimension {signal.dim}"
-            )
         self.signal = signal
-        self.kernel = kernel
+        self.kernel = self._checked(kernel)
         incoming = isa.theta.incoming_instants()
         self.mixtures = {q: incoming[q] for q in self.state_order if q in incoming}
 
@@ -312,10 +308,18 @@ class HmmContinuous(_TransitionCore):
         centers = self.mixtures.get(q, [])
         return tuple(centers), (1.0 / len(centers) if centers else 0.0)
 
+    def _checked(self, kernel: Kernel | None) -> Kernel | None:
+        """``kernel``, refused if its dimension is not the signal's."""
+        if kernel is not None and len(self.signal) and kernel.d != self.signal.dim:
+            raise ConfigError(
+                f"kernel dimension {kernel.d} does not match signal dimension {self.signal.dim}"
+            )
+        return kernel
+
     def kernel_for(self, kernel: Kernel | None = None) -> Kernel:
-        """``kernel``, else the model's own, else Scott's rule over the
-        model's signal as it stands."""
-        return kernel or self.kernel or Kernel(default_bandwidth(self.signal))
+        """``kernel``, checked, else the model's own, else Scott's rule over
+        the model's signal as it stands."""
+        return self._checked(kernel) or self.kernel or Kernel(default_bandwidth(self.signal))
 
     def density(self, q: str, x, kernel: Kernel | None = None) -> float:
         if q == DUMMY_STATE:

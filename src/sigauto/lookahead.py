@@ -40,7 +40,8 @@ a rebuild picks from it without seeding again.  The model is built on the
 word classifier's own clusterer, which remembers recent rows, so an advance
 labels only its new row, once for the word and the model together.  The
 build keeps a window of the next h labels and labels each row once, as it
-enters the window.
+enters the window.  The automaton's own steps classify one row at a time,
+so the frontier labels its words itself and ``move``s with them.
 ``fingerprint`` undoes every live entry and redoes them one by
 one, reading each automaton/model pair at its own instant.
 """
@@ -60,14 +61,7 @@ from .forecasting import (
     uniform_draw,
 )
 from .hmm import Hmm, swap_journal
-from .plugins import (
-    DUMMY_EVENT,
-    Clusterer,
-    LookaheadWordClassifier,
-    PluginParams,
-    rho_fn,
-    sigma_fn,
-)
+from .plugins import DUMMY_EVENT, LookaheadWordClassifier, PluginParams, rho_fn, sigma_fn
 from .signal import Signal
 
 
@@ -113,21 +107,25 @@ class LookaheadFrontier:
     frontier instant.  ``matched`` and ``rebuilt`` count the advances that
     kept the deeper entries and those that rebuilt them; ``entries_built``
     counts the entries appended, poisoned ones included.
+
+    The frontier builds its own parts: the word classifier, which refuses
+    h < 1, then its signal (``signal`` itself if a ``Signal``, which
+    ``lookahead_advance`` appends to, else a copy), which refuses a bad row
+    and must hold more than h rows.  The model is built on the classifier's
+    clusterer; the automaton and model start empty.
     """
 
-    def __init__(self, params: PluginParams, seed, signal: Signal,
-                 classifier: LookaheadWordClassifier, clusterer: Clusterer,
-                 sigma, rho):
-        self.params = params
-        self.h = params.horizon
-        self.seed = seed
-        self.signal = signal
-        self.classifier = classifier
-        self.clusterer = clusterer
-        self.sigma = sigma
-        self.rho = rho
-        self.base_isa: Isa | None = None
-        self.base_hmm: Hmm | None = None
+    def __init__(self, params: PluginParams, seed, signal):
+        self.params, self.h, self.seed = params, params.horizon, seed
+        self.classifier = LookaheadWordClassifier(params)
+        self.signal = signal if isinstance(signal, Signal) else Signal(signal)
+        if self.n < self.h:
+            raise InsufficientHistoryError(f"lookahead with horizon {self.h} needs more "
+                                           f"than {self.h} observations, got {self.n + 1}")
+        self.clusterer = self.classifier.clusterer
+        self.sigma, self.rho = sigma_fn(params), rho_fn(params)
+        self.base_isa = Isa()
+        self.base_hmm = Hmm(self.sigma, self.rho, self.clusterer, self.base_isa)
         self.entries: list[FrontierEntry | None] = []
         self.estimated: list[tuple | None] = []
         self.draws: dict[int, float] = {}
@@ -248,40 +246,23 @@ class LookaheadFrontier:
 def lookahead_build(signal, params: PluginParams, seed=0) -> LookaheadFrontier:
     """Build the frontier over a signal with at least h + 1 observations.
 
-    The automaton and model start empty, and the model is built on the
-    word classifier's clusterer.  Instants 0 .. n - h each ``move`` with the
-    word of their genuine future window, the step ``step_stream`` would
-    take, from a window of the next h labels that slides along the signal:
-    each row is labelled once, as it enters the window, and the model finds
-    that label still in the clusterer's memo.  The remaining instants are
-    extended one by one, each sampling the next estimated observation from
-    the previous frontier model.
-
-    A ``Signal`` argument becomes the frontier's own signal, not a copy:
-    ``lookahead_advance`` appends each later row to it.  Any other iterable
-    is copied into a new ``Signal``.
+    Instants 0 .. n - h each ``move`` with the word of their genuine future
+    window, from a window of the next h labels that slides along the
+    signal: each row is labelled once, as it enters the window, and the
+    model finds that label still in the clusterer's memo.  The remaining
+    instants are extended one by one, each sampling the next estimated
+    observation from the previous frontier model.
     """
-    h = params.horizon
-    classifier = LookaheadWordClassifier(params)  # refuses h < 1
-    src = signal if isinstance(signal, Signal) else Signal(signal)
-    n = src.last_instant
-    if n < h:
-        raise InsufficientHistoryError(
-            f"lookahead with horizon {h} needs more than {h} observations, got {n + 1}"
-        )
-    frontier = LookaheadFrontier(
-        params, seed, src, classifier, classifier.clusterer, sigma_fn(params), rho_fn(params)
-    )
-    isa = frontier.base_isa = Isa()
-    hmm = frontier.base_hmm = Hmm(frontier.sigma, frontier.rho, frontier.clusterer, isa)
-    models, label_of, word = (hmm,), frontier.clusterer.label_of, classifier.word
+    frontier = LookaheadFrontier(params, seed, signal)
+    src, h, isa, models = frontier.signal, frontier.h, frontier.base_isa, (frontier.base_hmm,)
+    label_of, word = frontier.clusterer.label_of, frontier.classifier.word
     # Before instant i the window holds the labels of rows i+1 .. i+h-1.
     window = [label_of(row) for row in islice(src, 1, h)]
     for obs, entering in zip(src, islice(src, h, None)):
         window.append(label_of(entering))
         move(isa, word(window), obs, models)
         del window[0]
-    for i in range(n - h + 1, n + 1):
+    for i in range(frontier.n - h + 1, frontier.n + 1):
         frontier._extend(i)
     return frontier
 
@@ -302,8 +283,7 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     n_new = frontier.signal.last_instant
     i0 = n_new - h
     frontier.draws.pop(i0, None)  # instant i0 is now fully genuine
-    genuine_window = frontier.signal[i0 + 1 : i0 + h + 1]
-    genuine_word = frontier.classifier.step(frontier.signal[i0], genuine_window)
+    genuine_word = frontier.classifier.step(frontier.signal[i0], frontier._window(i0))
     old_first = frontier.entries[0] if frontier.entries else None
     if old_first is not None and old_first.word == genuine_word:
         del frontier.entries[0]

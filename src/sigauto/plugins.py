@@ -239,8 +239,6 @@ class EmaGridClassifier:
     builds each cell's label once.
     """
 
-    lookahead = 0
-
     def __init__(self, params: PluginParams):
         self.params = params
         self._ema: tuple[float, ...] | None = None
@@ -250,9 +248,7 @@ class EmaGridClassifier:
         self._ema = None
         self._widths = None
 
-    def step(self, obs, future=()) -> str:
-        if future:
-            raise RejectedInputError("plain classifier takes no lookahead window")
+    def step(self, obs) -> str:
         ema = self._ema
         if ema is None:
             ema = obs
@@ -282,10 +278,6 @@ class LookaheadWordClassifier:
             raise ConfigError("lookahead classifier needs horizon >= 1")
         self.params = params
         self.reset()
-
-    @property
-    def lookahead(self) -> int:
-        return self.params.horizon
 
     # The word of a window's labels; ``lookahead_build`` joins its sliding
     # window of labels with it too.

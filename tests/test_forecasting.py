@@ -204,6 +204,21 @@ class TestForecastDensity:
             with pytest.raises(ConfigError, match=message):
                 sample_observation(hmm, j, seed=7)
 
+    def test_a_kernel_of_another_dimension_is_refused(self, count_params):
+        """A passed kernel is checked as the model's own is: a 1-d kernel on a
+        2-d model would flatten each centre into two 1-d ones."""
+        sig = Signal(random_walk(60, dim=2, seed=4))
+        hmm = isa_to_hmm_continuous(build_isa(sig, EmaGridClassifier(count_params)), sig,
+                                    sigma_fn(count_params), None)
+        kernel = Kernel([[1.0]])
+        message = "kernel dimension 1 does not match signal dimension 2$"
+        reads = [lambda: hmm.density(hmm.current, (1.0,), kernel),
+                 lambda: forecast_density_at(hmm, sig, 1, (1.0,), kernel=kernel),
+                 lambda: sample_observation(hmm, 1, seed=7, kernel=kernel)]
+        for read in reads:
+            with pytest.raises(ConfigError, match=message):
+                read()
+
 
 class TestSampling:
     def test_point_mass(self):
@@ -355,9 +370,9 @@ class TestFit:
         steps = []
         real = EmaGridClassifier.step
 
-        def counted(classifier, obs, future=()):
+        def counted(classifier, obs):
             steps.append(obs)
-            return real(classifier, obs, future)
+            return real(classifier, obs)
 
         monkeypatch.setattr(EmaGridClassifier, "step", counted)
         signal = walk_signal()

@@ -694,8 +694,8 @@ class TestModelReadsItsAutomaton:
             PluginParams(stat_variant="discounted_sum", delta=d) for d in (0.5, 0.9, 0.99)]
         real, steps = forecasting.step_stream, []
 
-        def checked(isa, signal, classifier, models, future=()):
-            real(isa, signal, classifier, models, future)
+        def checked(isa, signal, classifier, models):
+            real(isa, signal, classifier, models)
             for model in models:
                 assert_model_reads_its_automaton(model, isa)
             steps.append(len(models))

@@ -11,15 +11,15 @@ from sigauto import (
     Clusterer,
     ConfigError,
     InsufficientHistoryError,
+    Isa,
     LookaheadWordClassifier,
     PluginParams,
     Signal,
-    init_isa,
     isa_to_hmm,
     lookahead_advance,
     lookahead_build,
+    move,
     next_hmm,
-    next_isa,
     rho_fn,
     sigma_fn,
 )
@@ -279,13 +279,14 @@ def plain_fold(values, params, upto):
     instant at a time with genuine windows."""
     h = params.horizon
     signal = Signal(values)
-    classifier = LookaheadWordClassifier(params)
-    isa = init_isa(signal[0], classifier, future=signal[1 : 1 + h])
-    hmm = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params),
-                     Clusterer(params.grid_width))
-    for i in range(1, upto + 1):
-        next_isa(isa, signal, classifier, future=signal[i + 1 : i + h + 1])
-        next_hmm(hmm, isa, signal, hmm.sigma, hmm.rho, hmm.clusterer)
+    classifier, isa = LookaheadWordClassifier(params), Isa()
+    for i in range(upto + 1):
+        move(isa, classifier.step(signal[i], signal[i + 1 : i + h + 1]), signal[i])
+        if i == 0:
+            hmm = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params),
+                             Clusterer(params.grid_width))
+        else:
+            next_hmm(hmm, isa, signal, hmm.sigma, hmm.rho, hmm.clusterer)
     return isa, hmm
 
 

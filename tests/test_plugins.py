@@ -133,11 +133,6 @@ class TestEmaGridClassifier:
         with pytest.raises(EmptyInputError):
             scratch_label(count_params, Signal())
 
-    def test_rejects_future_window(self, count_params):
-        handle = EmaGridClassifier(count_params)
-        with pytest.raises(RejectedInputError):
-            handle.step((1.0,), future=((2.0,),))
-
 
 @settings(max_examples=60, deadline=None)
 @given(

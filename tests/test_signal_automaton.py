@@ -12,6 +12,7 @@ from sigauto import (
     EmptyInputError,
     InstantsMatrix,
     Isa,
+    LookaheadWordClassifier,
     PluginParams,
     RejectedInputError,
     SigautoError,
@@ -23,6 +24,7 @@ from sigauto import (
     is_new_state,
     move,
     next_isa,
+    step_stream,
     unmove,
 )
 
@@ -278,6 +280,19 @@ class TestBuildIsa:
     def test_empty_signal(self, count_params):
         with pytest.raises(EmptyInputError):
             build_isa(Signal(), EmaGridClassifier(count_params))
+
+
+def test_every_step_refuses_a_lookahead_classifier(count_params):
+    """A step hands its classifier one row and no window, so a word
+    classifier refuses each step, and the automaton stays as it was."""
+    sig, word = Signal(E1), LookaheadWordClassifier(PluginParams(horizon=2))
+    isa = build_isa(Signal(E1[:2]), EmaGridClassifier(count_params))
+    steps = [lambda: build_isa(sig, word), lambda: init_isa(sig[0], word),
+             lambda: next_isa(isa, sig, word), lambda: step_stream(isa, sig, word, ())]
+    for step in steps:
+        with pytest.raises(RejectedInputError, match="window has 0 observations, expected 2$"):
+            step()
+    assert isa == build_isa(Signal(E1[:2]), EmaGridClassifier(count_params))
 
 
 class TestIsNewState:

@@ -177,6 +177,24 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
     assert converting <= {"pipeline.py:StreamPipeline.rebuild_from_scratch"}
 
 
+def test_a_step_takes_one_row_and_only_the_frontier_builds_a_word_classifier():
+    """The automaton's steps and the EMA classifier map one row to a label:
+    no function takes a ``future`` window but ``LookaheadWordClassifier.step``,
+    and only the lookahead frontier, which labels its words itself, builds a
+    word classifier."""
+    windowed, building = set(), set()
+    for path in MODULES:
+        for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.arguments) and "future" in {
+                    arg.arg for arg in node.posonlyargs + node.args + node.kwonlyargs}:
+                windowed.add(f"{path.name}:{scope}")
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func).split(".")[-1] == "LookaheadWordClassifier"):
+                building.add(f"{path.name}:{scope}")
+    assert windowed == {"plugins.py:LookaheadWordClassifier.step"}
+    assert building == {"lookahead.py:LookaheadFrontier.__init__"}
+
+
 def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
     """``automaton.py`` alone builds an instants matrix, fills an automaton
     field by field, or appends to or pops its cells: every other module
