@@ -185,8 +185,20 @@ def _opened(path: str | None, mode: str):
             raise
 
 
+# Every record's text, as the chunks of one encoder built here once: the
+# standard library's ``dumps`` with ``sort_keys=True`` builds a new encoder
+# on every call.  The settings are that call's, so the bytes are too; a
+# record is a tree, so no circular-reference markers are kept.
+if json.encoder.c_make_encoder is None:
+    _record_chunks = json.JSONEncoder(sort_keys=True, check_circular=False).iterencode
+else:
+    _record_chunks = json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ", ", True, False, True)  # indent, separators, sort_keys, skipkeys, allow_nan
+
+
 def _write_record(out, record: dict) -> None:
-    out.write(json.dumps(record, sort_keys=True))
+    out.write("".join(_record_chunks(record, 0)))
     out.write("\n")
 
 

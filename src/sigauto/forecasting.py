@@ -122,9 +122,7 @@ def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
     contributes zero at any finite x.
     """
     _check_step(j)
-    kern = hmm_c.kernel_for(kernel)
-    if len(x) != kern.d:
-        raise ConfigError(f"point has dimension {len(x)}, kernel has {kern.d}")
+    kern = hmm_c.kernel_at(x, kernel)
     occupancy = state_occupancies(hmm_c, j)[-1]
     total = 0.0
     for q, w in occupancy.items():

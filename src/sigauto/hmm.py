@@ -321,13 +321,22 @@ class HmmContinuous(_TransitionCore):
         the model's signal as it stands."""
         return self._checked(kernel) or self.kernel or Kernel(default_bandwidth(self.signal))
 
+    def kernel_at(self, x, kernel: Kernel | None = None) -> Kernel:
+        """``kernel_for(kernel)``, refused if point ``x`` is not of its
+        dimension: every density read checks its point here."""
+        kern = self.kernel_for(kernel)
+        if len(x) != kern.d:
+            raise ConfigError(f"point has dimension {len(x)}, kernel has {kern.d}")
+        return kern
+
     def density(self, q: str, x, kernel: Kernel | None = None) -> float:
+        kern = self.kernel_at(x, kernel)
         if q == DUMMY_STATE:
             return 0.0
         centers, _ = self.mixture(q)
         if not centers:
             return 0.0
-        return self.kernel_for(kernel).mean_at(x, [self.signal[j] for j in centers])
+        return kern.mean_at(x, [self.signal[j] for j in centers])
 
     def _apply_emission(self, state: str, obs, instant: int) -> None:
         self.mixtures.setdefault(state, []).append(instant)

@@ -69,10 +69,10 @@ def save_snapshot(pipe, path) -> None:
     """Write the snapshot next to ``path``, then move it into place, so a
     write that fails midway leaves the previous snapshot intact.
 
-    The bytes are ``json.dumps(pipeline_state(pipe), separators=(",", ":"))``
-    and a newline, written ``CHUNK_ROWS`` rows at a time, each chunk one
-    string from the C encoder (``json.dump`` would take the pure-Python
-    one), so the memory a save takes is bounded by a chunk."""
+    The bytes are ``JSONEncoder(separators=(",", ":")).encode`` of
+    ``pipeline_state(pipe)`` and a newline, written ``CHUNK_ROWS`` rows at a
+    time, each chunk one string from the C encoder (``json.dump`` would take
+    the pure-Python one), so the memory a save takes is bounded by a chunk."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     path = os.fspath(path)
     directory, name = os.path.split(path)

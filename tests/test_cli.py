@@ -1,9 +1,12 @@
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import re
+import subprocess
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from sigauto import (BenchPoint, BenchReport, RejectedInputError, Signal, as_observation,
                      run_bench)
-from sigauto.cli import _build_parser, _parse_row, main, parse_config, read_signal
+from sigauto.cli import _build_parser, _parse_row, _write_record, main, parse_config, read_signal
 
 from conftest import E1, EVERY_STAT, random_walk
 
@@ -524,6 +527,75 @@ class TestOneCheckPerRow:
         assert main(["lookahead", "--horizon", str(h), "--input", str(tmp_path / "in.csv"),
                      "--output", str(tmp_path / "out.jsonl")]) == 0
         assert len(checks) == 150
+
+
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(
+    ["", '"', "\\", "\x00", "\x1f", "\x7f", "é", " ", "퟿", "\U0001f600"])
+JSON_FLOATS = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-7])
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | JSON_FLOATS | st.text(max_size=6)
+    | st.integers() | st.integers(min_value=2**63 - 2, max_value=2**70)
+    | st.integers(min_value=-(2**70), max_value=-(2**63) + 2),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(JSON_KEYS, children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestRecordEncoder:
+    """Every JSONL line comes from ``cli``'s one record encoder, built when
+    ``cli`` is imported, and reads as ``json.dumps(record, sort_keys=True)``."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(record=st.dictionaries(JSON_KEYS, JSON_TREES, max_size=5))
+    def test_writes_the_bytes_of_dumps(self, record):
+        out = io.StringIO()
+        _write_record(out, record)
+        assert out.getvalue() == json.dumps(record, sort_keys=True) + "\n"
+
+    def test_an_unencodable_value_is_refused_as_dumps_refuses_it(self):
+        with pytest.raises(TypeError) as ours:
+            _write_record(io.StringIO(), {"x": {1, 2}})
+        with pytest.raises(TypeError) as theirs:
+            json.dumps({"x": {1, 2}}, sort_keys=True)
+        assert str(ours.value) == str(theirs.value)
+
+    def test_a_run_builds_no_encoder_per_record(self, tmp_path, monkeypatch):
+        """Counted as calls of ``JSONEncoder.__init__``, with no timing:
+        ``json.dumps(record, sort_keys=True)`` would build one per record."""
+        built = []
+        real = json.JSONEncoder.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONEncoder, "__init__", counted)
+        write_csv(tmp_path / "in.csv", random_walk(1_000, seed=25))
+        out = tmp_path / "out.jsonl"
+        assert main(["run", "--horizon", "2", "--input", str(tmp_path / "in.csv"),
+                     "--output", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 1_000
+        assert built == []
+
+    def test_without_the_c_encoder_the_bytes_are_the_same(self, tmp_path):
+        """Where ``json`` has no C encoder, the pure-Python one is bound
+        with the same settings."""
+        record = {"é": [1.5, -0.0, 2**64, None, True], "a\n": {"z": 1e-7, "b": "\x00"}}
+        script = (
+            "import io, json, json.encoder, sys\n"
+            "json.encoder.c_make_encoder = None\n"
+            "from sigauto import cli\n"
+            "out = io.StringIO()\n"
+            "cli._write_record(out, json.loads(sys.argv[1]))\n"
+            "sys.stdout.write(out.getvalue())\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(record)],
+                              capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.stdout == json.dumps(record, sort_keys=True) + "\n"
 
 
 class TestFitCommand:

@@ -219,6 +219,26 @@ class TestForecastDensity:
             with pytest.raises(ConfigError, match=message):
                 read()
 
+    @pytest.mark.parametrize("x", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_a_point_of_another_dimension_is_refused(self, count_params, x):
+        """The model's density read refuses a point as the forecast does,
+        for any state and with either kernel; so does a forecast whose
+        occupancy is the dummy state alone, which reads no density."""
+        sig = Signal(random_walk(60, dim=2, seed=4))
+        hmm = isa_to_hmm_continuous(build_isa(sig, EmaGridClassifier(count_params)), sig,
+                                    sigma_fn(count_params), None)
+        message = f"point has dimension {len(x)}, kernel has 2$"
+        for q in (hmm.current, DUMMY_STATE):
+            for kernel in (None, Kernel([[1.0, 0.0], [0.0, 1.0]])):
+                with pytest.raises(ConfigError, match=message):
+                    hmm.density(q, x, kernel)
+                with pytest.raises(ConfigError, match=message):
+                    forecast_density_at(hmm, sig, 1, x, kernel=kernel)
+        sig, dummy = self.make_continuous((1.0, 1.0, 5.0), count_params, Kernel([[1.0]]))
+        assert set(state_occupancies(dummy, 2)[-1]) == {DUMMY_STATE}
+        with pytest.raises(ConfigError, match="point has dimension 2, kernel has 1$"):
+            forecast_density_at(dummy, sig, 2, (1.0, 2.0))
+
 
 class TestSampling:
     def test_point_mass(self):

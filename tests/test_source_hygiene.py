@@ -100,6 +100,15 @@ def test_only_the_model_knows_its_row_layout(path):
     assert not ROW_TABLES.search(text)
 
 
+def test_no_module_calls_dumps():
+    """Each JSON text the package writes comes from an encoder built once:
+    ``cli``'s record encoder or the snapshot's chunk encoder.
+    ``json.dumps`` with any setting off its defaults builds a new encoder
+    on every call."""
+    assert [path.name for path in MODULES
+            if re.search(r"\bjson\.dumps\b", path.read_text(encoding="utf-8"))] == []
+
+
 def test_one_function_forks_and_no_process_pool_is_imported():
     """``fit``'s workers are bare forks from one function: ``src/`` calls
     ``os.fork`` nowhere else and imports neither ``multiprocessing`` nor
