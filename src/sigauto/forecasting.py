@@ -176,19 +176,18 @@ def sample_event(dist: dict[str, float], seed) -> str:
     return pick_event(dist, uniform_draw(seed))
 
 
-def sample_observation(hmm_c: HmmContinuous, j: int, seed: int,
-                       kernel: Kernel | None = None):
+def sample_observation(hmm_c: HmmContinuous, j: int, seed: int):
     """Sample an observation from the continuous forecast at step ``j``.
 
     Draws a state from the propagated occupancy, then a mixture center
-    uniformly, then adds kernel noise.  Returns None when the dummy state is
-    drawn (no observation can represent the dummy event).  The noise is
-    drawn with ``hmm_c.kernel_for(kernel)``.
+    uniformly, then adds noise from the model's own kernel,
+    ``hmm_c.kernel_for()``.  Returns None when the dummy state is drawn (no
+    observation can represent the dummy event).
     """
     _check_step(j)
     import numpy as np
 
-    kern = hmm_c.kernel_for(kernel)
+    kern = hmm_c.kernel_for()
     occupancy = state_occupancies(hmm_c, j)[-1]
     rng = np.random.default_rng(seed)
     state = _inverse_cdf(occupancy, float(rng.random()))

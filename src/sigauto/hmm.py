@@ -89,8 +89,7 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
     with the quotients ``_normalized_row`` would store, in the forecast's
     order, so the value is bit-identical.  It reads the current row's sum,
     and the transition cell, emission cell and emission sum of each q whose
-    emission row holds ``cluster``, the only terms the sum adds.  A cell it
-    does not read is still refused if a read at the row's instant would be."""
+    emission row holds ``cluster``, the only terms the sum adds."""
     if hmm.current_is_new:
         return 0.0
     n, sigma, rho, emit = hmm.n, hmm.sigma, hmm.rho, hmm._erows
@@ -106,8 +105,6 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
     for q, acc in row.cells.items():
         emitted = emit.get(q)
         if emitted is None or cluster not in emitted.cells:
-            if acc.last_now > at:
-                read(acc, at)  # raises the refusal of the read it skips
             continue
         w = read(acc, at) / denom
         if w != 0.0:
@@ -396,9 +393,7 @@ def isa_to_hmm(isa: Isa, signal: Signal, sigma: StatFn, rho: StatFn,
     _build_transitions(hmm, isa, signal, sigma)
     incoming_by_state = isa.theta.incoming_instants()
     for q in hmm.state_order:
-        incoming = incoming_by_state.get(q)
-        if not incoming:
-            continue
+        incoming = incoming_by_state[q]
         groups: dict[str, list[int]] = {}
         for j in incoming:
             groups.setdefault(clusterer.cluster_of(signal[j]), []).append(j)

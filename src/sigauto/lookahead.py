@@ -192,13 +192,13 @@ class LookaheadFrontier:
             hmm.journal = None
         self.entries.append(entry)
 
-    def forecast(self, horizon: int | None = None) -> Forecast:
-        """Forecast from the newest frontier model; dummy when poisoned."""
-        h = self.h if horizon is None else horizon
+    def forecast(self) -> Forecast:
+        """Forecast from the newest frontier model at the frontier's
+        horizon; dummy when poisoned."""
         entry = self.entries[-1] if self.entries else None
         if entry is None:
-            return Forecast.dummy(h)
-        return model_forecast(entry.hmm, h)
+            return Forecast.dummy(self.h)
+        return model_forecast(entry.hmm, self.h)
 
     def fingerprint(self) -> dict:
         """Canonical structure for exact equality comparisons; O(n) per entry.

@@ -78,9 +78,9 @@ class StreamPipeline:
             return forecast(self.hmm, h).record(self.n, self.seed)
         # The continuous forecast is a density; records carry the state
         # occupancies from which densities are evaluated on demand.
-        occupancies = state_occupancies(self.hmm, h) if h else []
+        occupancies = state_occupancies(self.hmm, h)
         steps = [{"j": j, "states": occ} for j, occ in enumerate(occupancies, 1)]
-        return {"i": self.n, "dummy": self.hmm.current_is_new, "steps": steps,
+        return {"i": self.n, "dummy": h > 0 and self.hmm.current_is_new, "steps": steps,
                 "seed": self.seed}
 
     def step(self, obs) -> dict:

@@ -23,7 +23,6 @@ from typing import Iterable, Sequence
 
 from .errors import (ConfigError, EmptyInputError, Fields, RejectedInputError,
                      TemporalOrderError)
-from .signal import Signal
 
 DUMMY_EVENT = "__no_event__"
 
@@ -181,9 +180,6 @@ class PluginParams(Fields):
     def __reduce__(self):
         return self.__class__, self._values()
 
-    def widths_for(self, dim: int) -> tuple[float, ...]:
-        return _widths_for_dim(self.grid_width, dim)
-
     def to_dict(self) -> dict:
         return {key: _listed(getattr(self, name)) for key, name in self.FIELDS.items()}
 
@@ -252,7 +248,7 @@ class EmaGridClassifier:
         ema = self._ema
         if ema is None:
             ema = obs
-            self._widths = self.params.widths_for(len(obs))
+            self._widths = _widths_for_dim(self.params.grid_width, len(obs))
         else:
             lam = self.params.lam
             ema = tuple([lam * x + (1.0 - lam) * e for x, e in zip(obs, ema)])
@@ -322,28 +318,8 @@ def _stale(what: str, acc: StatAccumulator) -> TemporalOrderError:
 # ``read(acc, now)`` and ``step_gain(acc, obs, instant)``.  A step adds the
 # current instant, so a discounted variant adds delta**0 = 1 for it, and
 # returns how much it raised the accumulator's read at that instant: what a
-# transition cell's step adds to its row sum.
-
-
-def _count(delta, in_region):
-    def evaluate(signal, instants, now):
-        return float(len(instants))
-
-    def read(acc, now):
-        if now < acc.last_now:
-            raise _stale(f"read at {now}", acc)
-        return float(acc.raw_count)
-
-    def step_gain(acc, obs, instant):
-        if instant < acc.last_now:
-            raise _stale(f"instant {instant}", acc)
-        before = float(acc.raw_count)
-        acc.value = before + 1.0
-        acc.last_now = instant
-        acc.raw_count += 1
-        return acc.value - before
-
-    return evaluate, read, step_gain
+# transition cell's step adds to its row sum.  ``count`` is the region count
+# over the whole space: its region test accepts every row.
 
 
 def _discounted_sum(delta, in_region):
@@ -391,6 +367,10 @@ def _discounted_complement(delta, in_region):
     return evaluate, read, step_gain
 
 
+def _everywhere(obs) -> bool:
+    return True
+
+
 def _region_count(delta, in_region, latest=False):
     """The in-region observations, or with ``latest`` the latest in-region
     instant (0 if none)."""
@@ -417,7 +397,7 @@ def _region_count(delta, in_region, latest=False):
 
 
 _FORMULAS = {
-    "count": _count,
+    "count": lambda delta, in_region: _region_count(delta, _everywhere),
     "discounted_sum": _discounted_sum,
     "discounted_complement": _discounted_complement,
     "region_count": _region_count,
@@ -429,7 +409,8 @@ class StatFn:
     """One statistical weight function; evaluates instant sets and maintains
     accumulators.
 
-    Variants: ``count`` (cardinality), ``discounted_sum`` (sum of
+    Variants: ``count`` (cardinality: the region count over the whole
+    space, whatever ``region`` is), ``discounted_sum`` (sum of
     delta**(now - i), recent instants weigh more), ``discounted_complement``
     (cardinality minus that sum), ``region_count`` (observations inside the
     configured box), ``latest_occurrence`` (most recent in-region instant,
@@ -656,19 +637,17 @@ class Kernel:
         return self.mean_at(x, [(0.0,) * self.d])
 
 
-def default_bandwidth(signal) -> np.ndarray:
+def default_bandwidth(signal: Signal) -> np.ndarray:
     """Diagonal Scott's-rule bandwidth: ((n**(-1/(d+4))) * s_j)**2 per axis.
 
     ``s_j`` is the sample standard deviation of coordinate j; the per-axis
     width is floored at 1e-6 before squaring so degenerate coordinates still
     give a usable kernel.  ``s_j`` comes from the signal's incrementally
     folded moments, so a call costs O(d) plus the observations appended since
-    the previous call; any other iterable is wrapped in a ``Signal`` first.
+    the previous call.
     """
     import numpy as np
 
-    if not isinstance(signal, Signal):
-        signal = Signal(signal)
     if len(signal) < 2:
         raise EmptyInputError("bandwidth selection needs at least 2 observations")
     n, _mean, m2 = signal.moments()

@@ -79,6 +79,17 @@ class TestRun:
         assert [r["dummy"] for r in records] == [True, False, True, False, False]
         assert all(r["seed"] == 5 for r in records)
 
+    @pytest.mark.parametrize("mode", ["discrete", "continuous"])
+    def test_horizon_zero_forecasts_nothing_and_no_dummy(self, tmp_path, mode):
+        """A forecast with no steps is not a dummy, in either mode, even at
+        an instant whose state is new."""
+        src, out = tmp_path / "in.csv", tmp_path / "out.jsonl"
+        src.write_text("x\n1.0\n2.0\n1.0\n")
+        assert main(["run", "--mode", mode, "--horizon", "0", "--input", str(src),
+                     "--output", str(out)]) == 0
+        assert read_records(out) == [{"i": i, "dummy": False, "steps": [], "seed": 0}
+                                     for i in range(3)]
+
     def test_jsonl_input(self, tmp_path):
         src = tmp_path / "in.jsonl"
         src.write_text("\n".join(json.dumps({"r": [v]}) for v in E1) + "\n")
@@ -113,6 +124,7 @@ class TestRun:
         "\ufeff1.0\n2.0\n",
         '"value"\n1.0\n2.0\n',
         '"x", "y"\n1,2\n3,4\n',
+        "1.0\n\n \n2.0\n",  # blank lines between rows
     ])
     def test_a_header_or_byte_order_mark_is_skipped(self, tmp_path, text, strict):
         src = tmp_path / "in.csv"
@@ -158,6 +170,17 @@ class TestRun:
         src = tmp_path / "empty.csv"
         src.write_text("")
         assert main(["run", "--input", str(src)]) == 1
+
+    @pytest.mark.parametrize("command", ["fit", "lookahead"])
+    def test_an_input_of_only_a_header_exits_1_without_output(self, tmp_path, capsys,
+                                                               command):
+        src, config, out = tmp_path / "in.csv", tmp_path / "c.json", tmp_path / "out.jsonl"
+        src.write_text("x\n")
+        config.write_text(json.dumps({"grid": [{"delta": 0.0}]} if command == "fit" else {}))
+        assert main([command, "--input", str(src), "--config", str(config),
+                     "--output", str(out)]) == 1
+        assert capsys.readouterr().err == "input error: input contains no observations\n"
+        assert not out.exists()
 
     def test_malformed_row_non_strict(self, tmp_path):
         src = tmp_path / "bad.csv"
@@ -713,6 +736,20 @@ class TestMalformedConfigValues:
         err = capsys.readouterr().err
         assert err.startswith("configuration error")
         assert "Traceback" not in err
+        assert not (tmp_path / "out.jsonl").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "is not valid JSON: "),
+        ("[1, 2]", "config root must be a JSON object"),
+    ])
+    def test_config_that_is_not_a_json_object_exits_2(self, tmp_path, e1_csv, capsys,
+                                                      text, message):
+        path = tmp_path / "c.json"
+        path.write_text(text)
+        assert main(["run", "--input", str(e1_csv), "--config", str(path),
+                     "--output", str(tmp_path / "out.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err
         assert not (tmp_path / "out.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["run", "fit", "lookahead"])

@@ -61,6 +61,12 @@ class TestForecast:
         fc = forecast(hmm, 0)
         assert fc.steps == [] and not fc.is_dummy
 
+    @pytest.mark.parametrize("values", [E1, (1.0, 1.0, 5.0)], ids=["live", "new_state"])
+    def test_negative_horizon_is_refused(self, count_params, values):
+        _, hmm = build_plain(Signal(values), count_params)
+        with pytest.raises(ConfigError, match="horizon must be nonnegative, got -1$"):
+            forecast(hmm, -1)
+
     @pytest.mark.parametrize("dummy", [False, True])
     def test_a_step_outside_one_to_the_horizon_is_refused(self, count_params, dummy):
         """The list index would wrap step 0 to the last step and step -1 to
@@ -213,8 +219,7 @@ class TestForecastDensity:
         kernel = Kernel([[1.0]])
         message = "kernel dimension 1 does not match signal dimension 2$"
         reads = [lambda: hmm.density(hmm.current, (1.0,), kernel),
-                 lambda: forecast_density_at(hmm, sig, 1, (1.0,), kernel=kernel),
-                 lambda: sample_observation(hmm, 1, seed=7, kernel=kernel)]
+                 lambda: forecast_density_at(hmm, sig, 1, (1.0,), kernel=kernel)]
         for read in reads:
             with pytest.raises(ConfigError, match=message):
                 read()
@@ -257,6 +262,21 @@ class TestSampling:
     def test_empty_distribution(self):
         with pytest.raises(EmptyInputError):
             sample_event({}, 0)
+
+    def test_distribution_without_positive_mass(self):
+        for seed in range(3):
+            with pytest.raises(EmptyInputError, match="no positive mass"):
+                sample_event({"a": 0.0}, seed)
+
+    def test_observation_sampling_of_the_dummy_state(self, count_params):
+        """A new current state sends all its mass to the dummy state, which
+        no observation represents."""
+        pipe = StreamPipeline(count_params, emission="continuous")
+        for value in (0.5, 5.5):
+            pipe.advance(value)
+        assert pipe.hmm.current_is_new
+        assert [sample_observation(pipe.hmm, j, seed) for j in (1, 2)
+                for seed in range(3)] == [None] * 6
 
     def test_observation_sampling_deterministic(self, count_params):
         sig = Signal(E1)

@@ -178,6 +178,17 @@ class TestNextHmm:
             next_hmm(hmm, isa, sig, sigma_fn(count_params), rho_fn(count_params),
                      Clusterer(1.0))
 
+    def test_short_signal_and_foreign_clusterer_are_refused(self, count_params):
+        """``next_hmm`` reads the observation at the automaton's instant, so
+        a signal that stops short of it is stale; a clusterer other than the
+        model's own is refused."""
+        sig, isa, hmm = self.one_step_behind(count_params)
+        sigma, rho = hmm.sigma, hmm.rho
+        with pytest.raises(StalenessError, match="signal has 5 observations, need 6$"):
+            next_hmm(hmm, isa, Signal(sig[:-1]), sigma, rho, hmm.clusterer)
+        with pytest.raises(ConfigError, match="clusterer differs"):
+            next_hmm(hmm, isa, sig, sigma, rho, Clusterer(1.0))
+
     def test_plugin_mismatch_detected(self, count_params):
         sig, isa, hmm = fold_pipeline(E1, count_params)
         sig.append(9.0)
@@ -620,6 +631,27 @@ class TestContinuous:
                        for q, w in occupancy.items() if q != DUMMY_STATE and w > 0.0)
         assert forecast_density_at(hmm, sig, 1, x) == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("stat", EVERY_STAT, ids=lambda s: s["stat_variant"])
+    def test_pipeline_rebuild_equals_the_streamed_model(self, stat):
+        """``rebuild_from_scratch`` of a continuous pipeline: the same
+        instants matrix, mixtures and transition rows as the streamed model."""
+        pipe = StreamPipeline(PluginParams(lam=0.5, **stat), emission="continuous")
+        for value in random_walk(300, seed=33):
+            pipe.advance(value)
+        scratch_isa, scratch = pipe.rebuild_from_scratch()
+        assert scratch.emission_kind == "continuous"
+        assert pipe.isa == scratch_isa
+        assert pipe.hmm.mixtures == scratch.mixtures
+        assert_models_equal(pipe.hmm, scratch,
+                            exact=not stat["stat_variant"].startswith("discounted"))
+
+    @pytest.mark.parametrize("state", ["no-such-state", BOTTOM_STATE])
+    def test_mixture_of_an_unknown_state_is_refused(self, e1_signal, count_params, state):
+        isa = build_isa(e1_signal, EmaGridClassifier(count_params))
+        hmm = isa_to_hmm_continuous(isa, e1_signal, sigma_fn(count_params), None)
+        with pytest.raises(UnknownStateError):
+            hmm.mixture(state)
+
     def test_updated_state_weights_sum_to_one(self, count_params):
         _, _, hmm = fold_pipeline(E1, count_params, emission="continuous",
                                   kernel=Kernel([[1.0]]))
@@ -651,10 +683,16 @@ class TestScottKernel:
         assert total == forecast_density_at(hmm, pipe.signal, 1, x) > 0.0
 
     def test_sampling_reads_the_scott_kernel(self):
+        """Draws equal those of a model whose explicit bandwidth is Scott's
+        matrix over the same signal."""
         pipe = self.scott_pipeline()
-        scott = Kernel(default_bandwidth(pipe.signal))
+        scott = default_bandwidth(pipe.signal).tolist()
+        explicit = StreamPipeline(PluginParams(bandwidth=scott), emission="continuous")
+        for value in pipe.signal:
+            explicit.advance(value)
+        assert pipe.hmm.kernel is None and explicit.hmm.kernel is not None
         drawn = [sample_observation(pipe.hmm, 1, seed) for seed in range(5)]
-        assert drawn == [sample_observation(pipe.hmm, 1, seed, scott) for seed in range(5)]
+        assert drawn == [sample_observation(explicit.hmm, 1, seed) for seed in range(5)]
         assert any(len(x) == 2 for x in drawn if x is not None)
 
     def test_scott_model_snapshot_round_trips(self, tmp_path):

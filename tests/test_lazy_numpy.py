@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from sigauto import PluginParams, StreamPipeline, default_bandwidth, forecast_density_at
+from sigauto import (PluginParams, Signal, StreamPipeline, default_bandwidth,
+                     forecast_density_at)
 
 from conftest import random_walk
 
@@ -98,7 +99,7 @@ def test_bandwidth_call_loads_numpy_after_numpy_free_subcommands(inputs):
     out = run_fresh(work, "bandwidth")
     assert out["loaded_before"] == []
     assert out["loaded_after"]
-    assert out["result"] == default_bandwidth(plane).tolist()
+    assert out["result"] == default_bandwidth(Signal(plane)).tolist()
 
 
 def test_cli_and_a_discrete_run_load_no_pickle_or_multiprocessing(inputs):

@@ -114,16 +114,6 @@ class TestBuild:
         assert frontier.entries == [None]
         assert frontier.estimated == [None]
 
-    def test_negative_horizon_forecast_rejected(self, word_params):
-        # a poisoned frontier and a live one refuse a negative horizon alike
-        poisoned = lookahead_build(Signal([1.0, 5.0]), word_params)
-        assert poisoned.entries == [None]
-        live = lookahead_build(period_two(10), word_params, seed=4)
-        assert live.entries[-1] is not None
-        for frontier in (poisoned, live):
-            with pytest.raises(ConfigError):
-                frontier.forecast(-1)
-
     def test_unseen_word_poisons(self, word_params):
         # cluster "7" only ever appears at instant 0, so it never occurred as
         # a state; sampling it makes the frontier word new

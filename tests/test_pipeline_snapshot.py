@@ -317,6 +317,17 @@ class TestPipelineSnapshot:
             doc[key] = None
         self.assert_refused(doc, tmp_path, capsys)
 
+    def test_a_root_that_is_not_an_object_is_refused(self, tmp_path, capsys):
+        snap, rows, out = tmp_path / "snap.json", tmp_path / "more.csv", tmp_path / "out.jsonl"
+        snap.write_text("[]")
+        rows.write_text("1.0\n")
+        with pytest.raises(SnapshotError, match="snapshot root must be an object"):
+            load_snapshot(snap)
+        assert main(["run", "--input", str(rows), "--output", str(out),
+                     "--resume", str(snap)]) == 1
+        assert capsys.readouterr().err == "input error: snapshot root must be an object\n"
+        assert not out.exists()
+
     def test_schema_violation(self, count_params):
         with pytest.raises(SnapshotError):
             restore_pipeline({"version": 1, "tau": {}})

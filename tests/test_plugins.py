@@ -207,6 +207,10 @@ class TestStatEval:
         with pytest.raises(TemporalOrderError):
             sigma_fn(count_params).eval(Signal(E1), {5}, now=4)
 
+    def test_unknown_variant(self):
+        with pytest.raises(ConfigError, match="unknown stat variant 'bogus'"):
+            StatFn("bogus")
+
 
 class TestStatAccumulators:
     def test_count_step(self, count_params):
@@ -254,6 +258,14 @@ class TestStatAccumulators:
         acc = StatAccumulator(value=1.0, last_now=5, raw_count=1)
         with pytest.raises(TemporalOrderError):
             sigma_fn(count_params).step(acc, (1.0,), 4)
+
+    @pytest.mark.parametrize("variant", plugins.STAT_VARIANTS)
+    def test_read_before_the_accumulator_time(self, variant):
+        fn = StatFn(variant, delta=0.5, region=[[-1.0, 2.0]])
+        acc = StatAccumulator(value=1.0, last_now=5, raw_count=1)
+        with pytest.raises(TemporalOrderError, match="read at 4 precedes accumulator time 5$"):
+            fn.read(acc, 4)
+        assert (acc.value, acc.last_now, acc.raw_count) == (1.0, 5, 1)
 
 
 @settings(max_examples=60, deadline=None)
@@ -677,10 +689,6 @@ class TestDefaultBandwidth:
         for _ in range(5):
             signal.append((offset + 2.0, offset - 3.0))
         assert np.array_equal(default_bandwidth(signal), np.diag([1e-12, 1e-12]))
-
-    def test_plain_iterable_is_wrapped(self):
-        rows = [(0.0, 1.0), (2.0, -1.0), (5.0, 0.5)]
-        assert np.array_equal(default_bandwidth(rows), default_bandwidth(Signal(rows)))
 
     @settings(max_examples=80, deadline=None)
     @given(

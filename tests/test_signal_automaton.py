@@ -172,6 +172,15 @@ class TestInstantsMatrixPop:
         assert self.view(theta, p, q) == seen
         assert theta == before
 
+    @pytest.mark.parametrize("instant", [2, 1])
+    def test_an_instant_not_after_the_cell_is_refused(self, instant):
+        theta = InstantsMatrix()
+        theta.append("a", "b", 0)
+        theta.append("a", "b", 2)
+        with pytest.raises(SigautoError, match=f"instant {instant} not after 2 in cell"):
+            theta.append("a", "b", instant)
+        assert theta.cell("a", "b") == (0, 2)
+
 
 class TestMoveAndUnmove:
     @staticmethod
