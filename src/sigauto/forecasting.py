@@ -115,14 +115,14 @@ def _check_step(j: int) -> None:
 def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
                         kernel: Kernel | None = None) -> float:
     """Forecast density at point ``x`` for step ``j`` of the continuous model,
-    with ``hmm_c.kernel_for(kernel)``; ``signal`` is not read (the model's
-    own signal is).
+    with ``hmm_c.kernel_for(kernel, x)``, which checks ``kernel`` and ``x``;
+    ``signal`` is not read (the model's own signal is).
 
     The dummy state's point mass lives off the observation space, so it
     contributes zero at any finite x.
     """
     _check_step(j)
-    kern = hmm_c.kernel_at(x, kernel)
+    kern = hmm_c.kernel_for(kernel, x)
     occupancy = state_occupancies(hmm_c, j)[-1]
     total = 0.0
     for q, w in occupancy.items():

@@ -42,7 +42,8 @@ from __future__ import annotations
 
 from .automaton import BOTTOM_STATE, Isa, is_new_state
 from .errors import ConfigError, StalenessError, UnknownStateError
-from .plugins import DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn, default_bandwidth
+from .plugins import (ADDITIVE_VARIANTS, DUMMY_EVENT, Clusterer, Kernel, StatAccumulator, StatFn,
+                      default_bandwidth)
 from .signal import Signal
 
 DUMMY_STATE = "__no_state__"
@@ -89,13 +90,14 @@ def next_event_probability(hmm: Hmm, cluster: str) -> float:
     with the quotients ``_normalized_row`` would store, in the forecast's
     order, so the value is bit-identical.  It reads the current row's sum,
     and the transition cell, emission cell and emission sum of each q whose
-    emission row holds ``cluster``, the only terms the sum adds."""
+    emission row holds ``cluster``, the only terms the sum adds.  The model
+    steps with its own automaton and keeps no journal, as ``fit``'s scoring
+    does: the ``update`` of the move that left a current state that is not
+    new wrote its row a cell, and only ``swap_journal`` removes one."""
     if hmm.current_is_new:
         return 0.0
     n, sigma, rho, emit = hmm.n, hmm.sigma, hmm.rho, hmm._erows
-    row = hmm._trows.get(hmm.current)
-    if row is None or not row.cells:  # the sink row: DUMMY_STATE emits DUMMY_EVENT
-        return 0.0
+    row = hmm._trows[hmm.current]
     read = sigma.read
     at = row.total.last_now if sigma.row_ignores_now else n
     denom = read(row.total, at)
@@ -250,7 +252,7 @@ class Hmm(_TransitionCore):
     emission_kind = "discrete"
 
     def __init__(self, sigma: StatFn, rho: StatFn, clusterer: Clusterer, isa: Isa):
-        if not rho.additive:
+        if rho.variant not in ADDITIVE_VARIANTS:
             raise ConfigError(
                 f"emission statistic {rho.variant!r} is not additive over the "
                 "cluster partition; emission rows would not be stochastic"
@@ -286,7 +288,8 @@ class HmmContinuous(_TransitionCore):
     state emits a point mass off the observation space and contributes zero
     density at any finite point.  The centres start as ``isa``'s incoming
     instants.  With no explicit ``kernel`` the model uses Scott's rule over
-    its signal as it stands when a density is read (``kernel_for``).
+    its signal as it stands when a density is read; every read goes
+    through ``kernel_for(kernel, x)``, the one kernel lookup.
     """
 
     emission_kind = "continuous"
@@ -294,7 +297,7 @@ class HmmContinuous(_TransitionCore):
     def __init__(self, sigma: StatFn, signal: Signal, kernel: Kernel | None, isa: Isa):
         super().__init__(sigma, isa)
         self.signal = signal
-        self.kernel = self._checked(kernel)
+        self.kernel = None if kernel is None else self.kernel_for(kernel)
         incoming = isa.theta.incoming_instants()
         self.mixtures = {q: incoming[q] for q in self.state_order if q in incoming}
 
@@ -305,29 +308,21 @@ class HmmContinuous(_TransitionCore):
         centers = self.mixtures.get(q, [])
         return tuple(centers), (1.0 / len(centers) if centers else 0.0)
 
-    def _checked(self, kernel: Kernel | None) -> Kernel | None:
-        """``kernel``, refused if its dimension is not the signal's."""
+    def kernel_for(self, kernel: Kernel | None = None, x=None) -> Kernel:
+        """``kernel``, refused unless of the signal's dimension, else the
+        model's own, else Scott's rule over the model's signal as it stands;
+        refused if point ``x``, when given, is not of its dimension."""
         if kernel is not None and len(self.signal) and kernel.d != self.signal.dim:
             raise ConfigError(
                 f"kernel dimension {kernel.d} does not match signal dimension {self.signal.dim}"
             )
-        return kernel
-
-    def kernel_for(self, kernel: Kernel | None = None) -> Kernel:
-        """``kernel``, checked, else the model's own, else Scott's rule over
-        the model's signal as it stands."""
-        return self._checked(kernel) or self.kernel or Kernel(default_bandwidth(self.signal))
-
-    def kernel_at(self, x, kernel: Kernel | None = None) -> Kernel:
-        """``kernel_for(kernel)``, refused if point ``x`` is not of its
-        dimension: every density read checks its point here."""
-        kern = self.kernel_for(kernel)
-        if len(x) != kern.d:
+        kern = kernel or self.kernel or Kernel(default_bandwidth(self.signal))
+        if x is not None and len(x) != kern.d:
             raise ConfigError(f"point has dimension {len(x)}, kernel has {kern.d}")
         return kern
 
     def density(self, q: str, x, kernel: Kernel | None = None) -> float:
-        kern = self.kernel_at(x, kernel)
+        kern = self.kernel_for(kernel, x)
         if q == DUMMY_STATE:
             return 0.0
         centers, _ = self.mixture(q)
@@ -344,7 +339,8 @@ class HmmContinuous(_TransitionCore):
 
 
 def _check_stat(given: StatFn, built: StatFn, name: str) -> None:
-    if given is not built and given.params_fingerprint() != built.params_fingerprint():
+    if given is not built and ((given.variant, given.delta, given.region)
+                               != (built.variant, built.delta, built.region)):
         raise ConfigError(f"{name} statistic differs from the one the model was built with")
 
 

@@ -442,10 +442,6 @@ class StatFn:
 
         self.read, self.advance = read, advance
 
-    @property
-    def additive(self) -> bool:
-        return self.variant in ADDITIVE_VARIANTS
-
     def _in_region(self, coords) -> bool:
         if self.region is None:
             return True
@@ -481,9 +477,6 @@ class StatFn:
         """Add one instant (with its observation) to the accumulated set."""
         self.step_gain(acc, obs, instant)
         return acc
-
-    def params_fingerprint(self) -> tuple:
-        return (self.variant, self.delta, self.region)
 
 
 def sigma_fn(params: PluginParams) -> StatFn:

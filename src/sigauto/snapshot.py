@@ -34,14 +34,9 @@ def _configuration(pipe) -> dict:
     }
 
 
-def pipeline_state(pipe) -> dict:
-    """Serializable state of a live pipeline: its configuration and signal."""
-    return {**_configuration(pipe), "signal": [list(obs) for obs in pipe.signal]}
-
-
 def restore_pipeline(doc: dict):
-    """Rebuild a pipeline from :func:`pipeline_state` output by streaming its
-    signal again."""
+    """Rebuild a pipeline from the document a :func:`save_snapshot` file
+    holds, checked key by key, by streaming its signal again."""
     try:
         version = doc["version"]
         if version != SNAPSHOT_VERSION:
@@ -69,10 +64,11 @@ def save_snapshot(pipe, path) -> None:
     """Write the snapshot next to ``path``, then move it into place, so a
     write that fails midway leaves the previous snapshot intact.
 
-    The bytes are ``JSONEncoder(separators=(",", ":")).encode`` of
-    ``pipeline_state(pipe)`` and a newline, written ``CHUNK_ROWS`` rows at a
-    time, each chunk one string from the C encoder (``json.dump`` would take
-    the pure-Python one), so the memory a save takes is bounded by a chunk."""
+    The bytes are ``JSONEncoder(separators=(",", ":")).encode`` of the
+    configuration plus the signal's rows, and a newline, written
+    ``CHUNK_ROWS`` rows at a time, each chunk one string from the C encoder
+    (``json.dump`` would take the pure-Python one), so the memory a save
+    takes is bounded by a chunk."""
     encode = json.JSONEncoder(separators=(",", ":")).encode
     path = os.fspath(path)
     directory, name = os.path.split(path)

@@ -21,13 +21,22 @@ from sigauto import (
 )
 from sigauto import snapshot
 from sigauto.cli import main
-from sigauto.snapshot import pipeline_state, restore_pipeline
+from sigauto.snapshot import restore_pipeline
 
 from conftest import E1, EVERY_STAT, build_plain, random_walk
 
 
 def record_lines(pipe, values):
     return [json.dumps(pipe.step(v), sort_keys=True) for v in values]
+
+
+def saved_state(pipe):
+    """The document ``save_snapshot`` writes for ``pipe``, read back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snap.json")
+        save_snapshot(pipe, path)
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
 
 
 class TestStreamPipeline:
@@ -111,7 +120,7 @@ class TestPipelineSnapshot:
         pipe = StreamPipeline(params, emission=emission)
         for value in random_walk(200, seed=8):
             pipe.step(value)
-        doc = pipeline_state(pipe)
+        doc = saved_state(pipe)
         assert list(doc) == ["version", "tau", "emission", "seed", "signal"]
         restored = restore_pipeline(doc)
         assert restored.isa == pipe.isa
@@ -124,10 +133,10 @@ class TestPipelineSnapshot:
         e1 = StreamPipeline(count_params)
         for value in E1:
             e1.advance(value)
-        assert restore_pipeline(pipeline_state(e1)).isa.theta.cell("1", "5") == (2, 4)
+        assert restore_pipeline(saved_state(e1)).isa.theta.cell("1", "5") == (2, 4)
 
     def test_an_empty_signal_restores_a_pipeline_that_consumed_nothing(self, count_params):
-        restored = restore_pipeline(pipeline_state(StreamPipeline(count_params, seed=3)))
+        restored = restore_pipeline(saved_state(StreamPipeline(count_params, seed=3)))
         assert restored.isa is None and restored.hmm is None
         assert record_lines(restored, E1) == record_lines(
             StreamPipeline(count_params, seed=3), E1)
@@ -135,7 +144,7 @@ class TestPipelineSnapshot:
     def test_version_mismatch(self, tmp_path, count_params):
         pipe = StreamPipeline(count_params)
         pipe.advance(1.0)
-        doc = pipeline_state(pipe)
+        doc = saved_state(pipe)
         doc["version"] = 999
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
@@ -178,12 +187,22 @@ class TestPipelineSnapshot:
         C-encoder string of the whole document, for an empty signal, one
         row, a signal that ends at a chunk boundary or just past it, and
         many chunks."""
+        walk = random_walk(length, dim=2, seed=4)
         pipe = StreamPipeline(PluginParams(grid_width=(0.5, 2.0)))
-        for value in random_walk(length, dim=2, seed=4):
+        for value in walk:
             pipe.advance(value)
         path = tmp_path / "snap.json"
         save_snapshot(pipe, path)
-        expected = json.dumps(pipeline_state(pipe), separators=(",", ":")) + "\n"
+        document = {
+            "version": 5,
+            "tau": {"lambda": 1.0, "grid_width": [0.5, 2.0], "delta": 0.0,
+                    "stat_variant": "count", "region": None, "bandwidth": "scott",
+                    "horizon": 1},
+            "emission": "discrete",
+            "seed": 0,
+            "signal": [list(value) for value in walk],
+        }
+        expected = json.dumps(document, separators=(",", ":")) + "\n"
         assert path.read_text(encoding="utf-8") == expected
 
     def test_a_save_takes_memory_bounded_by_a_chunk(self, tmp_path):
@@ -235,7 +254,7 @@ class TestPipelineSnapshot:
         pipe = StreamPipeline(params, emission=emission)
         for v in E1:
             pipe.advance(v)
-        return pipeline_state(pipe)
+        return saved_state(pipe)
 
     @pytest.mark.parametrize("key, value", [
         ("emission", "fuzzy"),
@@ -351,7 +370,7 @@ def walk_snapshot(params, emission, length, dim=1, seed=0):
     pipe = StreamPipeline(params, emission=emission, seed=seed)
     for value in walk[:length]:
         pipe.advance(value)
-    return pipeline_state(pipe), walk[length:]
+    return saved_state(pipe), walk[length:]
 
 
 SMALL_SNAPSHOTS = {

@@ -22,6 +22,7 @@ from sigauto import (
     Signal,
     StatAccumulator,
     StatFn,
+    StreamPipeline,
     TemporalOrderError,
     build_isa,
     default_bandwidth,
@@ -76,8 +77,17 @@ class TestParams:
         assert PluginParams.from_dict(params.to_dict()) == params
         for params in (PluginParams(grid_width=0.5),
                        PluginParams(stat_variant="region_count", region=[[0, 1], [-2, 2]]),
-                       PluginParams(bandwidth=[[1.0, 0.5], [0.5, 2.0]])):
+                       PluginParams(bandwidth=[[1.0, 0.5], [0.5, 2.0]]),
+                       PluginParams(bandwidth=0.5)):
             assert PluginParams.from_dict(params.to_dict()) == params
+        assert PluginParams(bandwidth=0.5).to_dict()["bandwidth"] == [[0.5]]
+
+    def test_a_scalar_bandwidth_is_the_kernel_of_a_one_by_one_matrix(self):
+        pipe = StreamPipeline(PluginParams(bandwidth=0.5), emission="continuous")
+        for value in E1:
+            pipe.advance(value)
+        assert np.array_equal(pipe.kernel.h_matrix, Kernel([[0.5]]).h_matrix)
+        assert pipe.hmm.kernel_for() is pipe.kernel
 
     def test_fields_cannot_be_assigned_or_deleted(self):
         params = PluginParams(lam=0.5)

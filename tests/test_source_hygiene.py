@@ -352,3 +352,29 @@ def test_a_bandwidth_is_checked_once_when_the_parameters_are_read():
                 if callee.split(".")[-1] == "Kernel"}
     assert building == {"plugins.py:_as_bandwidth", "pipeline.py:StreamPipeline.__init__",
                         "hmm.py:HmmContinuous.kernel_for"}
+
+
+def test_only_the_save_builds_a_snapshot_document():
+    """``save_snapshot`` is the one builder of a snapshot document: no other
+    function of ``snapshot.py`` reads a pipeline's ``signal``, so no second
+    copy of the document can drift from the bytes a save writes."""
+    tree = ast.parse((PACKAGE / "snapshot.py").read_text(encoding="utf-8"))
+    reading = {scope for scope, node in nodes_by_function(tree)
+               if isinstance(node, ast.Attribute) and node.attr == "signal"}
+    assert reading == {"save_snapshot"}
+
+
+def test_one_function_refuses_a_kernel_or_a_point_of_another_dimension():
+    """``HmmContinuous.kernel_for`` is the continuous model's one kernel
+    lookup: no other function raises the refusal of a kernel whose
+    dimension is not the signal's, or of a point whose dimension is not the
+    kernel's."""
+    refusing = set()
+    for path in MODULES:
+        for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                refusing |= {(f"{path.name}:{scope}", refusal)
+                             for refusal in ("kernel dimension", "point has dimension")
+                             if refusal in ast.unparse(node.exc)}
+    assert refusing == {("hmm.py:HmmContinuous.kernel_for", "kernel dimension"),
+                        ("hmm.py:HmmContinuous.kernel_for", "point has dimension")}
