@@ -38,7 +38,7 @@ _EXPORTS = {
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_MODULE_OF]
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 
 def __getattr__(name):

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 
 from .automaton import Isa, step_stream
 from .errors import ConfigError, EmptyInputError, Fields, RejectedInputError
@@ -115,8 +114,8 @@ def _check_step(j: int) -> None:
 def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
                         kernel: Kernel | None = None) -> float:
     """Forecast density at point ``x`` for step ``j`` of the continuous model,
-    with ``hmm_c.kernel_for(kernel, x)``, which checks ``kernel`` and ``x``;
-    ``signal`` is not read (the model's own signal is).
+    with ``hmm_c.kernel_for(kernel, x)``, which checks ``kernel`` and ``x``
+    once; ``signal`` is not read (the model's own signal is).
 
     The dummy state's point mass lives off the observation space, so it
     contributes zero at any finite x.
@@ -124,18 +123,35 @@ def forecast_density_at(hmm_c: HmmContinuous, signal: Signal, j: int, x,
     _check_step(j)
     kern = hmm_c.kernel_for(kernel, x)
     occupancy = state_occupancies(hmm_c, j)[-1]
-    total = 0.0
-    for q, w in occupancy.items():
-        if q == DUMMY_STATE or w == 0.0:
-            continue
-        total += w * hmm_c.density(q, x, kern)
-    return total
+    return sum((w * hmm_c._density(q, x, kern) for q, w in occupancy.items() if w != 0.0), 0.0)
 
 
-def _inverse_cdf(dist: dict[str, float], u: float) -> str | None:
-    """The first label, in sorted key order, at which the cumulative
-    positive mass exceeds ``u``; the last label with positive mass when none
-    does (rounding), and None when no label has any."""
+# One constant per use, so that uses share no key: 2**64 * frac(sqrt(p)), p = 2, 3, 5.
+EVENT_STREAM, LOOKAHEAD_STREAM, OBSERVATION_STREAM = (
+    0x6A09E667F3BCC908, 0xBB67AE8584CAA73B, 0x3C6EF372FE94F82B)
+_MASK, _GAMMA = (1 << 64) - 1, 0x9E3779B97F4A7C15  # 2**64 - 1; splitmix64's increment
+
+
+def keyed_uniform(seed: int, i: int, stream: int) -> float:
+    """The uniform draw in [0, 1) keyed by ``(seed, i, stream)``, a pure
+    function of its key.  The integers ``seed`` and ``i`` are reduced mod
+    2**64.  The splitmix64 finaliser of ``seed`` XOR ``stream`` starts a
+    splitmix64 sequence, whose output ``i`` (from 0) gives the top 53 bits."""
+    z = (seed ^ stream) & _MASK
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    z = ((z ^ (z >> 31)) + _GAMMA * (i + 1)) & _MASK  # the sequence's state i + 1
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _MASK
+    return ((z ^ (z >> 31)) >> 11) * 2.0 ** -53
+
+
+def pick_event(dist: dict[str, float], u: float) -> str:
+    """Inverse-CDF pick of the uniform draw ``u`` over the sparse support:
+    the first label, in sorted key order, at which the cumulative positive
+    mass exceeds ``u``, else (rounding) the last label with positive mass."""
+    if not dist:
+        raise EmptyInputError("cannot sample from an empty distribution")
     cumulative = 0.0
     last = None
     for label in sorted(dist):
@@ -146,34 +162,16 @@ def _inverse_cdf(dist: dict[str, float], u: float) -> str | None:
         last = label
         if u < cumulative:
             break
+    if last is None:
+        raise EmptyInputError("distribution has no positive mass")
     return last
 
 
-def uniform_draw(seed) -> float:
-    """The uniform draw in [0, 1) that ``sample_event`` makes for ``seed``;
-    accepts int or string seeds."""
-    return random.Random(seed).random()
-
-
-def pick_event(dist: dict[str, float], u: float) -> str:
-    """Inverse-CDF pick of the uniform draw ``u`` over the sparse support
-    in sorted key order."""
-    if not dist:
-        raise EmptyInputError("cannot sample from an empty distribution")
-    label = _inverse_cdf(dist, u)
-    if label is None:
-        raise EmptyInputError("distribution has no positive mass")
-    return label
-
-
-def sample_event(dist: dict[str, float], seed) -> str:
+def sample_event(dist: dict[str, float], seed: int) -> str:
     """Inverse-CDF draw over the sparse support in sorted key order:
-    ``pick_event`` of ``uniform_draw(seed)``, so a caller that keeps a
-    seed's draw picks the same label from it without seeding again.
-
-    Deterministic for a given seed.
-    """
-    return pick_event(dist, uniform_draw(seed))
+    ``pick_event`` of ``keyed_uniform(seed, 0, EVENT_STREAM)``, so
+    deterministic for a given integer seed."""
+    return pick_event(dist, keyed_uniform(seed, 0, EVENT_STREAM))
 
 
 def sample_observation(hmm_c: HmmContinuous, j: int, seed: int):
@@ -181,21 +179,23 @@ def sample_observation(hmm_c: HmmContinuous, j: int, seed: int):
 
     Draws a state from the propagated occupancy, then a mixture center
     uniformly, then adds noise from the model's own kernel,
-    ``hmm_c.kernel_for()``.  Returns None when the dummy state is drawn (no
+    ``hmm_c.kernel_for()``: its Cholesky factor times standard normals.
+    Draw k is ``keyed_uniform(seed, k, OBSERVATION_STREAM)``: draw 0 picks
+    the state, draw 1 the center, and each later pair one normal (the
+    cosine of Box-Muller).  Returns None when the dummy state is drawn (no
     observation can represent the dummy event).
     """
     _check_step(j)
-    import numpy as np
-
     kern = hmm_c.kernel_for()
     occupancy = state_occupancies(hmm_c, j)[-1]
-    rng = np.random.default_rng(seed)
-    state = _inverse_cdf(occupancy, float(rng.random()))
-    if state is None or state == DUMMY_STATE:
+    u = [keyed_uniform(seed, k, OBSERVATION_STREAM) for k in range(2 * kern.d + 2)]
+    state = pick_event(occupancy, u[0])
+    if state == DUMMY_STATE:
         return None
     centers, _ = hmm_c.mixture(state)
-    center = hmm_c.signal[centers[int(rng.integers(len(centers)))]]
-    noise = rng.multivariate_normal(np.zeros(kern.d), kern.h_matrix)
+    center = hmm_c.signal[centers[int(u[1] * len(centers))]]
+    noise = kern.chol @ [math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)
+                         for a, b in zip(u[2::2], u[3::2])]
     return tuple(float(c + e) for c, e in zip(center, noise))
 
 

@@ -322,7 +322,10 @@ class HmmContinuous(_TransitionCore):
         return kern
 
     def density(self, q: str, x, kernel: Kernel | None = None) -> float:
-        kern = self.kernel_for(kernel, x)
+        return self._density(q, x, self.kernel_for(kernel, x))
+
+    def _density(self, q: str, x, kern: Kernel) -> float:
+        """``density`` with ``kern`` and ``x`` checked by ``kernel_for`` already."""
         if q == DUMMY_STATE:
             return 0.0
         centers, _ = self.mixture(q)

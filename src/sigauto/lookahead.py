@@ -32,18 +32,17 @@ is kept.  Otherwise the live entries are undone, newest first, the automaton
 and model move with the genuine word, classified once, and the at most h
 entries are rebuilt.
 Either way an advance costs O(h) accumulator updates plus the frontier's
-(h+1)-step sampling forecasts.  Each frontier step samples with the uniform
-draw of a generator seeded by (run seed, absolute instant), so a rebuilt
-suffix is identical to a fresh build over the extended signal.  The
-frontier keeps each instant's draw while the instant is in the frontier, so
-a rebuild picks from it without seeding again.  The model is built on the
-word classifier's own clusterer, which remembers recent rows, so an advance
-labels only its new row, once for the word and the model together.  The
-build keeps a window of the next h labels and labels each row once, as it
-enters the window.  The automaton's own steps classify one row at a time,
-so the frontier labels its words itself and ``move``s with them.
-``fingerprint`` undoes every live entry and redoes them one by
-one, reading each automaton/model pair at its own instant.
+(h+1)-step sampling forecasts.  Each frontier step samples with the keyed
+draw ``keyed_uniform(run seed, absolute instant, LOOKAHEAD_STREAM)``, a
+pure function of its key, so a rebuilt suffix draws again what it first
+drew and is identical to a fresh build over the extended signal.  The
+model is built on the word classifier's own clusterer, which remembers
+recent rows, so an advance labels only its new row, once for the word and
+the model together.  The build keeps a window of the next h labels and
+labels each row once, as it enters the window.  The automaton's own steps
+classify one row at a time, so the frontier labels its words itself and
+``move``s with them.  ``fingerprint`` undoes every live entry and redoes
+them one by one, reading each automaton/model pair at its own instant.
 """
 
 from __future__ import annotations
@@ -53,12 +52,13 @@ from itertools import islice
 from .automaton import Isa, move, unmove
 from .errors import InsufficientHistoryError
 from .forecasting import (
+    LOOKAHEAD_STREAM,
     Forecast,
     event_distribution,
     forecast as model_forecast,
+    keyed_uniform,
     pick_event,
     state_occupancies,
-    uniform_draw,
 )
 from .hmm import Hmm, swap_journal
 from .plugins import DUMMY_EVENT, LookaheadWordClassifier, PluginParams, rho_fn, sigma_fn
@@ -102,11 +102,11 @@ class LookaheadFrontier:
     poisoned; ``estimated[k]`` is the sampled observation for position
     n + 1 + k.  ``base_isa``/``base_hmm`` are the frontier's one automaton
     and model: they stand at the newest live entry, and at instant n - h
-    once every live entry is undone, newest first.  ``draws[i]`` is the
-    uniform draw that sampled instant i's estimate, kept while i is a
-    frontier instant.  ``matched`` and ``rebuilt`` count the advances that
-    kept the deeper entries and those that rebuilt them; ``entries_built``
-    counts the entries appended, poisoned ones included.
+    once every live entry is undone, newest first.  Instant i's estimate
+    is picked with ``keyed_uniform(seed, i, LOOKAHEAD_STREAM)``, so the
+    integer ``seed`` counts mod 2**64.  ``matched`` and ``rebuilt`` count
+    the advances that kept the deeper entries and those that rebuilt them;
+    ``entries_built`` counts the entries appended, poisoned ones included.
 
     The frontier builds its own parts: the word classifier, which refuses
     h < 1, then its signal (``signal`` itself if a ``Signal``, which
@@ -128,7 +128,6 @@ class LookaheadFrontier:
         self.base_hmm = Hmm(self.sigma, self.rho, self.clusterer, self.base_isa)
         self.entries: list[FrontierEntry | None] = []
         self.estimated: list[tuple | None] = []
-        self.draws: dict[int, float] = {}
         self.matched = self.rebuilt = self.entries_built = 0
 
     @property
@@ -167,9 +166,7 @@ class LookaheadFrontier:
             self.estimated.append(None)
             return
         occupancy = state_occupancies(hmm, self.h + 1)[-1]
-        u = self.draws.get(i)
-        if u is None:
-            u = self.draws[i] = uniform_draw(f"{self.seed}:{i}")
+        u = keyed_uniform(self.seed, i, LOOKAHEAD_STREAM)
         label = pick_event(event_distribution(hmm, occupancy), u)
         if label == DUMMY_EVENT:
             self.entries.append(None)
@@ -275,14 +272,13 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     and its journal are dropped and all deeper entries are kept.  Otherwise
     the live entries are undone, newest first, the automaton and model move
     with the genuine word, and the suffix is rebuilt by the same induction (and
-    the same per-instant draws, kept from when each instant was first
-    sampled) as a fresh build.  Always computes the newest entry.
+    the same keyed per-instant draws) as a fresh build.  Always computes the
+    newest entry.
     """
     h = frontier.h
     frontier.signal.append(r_new)
     n_new = frontier.signal.last_instant
     i0 = n_new - h
-    frontier.draws.pop(i0, None)  # instant i0 is now fully genuine
     genuine_word = frontier.classifier.step(frontier.signal[i0], frontier._window(i0))
     old_first = frontier.entries[0] if frontier.entries else None
     if old_first is not None and old_first.word == genuine_word:

@@ -585,7 +585,8 @@ class Kernel:
     """Multivariate normal kernel with a fixed bandwidth matrix.
 
     Evaluates (2*pi)**(-d/2) * |H|**(-1/2) * exp(-x' H^-1 x / 2); the inverse
-    and the normalization constant are precomputed once.
+    and the normalization constant are precomputed once, and ``chol``, the
+    lower Cholesky factor of H, scales standard normals to covariance H.
     """
 
     def __init__(self, bandwidth):
@@ -606,13 +607,13 @@ class Kernel:
         if not np.isfinite(H).all():
             raise ConfigError("bandwidth matrix entries must be finite")
         try:
-            chol = np.linalg.cholesky(H)
+            self.chol = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise ConfigError("bandwidth matrix must be positive definite") from exc
         self.h_matrix = H
         self.d = H.shape[0]
         self._inv = np.linalg.inv(H)
-        det = float(np.prod(np.diagonal(chol))) ** 2
+        det = float(np.prod(np.diagonal(self.chol))) ** 2
         self._norm = (2.0 * math.pi) ** (-self.d / 2.0) * det ** -0.5
 
     def mean_at(self, x, centers) -> float:

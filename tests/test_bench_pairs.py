@@ -1,7 +1,10 @@
-"""The verdict of ``tools/bench_pairs.py`` on synthetic paired results."""
+"""The verdict of ``tools/bench_pairs.py`` on synthetic paired results, and
+the copies each side runs from."""
 
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -114,3 +117,69 @@ def test_the_environment_names_the_python_the_bytecode_cache_and_the_cpus(monkey
     assert bench_pairs.environment()["dont_write_bytecode"] is True
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")  # empty is unset, as for python
     assert bench_pairs.environment()["dont_write_bytecode"] is False
+
+
+def git(repo, *args):
+    subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t",
+                    *args], check=True, stdout=subprocess.DEVNULL)
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A repository whose working tree differs from HEAD: one committed
+    file edited, one deleted, one untracked and one ignored."""
+    root = tmp_path / "repo"
+    (root / "sub").mkdir(parents=True)
+    (root / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "w"}],
+        "end_to_end": [{"name": "m", "better": "higher", "bound": 0.25}]}))
+    (root / ".gitignore").write_text("*.log\n")
+    (root / "sub" / "code.py").write_text("committed\n")
+    (root / "gone.txt").write_text("deleted later\n")
+    git(root, "init", "-q")
+    git(root, "add", "-A")
+    git(root, "commit", "-q", "-m", "parent")
+    (root / "sub" / "code.py").write_text("edited\n")
+    (root / "gone.txt").unlink()
+    (root / "new.txt").write_text("untracked\n")
+    (root / "run.log").write_text("ignored\n")
+    monkeypatch.setattr(bench_pairs, "ROOT", str(root))
+    return root
+
+
+def test_the_change_side_is_the_working_tree_as_git_would_commit_it(repo, tmp_path):
+    copy = tmp_path / "copy"
+    bench_pairs.copy_worktree(str(copy))
+    files = sorted(str(p.relative_to(copy)) for p in copy.rglob("*") if p.is_file())
+    assert files == [".gitignore", "BENCHMARK.json", "new.txt", "sub/code.py"]
+    assert (copy / "sub" / "code.py").read_text() == "edited\n"
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_both_sides_run_from_copies_removed_on_every_exit(repo, monkeypatch, fails):
+    """Neither side runs from the checkout; the parent's copy holds the
+    committed files and the change's the edited ones.  The temporary
+    directory is removed whether the runs end or raise."""
+    made, seen = [], {}
+    real_mkdtemp = bench_pairs.tempfile.mkdtemp
+    monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp",
+                        lambda **kw: made.append(real_mkdtemp(**kw)) or made[-1])
+    monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+
+    def run_once(checkout, workload, seed, seconds):
+        seen[checkout] = (Path(checkout, "sub", "code.py").read_text(),
+                          Path(checkout, "new.txt").exists())
+        if fails:
+            raise KeyboardInterrupt
+        return None
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    if fails:
+        with pytest.raises(KeyboardInterrupt):
+            bench_pairs.main(["--parent", "HEAD"])
+    else:
+        assert bench_pairs.main(["--parent", "HEAD"]) == 0
+    assert len(made) == 1 and not os.path.exists(made[0])
+    assert str(repo) not in seen and all(c.startswith(made[0]) for c in seen)
+    parent, change = ("committed\n", False), ("edited\n", True)
+    assert set(seen.values()) == ({parent} if fails else {parent, change})

@@ -362,26 +362,26 @@ def test_every_statistic_and_mode_split_by_snapshot(tmp_path, kind, stat, mode, 
 
 
 LOOKAHEAD_DIGESTS = {
-    "1d/count/h2": "49eecaea471e17af4c1c21021ff143ab8866e74d868a440f83ce9d5e0e71502d",
-    "1d/count/h3": "7840a1617a9a8ab2dac459740d8efb8354dda5eb73f5bda26d949a8e83fc160c",
-    "1d/discounted_sum/h2": "1dbc530150fc9a478a1a5f5717a3354a288d04fcf4d4b10a5e259eb698b9f775",
-    "1d/discounted_sum/h3": "9a38e82c0102359e5a7344cd825746b2db065d4c25e3289e75af12b1c664d7b5",
-    "1d/discounted_complement/h2": "d983157995e365c3aab3840b4a13301bb7423a74c769cc4bb75521b43625e05a",
-    "1d/discounted_complement/h3": "0d12db117125128750c0f31b01a24bfb17152b2f9528ea336769b399941c165d",
-    "1d/region_count/h2": "a933cd4891b7934ec3170a552c0f8e7ba58f60c01a0860ef8b622bd74d4019bb",
-    "1d/region_count/h3": "276e540de54077500660e0e8667bea4405b60c0d6cae0633c3e4e284487c782f",
-    "1d/latest_occurrence/h2": "c7ab25cbbe18bface3aafe65a108be2d91a23534d21868fc08a32b570a2d2a96",
-    "1d/latest_occurrence/h3": "6d62d42f60e6d49c9c8bd0f90c47c748a6e2a6b164a257d7bf3306abe44606e6",
-    "2d/count/h2": "e03ea35e59718499f8f69f6292f81a4eda68c8e4a13b36a5b7f6e7fc81ad1cea",
-    "2d/count/h3": "d9c8f08583c21712805113b967a8e2d8fbd3e6b4af5271477f2d19f4b9890e07",
-    "2d/discounted_sum/h2": "0675f4d19ff34f79523a8541b4ae4056eebe7419ef91a60fa0286e1b741e7148",
-    "2d/discounted_sum/h3": "b1ae6ba1c4ce068d10672f45e470924fad7536c190486d7833815e2a6c04d211",
-    "2d/discounted_complement/h2": "5cfd8d8d536ae902135ab5311bb9c9cf30e8eb4d7bcefe1152298a4ebafbba0f",
+    "1d/count/h2": "90beb8708658089228631631d8e78010dece4de4ef66f11a8ea6aca6bc9b393a",
+    "1d/count/h3": "3e95d31014b0204403141a238f927bd4fcfba8429dfe23e2662e0a7c830cdd92",
+    "1d/discounted_sum/h2": "66f303315e49364df65d2bc9b443c8b5668231bab367408399ea1b9545b52d76",
+    "1d/discounted_sum/h3": "680db5f9d5a9e53a4b96520e4e15eae858b5868eefd4c5a98d0a157da2690561",
+    "1d/discounted_complement/h2": "71cb76e2bbd836f82b0371212ae8ddb24f009cbd809a889acf964b01091638ad",
+    "1d/discounted_complement/h3": "55bcbf2211bb2297346d19c9d165290b99e8abb810c657599f1e3a0d9f8a123c",
+    "1d/region_count/h2": "d921a8b526b54a0b7ce10e8c923a74851d752fe6b314d925a5115ea68aa49cc1",
+    "1d/region_count/h3": "18906ace63717e354c310fc418428d0b07de4ad646ec310a62dac9f944d49106",
+    "1d/latest_occurrence/h2": "8a0eab95586c43c4e5aef7d87d8738ec2a28765757f7fb577426b59212ae1483",
+    "1d/latest_occurrence/h3": "ddeebd4f05e3de771b56db186d32fbd299293f6a98a80ac6ef6faa3f89d0fe6d",
+    "2d/count/h2": "5134585e303185557bf89141095e8fbd3a7b7ff11674e00eb42c7f09b439cd1a",
+    "2d/count/h3": "aa1b7a6fa817602440c29e46debb9bd8313effd18312aaa9063a26786204bb92",
+    "2d/discounted_sum/h2": "ba936e02155432d58d4f095bfd071e21a4a5ce0cba59b055a657ffa8cb27e3ff",
+    "2d/discounted_sum/h3": "c79ad13f3d9a3ae0d1d4069d32a8ce2a84b7f51ee5e59693e23662a6a08ae5c6",
+    "2d/discounted_complement/h2": "eb7c3767600729e097fc5423405af77a0ad1b2616e42b6f9795581bf9452d899",
     "2d/discounted_complement/h3": "aa1b7a6fa817602440c29e46debb9bd8313effd18312aaa9063a26786204bb92",
-    "2d/region_count/h2": "9739f7db57b6899de08d48bb951508c10a46804cde834d0ed4274f8811d60d65",
-    "2d/region_count/h3": "c1cd8f457e307a209cc357348d5033473344f99422f68322c14d5651f1855df1",
-    "2d/latest_occurrence/h2": "094b6f6052419f16f28eb7fb525283d91703ae59bef70401913280cb95ff0eac",
-    "2d/latest_occurrence/h3": "c1cd8f457e307a209cc357348d5033473344f99422f68322c14d5651f1855df1",
+    "2d/region_count/h2": "b07fe318c04fb7480138dd9a4d0cdc113b4c42ff118e141855d359f093bfc7b6",
+    "2d/region_count/h3": "dbbd79e9a748040bb7d1a021f9ca91daf126e1fc13f5176e2bc0789f7a53e322",
+    "2d/latest_occurrence/h2": "db17e16b235ad0cd298a50ad0acb53113488f97a072fb1edc0106fe6b3ff66c8",
+    "2d/latest_occurrence/h3": "dbbd79e9a748040bb7d1a021f9ca91daf126e1fc13f5176e2bc0789f7a53e322",
 }
 
 COMMANDS = {

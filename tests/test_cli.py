@@ -917,7 +917,7 @@ class TestGoldenOutputs:
         "snapshot": "6579a06b7f7733453331d6a40dfe525f4b5a91abd890d157476b4c38c42f74a1",
         "resumed_snapshot": "a418c5d7e312549b687cc040ba0181c85e5704c1a152520174d237b0fa132178",
         "continuous_run": "09f86da97b4118269a5353480f1db1bd2e3041eea1c4687f42a2af5e6b186d09",
-        "lookahead": "4e5617bbc88b81e06095840c7ff1eb77f72ec5126a56d74e87e34688668b4ea9",
+        "lookahead": "15fe3584f5a762a1621870256138c62e4665417adf9f7e6542e3c8cf6cbd2308",
         "fit": "37991ed740d5d87c2c2ce34d92067fd0ed664035f4eac9e18a88aff85b0c63c7",
         "fit_every_stat_1d": "948bfcd0b952950db55d9fc00fe3c3820d67805e159aa1f706288e3163ac31cb",
         "fit_every_stat_2d": "2600c4f7c67c4f5edae3a04ee2fe396729d3c30c94856a8a638765ec9674b084",

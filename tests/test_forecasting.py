@@ -34,7 +34,14 @@ from sigauto import (
 )
 
 from sigauto import cli, forecasting, plugins
-from sigauto.forecasting import SCORE_FLOOR, _scores
+from sigauto.forecasting import (
+    EVENT_STREAM,
+    LOOKAHEAD_STREAM,
+    OBSERVATION_STREAM,
+    SCORE_FLOOR,
+    _scores,
+    keyed_uniform,
+)
 
 from conftest import E1, EVERY_STAT, build_plain, random_walk
 
@@ -286,6 +293,79 @@ class TestSampling:
         b = sample_observation(hmm, 1, seed=42)
         assert a == b
         assert len(a) == 1
+
+    def test_observation_noise_has_the_kernel_covariance(self):
+        """Where the next state is certain and all its centres are one
+        point, a sample minus that point is the noise alone: over 4000
+        seeds its mean is near 0 and its covariance near the bandwidth H
+        (each estimate's standard error is below 0.05, the tolerance
+        0.15)."""
+        rows = [(1.0, 1.0) if k % 2 == 0 else (5.0, 5.0) for k in range(20)]
+        sig = Signal(rows)
+        params = PluginParams(lam=1.0, grid_width=1.0)
+        H = [[1.0, 0.5], [0.5, 2.0]]
+        hmm = isa_to_hmm_continuous(build_isa(sig, EmaGridClassifier(params)), sig,
+                                    sigma_fn(params), Kernel(H))
+        noise = np.array([sample_observation(hmm, 1, seed) for seed in range(4000)]) - 1.0
+        assert np.abs(noise.mean(axis=0)).max() < 0.15
+        assert np.abs(np.cov(noise, rowvar=False) - H).max() < 0.15
+
+
+def ks_statistic(draws) -> float:
+    """Kolmogorov-Smirnov distance of ``draws`` from the uniform law on [0, 1)."""
+    x = np.sort(np.asarray(draws))
+    n = len(x)
+    return float(max((np.arange(1, n + 1) / n - x).max(), (x - np.arange(n) / n).max()))
+
+
+class TestKeyedUniform:
+    """``keyed_uniform`` at fixed keys, 10**5 draws a test, each bound at
+    confidence 1 - 1e-6.  KS: by the Dvoretzky-Kiefer-Wolfowitz-Massart
+    inequality P(D_n > eps) <= 2 exp(-2 n eps**2), so eps =
+    sqrt(ln(2e6) / (2 * 10**5)) = 0.008517.  Pairs: chi-squared over 99
+    degrees of freedom exceeds 180.79 with probability 1e-6."""
+
+    N = 100_000
+    KS_BOUND = 0.008517
+    CHI2_BOUND = 180.79
+    STREAMS = [EVENT_STREAM, LOOKAHEAD_STREAM, OBSERVATION_STREAM]
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_uniform_along_the_counter(self, stream):
+        draws = [keyed_uniform(0, i, stream) for i in range(self.N)]
+        assert 0.0 <= min(draws) and max(draws) < 1.0
+        assert ks_statistic(draws) <= self.KS_BOUND
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_uniform_along_the_seed(self, stream):
+        """Criterion 9 samples seeds 0, 1, 2, ... at draw 0."""
+        assert ks_statistic([keyed_uniform(seed, 0, stream)
+                             for seed in range(self.N)]) <= self.KS_BOUND
+
+    @pytest.mark.parametrize("stream", STREAMS)
+    def test_adjacent_draws_fill_a_grid_evenly(self, stream):
+        """Disjoint pairs of neighbours (2k, 2k + 1) on a 10 x 10 grid."""
+        draws = np.array([keyed_uniform(0, i, stream) for i in range(self.N)])
+        cells = (draws[0::2] * 10).astype(int) * 10 + (draws[1::2] * 10).astype(int)
+        counts = np.bincount(cells, minlength=100)
+        expected = self.N / 2 / 100
+        assert ((counts - expected) ** 2 / expected).sum() <= self.CHI2_BOUND
+
+    def test_the_seed_and_the_counter_are_reduced_mod_2_64(self):
+        for stream in self.STREAMS:
+            for i in (0, 1, 7):
+                assert keyed_uniform(-1, i, stream) == keyed_uniform(2**64 - 1, i, stream)
+                assert keyed_uniform(2**64 + 5, i, stream) == keyed_uniform(5, i, stream)
+            assert keyed_uniform(0, -1, stream) == keyed_uniform(0, 2**64 - 1, stream)
+        dist = {"1": 0.5, "5": 0.5}
+        assert ([sample_event(dist, -s) for s in range(1, 50)]
+                == [sample_event(dist, 2**64 - s) for s in range(1, 50)])
+
+    def test_streams_draw_apart(self):
+        """No two uses share a draw at the same seed and counter."""
+        for seed in (0, 1, 2**63):
+            for i in (0, 1, 2):
+                assert len({keyed_uniform(seed, i, s) for s in self.STREAMS}) == 3
 
 
 class TestScore:

@@ -16,6 +16,7 @@ from sigauto import (
     DUMMY_STATE,
     EmaGridClassifier,
     FrontierEntry,
+    HmmContinuous,
     Kernel,
     PluginParams,
     Signal,
@@ -681,6 +682,22 @@ class TestScottKernel:
                 assert hmm.density(q, x) == hmm.density(q, x, scott)
                 total += w * hmm.density(q, x)
         assert total == forecast_density_at(hmm, pipe.signal, 1, x) > 0.0
+
+    def test_a_query_looks_the_kernel_up_once(self, monkeypatch):
+        """A forecast density over several states checks its kernel and
+        point once, not once more per state."""
+        pipe = self.scott_pipeline()
+        hmm, x = pipe.hmm, pipe.signal[-1]
+        states = [q for q, w in state_occupancies(hmm, 2)[-1].items()
+                  if q != DUMMY_STATE and w != 0.0]
+        assert len(states) > 1
+        expected = forecast_density_at(hmm, pipe.signal, 2, x)
+        calls = []
+        real = HmmContinuous.kernel_for
+        monkeypatch.setattr(HmmContinuous, "kernel_for",
+                            lambda model, *args: calls.append(args) or real(model, *args))
+        assert forecast_density_at(hmm, pipe.signal, 2, x) == expected
+        assert calls == [(None, x)]
 
     def test_sampling_reads_the_scott_kernel(self):
         """Draws equal those of a model whose explicit bandwidth is Scott's

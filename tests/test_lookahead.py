@@ -12,6 +12,7 @@ from sigauto import (
     ConfigError,
     InsufficientHistoryError,
     Isa,
+    LookaheadFrontier,
     LookaheadWordClassifier,
     PluginParams,
     Signal,
@@ -23,8 +24,9 @@ from sigauto import (
     rho_fn,
     sigma_fn,
 )
-from sigauto import plugins
+from sigauto import lookahead, plugins
 from sigauto.bench import random_walk
+from sigauto.forecasting import LOOKAHEAD_STREAM
 
 from conftest import EVERY_STAT, assert_row_cache_coherent, model_rows
 
@@ -78,7 +80,7 @@ class TestBuild:
         params = PluginParams(grid_width=1.0, horizon=h, **stat)
         rng = random.Random(0)
         signal = Signal([rng.choice((1.0, 3.0, 5.0)) for _ in range(64)])
-        frontier = lookahead_build(signal, params, seed=1)
+        frontier = lookahead_build(signal, params, seed=0)
         live = frontier.live()
         assert len(live) == h
         for entry in reversed(live):
@@ -118,7 +120,7 @@ class TestBuild:
         # cluster "7" only ever appears at instant 0, so it never occurred as
         # a state; sampling it makes the frontier word new
         values = Signal([7.0, 1.0, 5.0, 1.0, 5.0, 1.0])
-        frontier = lookahead_build(values, word_params, seed=1)
+        frontier = lookahead_build(values, word_params, seed=2)
         assert frontier.poisoned_from() == 5
         assert frontier.entries == [None]
         # the estimate itself was sampled fine; only the word was unseen
@@ -128,7 +130,7 @@ class TestBuild:
         # with horizon 2 a poisoned entry leaves every deeper entry poisoned
         params = PluginParams(grid_width=1.0, horizon=2)
         values = Signal([7.0, 1.0, 5.0, 1.0, 5.0, 1.0, 5.0, 1.0])
-        frontier = lookahead_build(values, params, seed=1)
+        frontier = lookahead_build(values, params, seed=0)
         first = frontier.poisoned_from()
         assert first is not None
         k0 = first - (frontier.n - frontier.h + 1)
@@ -187,11 +189,11 @@ class TestFingerprint:
         assert after != before
         assert self.changed_parts(before, after) == {part}
 
-    # sha256 of the sorted-key JSON of the fingerprint below, recorded
-    # before the model's matrix views were deleted.
+    # sha256 of the sorted-key JSON of the fingerprint below, with the
+    # frontier's keyed draws.
     DIGESTS = {
-        2: "169513f311fad9448faf174af3a4d9769482ca5836c58036e988b4bed8c9ab94",
-        3: "a9ab1e0c9b5d4fce393c4358cf2517819d82a49a6cd3c2e9d9296b1c6353b930",
+        2: "e30cc9b14df38c9371a73cfdab151ce6ed6e5ea59715b0fe67bdc419c5df2fe5",
+        3: "11dbd3df88333b93b88a6475884cddcd50597eba5fd4fc503b7df8f9e5f599fe",
     }
 
     @pytest.mark.parametrize("h", [2, 3])
@@ -200,7 +202,7 @@ class TestFingerprint:
         walk = random_walk(300, seed=13)
         params = PluginParams(lam=0.5, grid_width=0.5, stat_variant="discounted_sum",
                               delta=0.8, horizon=h)
-        frontier = lookahead_build(walk[:200], params, seed=3)
+        frontier = lookahead_build(walk[:200], params, seed=1)
         for x in walk[200:]:
             lookahead_advance(frontier, x)
         assert len(frontier.live()) == h and frontier.matched and frontier.rebuilt
@@ -433,26 +435,33 @@ class TestRowCacheCoherence:
 
 
 def counted_walk(h, monkeypatch):
-    """A 300-advance walk at horizon h from the shortest history, with
-    ``random.Random`` and ``plugins.cell_index`` counted during the
-    advances, which must be of all three kinds.  Returns the seed of each
-    generator built and the grid cells computed per advance."""
+    """A 300-advance walk at horizon h from the shortest history, with the
+    frontier's keyed draws and ``plugins.cell_index`` counted during the
+    advances, which must be of all three kinds.  Returns, for each draw,
+    the instant its entry was extended for, the draw's key and its value,
+    and the grid cells computed per advance."""
     values = random_walk(301 + h, seed=h, step=0.6)
     params = PluginParams(grid_width=1.0, horizon=h)
     frontier = lookahead_build(values[: h + 1], params, seed=5)
-    seeds, cells = [], []
-    real_random, real_cell_index = random.Random, plugins.cell_index
+    extending, draws, cells = [], [], []
+    real_extend, real_keyed = LookaheadFrontier._extend, lookahead.keyed_uniform
+    real_cell_index = plugins.cell_index
 
-    class Counted(real_random):
-        def __init__(self, seed=None):
-            seeds.append(seed)
-            super().__init__(seed)
+    def counted_extend(frontier, i):
+        extending.append(i)
+        real_extend(frontier, i)
+
+    def counted_keyed(seed, i, stream):
+        u = real_keyed(seed, i, stream)
+        draws.append((extending[-1], (seed, i, stream), u))
+        return u
 
     def counted_cell_index(coords, widths):
         cells.append(coords)
         return real_cell_index(coords, widths)
 
-    monkeypatch.setattr(random, "Random", Counted)
+    monkeypatch.setattr(LookaheadFrontier, "_extend", counted_extend)
+    monkeypatch.setattr(lookahead, "keyed_uniform", counted_keyed)
     monkeypatch.setattr(plugins, "cell_index", counted_cell_index)
     kinds = {"matched": 0, "mismatched": 0, "poisoned": 0}
     for value in values[h + 1:]:
@@ -460,21 +469,24 @@ def counted_walk(h, monkeypatch):
         lookahead_advance(frontier, value)
         kinds["poisoned" if poisoned else "matched" if frontier.matched > matched
               else "mismatched"] += 1
-        assert len(frontier.draws) <= h
     monkeypatch.undo()
     assert all(count > 0 for count in kinds.values()), kinds
-    return seeds, len(cells) / (len(values) - h - 1)
+    return draws, len(cells) / (len(values) - h - 1)
 
 
 class TestAdvanceCost:
     @pytest.mark.parametrize("h", [1, 2, 3])
-    def test_one_generator_per_sampled_instant(self, h, monkeypatch):
-        """A rebuild reuses the draws its instants were first sampled with:
-        over matched, mismatched and poisoned advances, each instant's
-        generator is seeded once."""
-        seeds, _ = counted_walk(h, monkeypatch)
-        assert seeds and all(seed.startswith("5:") for seed in seeds)
-        assert len(seeds) == len(set(seeds)), "an instant was seeded twice"
+    def test_each_draw_is_keyed_by_its_own_instant(self, h, monkeypatch):
+        """Over matched, mismatched and poisoned advances, each draw is
+        ``keyed_uniform(seed, i, LOOKAHEAD_STREAM)`` of the instant i it
+        samples, so a rebuilt instant draws again with the key and the
+        value of its first sampling.  A rebuild reaches back to an
+        earlier instant only for h > 1."""
+        draws, _ = counted_walk(h, monkeypatch)
+        assert draws and all(key == (5, i, LOOKAHEAD_STREAM) for i, key, _ in draws)
+        first = {}
+        assert all(first.setdefault(i, u) == u for i, _, u in draws)
+        assert (len(draws) > len(first)) == (h > 1)
 
     def test_grid_cells_per_advance_do_not_grow_with_h(self, monkeypatch):
         """An advance labels its new row once, for the word classifier and
@@ -497,7 +509,7 @@ class TestAdvanceCost:
         other = {1000.5: 1005.0, 1005.5: 1000.0}  # estimate -> the other cluster
         counts = {}
         for n in (1_000, 10_000):
-            frontier = lookahead_build(random_walk(n, seed=0) + tail, params, seed=2)
+            frontier = lookahead_build(random_walk(n, seed=0) + tail, params, seed=0)
             per_advance = []
             for matched in (True, False):
                 before = list(frontier.entries)

@@ -153,17 +153,30 @@ def calls_by_function(tree):
 def test_each_row_is_labelled_and_each_draw_seeded_in_one_place():
     """Grid labels come from ``Clusterer._lookup``, whose memo labels each
     row once, and from the EMA classifier, whose summary is no stored row.
-    A generator is seeded in ``uniform_draw`` alone, whose draws the
-    lookahead frontier keeps (``bench.py``'s input generator aside)."""
-    labelling, seeding = set(), set()
-    for path in MODULES:
-        for function, callee in calls_by_function(ast.parse(path.read_text(encoding="utf-8"))):
-            if callee.split(".")[-1] in {"cell_index", "cell_label"}:
-                labelling.add(f"{path.name}:{function}")
-            if callee in {"random.Random", "Random"}:
-                seeding.add(f"{path.name}:{function}")
+    No function builds a seeded generator but ``bench.py``'s input
+    generator: the lookahead frontier, ``sample_event`` and
+    ``sample_observation`` draw with ``keyed_uniform`` and nothing else."""
+    calls = [(f"{path.name}:{function}", callee) for path in MODULES
+             for function, callee in calls_by_function(
+                 ast.parse(path.read_text(encoding="utf-8")))]
+    labelling = {f for f, callee in calls
+                 if callee.split(".")[-1] in {"cell_index", "cell_label"}}
+    seeding = {f for f, callee in calls if callee.split(".")[-1] in {"Random", "default_rng"}}
     assert labelling == {"plugins.py:Clusterer._lookup", "plugins.py:EmaGridClassifier.step"}
-    assert seeding == {"forecasting.py:uniform_draw", "bench.py:random_walk"}
+    assert seeding == {"bench.py:random_walk"}
+
+    def draws(function):
+        """The draws ``function`` and the functions nested in it call,
+        calls to those nested functions aside."""
+        inside = [(f, callee) for f, callee in calls
+                  if f == function or f.startswith(function + ".")]
+        nested = {f[len(function) + 1:].split(".")[0] for f, _ in inside if f != function}
+        return {callee for _, callee in inside
+                if callee not in nested and re.search("random|rng|uniform|draw", callee)}
+
+    for function in ("lookahead.py:LookaheadFrontier._extend", "forecasting.py:sample_event",
+                     "forecasting.py:sample_observation"):
+        assert draws(function) == {"keyed_uniform"}, function
 
 
 def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():

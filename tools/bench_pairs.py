@@ -2,8 +2,12 @@
 
     python3 tools/bench_pairs.py --parent REV
 
-The parent's committed files are exported (``git archive``) into a
-temporary directory, which is removed on every exit path.  For each of
+Both sides run from fresh copies in one temporary directory, which is
+removed on every exit path: the parent's committed files are exported
+(``git archive``), and the change side is the working tree's files that git
+tracks or would track, read from disk so uncommitted edits count
+(``copy_worktree``).  Neither side runs from the checkout itself, so where
+a side runs is the same for both.  For each of
 ``PAIRS`` pairs k and each workload in BENCHMARK.json,
 ``perfbench/run.py --trace 0`` runs once in each checkout
 with seed ``SEED_BASE + k`` and BENCHMARK.json's ``run_seconds``; the parent
@@ -139,6 +143,21 @@ def export(rev: str, into: str) -> None:
         tar.extractall(into)
 
 
+def copy_worktree(into: str) -> None:
+    """The working tree's files that ``git ls-files --cached --others
+    --exclude-standard`` lists, copied from disk under ``into``; a tracked
+    file deleted from disk is left out."""
+    listed = subprocess.run(["git", "-C", ROOT, "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], stdout=subprocess.PIPE, check=True).stdout
+    for name in os.fsdecode(listed).split("\0"):
+        source = os.path.join(ROOT, name)
+        if not name or not os.path.lexists(source):
+            continue
+        target = os.path.join(into, name)
+        os.makedirs(os.path.dirname(target), exist_ok=True)
+        shutil.copy2(source, target, follow_symlinks=False)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -153,8 +172,9 @@ def main(argv=None) -> int:
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
-        export(args.parent, scratch)
-        checkouts = {"parent": scratch, "change": ROOT}
+        checkouts = {side: os.path.join(scratch, side) for side in ("parent", "change")}
+        export(args.parent, checkouts["parent"])
+        copy_worktree(checkouts["change"])
         runs = {name: [] for name in names}
         for k in range(PAIRS):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
