@@ -274,7 +274,7 @@ def run_fit(config: RunConfig, args) -> int:
             "split": report.split,
             "scores": report.scores,
             "best_index": report.best_index,
-            "best": report.best.to_dict(),
+            "best": report.grid[report.best_index].to_dict(),
             "grid": [p.to_dict() for p in report.grid],
         })
     return 0

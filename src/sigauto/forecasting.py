@@ -38,12 +38,13 @@ from .signal import Signal
 
 
 class Forecast(Fields):
-    """Per-step event distributions; ``is_dummy`` marks the no-forecast case."""
+    """Per-step event distributions, one per step of the horizon
+    ``len(steps)``; ``is_dummy`` marks the no-forecast case."""
 
-    __slots__ = ("horizon", "steps", "is_dummy")
+    __slots__ = ("steps", "is_dummy")
 
-    def __init__(self, horizon: int, steps: list[dict[str, float]], is_dummy: bool):
-        self.horizon, self.steps, self.is_dummy = horizon, steps, is_dummy
+    def __init__(self, steps: list[dict[str, float]], is_dummy: bool):
+        self.steps, self.is_dummy = steps, is_dummy
 
     @classmethod
     def dummy(cls, horizon: int) -> "Forecast":
@@ -51,13 +52,13 @@ class Forecast(Fields):
         and so not a dummy, at horizon 0)."""
         if horizon < 0:
             raise ConfigError(f"horizon must be nonnegative, got {horizon}")
-        return cls(horizon, [{DUMMY_EVENT: 1.0} for _ in range(horizon)], horizon > 0)
+        return cls([{DUMMY_EVENT: 1.0} for _ in range(horizon)], horizon > 0)
 
     def step(self, j: int) -> dict[str, float]:
         """Distribution for step j, 1 <= j <= horizon."""
         _check_step(j)
-        if j > self.horizon:
-            raise ConfigError(f"forecast step must be <= the horizon {self.horizon}, got {j}")
+        if j > len(self.steps):
+            raise ConfigError(f"forecast step must be <= the horizon {len(self.steps)}, got {j}")
         return self.steps[j - 1]
 
     def record(self, i: int, seed) -> dict:
@@ -103,7 +104,7 @@ def forecast(hmm: Hmm, horizon: int) -> Forecast:
     if horizon < 1 or hmm.current_is_new:
         return Forecast.dummy(horizon)
     steps = [event_distribution(hmm, occ) for occ in state_occupancies(hmm, horizon)]
-    return Forecast(horizon, steps, False)
+    return Forecast(steps, False)
 
 
 def _check_step(j: int) -> None:
@@ -328,14 +329,14 @@ def _forked_scores(grid: list[PluginParams], signal: Signal, start: int,
 
 
 class FitReport(Fields):
-    """Grid-search outcome: held-out score per parameter tuple."""
+    """Grid-search outcome: held-out score per parameter tuple; the best
+    tuple is ``grid[best_index]``."""
 
-    __slots__ = ("grid", "scores", "best_index", "split", "best")
+    __slots__ = ("grid", "scores", "best_index", "split")
 
     def __init__(self, grid: list[PluginParams], scores: list[float], best_index: int,
                  split: int):
         self.grid, self.scores, self.best_index, self.split = grid, scores, best_index, split
-        self.best = grid[best_index]
 
 
 def fit(grid: list[PluginParams], signal: Signal, split: int) -> FitReport:

@@ -40,9 +40,10 @@ model is built on the word classifier's own clusterer, which remembers
 recent rows, so an advance labels only its new row, once for the word and
 the model together.  The build keeps a window of the next h labels and
 labels each row once, as it enters the window.  The automaton's own steps
-classify one row at a time, so the frontier labels its words itself and
-``move``s with them.  ``fingerprint`` undoes every live entry and redoes
-them one by one, reading each automaton/model pair at its own instant.
+classify one row at a time, so the frontier labels its words itself, with
+``LookaheadFrontier._word``, and ``move``s with them.  ``fingerprint``
+undoes every live entry and redoes them one by one, reading each
+automaton/model pair at its own instant.
 """
 
 from __future__ import annotations
@@ -145,19 +146,19 @@ class LookaheadFrontier:
                 return self.n - self.h + 1 + k
         return None
 
-    def _window(self, i: int) -> tuple:
-        """Observations at positions i+1 .. i+h, estimates past the present."""
-        n = self.n
-        out = []
-        for pos in range(i + 1, i + self.h + 1):
-            out.append(self.signal[pos] if pos <= n else self.estimated[pos - n - 1])
-        return tuple(out)
+    def _word(self, i: int) -> str:
+        """The word of instant ``i``: the labels of rows i+1 .. i+h, estimates
+        past the present."""
+        n, label_of = self.n, self.clusterer.label_of
+        return self.classifier.word([
+            label_of(self.signal[pos] if pos <= n else self.estimated[pos - n - 1])
+            for pos in range(i + 1, i + self.h + 1)])
 
     def _extend(self, i: int) -> None:
         """Append the entry for instant ``i`` (and the estimate for i + h).
 
         Frontier instants never pass the present, so the step reads genuine
-        observations and only its window holds estimates.
+        observations and only its word reads estimates.
         """
         self.entries_built += 1
         isa, hmm = self.base_isa, self.base_hmm
@@ -173,7 +174,7 @@ class LookaheadFrontier:
             self.estimated.append(None)
             return
         self.estimated.append(self.clusterer.center(label))
-        word = self.classifier.step(self.signal[i], self._window(i))
+        word = self._word(i)
         prev = isa.current
         if not (word == prev or isa.theta.has_outgoing(word)):  # an unseen word
             self.entries.append(None)
@@ -279,7 +280,7 @@ def lookahead_advance(frontier: LookaheadFrontier, r_new) -> LookaheadFrontier:
     frontier.signal.append(r_new)
     n_new = frontier.signal.last_instant
     i0 = n_new - h
-    genuine_word = frontier.classifier.step(frontier.signal[i0], frontier._window(i0))
+    genuine_word = frontier._word(i0)
     old_first = frontier.entries[0] if frontier.entries else None
     if old_first is not None and old_first.word == genuine_word:
         del frontier.entries[0]

@@ -137,14 +137,12 @@ class PluginParams(Fields):
     lookahead length.  Immutable, and hashed by its fields.
     """
 
-    __slots__ = ("lam", "grid_width", "delta", "stat_variant", "region", "bandwidth",
-                 "horizon")
-
     # The config key of each field, in the order ``to_dict`` writes them:
     # snapshot and report bytes depend on that order.
     FIELDS = {"lambda": "lam", "grid_width": "grid_width", "delta": "delta",
               "stat_variant": "stat_variant", "region": "region",
               "bandwidth": "bandwidth", "horizon": "horizon"}
+    __slots__ = tuple(FIELDS.values())
 
     def __init__(self, lam: float = 1.0, grid_width: float | tuple[float, ...] = 1.0,
                  delta: float = 0.0, stat_variant: str = "count",
@@ -260,13 +258,14 @@ class LookaheadWordClassifier:
     """Classifier consuming the next ``horizon`` observations.
 
     The label is the word of grid-cluster ids of the future window, letters
-    joined by ``"|"``.  It keeps no running summary.  Its letters are the
-    ``label_of`` labels of ``clusterer``, a ``Clusterer`` of its own grid,
-    so a row that sits in the windows of h consecutive words is labelled
-    once.  ``label_of`` registers nothing, so a model may be built on
-    the same clusterer and label each row the words labelled already;
-    ``reset`` gives the classifier a fresh clusterer and leaves the old one
-    to such a model.
+    joined by ``"|"`` (``word``).  It keeps no running summary, and a step,
+    which has one row, refuses: only the lookahead frontier labels words.
+    Its letters are the ``label_of`` labels of ``clusterer``, a
+    ``Clusterer`` of its own grid, so a row that sits in the windows of h
+    consecutive words is labelled once.  ``label_of`` registers nothing, so
+    a model may be built on the same clusterer and label each row the words
+    labelled already; ``reset`` gives the classifier a fresh clusterer and
+    leaves the old one to such a model.
     """
 
     def __init__(self, params: PluginParams):
@@ -275,20 +274,16 @@ class LookaheadWordClassifier:
         self.params = params
         self.reset()
 
-    # The word of a window's labels; ``lookahead_build`` joins its sliding
-    # window of labels with it too.
+    # The word of a window's labels, for the frontier's words and the
+    # sliding window of ``lookahead_build``.
     word = "|".join
 
     def reset(self) -> None:
         self.clusterer = Clusterer(self.params.grid_width)
 
-    def step(self, obs, future=()) -> str:
-        h = self.params.horizon
-        if len(future) != h:
-            raise RejectedInputError(
-                f"lookahead window has {len(future)} observations, expected {h}"
-            )
-        return self.word([self.clusterer.label_of(value) for value in future])
+    def step(self, obs) -> str:
+        raise RejectedInputError(
+            f"lookahead window has 0 observations, expected {self.params.horizon}")
 
 
 # ---------------------------------------------------------------------------
@@ -571,9 +566,7 @@ class Clusterer:
             raise ConfigError(f"cluster {label!r} has not been observed")
         center = self._centers.get(label)
         if center is None:
-            idx = self.observed[label]
-            center = self._centers[label] = cell_center(
-                idx, _widths_for_dim(self._raw_width, len(idx)))
+            center = self._centers[label] = cell_center(self.observed[label], self._widths)
         return center
 
 
@@ -610,7 +603,6 @@ class Kernel:
             self.chol = np.linalg.cholesky(H)
         except np.linalg.LinAlgError as exc:
             raise ConfigError("bandwidth matrix must be positive definite") from exc
-        self.h_matrix = H
         self.d = H.shape[0]
         self._inv = np.linalg.inv(H)
         det = float(np.prod(np.diagonal(self.chol))) ** 2

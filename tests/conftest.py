@@ -68,6 +68,13 @@ def build_plain(signal, params):
     return isa, hmm
 
 
+def word_of(classifier, rows):
+    """The word of a window of rows, as the lookahead frontier reads it:
+    ``word`` over the ``label_of`` labels of the word classifier's
+    clusterer."""
+    return classifier.word([classifier.clusterer.label_of(row) for row in rows])
+
+
 def model_rows(model, name):
     """A copy of every row the model's method ``name`` serves
     (``"transition_row"`` or ``"emission_row"``), as ``{state: {column: weight}}``."""

@@ -642,6 +642,27 @@ class TestFitCommand:
         assert report["best_index"] == 1
         assert report["scores"][1] > report["scores"][0]
 
+    def test_best_is_the_grid_entry_at_best_index(self, tmp_path, e1_csv, monkeypatch):
+        """The record's ``best`` is read from ``best_index`` as the report
+        holds it when written, so it follows a changed index."""
+        import sigauto.cli
+
+        real = sigauto.cli.fit
+
+        def shifted(*args, **kwargs):
+            report = real(*args, **kwargs)
+            report.best_index = (report.best_index + 1) % len(report.grid)
+            return report
+
+        monkeypatch.setattr(sigauto.cli, "fit", shifted)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"grid": [{"delta": 0.0}, {"delta": 0.5}]}))
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--input", str(e1_csv), "--config", str(config),
+                     "--output", str(out)]) == 0
+        report = read_records(out)[0]
+        assert report["best"] == report["grid"][report["best_index"]]
+
     def test_fit_without_grid(self, tmp_path, e1_csv):
         assert main(["fit", "--input", str(e1_csv)]) == 2
 

@@ -442,7 +442,7 @@ class TestFit:
         report = fit(grid, two_regime_signal(), split=80)
         assert report.scores[1] > report.scores[0]
         assert report.best_index == 1
-        assert report.best is grid[1]
+        assert report.grid == grid and report.grid[report.best_index] is grid[1]
 
     def test_single_entry_grid(self, count_params):
         report = fit([count_params], two_regime_signal(), split=40)

@@ -35,6 +35,7 @@ from sigauto import (
     load_snapshot,
     lookahead_advance,
     lookahead_build,
+    move,
     next_hmm,
     next_hmm_continuous,
     next_isa,
@@ -652,6 +653,19 @@ class TestContinuous:
         hmm = isa_to_hmm_continuous(isa, e1_signal, sigma_fn(count_params), None)
         with pytest.raises(UnknownStateError):
             hmm.mixture(state)
+
+    def test_a_state_its_model_has_not_reached_has_density_zero(self, e1_signal,
+                                                                 count_params):
+        """A model that lags its automaton (``move`` with no models) has no
+        centre for the state just entered: it reads density 0.0 there, and
+        the states it has reached read as before."""
+        isa = build_isa(e1_signal, EmaGridClassifier(count_params))
+        hmm = isa_to_hmm_continuous(isa, e1_signal, sigma_fn(count_params), Kernel([[1.0]]))
+        before = hmm.density("5", (5.0,))
+        move(isa, "9", (9.0,))
+        assert "9" in hmm.state_order and hmm.mixture("9") == ((), 0.0)
+        assert hmm.density("9", (9.0,)) == 0.0
+        assert hmm.density("5", (5.0,)) == before > 0.0
 
     def test_updated_state_weights_sum_to_one(self, count_params):
         _, _, hmm = fold_pipeline(E1, count_params, emission="continuous",

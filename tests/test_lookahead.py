@@ -28,7 +28,7 @@ from sigauto import lookahead, plugins
 from sigauto.bench import random_walk
 from sigauto.forecasting import LOOKAHEAD_STREAM
 
-from conftest import EVERY_STAT, assert_row_cache_coherent, model_rows
+from conftest import EVERY_STAT, assert_row_cache_coherent, model_rows, word_of
 
 
 def period_two(length):
@@ -82,7 +82,7 @@ class TestBuild:
         signal = Signal([rng.choice((1.0, 3.0, 5.0)) for _ in range(64)])
         frontier = lookahead_build(signal, params, seed=0)
         live = frontier.live()
-        assert len(live) == h
+        assert len(live) == h, "coverage precondition: seed 0 leaves every entry live"
         for entry in reversed(live):
             entry.undo()
         isa, hmm = plain_fold(signal, params, signal.last_instant - h)
@@ -121,10 +121,11 @@ class TestBuild:
         # a state; sampling it makes the frontier word new
         values = Signal([7.0, 1.0, 5.0, 1.0, 5.0, 1.0])
         frontier = lookahead_build(values, word_params, seed=2)
+        # the estimate itself was sampled fine; only the word was unseen
+        assert frontier.estimated == [(7.5,)], \
+            "coverage precondition: seed 2 samples the estimate from cluster 7"
         assert frontier.poisoned_from() == 5
         assert frontier.entries == [None]
-        # the estimate itself was sampled fine; only the word was unseen
-        assert frontier.estimated == [(7.5,)]
 
     def test_poisoning_suffix_rule(self):
         # with horizon 2 a poisoned entry leaves every deeper entry poisoned
@@ -132,7 +133,7 @@ class TestBuild:
         values = Signal([7.0, 1.0, 5.0, 1.0, 5.0, 1.0, 5.0, 1.0])
         frontier = lookahead_build(values, params, seed=0)
         first = frontier.poisoned_from()
-        assert first is not None
+        assert first is not None, "coverage precondition: seed 0 poisons an entry"
         k0 = first - (frontier.n - frontier.h + 1)
         assert all(e is None for e in frontier.entries[k0:])
 
@@ -205,7 +206,9 @@ class TestFingerprint:
         frontier = lookahead_build(walk[:200], params, seed=1)
         for x in walk[200:]:
             lookahead_advance(frontier, x)
-        assert len(frontier.live()) == h and frontier.matched and frontier.rebuilt
+        assert len(frontier.live()) == h and frontier.matched and frontier.rebuilt, \
+            "coverage precondition: seed 1 ends with every entry live after matched " \
+            "and rebuilt advances"
         text = json.dumps(frontier.fingerprint(), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == self.DIGESTS[h]
 
@@ -268,12 +271,12 @@ def forecast_key(frontier):
 
 def plain_fold(values, params, upto):
     """The genuine automaton and model at instant ``upto``, stepped one
-    instant at a time with genuine windows."""
+    instant at a time with the words of genuine windows."""
     h = params.horizon
     signal = Signal(values)
     classifier, isa = LookaheadWordClassifier(params), Isa()
     for i in range(upto + 1):
-        move(isa, classifier.step(signal[i], signal[i + 1 : i + h + 1]), signal[i])
+        move(isa, word_of(classifier, signal[i + 1 : i + h + 1]), signal[i])
         if i == 0:
             hmm = isa_to_hmm(isa, signal, sigma_fn(params), rho_fn(params),
                              Clusterer(params.grid_width))
@@ -311,8 +314,8 @@ def advance_against_fresh_builds(values, params, seed):
         assert_row_cache_coherent(frontier.base_hmm)
         if first is None:
             kinds["poisoned"] += 1
-        elif first.word == LookaheadWordClassifier(params).step(
-                None, frontier.signal[i - h + 1 : i + 1]):
+        elif first.word == word_of(LookaheadWordClassifier(params),
+                                   frontier.signal[i - h + 1 : i + 1]):
             kinds["matched"] += 1
         else:
             kinds["mismatched"] += 1
@@ -513,10 +516,12 @@ class TestAdvanceCost:
             per_advance = []
             for matched in (True, False):
                 before = list(frontier.entries)
-                assert before[0] is not None
+                assert before[0] is not None and frontier.estimated[0][0] in other, \
+                    "coverage precondition: seed 0 leaves the first entry live, its " \
+                    "estimate in one of the tail's clusters"
                 estimate = frontier.estimated[0][0]
                 lookahead_advance(frontier, estimate if matched else other[estimate])
-                genuine_word = frontier.classifier.step(None, frontier.signal[-h:])
+                genuine_word = word_of(LookaheadWordClassifier(params), frontier.signal[-h:])
                 assert (before[0].word == genuine_word) == matched
                 per_advance.append(sum(2 * len(e.journal) for e in frontier.live()
                                        if all(e is not b for b in before)))
@@ -565,20 +570,23 @@ def test_the_build_labels_each_row_once(h, monkeypatch):
 
 
 def test_each_genuine_row_is_classified_once(monkeypatch):
-    """An advance classifies its newly genuine row once: a mismatched
-    advance moves with the word it compared, and no row is classified twice
-    with the same window over 300 advances."""
+    """An advance reads the genuine word of its newly determined instant
+    once: a mismatched advance moves with the word it compared, and over
+    300 advances no instant's word is read twice at the same present."""
+    h = 2
     values = random_walk(3_300, seed=2)
-    frontier = lookahead_build(values[:3_000], PluginParams(grid_width=0.5, horizon=2), seed=0)
+    frontier = lookahead_build(values[:3_000], PluginParams(grid_width=0.5, horizon=h), seed=0)
     calls = []
-    real = LookaheadWordClassifier.step
+    real = LookaheadFrontier._word
 
-    def counted(classifier, obs, future=()):
-        calls.append((obs, tuple(future)))
-        return real(classifier, obs, future)
+    def counted(frontier, i):
+        calls.append((i, frontier.n))
+        return real(frontier, i)
 
-    monkeypatch.setattr(LookaheadWordClassifier, "step", counted)
+    monkeypatch.setattr(LookaheadFrontier, "_word", counted)
     for value in values[3_000:]:
         lookahead_advance(frontier, value)
     assert frontier.rebuilt > 0
     assert len(calls) - len(set(calls)) == 0, f"{len(calls)} calls"
+    genuine = [i for i, n in calls if i + h <= n]
+    assert genuine == list(range(3_000 - h, 3_300 - h))

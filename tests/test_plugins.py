@@ -31,7 +31,7 @@ from sigauto import (
 
 from sigauto import plugins
 
-from conftest import E1
+from conftest import E1, word_of
 
 
 def scratch_label(params, signal):
@@ -86,7 +86,12 @@ class TestParams:
         pipe = StreamPipeline(PluginParams(bandwidth=0.5), emission="continuous")
         for value in E1:
             pipe.advance(value)
-        assert np.array_equal(pipe.kernel.h_matrix, Kernel([[0.5]]).h_matrix)
+        chol = pipe.kernel.chol
+        assert chol @ chol.T == pytest.approx(np.array([[0.5]]), rel=1e-15)
+        for x in (0.0, 0.3, -1.2):
+            assert pipe.kernel((x,)) == Kernel([[0.5]])((x,))
+            assert pipe.kernel((x,)) == pytest.approx(norm(scale=math.sqrt(0.5)).pdf(x),
+                                                      rel=1e-12)
         assert pipe.hmm.kernel_for() is pipe.kernel
 
     def test_fields_cannot_be_assigned_or_deleted(self):
@@ -166,22 +171,23 @@ def test_precursor_consistency(values, lam, width):
 class TestLookaheadWord:
     def test_two_letter_word(self):
         params = PluginParams(grid_width=1.0, horizon=2)
-        assert LookaheadWordClassifier(params).step(None, ((5.0,), (1.0,))) == "5|1"
+        assert word_of(LookaheadWordClassifier(params), ((5.0,), (1.0,))) == "5|1"
 
     def test_single_letter_word(self):
         params = PluginParams(grid_width=1.0, horizon=1)
-        assert LookaheadWordClassifier(params).step(None, ((5.0,),)) == "5"
+        assert word_of(LookaheadWordClassifier(params), ((5.0,),)) == "5"
 
-    def test_wrong_window_length(self):
-        params = PluginParams(grid_width=1.0, horizon=2)
-        with pytest.raises(RejectedInputError):
-            LookaheadWordClassifier(params).step(None, ((5.0,),))
+    def test_a_row_step_is_refused(self):
+        params = PluginParams(grid_width=1.0, horizon=1)
+        with pytest.raises(RejectedInputError,
+                           match="^lookahead window has 0 observations, expected 1$"):
+            LookaheadWordClassifier(params).step((5.0,))
 
     def test_reset_forgets_the_dimension(self):
         classifier = LookaheadWordClassifier(PluginParams(grid_width=1.0, horizon=1))
-        assert classifier.step(None, ((5.0,),)) == "5"
+        assert word_of(classifier, ((5.0,),)) == "5"
         classifier.reset()
-        assert classifier.step(None, ((5.0, 1.0),)) == "(5,1)"
+        assert word_of(classifier, ((5.0, 1.0),)) == "(5,1)"
 
 
 class TestStatEval:
@@ -505,11 +511,11 @@ class TestRowMemo:
         warm = LookaheadWordClassifier(params)
         for window in windows:
             if window == "flood":
-                flood(lambda row: warm.step(None, (row,) * h), dim)
+                flood(lambda row: word_of(warm, (row,) * h), dim)
                 continue
-            future = tuple(pool[k] for k in window)
+            rows_read = tuple(pool[k] for k in window)
             fresh = LookaheadWordClassifier(params)
-            assert outcome(warm.step, None, future) == outcome(fresh.step, None, future)
+            assert outcome(word_of, warm, rows_read) == outcome(word_of, fresh, rows_read)
 
     def test_ten_thousand_distinct_rows_leave_at_most_the_bound(self):
         clusterer = Clusterer(1.0)
@@ -616,8 +622,11 @@ class TestKernel:
     def test_just_inside_tolerance_keeps_the_matrix_as_given(self):
         H = [[1.0, 0.3], [0.3 + 0.9e-12, 1.0]]
         kernel = Kernel(H)
-        assert kernel.h_matrix.tolist() == H
-        assert kernel((0.2, -0.1)) > 0.0
+        assert kernel.chol @ kernel.chol.T == pytest.approx(np.tril(H) + np.tril(H, -1).T,
+                                                            rel=0.0, abs=1e-15)
+        oracle = multivariate_normal(mean=[0.0, 0.0], cov=H)
+        for x in ((0.2, -0.1), (0.0, 0.0), (1.0, 1.5)):
+            assert kernel(x) == pytest.approx(oracle.pdf(x), rel=1e-12)
 
 
 class TestLabelTables:

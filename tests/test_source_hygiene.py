@@ -200,21 +200,26 @@ def test_one_stepping_core_and_scratch_builds_only_on_the_scratch_paths():
 
 
 def test_a_step_takes_one_row_and_only_the_frontier_builds_a_word_classifier():
-    """The automaton's steps and the EMA classifier map one row to a label:
-    no function takes a ``future`` window but ``LookaheadWordClassifier.step``,
-    and only the lookahead frontier, which labels its words itself, builds a
-    word classifier."""
-    windowed, building = set(), set()
+    """Every classifier step maps one row to a label: no function takes a
+    ``future`` window.  Only the lookahead frontier builds a word classifier
+    and joins labels into a word: its word reader ``_word`` and the build's
+    sliding window are the only calls of ``word``."""
+    windowed, building, joining = set(), set(), set()
     for path in MODULES:
         for scope, node in nodes_by_function(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.arguments) and "future" in {
                     arg.arg for arg in node.posonlyargs + node.args + node.kwonlyargs}:
                 windowed.add(f"{path.name}:{scope}")
-            if (isinstance(node, ast.Call)
-                    and ast.unparse(node.func).split(".")[-1] == "LookaheadWordClassifier"):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = ast.unparse(node.func).split(".")[-1]
+            if callee == "LookaheadWordClassifier":
                 building.add(f"{path.name}:{scope}")
-    assert windowed == {"plugins.py:LookaheadWordClassifier.step"}
+            if callee == "word":
+                joining.add(f"{path.name}:{scope}")
+    assert windowed == set()
     assert building == {"lookahead.py:LookaheadFrontier.__init__"}
+    assert joining == {"lookahead.py:LookaheadFrontier._word", "lookahead.py:lookahead_build"}
 
 
 def test_only_the_automaton_module_changes_or_rebuilds_an_automaton():
